@@ -15,9 +15,15 @@ impossible in it. A compound situation is a set of elementary ids.
     optimize:   cheapest subset S with requirements met, min_config-style
                 coverage, S inside the pot, and all constraints satisfied.
 
-The solver enumerates subsets of the pot exhaustively (instances are small
-by construction) and breaks cost ties by the lexicographically smallest
-couple-id tuple, so results are deterministic.
+The solver is an exact depth-first branch-and-bound over the pot, taken in
+sorted couple-id order, with constraint propagation at every step and no
+limit on the pot size. Cost ties go to the lexicographically smallest
+couple-id tuple, and a solution's cost is the sum of its couples' costs in
+that sorted order, so results are deterministic and equal, to the bit, to
+what trying every subset of the pot would give. When nothing is admissible,
+the unsatisfiable core is found by deletion: each requirement, then each
+constraint, in declaration order, is dropped for good if the rest still
+conflicts.
 
 Constraint kinds: "binary" (a couple forced out via allowed=false),
 "disjunctive" (at least one of a set), "exclusive" (at most one of a set),
@@ -40,7 +46,7 @@ from .errors import ConfigError, DataError, InfeasibleError
 
 EXPECTED, OPTIONAL, IMPOSSIBLE = "expected", "optional", "impossible"
 
-MAX_POT_FOR_EXHAUSTIVE = 20
+CONSTRAINT_KINDS = ("binary", "disjunctive", "exclusive", "capacity", "conditional", "antecedence")
 
 
 @dataclass(frozen=True)
@@ -122,6 +128,12 @@ class ConstraintSpec:
     max_functions: Optional[int] = None
     allowed: bool = True
 
+    def __post_init__(self):
+        if self.kind not in CONSTRAINT_KINDS:
+            raise ConfigError(
+                f"unknown constraint kind {self.kind!r}; known kinds are {', '.join(CONSTRAINT_KINDS)}"
+            )
+
     def __str__(self):
         if self.kind == "binary":
             state = "allowed" if self.allowed else "forbidden"
@@ -134,9 +146,7 @@ class ConstraintSpec:
             return f"capacity: {self.resource} <= {self.max_functions} function(s)"
         if self.kind == "conditional":
             return f"conditional: {self.couple} requires " + " and ".join(self.requires)
-        if self.kind == "antecedence":
-            return f"antecedence: {self.couple} after " + " and ".join(self.after)
-        return self.kind
+        return f"antecedence: {self.couple} after " + " and ".join(self.after)
 
 
 @dataclass
@@ -297,37 +307,6 @@ def check_feasible(min_config: Sequence[Requirement], pot: PotResult) -> Feasibi
     return FeasibilityReport(feasible=not conflicts, conflicts=tuple(conflicts))
 
 
-def _admissible(con: ConstraintSpec, chosen: frozenset, history: Optional[frozenset]) -> bool:
-    if con.kind == "binary":
-        return con.allowed or con.couple not in chosen
-    if con.kind == "disjunctive":
-        return any(c in chosen for c in con.couples)
-    if con.kind == "exclusive":
-        return sum(1 for c in con.couples if c in chosen) <= 1
-    if con.kind == "capacity":
-        # couple ids are FUNCTION-RESOURCE with a dash-free function part
-        used = sum(1 for c in chosen if c.split("-", 1)[1] == con.resource)
-        return used <= con.max_functions
-    if con.kind == "conditional":
-        return con.couple not in chosen or all(r in chosen for r in con.requires)
-    if con.kind == "antecedence":
-        if history is None:
-            return True  # screened out earlier with a warning
-        return con.couple not in chosen or all(a in history for a in con.after)
-    raise ConfigError(f"unknown constraint kind {con.kind!r}")
-
-
-def _requirements_met(min_config: Sequence[Requirement], chosen: frozenset) -> bool:
-    for req in min_config:
-        hits = sum(1 for c in req.couples if c in chosen)
-        if len(req.couples) == 1:
-            if hits != 1:
-                return False
-        elif hits != 1:  # one-of groups want exactly one
-            return False
-    return True
-
-
 def optimize(
     min_config: Sequence[Requirement],
     pot: PotResult,
@@ -337,16 +316,13 @@ def optimize(
 ) -> Solution:
     """Cheapest admissible subset of the pot covering all requirements.
 
-    Exhaustive over subsets of the pot; ties broken by the smallest sorted
-    couple-id tuple. Raises InfeasibleError with a minimal unsatisfiable
-    core when nothing passes.
+    An exact depth-first branch-and-bound over the pot in sorted couple-id
+    order (see _Search), for pots of any size. Ties on cost go to the
+    smallest sorted couple-id tuple, and the cost is summed over that tuple
+    in order, so the result is the one an enumeration of every subset would
+    give. When nothing passes, raises InfeasibleError with a minimal
+    unsatisfiable core, found by deletion (see _unsat_core).
     """
-    pot_couples = pot.couples
-    if len(pot_couples) > MAX_POT_FOR_EXHAUSTIVE:
-        raise ConfigError(
-            f"pot has {len(pot_couples)} couples; exhaustive search capped at "
-            f"{MAX_POT_FOR_EXHAUSTIVE}"
-        )
     active = []
     for con in constraints:
         if con.kind == "antecedence" and history is None:
@@ -358,18 +334,7 @@ def optimize(
         active.append(con)
     hist = None if history is None else frozenset(history)
 
-    best: Optional[tuple[float, tuple]] = None
-    n = len(pot_couples)
-    for mask in range(1 << n):
-        chosen = frozenset(pot_couples[i] for i in range(n) if mask >> i & 1)
-        if not _requirements_met(min_config, chosen):
-            continue
-        if not all(_admissible(con, chosen, hist) for con in active):
-            continue
-        key = tuple(sorted(chosen))
-        cost = sum(costs.get(c, 0.0) for c in key)
-        if best is None or cost < best[0] or (cost == best[0] and key < best[1]):
-            best = (cost, key)
+    best = _Search(min_config, pot.couples, active, hist, costs).run()
     if best is None:
         core = _unsat_core(min_config, pot, active, hist)
         raise InfeasibleError(
@@ -379,26 +344,277 @@ def optimize(
     return Solution(couples=best[1], cost=best[0])
 
 
-def _exists_solution(min_config, pot_couples, constraints, history) -> bool:
-    n = len(pot_couples)
-    for mask in range(1 << n):
-        chosen = frozenset(pot_couples[i] for i in range(n) if mask >> i & 1)
-        if _requirements_met(min_config, chosen) and all(
-            _admissible(con, chosen, history) for con in constraints
-        ):
-            return True
-    return False
+_FREE = -1
+
+
+class _Search:
+    """Branch-and-bound over the pot, indexed in sorted couple-id order.
+
+    Compiling turns requirements and constraints into cardinality groups
+    (lo <= chosen members <= hi): a requirement is exactly one of its
+    couples, "exclusive" at most one, "disjunctive" at least one, and
+    "capacity" at most max_functions of the couples on its resource. A
+    "conditional" couple gets a prerequisite list. A forbidden "binary"
+    couple, a conditional one whose prerequisite is outside the pot, and an
+    "antecedence" couple whose antecedents are not all in the history are
+    forced out.
+
+    Every decision propagates to a fixpoint: a group at its upper limit
+    pushes its free members out, a group that needs all its live members
+    pulls them in, a chosen couple pulls its prerequisites in, and a couple
+    left out pushes out the couples that require it. A group outside its
+    limits is a contradiction. The counters behind these rules are updated
+    as couples are decided and restored from a trail on backtracking.
+
+    The search branches on the smallest free index, so everything below it
+    is decided; it tries first the value that keeps the cost bound. The
+    bound is the cost so far plus the negative costs still free, where a
+    group admitting at most one couple counts only its cheapest free member
+    (that member's cost even when positive, if the group needs one), less a
+    slack that covers float rounding. A node is pruned when the bound
+    exceeds the incumbent's cost, or equals it while the couples chosen so
+    far already sort every completion after the incumbent's couple-id
+    tuple. Leaves compare (cost, sorted ids) with the cost summed over the
+    sorted ids, as the exhaustive definition does.
+    """
+
+    def __init__(self, min_config, pot_couples, constraints, history, costs=None):
+        self.ids = ids = tuple(sorted(pot_couples))
+        index = {c: i for i, c in enumerate(ids)}
+        self.forced_out = []
+        self.requires = [[] for _ in ids]
+        groups = [([index[c] for c in req.couples if c in index], 1, 1) for req in min_config]
+        for con in constraints:
+            kind = con.kind
+            if kind == "binary":
+                if not con.allowed and con.couple in index:
+                    self.forced_out.append(index[con.couple])
+            elif kind == "disjunctive":
+                groups.append(([index[c] for c in con.couples if c in index], 1, math.inf))
+            elif kind == "exclusive":
+                groups.append(([index[c] for c in con.couples if c in index], 0, 1))
+            elif kind == "capacity":
+                # couple ids are FUNCTION-RESOURCE with a dash-free function part
+                on_resource = [i for i, c in enumerate(ids) if c.split("-", 1)[1] == con.resource]
+                groups.append((on_resource, 0, con.max_functions))
+            elif kind == "conditional":
+                if con.couple in index:
+                    i = index[con.couple]
+                    for r in con.requires:
+                        if r in index:
+                            self.requires[i].append(index[r])
+                        else:
+                            self.forced_out.append(i)
+            elif kind == "antecedence":
+                if (
+                    history is not None
+                    and con.couple in index
+                    and not all(a in history for a in con.after)
+                ):
+                    self.forced_out.append(index[con.couple])
+        self.members = [m for m, _, _ in groups]
+        self.lo = [lo for _, lo, _ in groups]
+        self.hi = [hi for _, _, hi in groups]
+        self.member_of = [[] for _ in ids]
+        for g, members in enumerate(self.members):
+            for i in members:
+                self.member_of[i].append(g)
+        self.required_by = [[] for _ in ids]
+        for i, prerequisites in enumerate(self.requires):
+            for j in prerequisites:
+                self.required_by[j].append(i)
+
+        self.costs = costs
+        self.weight = weight = [0.0 if costs is None else costs.get(c, 0.0) for c in ids]
+        self.slack = _rounding_slack(weight)
+        # Disjoint groups that admit at most one couple: the cost bound counts
+        # only the cheapest free member of each, and other couples' negative
+        # costs.
+        self.single_pick = []  # (members by rising cost, whether one must be picked)
+        picked_once = set()
+        for members, lo, hi in groups:
+            if hi < 2 and members and picked_once.isdisjoint(members):
+                picked_once.update(members)
+                self.single_pick.append((sorted(set(members), key=weight.__getitem__), lo >= 1))
+        self.loose = [0.0 if i in picked_once else min(w, 0.0) for i, w in enumerate(weight)]
+
+        self.val = [_FREE] * len(ids)
+        self.n_in = [0] * len(groups)
+        self.n_live = [len(m) for m in self.members]
+        self.trail = []
+        self.partial = 0.0  # cost of the chosen couples
+        self.neg = sum(self.loose)  # negative cost still free outside single-pick groups
+        self.chosen = 0  # bit i stands for ids[i]
+
+    def run(self) -> Optional[tuple]:
+        """The best (cost, sorted couple ids), or None when infeasible.
+
+        Without costs the search stops at the first admissible subset.
+        """
+        ids, val, costs, weight = self.ids, self.val, self.costs, self.weight
+        n = len(ids)
+        queue = self._root_queue()
+        if queue is None or not self._propagate(queue):
+            return None
+
+        best = None
+        best_chosen = 0
+        stack = []  # (index, value left to try or None, state before the decision)
+        k = 0
+        while True:
+            while k < n and val[k] != _FREE:
+                k += 1
+            expand = False
+            if k == n:
+                key = tuple(ids[i] for i in range(n) if val[i] == 1)
+                if costs is None:
+                    return (0.0, key)
+                cost = sum(costs.get(c, 0.0) for c in key)
+                if best is None or (cost, key) < best:
+                    best, best_chosen = (cost, key), self.chosen
+            elif best is None or not self._dominated(best[0], best_chosen):
+                # the value that keeps the bound first; an id tuple with k in
+                # it sorts before one that skips k for a later couple
+                first = 0 if weight[k] > 0 else 1
+                state = self._state()
+                stack.append((k, 1 - first, state))
+                expand = self._propagate([(k, first)])
+            while not expand and stack:
+                k, alt, state = stack.pop()
+                self._restore(state)
+                if alt is not None:
+                    stack.append((k, None, state))
+                    expand = self._propagate([(k, alt)])
+            if not expand:
+                return best
+
+    def _state(self) -> tuple:
+        return (len(self.trail), self.partial, self.neg, self.chosen)
+
+    def _restore(self, state: tuple) -> None:
+        mark, self.partial, self.neg, self.chosen = state
+        val, trail, member_of = self.val, self.trail, self.member_of
+        n_in, n_live = self.n_in, self.n_live
+        while len(trail) > mark:
+            i = trail.pop()
+            if val[i]:
+                for g in member_of[i]:
+                    n_in[g] -= 1
+            else:
+                for g in member_of[i]:
+                    n_live[g] += 1
+            val[i] = _FREE
+
+    def _root_queue(self) -> Optional[list]:
+        """The decisions forced before any branching; None on a contradiction."""
+        queue = [(i, 0) for i in self.forced_out]
+        for members, lo, hi in zip(self.members, self.lo, self.hi):
+            if len(members) < lo or hi < 0:
+                return None
+            if hi < 1:
+                queue += [(j, 0) for j in members]
+            if len(members) - 1 < lo:
+                queue += [(j, 1) for j in members]
+        return queue
+
+    def _propagate(self, queue: list) -> bool:
+        """Apply the queued decisions and everything they imply; False on a
+        contradiction. The counters stay consistent either way, for _restore."""
+        val, weight, loose, trail = self.val, self.weight, self.loose, self.trail
+        members, member_of, lo, hi = self.members, self.member_of, self.lo, self.hi
+        n_in, n_live = self.n_in, self.n_live
+        ok = True
+        while queue and ok:
+            i, v = queue.pop()
+            if val[i] != _FREE:
+                ok = val[i] == v
+                continue
+            val[i] = v
+            trail.append(i)
+            w = weight[i]
+            self.neg -= loose[i]
+            if v:
+                self.partial += w
+                self.chosen |= 1 << i
+                for g in member_of[i]:
+                    count = n_in[g] = n_in[g] + 1
+                    if count > hi[g]:
+                        ok = False
+                    elif count + 1 > hi[g]:
+                        queue += [(j, 0) for j in members[g] if val[j] == _FREE]
+                queue += [(j, 1) for j in self.requires[i]]
+            else:
+                for g in member_of[i]:
+                    count = n_live[g] = n_live[g] - 1
+                    if count < lo[g]:
+                        ok = False
+                    elif count - 1 < lo[g]:
+                        queue += [(j, 1) for j in members[g] if val[j] == _FREE]
+                queue += [(j, 0) for j in self.required_by[i]]
+        return ok
+
+    def _dominated(self, best_cost: float, best_chosen: int) -> bool:
+        """No completion of the current node can beat the incumbent."""
+        val, weight = self.val, self.weight
+        bound = self.partial + self.neg
+        for members, needs_one in self.single_pick:
+            for j in members:
+                if val[j] == _FREE:
+                    if needs_one or weight[j] < 0:
+                        bound += weight[j]
+                    break
+        bound -= self.slack
+        if bound != best_cost:
+            return bound > best_cost
+        # No completion is cheaper, so one must sort before the incumbent.
+        # The incumbent is an earlier leaf: it parted from this node at a
+        # branch below the current index, and both agree on every index
+        # before that branch. So the chosen couples decide the order unless
+        # it hinges on whether a free couple is picked, and then the node
+        # stays.
+        return not _sorts_before(self.chosen, best_chosen)
+
+
+def _sorts_before(a: int, b: int) -> bool:
+    """Whether index set a, as a sorted tuple, is smaller than index set b."""
+    diff = a ^ b
+    if not diff:
+        return False
+    j = (diff & -diff).bit_length() - 1  # the smallest index in one set only
+    if a >> j & 1:
+        return b >> j != 0  # unless b ends there, a prefix of a
+    return a >> j == 0  # when a ends there, a prefix of b
+
+
+def _rounding_slack(weights) -> float:
+    """How far a float sum of some of the weights, in any order, may fall
+    below the value the search's running bound computes for it.
+
+    Zero when every such sum is exact: all weights are multiples of one
+    power-of-two fraction and no sum can outgrow the 53-bit mantissa.
+    """
+    magnitude = math.fsum(abs(w) for w in weights)
+    if not math.isfinite(magnitude):
+        return math.inf
+    denominator = max((w.as_integer_ratio()[1] for w in weights), default=1)
+    if denominator <= 2**53 and magnitude * denominator <= 2**53:
+        return 0.0
+    return (len(weights) + 1) * magnitude * 2.0**-50
 
 
 def _unsat_core(min_config, pot, constraints, history) -> list:
-    """Greedy minimal subset of requirements and constraints that still conflicts."""
+    """Greedy minimal subset of requirements and constraints that still conflicts.
+
+    Each requirement, then each constraint, in the given order, is dropped
+    for good when what is left has no admissible subset of the pot.
+    """
     items = [("req", r) for r in min_config] + [("con", c) for c in constraints]
     keep = list(items)
     for item in items:
         trial = [it for it in keep if it is not item]
         reqs = [r for tag, r in trial if tag == "req"]
         cons = [c for tag, c in trial if tag == "con"]
-        if not _exists_solution(reqs, pot.couples, cons, history):
+        if _Search(reqs, pot.couples, cons, history).run() is None:
             keep = trial
     return [obj for _, obj in keep]
 

@@ -14,6 +14,7 @@ Children without evidence drop out (their labels marginalize to 1).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,6 +67,10 @@ class FuzzyPartition:
         object.__setattr__(self, "overlaps", overlaps)
 
     def membership(self, x: float) -> dict:
+        """Label weights for a reading; a finite reading outside the domain
+        is clamped to it with a warning, a non-finite one is a DataError."""
+        if not math.isfinite(x):
+            raise DataError(f"partition {self.variable}: reading {x} is not finite")
         lo_dom, hi_dom = self.domain
         if x < lo_dom or x > hi_dom:
             warnings.warn(

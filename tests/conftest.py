@@ -1,7 +1,17 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oft.physio import PupilSeries, RRSeries
+
+
+def src_env():
+    """Environment for a child interpreter that imports oft from the source
+    tree, whether or not the package is installed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture

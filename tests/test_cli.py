@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import src_env
 from oft import __version__
 from oft.cli import main
 from oft.jsonl import dump_jsonl, load_jsonl
@@ -94,7 +95,7 @@ class TestTopLevel:
     def test_console_script_installed(self):
         out = subprocess.run(
             [sys.executable, "-c", "from oft.cli import main; raise SystemExit(main(['--version']))"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=src_env(),
         )
         assert out.returncode == 0
         assert __version__ in out.stdout
@@ -336,6 +337,22 @@ class TestDfaCommands:
     def test_unknown_situation_exits_3(self, capsys):
         assert main(["dfa", "check", "--situations", "S99"]) == 3
         assert "S99" in capsys.readouterr().err
+
+    def test_unknown_constraint_kind_exits_2(self, tmp_path, capsys):
+        model = {
+            "functions": ["A", "B"],
+            "resources": ["H"],
+            "couples": ["A-H", "B-H"],
+            "situations": {"S1": {"expected": ["A-H"], "optional": ["B-H"]}},
+            "constraints": [{"kind": "exclusiv", "couples": ["A-H", "B-H"]}],
+            "costs": {"w": {"A-H": 1.0, "B-H": 2.0}},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["dfa", "check", "--model", str(path), "--situations", "S1"]) == 2
+        captured = capsys.readouterr()
+        assert "exclusiv" in captured.err
+        assert "feasible" not in captured.out
 
 
 class TestSimulateCommand:

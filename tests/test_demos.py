@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
@@ -20,6 +22,7 @@ def test_demo_runs(script):
         capture_output=True,
         text=True,
         timeout=60,
+        env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) >= 5

@@ -1,15 +1,18 @@
 """Allocation solver tests.
 
 The solver is checked two ways: exact expectations on the packaged cycling
-model, and equivalence against a from-scratch brute-force reference on
-hundreds of randomly generated small models. The reference below shares no
-code with the implementation; it works directly off the model's raw fields.
+model, and equivalence against from-scratch brute-force references on
+hundreds of randomly generated models, infeasible cores included. The
+references below share no code with the implementation; they work directly
+off the model's raw fields and try every subset of the pot.
 """
 
 import itertools
 import json
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oft.errors import ConfigError, DataError, InfeasibleError
@@ -91,6 +94,86 @@ def ref_solve(model, sids, criterion):
     return best
 
 
+def ref_admissible(pot, reqs, constraints, xor_groups):
+    """Admissibility of every subset of the pot at once: subset s holds
+    pot[i] when bit i of s is set."""
+    subsets = np.arange(1 << len(pot))
+    has = {c: (subsets >> i) & 1 for i, c in enumerate(pot)}
+
+    def count(couples):
+        return sum((has[c] for c in couples if c in has), np.zeros_like(subsets))
+
+    ok = np.ones(len(subsets), dtype=bool)
+    for req in reqs:
+        ok &= count(req) == 1
+    for group in xor_groups:
+        ok &= count(group) <= 1
+    for con in constraints:
+        if con.kind == "binary":
+            if not con.allowed:
+                ok &= count([con.couple]) == 0
+        elif con.kind == "disjunctive":
+            ok &= count(con.couples) >= 1
+        elif con.kind == "exclusive":
+            ok &= count(con.couples) <= 1
+        elif con.kind == "capacity":
+            ok &= count([c for c in pot if c.split("-", 1)[1] == con.resource]) <= con.max_functions
+        elif con.kind == "conditional":
+            ok &= (count([con.couple]) == 0) | (count(con.requires) == len(con.requires))
+        else:
+            raise AssertionError(f"reference does not model {con.kind}")
+    return ok
+
+
+def ref_optimum(model, sids, criterion):
+    """ref_solve over the admissibility table, for pots too large to walk
+    subset by subset; None when nothing is admissible."""
+    pot = ref_pot(model, sids)
+    ok = ref_admissible(pot, ref_requirements(model, sids), model.constraints, model.xor_groups)
+    if not ok.any():
+        return None
+    table = model.costs[criterion]
+    subsets = np.flatnonzero(ok)
+    weights = np.array([table.get(c, 0.0) for c in pot])
+    approx = sum(((subsets >> i) & 1) * w for i, w in enumerate(weights))
+    best = None
+    for s in subsets[approx <= approx.min() + 1e-9]:
+        key = tuple(sorted(c for i, c in enumerate(pot) if s >> i & 1))
+        cost = sum(table.get(c, 0.0) for c in key)
+        if best is None or (cost, key) < best:
+            best = (cost, key)
+    return best
+
+
+def ref_core(model, sids):
+    """Deletion core: drop each requirement, then each constraint, then the
+    one-of exclusion of each group, for good when the rest is still
+    infeasible. Items are rendered as the solver reports them."""
+    pot = ref_pot(model, sids)
+    items = [("req", r) for r in ref_requirements(model, sids)]
+    items += [("con", c) for c in model.constraints] + [("xor", g) for g in model.xor_groups]
+
+    def feasible(kept):
+        return ref_admissible(
+            pot,
+            [x for tag, x in kept if tag == "req"],
+            [x for tag, x in kept if tag == "con"],
+            [x for tag, x in kept if tag == "xor"],
+        ).any()
+
+    keep = list(items)
+    for item in items:
+        trial = [it for it in keep if it is not item]
+        if not feasible(trial):
+            keep = trial
+    render = {
+        "req": " xor ".join,
+        "con": str,
+        "xor": lambda g: "exclusive: at most one of {" + ", ".join(g) + "}",
+    }
+    return [render[tag](x) for tag, x in keep]
+
+
 def random_model(rng):
     """A small model exercising every single-shot constraint kind."""
     functions = tuple(f"F{i + 1}" for i in range(int(rng.integers(2, 5))))
@@ -157,6 +240,74 @@ def random_model(rng):
         xor_groups=tuple(xor_groups),
         constraints=tuple(constraints),
         costs=costs,
+    )
+
+
+def random_pot_model(rng, pot_size, tag=""):
+    """A one-situation model whose pot has exactly pot_size couples.
+
+    Functions are F<tag>1, F<tag>2, ... and resources H<tag>, M<tag>,
+    R<tag>, so models with distinct tags share nothing and can be merged.
+    Costs sit on a 0.25 grid, so ties happen and sums are exact.
+    """
+    resources = tuple(r + tag for r in ("H", "M", "R"))
+    functions = tuple(f"F{tag}{i + 1}" for i in range(pot_size // 3 + 1))
+    couples = tuple(Couple(f, r) for f in functions for r in resources)
+    cids = [c.id for c in couples]
+    pot = [cids[i] for i in sorted(rng.choice(len(cids), size=pot_size, replace=False))]
+    situation = {cid: EXPECTED if rng.random() < 0.25 else OPTIONAL for cid in pot}
+
+    xor_groups = []
+    for f in functions:
+        members = [cid for cid in pot if cid.startswith(f + "-")]
+        if len(members) >= 2 and rng.random() < 0.4:
+            xor_groups.append(tuple(members[:2]))
+
+    constraints = []
+    for _ in range(int(rng.integers(1, 5))):
+        kind = ("binary", "disjunctive", "exclusive", "capacity", "conditional")[
+            int(rng.integers(0, 5))
+        ]
+        if kind == "binary":
+            constraints.append(
+                ConstraintSpec(kind="binary", couple=str(rng.choice(pot)), allowed=False)
+            )
+        elif kind in ("disjunctive", "exclusive"):
+            picks = tuple(str(c) for c in rng.choice(pot, size=int(rng.integers(2, 4)), replace=False))
+            constraints.append(ConstraintSpec(kind=kind, couples=picks))
+        elif kind == "capacity":
+            constraints.append(
+                ConstraintSpec(
+                    kind="capacity",
+                    resource=str(rng.choice(resources)),
+                    max_functions=int(rng.integers(1, 4)),
+                )
+            )
+        else:
+            a, b = (str(c) for c in rng.choice(pot, size=2, replace=False))
+            constraints.append(ConstraintSpec(kind="conditional", couple=a, requires=(b,)))
+
+    return AllocationModel(
+        functions=functions,
+        resources=resources,
+        couples=couples,
+        situations={"S1": situation},
+        xor_groups=tuple(xor_groups),
+        constraints=tuple(constraints),
+        costs={"w": {cid: float(rng.integers(-8, 21)) * 0.25 for cid in cids}},
+    )
+
+
+def merge_models(blocks):
+    """One model holding every block; blocks must share no names."""
+    return AllocationModel(
+        functions=sum((b.functions for b in blocks), ()),
+        resources=sum((b.resources for b in blocks), ()),
+        couples=sum((b.couples for b in blocks), ()),
+        situations={"S1": {k: v for b in blocks for k, v in b.situations["S1"].items()}},
+        xor_groups=sum((b.xor_groups for b in blocks), ()),
+        constraints=sum((b.constraints for b in blocks), ()),
+        costs={"w": {k: v for b in blocks for k, v in b.costs["w"].items()}},
     )
 
 
@@ -241,14 +392,70 @@ class TestReferenceEquivalence:
             want = ref_solve(model, sids, "w")
             if want is None:
                 infeasible += 1
-                with pytest.raises(InfeasibleError):
+                with pytest.raises(InfeasibleError) as err:
                     model.solve(sids, "w")
+                assert err.value.report["core"] == ref_core(model, sids)
             else:
                 sol = model.solve(sids, "w")
                 assert (sol.cost, sol.couples) == want
             checked += 1
         assert checked == 500
         assert infeasible > 10  # the generator must actually produce conflicts
+
+    def test_solver_matches_brute_force_on_pots_12_to_18(self, rng):
+        infeasible = 0
+        for pot_size in range(12, 19):
+            for _ in range(6):
+                model = random_pot_model(rng, pot_size)
+                assert len(model.pot(["S1"]).couples) == pot_size
+                want = ref_optimum(model, ["S1"], "w")
+                if want is None:
+                    infeasible += 1
+                    with pytest.raises(InfeasibleError) as err:
+                        model.solve(["S1"], "w")
+                    assert err.value.report["core"] == ref_core(model, ["S1"])
+                else:
+                    sol = model.solve(["S1"], "w")
+                    assert (sol.cost, sol.couples) == want
+        assert 3 <= infeasible <= 30  # both outcomes must be exercised
+
+    def test_pot_40_blocks_solve_to_the_union_of_block_optima(self, rng):
+        # four independent 10-couple blocks; each cost gets its own binary
+        # fraction, so no two subsets cost the same and the optimum is unique
+        blocks, optima = [], []
+        while len(blocks) < 4:
+            block = random_pot_model(rng, 10, tag=str(len(blocks)))
+            offset = 10 * len(blocks)
+            pot = block.pot(["S1"]).couples
+            for i, cid in enumerate(pot):
+                block.costs["w"][cid] += 2.0 ** -(offset + i + 1)
+            best = ref_solve(block, ["S1"], "w")
+            if best is not None:
+                blocks.append(block)
+                optima.append(best)
+        model = merge_models(blocks)
+        assert len(model.pot(["S1"]).couples) == 40
+        t0 = time.perf_counter()
+        sol = model.solve(["S1"], "w")
+        elapsed = time.perf_counter() - t0
+        assert sol.couples == tuple(sorted(c for _, key in optima for c in key))
+        assert sol.cost == sum(cost for cost, _ in optima)
+        assert elapsed < 1.0
+
+        # the same pot with one block made infeasible: the core is that
+        # block's own deletion core, every other block's items drop out
+        while True:
+            bad = random_pot_model(rng, 10, tag="3")
+            if ref_solve(bad, ["S1"], "w") is None:
+                break
+        model = merge_models(blocks[:3] + [bad])
+        assert len(model.pot(["S1"]).couples) == 40
+        t0 = time.perf_counter()
+        with pytest.raises(InfeasibleError) as err:
+            model.solve(["S1"], "w")
+        elapsed = time.perf_counter() - t0
+        assert err.value.report["core"] == ref_core(bad, ["S1"])
+        assert elapsed < 1.0
 
     def test_pot_shrinks_as_situations_accumulate(self, rng):
         for _ in range(80):
@@ -449,7 +656,7 @@ class TestModelValidation:
         with pytest.raises(ConfigError):
             tiny_model(costs={"w": {"A-H": float("nan"), "A-M": 0.0, "B-H": 0.0}})
 
-    def test_pot_size_cap(self):
+    def test_pot_past_twenty_couples_solves(self):
         functions = tuple(f"F{i}" for i in range(1, 8))
         resources = ("H", "M", "R")
         couples = tuple(Couple(f, r) for f in functions for r in resources)
@@ -460,8 +667,24 @@ class TestModelValidation:
             situations={"S1": {c.id: OPTIONAL for c in couples}},
             costs={"w": {c.id: 0.0 for c in couples}},
         )
-        with pytest.raises(ConfigError, match="exhaustive"):
-            m.solve(["S1"], "w")
+        assert len(m.pot(["S1"]).couples) == 21
+        sol = m.solve(["S1"], "w")
+        assert sol.couples == ()
+        assert sol.cost == 0.0
+
+    def test_unknown_constraint_kind(self):
+        with pytest.raises(ConfigError, match="exclusiv"):
+            ConstraintSpec(kind="exclusiv", couples=("A-H", "B-H"))
+        raw = {
+            "functions": ["A", "B"],
+            "resources": ["H"],
+            "couples": ["A-H", "B-H"],
+            "situations": {"S1": {"expected": ["A-H"], "optional": ["B-H"]}},
+            "constraints": [{"kind": "exclusiv", "couples": ["A-H", "B-H"]}],
+            "costs": {"w": {"A-H": 1.0, "B-H": 2.0}},
+        }
+        with pytest.raises(ConfigError, match="unknown constraint kind"):
+            model_from_dict(raw)
 
 
 class TestModelFiles:

@@ -253,6 +253,17 @@ class TestDefaultNetwork:
             total = sum(part.membership(sum(part.domain) / 2).values())
             assert total == pytest.approx(1.0)
 
+    def test_non_finite_readings_rejected_by_every_partition(self):
+        net = MwlNetwork.default()
+        for part in net.partitions.values():
+            for x in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(DataError, match=part.variable):
+                    fuzzify(x, part)
+            # finite readings outside the domain are still clamped
+            with pytest.warns(UserWarning, match="outside domain"):
+                w = part.membership(part.domain[1] + 1.0)
+            assert w[part.labels[-1]] == 1.0
+
     def test_load_rejects_bad_file(self, tmp_path):
         bad = tmp_path / "net.json"
         bad.write_text("{not json")
