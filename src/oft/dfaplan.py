@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,6 +134,11 @@ class ConstraintSpec:
             raise ConfigError(
                 f"unknown constraint kind {self.kind!r}; known kinds are {', '.join(CONSTRAINT_KINDS)}"
             )
+        if not isinstance(self.allowed, bool):
+            raise ConfigError(f"{self.kind} constraint: allowed must be true or false, got {self.allowed!r}")
+        n = self.max_functions
+        if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0):
+            raise ConfigError(f"{self.kind} constraint: max_functions must be a non-negative integer, got {n!r}")
 
     def __str__(self):
         if self.kind == "binary":
@@ -661,7 +667,7 @@ def model_from_dict(raw: Mapping) -> AllocationModel:
                     after=tuple(c.get("after", ())),
                     resource=c.get("resource"),
                     max_functions=c.get("max_functions"),
-                    allowed=bool(c.get("allowed", True)),
+                    allowed=c.get("allowed", True),
                 )
             )
         model = AllocationModel(

@@ -18,19 +18,27 @@ performance score, synthetic heart-beat and pupil channels driven by the
 latent load, the fused workload level, and, when adaptation is on, the
 assistance directives switched by that level. A self-rating on a 1..5
 scale is logged every isa_period_s seconds for external comparison.
+
+The physiology is framed by `physio.per_second_frames` against the fixed
+pupil reference (pupil_ref_mm, pupil_ref_sd), and each second goes through
+`Monitor.step`, the policy `pipeline.monitor_offline` runs on recordings:
+replaying a session's streams with that reference gives its levels.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import physio
 from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
-from .regulation import COST_ORIENTED, PERFORMANCE_ORIENTED, ActivityTracker, TaskSpec, TaskTick
+from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
+                         RegulationEvent, TaskSpec, TaskTick)
 from .taskload import ConstraintFrame, discretize, performance_index, spatial_entropy, task_difficulty
 
 TASKS = (
@@ -97,8 +105,6 @@ class ScenarioConfig:
     t_ref_s: float = 180.0
     message_budget_s: float = 120.0
     perf_window_s: float = 300.0
-    behaviour_window_s: float = 30.0
-    effort_smooth_s: int = 5
 
     def __post_init__(self):
         if self.duration_s < 1 or not 0 < self.phase_split_s <= self.duration_s:
@@ -487,50 +493,82 @@ def generate_pupil(load: Callable[[float], float], duration_s: float,
     return ts, values
 
 
-class _RollingSdnn:
-    """Beat-fed rolling spread of the last `span` intervals."""
+# ---------------------------------------------------------------------------
+# per-second monitoring policy
 
-    def __init__(self, times: np.ndarray, intervals: np.ndarray, span: int = 100):
-        self.times = times
-        self.intervals = intervals
-        self.span = span
-        self._idx = 0
-        self._window: list[float] = []
-
-    def at(self, t: float):
-        while self._idx < len(self.times) and self.times[self._idx] < t + 1.0:
-            self._window.append(float(self.intervals[self._idx]))
-            if len(self._window) > self.span:
-                self._window.pop(0)
-            self._idx += 1
-        if len(self._window) < 2:
-            return None, True
-        sdnn = float(np.std(self._window, ddof=1))
-        return sdnn, len(self._window) < self.span
+#: A regulation event colours the behaviour evidence for this many seconds.
+BEHAVIOUR_WINDOW_S = 30
+#: The effort reading is the held pupil z averaged over this many seconds.
+EFFORT_SMOOTH_S = 5
 
 
-class _PupilPerSecond:
-    """Mean of in-range samples per second, z-scored against a reference."""
+class MonitorStep(NamedTuple):
+    snapshot: ActivitySnapshot
+    event: Optional[RegulationEvent]
+    behaviour: str  # "cost_oriented", "performance_oriented" or "none"
+    pupil_z: float  # held pupil z smoothed over EFFORT_SMOOTH_S seconds
+    td: Optional[int]  # task difficulty; None when the second has no demand
+    evidence: list  # SoftEvidence, ready to fuse
 
-    def __init__(self, ts: np.ndarray, values: np.ndarray, center: float, scale: float):
-        self.ts = ts
-        self.values = values
-        self.center = center
-        self.scale = scale
-        self._idx = 0
+
+class Monitor:
+    """One second of operator monitoring, the same live and on replay.
+
+    Each step folds the activity tick into the regulation tracker, holds
+    the last pupil z over seconds without one (0.0 before the first),
+    averages it over EFFORT_SMOOTH_S seconds, and labels the behaviour by
+    the regulation events of the last BEHAVIOUR_WINDOW_S seconds: cost
+    oriented if any of them sheds compliance, else performance oriented if
+    any raises it. The evidence is constraint (only when the second has a
+    demand frame), behaviour, performance and effort; fusing it is left to
+    the caller.
+    """
+
+    def __init__(self, net: MwlNetwork):
+        for var in ("performance", "effort"):
+            if var not in net.partitions:
+                raise ConfigError(f"fusion model must carry a partition for {var!r}")
+        self.net = net
+        self.tracker = ActivityTracker()
+        self._recent_z: deque = deque(maxlen=EFFORT_SMOOTH_S)
         self._last_z = 0.0
+        # events come in time order (the tracker rejects out-of-order
+        # ticks), so the newest event of each orientation decides the label
+        self._last_cost_t = float("-inf")
+        self._last_perf_t = float("-inf")
 
-    def at(self, t: float) -> float:
-        acc, count = 0.0, 0
-        while self._idx < len(self.ts) and self.ts[self._idx] < t + 1.0:
-            v = float(self.values[self._idx])
-            if 2.0 <= v <= 8.0:
-                acc += v
-                count += 1
-            self._idx += 1
-        if count:
-            self._last_z = (acc / count - self.center) / self.scale
-        return self._last_z
+    def step(self, tick: TaskTick, perf: float,
+             frame: Optional[physio.FeatureFrame],
+             demand: Optional[ConstraintFrame]) -> MonitorStep:
+        snap, event = self.tracker.ingest(tick, perf)
+        if event is not None:
+            if event.kind in COST_ORIENTED:
+                self._last_cost_t = event.t
+            elif event.kind in PERFORMANCE_ORIENTED:
+                self._last_perf_t = event.t
+        if frame is not None and frame.pupil_z is not None:
+            self._last_z = frame.pupil_z
+        self._recent_z.append(self._last_z)
+        z_smooth = sum(self._recent_z) / len(self._recent_z)
+
+        since = tick.t - BEHAVIOUR_WINDOW_S
+        if self._last_cost_t >= since:
+            behaviour = "cost_oriented"
+        elif self._last_perf_t >= since:
+            behaviour = "performance_oriented"
+        else:
+            behaviour = "none"
+
+        evidence = [
+            SoftEvidence.hard("behaviour", behaviour),
+            fuzzify(perf, self.net.partitions["performance"]),
+            fuzzify(z_smooth, self.net.partitions["effort"]),
+        ]
+        td = None
+        if demand is not None:
+            td = task_difficulty(discretize(demand))
+            evidence.insert(0, SoftEvidence.hard("constraint", f"td{td}"))
+        return MonitorStep(snap, event, behaviour, z_smooth, td, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +595,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
     """Run the microworld end to end and fuse workload each second."""
     if net is None:
         net = MwlNetwork.default()
-    for var in ("performance", "effort"):
-        if var not in net.partitions:
-            raise ConfigError(f"fusion model must carry a partition for {var!r}")
+    monitor = Monitor(net)
     script = operator_script(config.operator, config.duration_s, config.phase_split_s)
     ss = np.random.SeedSequence(config.seed)
     child = ss.spawn(3)
@@ -569,10 +605,13 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
     rng_physio = np.random.default_rng(child[2])
     beat_times, beat_intervals = generate_beats(script.load, config.duration_s, rng_physio)
     pupil_ts, pupil_values = generate_pupil(script.load, config.duration_s, rng_physio)
-    sdnn = _RollingSdnn(beat_times, beat_intervals)
-    pupil = _PupilPerSecond(pupil_ts, pupil_values, config.pupil_ref_mm, config.pupil_ref_sd)
+    frames = physio.per_second_frames(
+        physio.RRSeries(beat_times, beat_intervals),
+        physio.PupilSeries(pupil_ts, pupil_values),
+        normalization="reference",
+        reference=(config.pupil_ref_mm, config.pupil_ref_sd),
+    ).frames
 
-    tracker = ActivityTracker()
     engine = AdaptationEngine(rules=rules, hold_s=config.hold_s)
     directives: frozenset = frozenset()
     records: list[dict] = [{
@@ -589,43 +628,18 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
     levels = np.zeros(config.duration_s, dtype=int)
     latent = np.zeros(config.duration_s, dtype=float)
     isa: list[tuple] = []
-    recent_z: list[float] = []
 
     for t in range(config.duration_s):
         load = script.load(float(t))
         latent[t] = load
         task_tick = world.tick(t, directives)
         perf = world.windowed_performance(float(t))
-        snap, event = tracker.ingest(task_tick, perf)
-        if event is not None:
-            records.append({"record": "regulation", "t": t, "kind": event.kind.name})
-
-        frame = world.demand(float(t))
-        td = task_difficulty(discretize(frame))
-        hrv, warmup = sdnn.at(float(t))
-        z = pupil.at(float(t))
-        recent_z.append(z)
-        if len(recent_z) > config.effort_smooth_s:
-            recent_z.pop(0)
-        z_smooth = sum(recent_z) / len(recent_z)
-
-        behaviour = "none"
-        for ev in reversed(tracker.events):
-            if ev.t < t - config.behaviour_window_s:
-                break
-            if ev.kind in COST_ORIENTED:
-                behaviour = "cost_oriented"
-                break
-            if ev.kind in PERFORMANCE_ORIENTED and behaviour == "none":
-                behaviour = "performance_oriented"
-
-        evidence = [
-            SoftEvidence.hard("constraint", f"td{td}"),
-            SoftEvidence.hard("behaviour", behaviour),
-            fuzzify(perf, net.partitions["performance"]),
-            fuzzify(z_smooth, net.partitions["effort"]),
-        ]
-        post = posterior(net, evidence)
+        demand = world.demand(float(t))
+        frame = frames[t]
+        step = monitor.step(task_tick, perf, frame, demand)
+        if step.event is not None:
+            records.append({"record": "regulation", "t": t, "kind": step.event.kind.name})
+        post = posterior(net, step.evidence)
         level = mwl_level(post)
         levels[t] = level
 
@@ -641,17 +655,17 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
             "record": "tick",
             "t": t,
             "latent": round(load, 6),
-            "nps": snap.nps,
-            "cps": snap.cps,
+            "nps": step.snapshot.nps,
+            "cps": step.snapshot.cps,
             "perf": round(perf, 6),
-            "n1": frame.n1,
-            "n2": frame.n2,
-            "entropy": round(frame.entropy, 6),
-            "td": td,
-            "hrv_sdnn_ms": None if hrv is None else round(hrv, 6),
-            "hrv_warmup": warmup,
-            "pupil_z": round(z_smooth, 6),
-            "behaviour": behaviour,
+            "n1": demand.n1,
+            "n2": demand.n2,
+            "entropy": round(demand.entropy, 6),
+            "td": step.td,
+            "hrv_sdnn_ms": None if frame.hrv_sdnn_ms is None else round(frame.hrv_sdnn_ms, 6),
+            "hrv_warmup": frame.warmup,
+            "pupil_z": round(step.pupil_z, 6),
+            "behaviour": step.behaviour,
             "level": level,
             "posterior": [round(float(p), 9) for p in post],
         })
@@ -662,7 +676,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
             records.append({"record": "isa", "t": t, "rating": rating, "level": level})
 
     final = world.final_performance()
-    compliance = tracker.compliance_rate()
+    compliance = monitor.tracker.compliance_rate()
     summary = {
         "record": "summary",
         "compliance": round(compliance, 6),
@@ -678,7 +692,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
         "neutralized": sum(1 for v in world.vehicles if v.neutralize_t is not None),
         "misses": dict(world.miss_counts),
         "machine_done": dict(world.machine_done),
-        "regulation_events": len(tracker.events),
+        "regulation_events": len(monitor.tracker.events),
         "assistance_commands": sum(1 for r in records if r.get("record") == "assistance"),
     }
     records.append(summary)

@@ -2,10 +2,11 @@
 
 Input contract
 --------------
-Beat series are (timestamp_s, rr_ms) pairs with strictly increasing
-timestamps and positive intervals. Pupil series are (timestamp_s, mm, valid)
-samples. Cleansing keeps valid samples with diameters in [2.0, 8.0] mm
-inclusive; everything else is dropped, never interpolated.
+Beat series are (timestamp_s, rr_ms) pairs with finite, strictly increasing
+timestamps and finite, positive intervals. Pupil series are (timestamp_s,
+mm, valid) samples with finite, non-decreasing timestamps. Cleansing keeps
+valid samples with diameters in [2.0, 8.0] mm inclusive; everything else,
+a NaN diameter included, is dropped, never interpolated.
 
 SDNN is the sample (N-1) standard deviation of the last `span` intervals
 (default 100 beats). Z-scores also use the sample standard deviation, so a
@@ -47,6 +48,8 @@ class RRSeries:
         rr = np.asarray(self.intervals_ms, dtype=float)
         if ts.shape != rr.shape or ts.ndim != 1:
             raise DataError("beats: timestamps and intervals must be 1-d and equal length")
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(rr))):
+            raise DataError("beats: timestamps and RR intervals must be finite")
         if len(ts) and np.any(np.diff(ts) <= 0):
             raise DataError("beats: timestamps must be strictly increasing")
         if np.any(rr <= 0):
@@ -76,6 +79,8 @@ class PupilSeries:
         )
         if not (ts.shape == mm.shape == ok.shape) or ts.ndim != 1:
             raise DataError("pupil: timestamps, diameters and flags must be 1-d and equal length")
+        if not np.all(np.isfinite(ts)):
+            raise DataError("pupil: timestamps must be finite")
         if len(ts) and np.any(np.diff(ts) < 0):
             raise DataError("pupil: timestamps must be non-decreasing")
         object.__setattr__(self, "timestamps", ts)
@@ -263,20 +268,21 @@ def per_second_frames(
     duration = int(math.ceil(max(beats.timestamps[-1], clean.timestamps[-1])))
     duration = max(duration, 1)
 
+    edges = np.arange(duration + 1)
+    pupil_edges = np.searchsorted(clean.timestamps, edges, side="left").tolist()
     pupil_sec: dict[int, float] = {}
     for t in range(duration):
-        lo = np.searchsorted(clean.timestamps, t, side="left")
-        hi = np.searchsorted(clean.timestamps, t + 1, side="left")
+        lo, hi = pupil_edges[t], pupil_edges[t + 1]
         if hi > lo:
             pupil_sec[t] = float(np.mean(clean.diameters_mm[lo:hi]))
 
     center, scale = _norm_stats(pupil_sec, normalization, window, reference)
 
+    beat_counts = np.searchsorted(beats.timestamps, edges[1:], side="left").tolist()
     frames: list[FeatureFrame] = []
-    for t in range(duration):
-        n_beats = int(np.searchsorted(beats.timestamps, t + 1, side="left"))
+    for t, n_beats in enumerate(beat_counts):
         if n_beats >= 2:
-            hrv = sdnn(beats.intervals_ms[:n_beats], span=span)
+            hrv = sdnn(beats.intervals_ms[max(0, n_beats - span):n_beats], span=span)
         else:
             hrv = None
         z = (pupil_sec[t] - center) / scale if t in pupil_sec else None

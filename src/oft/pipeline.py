@@ -1,11 +1,11 @@
 """Offline monitoring runs, end-to-end reports, and reproducibility helpers.
 
 The offline monitor replays recorded streams (beats, pupil, activity ticks,
-optionally demand counts) through the same fusion used online and writes
-the per-second workload states, the regulation events, and a summary
-report. The end-to-end path runs the microworld, then checks how well the
-fused level tracks the scripted latent load and the periodic self-ratings
-by Spearman rank correlation.
+optionally demand counts) through the simulator's per-second monitor step
+(`microworld.Monitor`) and writes the per-second workload states, the
+regulation events, and a summary report. The end-to-end path runs the
+microworld, then checks how well the fused level tracks the scripted
+latent load and the periodic self-ratings by Spearman rank correlation.
 
 Output manifests carry the command, its arguments, and input digests, and
 deliberately no timestamps, so rerunning a command writes byte-identical
@@ -25,16 +25,13 @@ from scipy.stats import rankdata
 
 from . import physio
 from .errors import DataError
-from .fusion import MwlNetwork, MwlState, SoftEvidence, fuse, fuzzify, write_states_jsonl
+# fuzzify and task_difficulty are used by microworld.Monitor, not here; the
+# traced benchmark (bench/spans.py) rebinds them in both modules
+from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
 from .jsonl import dump_jsonl
-from .microworld import RunResult, ScenarioConfig, run_scenario
-from .regulation import (
-    COST_ORIENTED,
-    PERFORMANCE_ORIENTED,
-    ActivityTracker,
-    write_events_jsonl,
-)
-from .taskload import ConstraintFrame, discretize, task_difficulty
+from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario
+from .regulation import write_events_jsonl
+from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
@@ -124,61 +121,31 @@ def monitor_offline(
     net: Optional[MwlNetwork] = None,
     normalization: str = "session",
     reference: Optional[tuple] = None,
-    behaviour_window_s: float = 30.0,
-    effort_smooth_s: int = 5,
 ) -> MonitorResult:
     """Fuse recorded streams into per-second workload states.
 
     Physiology is framed per second first; each activity tick then pulls
-    the frame at its own second. Ticks must be contiguous integers. Demand
-    counts are optional; without them the difficulty channel stays out of
-    the fusion.
+    the frame at its own second and goes through the same monitor step as
+    the simulator (`microworld.Monitor`). Ticks must be contiguous
+    integers. Demand counts are optional; a second without them leaves the
+    difficulty channel out of the fusion.
     """
     if net is None:
         net = MwlNetwork.default()
+    monitor = Monitor(net)
     framed = physio.per_second_frames(
         beats, pupil, normalization=normalization, reference=reference
     )
     by_second = {f.t: f for f in framed.frames}
-    tracker = ActivityTracker()
+    demand = demand or {}
     states: list[MwlState] = []
-    recent_z: list[float] = []
-    last_z = 0.0
     overlap = 0
     for tick, perf in ticks:
-        snap, _event = tracker.ingest(tick, perf)
-        t = tick.t
-        frame = by_second.get(t)
+        frame = by_second.get(tick.t)
         if frame is not None:
             overlap += 1
-            if frame.pupil_z is not None:
-                last_z = frame.pupil_z
-        recent_z.append(last_z)
-        if len(recent_z) > effort_smooth_s:
-            recent_z.pop(0)
-        z_smooth = sum(recent_z) / len(recent_z)
-
-        behaviour = "none"
-        for ev in reversed(tracker.events):
-            if ev.t < t - behaviour_window_s:
-                break
-            if ev.kind in COST_ORIENTED:
-                behaviour = "cost_oriented"
-                break
-            if ev.kind in PERFORMANCE_ORIENTED and behaviour == "none":
-                behaviour = "performance_oriented"
-
-        evidence = [
-            SoftEvidence.hard("behaviour", behaviour),
-            fuzzify(perf, net.partitions["performance"]),
-            fuzzify(z_smooth, net.partitions["effort"]),
-        ]
-        if demand is not None:
-            d = demand.get(t)
-            if d is not None:
-                td = task_difficulty(discretize(d))
-                evidence.insert(0, SoftEvidence.hard("constraint", f"td{td}"))
-        states.append(fuse(net, t, evidence))
+        step = monitor.step(tick, perf, frame, demand.get(tick.t))
+        states.append(fuse(net, tick.t, step.evidence))
 
     if not states:
         raise DataError("stream 'ticks': no activity ticks")
@@ -187,6 +154,7 @@ def monitor_offline(
             "stream 'ticks': no tick second overlaps the physiological frames; "
             "streams must share t=0"
         )
+    tracker = monitor.tracker
     levels = np.asarray([s.level for s in states])
     compliance = tracker.compliance_rate()
     event_counts: dict = {}

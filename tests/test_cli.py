@@ -35,6 +35,18 @@ def write_streams(dirpath, duration=240, load=0.2, seed=5):
     return str(beats), str(pupil)
 
 
+def overwrite_rows(path, column, value, rows=slice(100, 180)):
+    """Set `column` of the given data rows of a CSV to the literal `value`."""
+    with open(path, newline="") as fh:
+        records = list(csv.DictReader(fh))
+    for record in records[rows]:
+        record[column] = value
+    with open(path, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(records[0]))
+        w.writeheader()
+        w.writerows(records)
+
+
 def write_ticks(path, n=240):
     records = [
         {"t": t, "at": {"watch": 1}, "ot": {"watch": 1}, "perf": 0.9}
@@ -140,6 +152,35 @@ class TestPhysioCommand:
         assert code == 3
         assert "beats" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jsonl", [False, True])
+    @pytest.mark.parametrize("stream,column,value", [
+        ("beats", "rr_ms", "nan"),
+        ("beats", "rr_ms", "inf"),
+        ("beats", "t_s", "nan"),
+        ("pupil", "t_s", "nan"),
+        ("pupil", "t_s", "-inf"),
+    ])
+    def test_non_finite_values_exit_3(self, tmp_path, capsys, stream, column, value, jsonl):
+        paths = dict(zip(("beats", "pupil"), write_streams(tmp_path)))
+        overwrite_rows(paths[stream], column, value)
+        out = tmp_path / "frames.csv"
+        argv = ["physio", "--beats", paths["beats"], "--pupil", paths["pupil"], "--out", str(out)]
+        if jsonl:
+            argv += ["--jsonl", str(tmp_path / "frames.jsonl")]
+        assert main(argv) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_pupil_diameter_is_cleansed_away(self, tmp_path):
+        beats, pupil = write_streams(tmp_path)
+        overwrite_rows(pupil, "pupil_mm", "nan")
+        jsonl = tmp_path / "frames.jsonl"
+        assert main(["physio", "--beats", beats, "--pupil", pupil,
+                     "--out", str(tmp_path / "frames.csv"), "--jsonl", str(jsonl)]) == 0
+        frames = list(load_jsonl(jsonl))[1:]
+        assert [f["pupil_z"] for f in frames[25:45]] == [None] * 20  # samples 100..179
+        assert all(f["pupil_z"] is not None for f in frames[:25] + frames[45:240])
+
 
 class TestMonitorCommand:
     def test_outputs_and_manifest(self, tmp_path, capsys):
@@ -192,6 +233,28 @@ class TestMonitorCommand:
                      "--ticks", str(ticks), "--out-dir", str(tmp_path / "mon")])
         assert code == 3
         assert "overlap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["performance", "effort"])
+    def test_net_without_a_partition_exits_2(self, tmp_path, monkeypatch, capsys, missing):
+        from importlib.resources import files
+
+        net = json.loads(files("oft.data").joinpath("mwl_net.json").read_text())
+        del net["partitions"][missing]
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": str(net_path)}))
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        code = main(["--config", str(settings), "monitor", "--beats", beats, "--pupil", pupil,
+                     "--ticks", ticks, "--out-dir", str(tmp_path / "mon")])
+        assert code == 2
+        assert missing in capsys.readouterr().err
+        # the simulator reads the same file the same way
+        code = main(["--config", str(settings), "simulate", "--duration", "60",
+                     "--log", str(tmp_path / "run.jsonl")])
+        assert code == 2
+        assert missing in capsys.readouterr().err
 
 
 class TestClassifyCommands:
@@ -353,6 +416,30 @@ class TestDfaCommands:
         captured = capsys.readouterr()
         assert "exclusiv" in captured.err
         assert "feasible" not in captured.out
+
+    @pytest.mark.parametrize("constraint,field", [
+        ({"kind": "binary", "couple": "B-H", "allowed": "false"}, "allowed"),
+        ({"kind": "binary", "couple": "B-H", "allowed": 0}, "allowed"),
+        ({"kind": "capacity", "resource": "H", "max_functions": "1"}, "max_functions"),
+        ({"kind": "capacity", "resource": "H", "max_functions": True}, "max_functions"),
+        ({"kind": "capacity", "resource": "H", "max_functions": -1}, "max_functions"),
+    ])
+    def test_mistyped_constraint_field_exits_2(self, tmp_path, capsys, constraint, field):
+        model = {
+            "functions": ["A", "B"],
+            "resources": ["H"],
+            "couples": ["A-H", "B-H"],
+            "situations": {"S1": {"expected": ["A-H"], "optional": ["B-H"]}},
+            "constraints": [constraint],
+            "costs": {"w": {"A-H": 1.0, "B-H": -2.0}},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["dfa", "solve", "--model", str(path),
+                     "--situations", "S1", "--criterion", "w"]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert "solution" not in captured.out
 
 
 class TestSimulateCommand:

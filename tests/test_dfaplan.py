@@ -686,6 +686,30 @@ class TestModelValidation:
         with pytest.raises(ConfigError, match="unknown constraint kind"):
             model_from_dict(raw)
 
+    def test_allowed_must_be_a_boolean(self):
+        for allowed in ("false", "true", 0, 1, None):
+            with pytest.raises(ConfigError, match="allowed"):
+                ConstraintSpec(kind="binary", couple="B-H", allowed=allowed)
+        raw = {
+            "functions": ["A", "B"],
+            "resources": ["H"],
+            "couples": ["A-H", "B-H"],
+            "situations": {"S1": {"expected": ["A-H"], "optional": ["B-H"]}},
+            "constraints": [{"kind": "binary", "couple": "B-H", "allowed": "false"}],
+            "costs": {"w": {"A-H": 1.0, "B-H": -2.0}},
+        }
+        with pytest.raises(ConfigError, match="allowed"):
+            model_from_dict(raw)
+        raw["constraints"][0]["allowed"] = False
+        assert model_from_dict(raw).solve(["S1"], "w").couples == ("A-H",)
+
+    def test_max_functions_must_be_a_non_negative_integer(self):
+        for limit in ("1", 1.0, True, False, -1):
+            with pytest.raises(ConfigError, match="max_functions"):
+                ConstraintSpec(kind="capacity", resource="H", max_functions=limit)
+        for limit in (0, 2, np.int64(3)):
+            assert ConstraintSpec(kind="capacity", resource="H", max_functions=limit).max_functions == limit
+
 
 class TestModelFiles:
     def test_load_missing_file(self, tmp_path):

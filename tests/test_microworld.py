@@ -9,12 +9,12 @@ from oft.errors import ConfigError
 from oft.fusion import MwlNetwork
 from oft.microworld import (
     BASE_SERVICE_S,
+    EFFORT_SMOOTH_S,
     TASK_BUDGET_S,
     TASKS,
+    Monitor,
     ScenarioConfig,
     World,
-    _PupilPerSecond,
-    _RollingSdnn,
     compare_compliance,
     generate_beats,
     generate_pupil,
@@ -22,7 +22,9 @@ from oft.microworld import (
     run_scenario,
     six_tasks,
 )
-from oft.regulation import ActivityTracker, RegulationKind
+from oft.physio import PupilSeries, RRSeries, per_second_frames
+from oft.pipeline import monitor_offline
+from oft.regulation import ActivityTracker, RegulationKind, TaskTick
 from oft.taskload import spatial_entropy
 
 
@@ -336,29 +338,45 @@ class TestGenerators:
         assert np.sum(blinky == 0.0) > 400
 
     def test_rolling_sdnn_matches_stdev(self):
+        # the simulator frames its generated beats with per_second_frames
         rng = np.random.default_rng(11)
         intervals = 800.0 + 40.0 * rng.standard_normal(400)
         times = np.cumsum(intervals) / 1000.0
-        roll = _RollingSdnn(times, intervals, span=100)
-        consumed = 0
+        ts = np.arange(0.0, times[-1], 0.25)
+        pupil = PupilSeries(ts, np.full(len(ts), 3.0))
+        frames = per_second_frames(RRSeries(times, intervals), pupil, span=100,
+                                   normalization="reference", reference=(3.0, 0.5)).frames
         for t in range(0, int(times[-1]) + 1, 25):
-            value, warming = roll.at(float(t))
+            frame = frames[t]
             consumed = int(np.searchsorted(times, t + 1.0))
+            assert frame.warmup == (consumed < 100)
             if consumed < 2:
-                assert value is None
+                assert frame.hrv_sdnn_ms is None
                 continue
             window = intervals[max(0, consumed - 100):consumed]
-            assert value == pytest.approx(statistics.stdev(window), abs=1e-9)
-            assert warming == (consumed < 100)
+            assert frame.hrv_sdnn_ms == pytest.approx(statistics.stdev(window), abs=1e-9)
 
     def test_pupil_per_second_filters_and_holds(self):
         ts = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 3.0])
         values = np.array([3.0, 0.0, 3.4, 9.0, 3.8, 3.2])
-        feed = _PupilPerSecond(ts, values, center=3.0, scale=0.5)
-        assert feed.at(0.0) == pytest.approx((3.2 - 3.0) / 0.5)
-        assert feed.at(1.0) == pytest.approx((3.8 - 3.0) / 0.5)  # 9.0 is a glint, dropped
-        assert feed.at(2.0) == pytest.approx((3.8 - 3.0) / 0.5)  # gap keeps last value
-        assert feed.at(3.0) == pytest.approx((3.2 - 3.0) / 0.5)
+        beats = RRSeries(np.arange(0.0, 7.5, 0.8), np.full(10, 800.0))
+        frames = per_second_frames(beats, PupilSeries(ts, values),
+                                   normalization="reference", reference=(3.0, 0.5)).frames
+        assert frames[0].pupil_z == pytest.approx((3.2 - 3.0) / 0.5)  # 0.0 is a blink, dropped
+        assert frames[1].pupil_z == pytest.approx((3.8 - 3.0) / 0.5)  # 9.0 is a glint, dropped
+        assert frames[2].pupil_z is None
+        assert frames[3].pupil_z == pytest.approx((3.2 - 3.0) / 0.5)
+        # the monitor step holds the last z over seconds without one and
+        # averages the held values over EFFORT_SMOOTH_S seconds
+        monitor = Monitor(MwlNetwork.default())
+        held = [0.4, 1.6, 1.6, 0.4, 0.4, 0.4, 0.4]
+        for t, frame in enumerate(frames[:4] + [None] * 3):
+            step = monitor.step(TaskTick(t=t, at={}, ot={}), 0.8, frame, None)
+            window = held[max(0, t + 1 - EFFORT_SMOOTH_S):t + 1]
+            assert step.pupil_z == pytest.approx(sum(window) / len(window))
+        # before the first pupil sample the held z is 0.0
+        first = Monitor(MwlNetwork.default()).step(TaskTick(t=0, at={}, ot={}), 0.8, frames[2], None)
+        assert first.pupil_z == 0.0
 
 
 class TestRunScenario:
@@ -431,6 +449,58 @@ class TestRunScenario:
         result = run_scenario(cfg)
         assert float(np.median(result.levels[:150])) <= 2.0
         assert result.compliance > 0.9
+
+
+class TestOfflineReplay:
+    """monitor_offline over a session's own streams gives the session's levels."""
+
+    @pytest.mark.parametrize("seed,dfa", [(3, False), (7, True)])
+    def test_monitor_offline_matches_the_online_run(self, monkeypatch, seed, dfa):
+        ticks, perfs, demand = [], [], {}
+        tick, windowed, demand_at = World.tick, World.windowed_performance, World.demand
+
+        def record_tick(self, t, directives=frozenset()):
+            ticks.append(tick(self, t, directives))
+            return ticks[-1]
+
+        def record_perf(self, t):
+            perfs.append(windowed(self, t))
+            return perfs[-1]
+
+        def record_demand(self, t):
+            frame = demand_at(self, t)
+            demand[frame.t] = frame
+            return frame
+
+        monkeypatch.setattr(World, "tick", record_tick)
+        monkeypatch.setattr(World, "windowed_performance", record_perf)
+        monkeypatch.setattr(World, "demand", record_demand)
+        cfg = ScenarioConfig(duration_s=400, phase_split_s=200, seed=seed,
+                             operator="degrading-overload", dfa=dfa)
+        online = run_scenario(cfg)
+        monkeypatch.undo()
+
+        # the physio streams come from the third child of the seed
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+        script = operator_script(cfg.operator, cfg.duration_s, cfg.phase_split_s)
+        beats = RRSeries(*generate_beats(script.load, cfg.duration_s, rng))
+        pupil = PupilSeries(*generate_pupil(script.load, cfg.duration_s, rng))
+        offline = monitor_offline(
+            beats, pupil, list(zip(ticks, perfs)), demand=demand,
+            normalization="reference", reference=(cfg.pupil_ref_mm, cfg.pupil_ref_sd),
+        )
+
+        logged = [r for r in online.records if r["record"] == "tick"]
+        assert len(offline.states) == len(logged) == cfg.duration_s
+        assert [s.level for s in offline.states] == [r["level"] for r in logged]
+        assert [[round(p, 9) for p in s.posterior] for s in offline.states] == [
+            r["posterior"] for r in logged
+        ]
+        assert len(set(r["level"] for r in logged)) > 1
+        assert offline.compliance == online.compliance
+        assert [(e.t, e.kind.name) for e in offline.events] == [
+            (r["t"], r["kind"]) for r in online.records if r["record"] == "regulation"
+        ]
 
 
 class TestCompareCompliance:

@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oft.errors import DataError, DegenerateInputError, InsufficientDataError
 from oft.physio import (
@@ -245,6 +247,62 @@ class TestPerSecondFrames:
         assert out.meta["pupil_center_mm"] == pytest.approx(3.2)
 
 
+def frames_oracle(beat_ts, rr, pupil_ts, pupil_mm, valid, span, center, scale):
+    """Per-second frames the slow way: (hrv, warmup, z) for every second."""
+    kept = [(t, mm) for t, mm, ok in zip(pupil_ts, pupil_mm, valid) if ok and 2.0 <= mm <= 8.0]
+    duration = max(1, math.ceil(max(beat_ts[-1], kept[-1][0])))
+    out = []
+    for t in range(duration):
+        seen = [v for bt, v in zip(beat_ts, rr) if bt < t + 1]
+        hrv = statistics.stdev(seen[-span:]) if len(seen) >= 2 else None
+        second = [mm for pt, mm in kept if t <= pt < t + 1]
+        z = (statistics.fmean(second) - center) / scale if second else None
+        out.append((hrv, len(seen) < span, z))
+    return out
+
+
+@st.composite
+def physio_streams(draw):
+    rr = draw(st.lists(st.floats(300.0, 2000.0), min_size=1, max_size=60))
+    start = draw(st.floats(0.0, 2.0))
+    beat_ts = list(start + np.cumsum(rr) / 1000.0 - rr[0] / 1000.0)
+    pupil_ts = sorted(draw(st.lists(st.floats(0.0, 20.0), min_size=1, max_size=80)))
+    n = len(pupil_ts)
+    pupil_mm = draw(st.lists(
+        st.one_of(st.floats(0.0, 10.0), st.just(float("nan"))), min_size=n, max_size=n))
+    valid = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    span = draw(st.integers(2, 30))
+    return beat_ts, rr, pupil_ts, pupil_mm, valid, span
+
+
+class TestFramesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(physio_streams())
+    def test_per_second_frames_matches_naive_reference(self, streams):
+        beat_ts, rr, pupil_ts, pupil_mm, valid, span = streams
+        beats = RRSeries(np.asarray(beat_ts), np.asarray(rr))
+        pupil = PupilSeries(np.asarray(pupil_ts), np.asarray(pupil_mm), np.asarray(valid))
+        if not any(ok and 2.0 <= mm <= 8.0 for mm, ok in zip(pupil_mm, valid)):
+            with pytest.raises(DataError, match="cleansing"):
+                per_second_frames(beats, pupil, span=span,
+                                  normalization="reference", reference=(3.0, 0.5))
+            return
+        frames = per_second_frames(beats, pupil, span=span,
+                                   normalization="reference", reference=(3.0, 0.5)).frames
+        expected = frames_oracle(beat_ts, rr, pupil_ts, pupil_mm, valid, span, 3.0, 0.5)
+        assert [f.t for f in frames] == list(range(len(expected)))
+        for frame, (hrv, warmup, z) in zip(frames, expected):
+            assert frame.warmup == warmup
+            if hrv is None:
+                assert frame.hrv_sdnn_ms is None
+            else:
+                assert frame.hrv_sdnn_ms == pytest.approx(hrv, rel=1e-9, abs=1e-9)
+            if z is None:
+                assert frame.pupil_z is None
+            else:
+                assert frame.pupil_z == pytest.approx(z, rel=1e-9, abs=1e-9)
+
+
 class TestSeriesValidation:
     def test_beats_must_increase(self):
         with pytest.raises(DataError):
@@ -253,6 +311,18 @@ class TestSeriesValidation:
     def test_beat_intervals_positive(self):
         with pytest.raises(DataError):
             RRSeries(np.array([0.8, 1.6]), np.array([800.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_beats_must_be_finite(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            RRSeries(np.array([0.8, 1.6, 2.4]), np.array([800.0, bad, 800.0]))
+        with pytest.raises(DataError, match="finite"):
+            RRSeries(np.array([0.8, bad, 2.4]), np.array([800.0, 800.0, 800.0]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_pupil_timestamps_must_be_finite(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            PupilSeries(np.array([0.0, bad, 0.5]), np.array([3.0, 3.1, 3.2]))
 
     def test_pupil_shape_mismatch(self):
         with pytest.raises(DataError):
