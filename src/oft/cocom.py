@@ -66,6 +66,8 @@ class TankTrace:
             raise DataError("tank trace: the two level series must be 1-d and equal length")
         if len(a) == 0:
             raise DataError("tank trace: empty")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise DataError("tank trace: levels must be finite")
         object.__setattr__(self, "tank_a", a)
         object.__setattr__(self, "tank_b", b)
 

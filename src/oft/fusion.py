@@ -102,6 +102,8 @@ class SoftEvidence:
         lik = {str(k): float(v) for k, v in self.likelihood.items()}
         if not lik:
             raise DataError(f"evidence for {self.variable}: empty likelihood")
+        if not all(math.isfinite(v) for v in lik.values()):
+            raise DataError(f"evidence for {self.variable}: non-finite likelihood")
         if any(v < 0 for v in lik.values()):
             raise DataError(f"evidence for {self.variable}: negative likelihood")
         if all(v == 0 for v in lik.values()):
@@ -191,7 +193,8 @@ def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:
 
     Invariant under evidence order and under positive scaling of any
     likelihood vector. Raises if two pieces of evidence target one variable
-    or if the combined evidence has zero mass under the model.
+    or if the combined evidence has zero mass under the model, or so much
+    that it overflows.
     """
     seen = set()
     post = net.prior.copy()
@@ -207,11 +210,18 @@ def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:
             raise DataError(
                 f"evidence for {ev.variable!r} names unknown labels {sorted(unknown)}"
             )
-        lik = np.array([ev.likelihood.get(label, 0.0) for label in labels])
-        post = post * (cpt @ lik)
+        if len(ev.likelihood) == 1:
+            # the other terms of cpt @ lik are +0.0, so this is the same bits
+            ((label, weight),) = ev.likelihood.items()
+            post = post * (cpt[:, labels.index(label)] * weight)
+        else:
+            lik = np.array([ev.likelihood.get(label, 0.0) for label in labels])
+            post = post * (cpt @ lik)
     total = post.sum()
     if total <= 0.0:
         raise DataError("evidence has zero probability under the model")
+    if total == math.inf:
+        raise DataError("evidence likelihoods overflow; scale them down")
     return post / total
 
 

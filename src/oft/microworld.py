@@ -251,6 +251,13 @@ class World:
         self.machine_done = {task: 0 for task in TASKS}
         self.spawns_enabled = True
         self._next_id = 0
+        # last inputs and outputs of the two per-tick observables; vehicles
+        # are only ever appended and neutralised, so (vehicles, still active)
+        # changes whenever the active set does
+        self._entropy_key: Optional[tuple] = None
+        self._entropy = 0.0
+        self._perf_key: Optional[tuple] = None
+        self._perf = 0.0
 
     # -- plumbing ----------------------------------------------------------
 
@@ -407,19 +414,27 @@ class World:
     # -- observables --------------------------------------------------------
 
     def demand(self, t: float) -> ConstraintFrame:
+        """Targets and messages awaiting processing, and the target spread.
+
+        The entropy is recomputed only when the active vehicle set changed.
+        """
         active = [v for v in self.vehicles if v.neutralize_t is None]
         pending_msgs = sum(
             1 for m in self.messages
             if m.read_t is None and t <= m.arrive_t + self.config.message_budget_s
         )
-        entropy = spatial_entropy([(v.x, v.y) for v in active], bounds=(1.0, 1.0))
-        return ConstraintFrame(t=int(t), n1=len(active), n2=pending_msgs, entropy=entropy)
+        key = (len(self.vehicles), len(active))
+        if key != self._entropy_key:
+            self._entropy = spatial_entropy([(v.x, v.y) for v in active], bounds=(1.0, 1.0))
+            self._entropy_key = key
+        return ConstraintFrame(t=int(t), n1=len(active), n2=pending_msgs, entropy=self._entropy)
 
     def windowed_performance(self, t: float) -> float:
         """Blend of recent neutralization speed and message answering.
 
         Vehicles detected but still open past the reference time count as
         zero-score entries so an overload shows up while it is happening.
+        The window is rescanned every call, but scored only when it changed.
         """
         cfg = self.config
         lo = t - cfg.perf_window_s
@@ -439,10 +454,14 @@ class World:
                 messages.append((m.arrive_t, m.zone_t))
             elif t > m.arrive_t + cfg.message_budget_s:
                 messages.append((m.arrive_t, None))
-        return performance_index(
-            neutralizations, messages, t_ref_s=cfg.t_ref_s,
-            message_budget_s=cfg.message_budget_s,
-        ).overall
+        key = (neutralizations, messages)
+        if key != self._perf_key:
+            self._perf = performance_index(
+                neutralizations, messages, t_ref_s=cfg.t_ref_s,
+                message_budget_s=cfg.message_budget_s,
+            ).overall
+            self._perf_key = key
+        return self._perf
 
     def final_performance(self):
         neutralizations = [
@@ -530,6 +549,11 @@ class Monitor:
                 raise ConfigError(f"fusion model must carry a partition for {var!r}")
         self.net = net
         self.tracker = ActivityTracker()
+        self._behaviour_ev = {
+            label: SoftEvidence.hard("behaviour", label)
+            for label in ("cost_oriented", "performance_oriented", "none")
+        }
+        self._constraint_ev = {td: SoftEvidence.hard("constraint", f"td{td}") for td in (1, 2, 3)}
         self._recent_z: deque = deque(maxlen=EFFORT_SMOOTH_S)
         self._last_z = 0.0
         # events come in time order (the tracker rejects out-of-order
@@ -560,14 +584,14 @@ class Monitor:
             behaviour = "none"
 
         evidence = [
-            SoftEvidence.hard("behaviour", behaviour),
+            self._behaviour_ev[behaviour],
             fuzzify(perf, self.net.partitions["performance"]),
             fuzzify(z_smooth, self.net.partitions["effort"]),
         ]
         td = None
         if demand is not None:
             td = task_difficulty(discretize(demand))
-            evidence.insert(0, SoftEvidence.hard("constraint", f"td{td}"))
+            evidence.insert(0, self._constraint_ev[td])
         return MonitorStep(snap, event, behaviour, z_smooth, td, evidence)
 
 

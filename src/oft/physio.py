@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
 
 from .errors import (
     DataError,
@@ -34,6 +33,8 @@ from .jsonl import dump_jsonl
 PUPIL_MIN_MM = 2.0
 PUPIL_MAX_MM = 8.0
 SDNN_SPAN = 100
+# windows per vectorised SDNN pass; bounds the copy of the windows in memory
+_SDNN_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,9 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
         raise DataError(
             "bandpass: non-uniform sampling detected; resample to a fixed rate first"
         )
+    # scipy is imported here, so that importing the package does not load it
+    from scipy.signal import butter, sosfiltfilt
+
     fs = 1.0 / dt0
     if not (0.0 < low_hz < high_hz < fs / 2.0):
         raise ValueError(
@@ -239,6 +243,23 @@ def _norm_stats(per_sec, method, window, reference):
     return float(np.mean(arr)), scale
 
 
+def _full_span_sdnn(rr: np.ndarray, counts: np.ndarray, span: int) -> dict:
+    """SDNN of rr[n - span:n] for every distinct count n >= span, as {n: ms}.
+
+    One np.std per block of windows gives the same bits as `sdnn` on each
+    window alone: every row is reduced on its own, in the same order.
+    """
+    ends = np.unique(counts[counts >= span])
+    if len(ends) == 0:
+        return {}
+    windows = np.lib.stride_tricks.sliding_window_view(rr, span)
+    values = [
+        np.std(windows[ends[i:i + _SDNN_BLOCK] - span], axis=1, ddof=1)
+        for i in range(0, len(ends), _SDNN_BLOCK)
+    ]
+    return dict(zip(ends.tolist(), np.concatenate(values).tolist()))
+
+
 def per_second_frames(
     beats: RRSeries,
     pupil: PupilSeries,
@@ -251,7 +272,8 @@ def per_second_frames(
 ) -> PhysioFrames:
     """Per-second feature frames: rolling SDNN plus normalized pupil size.
 
-    A frame covers [t, t+1). SDNN at t uses the last `span` intervals of all
+    A frame covers [t, t+1), for t from 0 through the second of the last
+    beat or pupil sample. SDNN at t uses the last `span` intervals of all
     beats seen so far; frames computed from fewer than `span` beats are
     flagged as warm-up. The pupil feature is the z-score of that second's
     mean diameter; the z baseline is the whole session by default, a fixed
@@ -265,8 +287,9 @@ def per_second_frames(
     if len(clean) == 0:
         raise DataError("stream 'pupil' has no valid samples after cleansing")
 
-    duration = int(math.ceil(max(beats.timestamps[-1], clean.timestamps[-1])))
-    duration = max(duration, 1)
+    if span < 2:
+        raise ValueError(f"per_second_frames: span must be >= 2, got {span}")
+    duration = max(int(math.floor(max(beats.timestamps[-1], clean.timestamps[-1]))) + 1, 1)
 
     edges = np.arange(duration + 1)
     pupil_edges = np.searchsorted(clean.timestamps, edges, side="left").tolist()
@@ -278,11 +301,14 @@ def per_second_frames(
 
     center, scale = _norm_stats(pupil_sec, normalization, window, reference)
 
-    beat_counts = np.searchsorted(beats.timestamps, edges[1:], side="left").tolist()
+    beat_counts = np.searchsorted(beats.timestamps, edges[1:], side="left")
+    full_sdnn = _full_span_sdnn(beats.intervals_ms, beat_counts, span)
     frames: list[FeatureFrame] = []
-    for t, n_beats in enumerate(beat_counts):
-        if n_beats >= 2:
-            hrv = sdnn(beats.intervals_ms[max(0, n_beats - span):n_beats], span=span)
+    for t, n_beats in enumerate(beat_counts.tolist()):
+        if n_beats >= span:
+            hrv = full_sdnn[n_beats]
+        elif n_beats >= 2:
+            hrv = sdnn(beats.intervals_ms[:n_beats], span=span)
         else:
             hrv = None
         z = (pupil_sec[t] - center) / scale if t in pupil_sec else None

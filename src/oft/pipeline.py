@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import physio
 from .errors import DataError
@@ -34,11 +33,26 @@ from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-d array, ties sharing the mean of their ranks.
+
+    The ranks are whole or half numbers, exact in floating point.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman rank correlation with average ranks for ties.
 
     Raises DataError when either series is constant (the ranks carry no
-    order, so the coefficient is undefined) or when lengths differ.
+    order, so the coefficient is undefined), when lengths differ, or when
+    a value is not finite.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
@@ -46,8 +60,10 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
         raise DataError("correlation needs two equal-length 1-d series")
     if len(x) < 3:
         raise DataError("correlation needs at least three observations")
-    rx = rankdata(x)
-    ry = rankdata(y)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise DataError("correlation needs finite values")
+    rx = _average_ranks(x)
+    ry = _average_ranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
         raise DataError("correlation undefined: a series has no rank variation")
     return float(np.corrcoef(rx, ry)[0, 1])
@@ -99,7 +115,7 @@ def read_demand_csv(path: str | Path) -> dict:
                 frames[t] = ConstraintFrame(
                     t=t, n1=int(row["n1"]), n2=int(row["n2"]), entropy=float(row["entropy"])
                 )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"stream 'demand' ({path}): bad row {row!r}") from exc
     return frames
 

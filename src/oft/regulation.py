@@ -211,7 +211,7 @@ def read_ticks_jsonl(path: str | Path):
             yield TaskTick(t=int(rec["t"]), at=dict(rec["at"]), ot=dict(rec["ot"])), float(
                 rec["perf"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"stream 'ticks' ({path}): bad record {rec!r}") from exc
 
 

@@ -16,6 +16,7 @@ the table must be total and is validated at load time.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
@@ -46,6 +47,8 @@ class ConstraintFrame:
     def __post_init__(self):
         if self.n1 < 0 or self.n2 < 0:
             raise DataError(f"constraint frame t={self.t}: counts must be >= 0")
+        if not math.isfinite(self.entropy):
+            raise DataError(f"constraint frame t={self.t}: entropy must be finite")
         if self.entropy < 0:
             raise DataError(f"constraint frame t={self.t}: entropy must be >= 0")
 

@@ -222,6 +222,37 @@ class TestMonitorCommand:
             ))
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("column,value,message", [
+        ("entropy", "nan", "finite"),
+        ("entropy", "inf", "finite"),
+        ("t_s", "inf", "bad row"),
+    ])
+    def test_non_finite_demand_exits_3(self, tmp_path, capsys, column, value, message):
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        demand = tmp_path / "demand.csv"
+        with open(demand, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["t_s", "n1", "n2", "entropy"])
+            for t in range(240):
+                w.writerow([t, 12, 3, 0.6])
+        overwrite_rows(demand, column, value, rows=slice(100, 101))
+        out_dir = tmp_path / "mon"
+        code = main(["monitor", "--beats", beats, "--pupil", pupil, "--ticks", ticks,
+                     "--demand", str(demand), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_infinite_tick_time_exits_3(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        ticks = tmp_path / "ticks.jsonl"
+        ticks.write_text('{"t": Infinity, "at": {"watch": 1}, "ot": {"watch": 1}, "perf": 0.9}\n')
+        code = main(["monitor", "--beats", beats, "--pupil", pupil, "--ticks", str(ticks),
+                     "--out-dir", str(tmp_path / "mon")])
+        assert code == 3
+        assert "bad record" in capsys.readouterr().err
+
     def test_disjoint_streams_exit_3(self, tmp_path, capsys):
         beats, pupil = write_streams(tmp_path)
         ticks = tmp_path / "ticks.jsonl"
@@ -322,6 +353,14 @@ class TestCocomCommands:
         with open(out, newline="") as fh:
             coded = {r["period"]: r["mode"] for r in csv.DictReader(fh)}
         assert coded == {"low": "TACTICAL", "high": "STRATEGIC"}
+
+    def test_nan_level_exits_3(self, tmp_path, capsys):
+        trace = write_trace(tmp_path / "trace.csv")
+        overwrite_rows(trace, "tank_a", "nan", rows=slice(10, 11))
+        out = tmp_path / "coded.csv"
+        assert main(["cocom", "code", "--trace", trace, "--out", str(out)]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_transitions_bundled_roster(self, tmp_path):
         out = tmp_path / "transitions.json"

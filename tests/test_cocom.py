@@ -108,6 +108,13 @@ class TestTotality:
         with pytest.raises(DataError):
             TankTrace(np.array([2500.0]), np.array([2500.0, 2500.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_levels_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            TankTrace(np.array([2500.0, bad]), np.array([2500.0, 2500.0]))
+        with pytest.raises(DataError, match="finite"):
+            TankTrace(np.array([2500.0, 2500.0]), np.array([bad, 2500.0]))
+
 
 class TestTransitions:
     def test_counts_are_positional(self):

@@ -8,6 +8,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oft.errors import ConfigError, DataError
 from oft.fusion import (
@@ -37,10 +39,24 @@ def posterior_by_joint_enumeration(prior, tables, likelihoods):
     return out / out.sum()
 
 
-def random_net(rng, label_counts):
+def posterior_by_matmul(net, evidence):
+    """The dense reference, every piece of evidence as cpt @ lik; None
+    when the evidence has zero mass."""
+    post = net.prior.copy()
+    for ev in evidence:
+        labels, cpt = net.children[ev.variable]
+        post = post * (cpt @ np.array([ev.likelihood.get(label, 0.0) for label in labels]))
+    total = post.sum()
+    return post / total if total > 0.0 else None
+
+
+def random_net(rng, label_counts, zero_share=0.0):
     children = {}
     for i, n in enumerate(label_counts):
         cpt = rng.random((5, n)) + 0.05
+        if zero_share:
+            cpt[rng.random((5, n)) < zero_share] = 0.0
+            cpt[cpt.sum(axis=1) == 0.0, 0] = 1.0
         cpt /= cpt.sum(axis=1, keepdims=True)
         children[f"c{i}"] = (tuple(f"l{j}" for j in range(n)), cpt)
     prior = rng.random(5) + 0.05
@@ -191,6 +207,13 @@ class TestPosterior:
         with pytest.raises(DataError, match="zero probability"):
             posterior(net, [SoftEvidence.hard("c", "b")])
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_evidence_rejected(self, rng):
+        net = random_net(rng, (2, 2, 2))
+        huge = [SoftEvidence(f"c{i}", {"l0": 1e300, "l1": 1e300}) for i in range(3)]
+        with pytest.raises(DataError, match="overflow"):
+            posterior(net, huge)
+
     def test_evidence_validation(self):
         with pytest.raises(DataError):
             SoftEvidence("x", {})
@@ -198,6 +221,73 @@ class TestPosterior:
             SoftEvidence("x", {"a": -0.1})
         with pytest.raises(DataError):
             SoftEvidence("x", {"a": 0.0, "b": 0.0})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_evidence_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            SoftEvidence("x", {"a": bad})
+        with pytest.raises(DataError, match="non-finite"):
+            SoftEvidence("x", {"a": 0.5, "b": bad})
+
+    def test_matches_matmul_reference_bit_for_bit(self, rng):
+        for _ in range(300):
+            counts = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 5))))
+            net = random_net(rng, counts, zero_share=0.2)  # so 0 * weight terms occur
+            evidence = []
+            for name, (labels, _) in net.children.items():
+                kind = rng.integers(4)
+                label = labels[rng.integers(len(labels))]
+                if kind == 0:
+                    ev = SoftEvidence.hard(name, label)
+                elif kind == 1:
+                    ev = SoftEvidence(name, {label: float(rng.random() * 50 + 1e-3)})
+                else:
+                    picked = [l for l in labels if kind == 2 or rng.random() < 0.6] or [labels[0]]
+                    ev = SoftEvidence(name, {l: float(rng.random() + 1e-3) for l in picked})
+                evidence.append(ev)
+            want = posterior_by_matmul(net, evidence)
+            if want is None:
+                with pytest.raises(DataError, match="zero probability"):
+                    posterior(net, evidence)
+            else:
+                assert np.array_equal(posterior(net, evidence), want)
+
+
+@st.composite
+def net_and_evidence(draw):
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = random_net(rng, counts)
+    weight = st.floats(1e-3, 1e3)
+    evidence = []
+    for name, (labels, _) in net.children.items():
+        if not draw(st.booleans()):
+            continue
+        picked = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        evidence.append(SoftEvidence(name, {l: draw(weight) for l in picked}))
+    return net, evidence
+
+
+class TestPosteriorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(net_and_evidence(), st.randoms(use_true_random=False))
+    def test_evidence_order_does_not_matter(self, case, shuffler):
+        net, evidence = case
+        shuffled = list(evidence)
+        shuffler.shuffle(shuffled)
+        np.testing.assert_allclose(posterior(net, shuffled), posterior(net, evidence),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(net_and_evidence(), st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
+    def test_positive_likelihood_scaling_does_not_matter(self, case, scales):
+        net, evidence = case
+        scaled = [
+            SoftEvidence(ev.variable, {l: w * c for l, w in ev.likelihood.items()})
+            for ev, c in zip(evidence, scales)
+        ]
+        np.testing.assert_allclose(posterior(net, scaled), posterior(net, evidence),
+                                   rtol=0, atol=1e-12)
 
 
 class TestLevel:

@@ -25,7 +25,7 @@ from oft.microworld import (
 from oft.physio import PupilSeries, RRSeries, per_second_frames
 from oft.pipeline import monitor_offline
 from oft.regulation import ActivityTracker, RegulationKind, TaskTick
-from oft.taskload import spatial_entropy
+from oft.taskload import performance_index, spatial_entropy
 
 
 def quiet_world(operator="diligent", **overrides):
@@ -501,6 +501,53 @@ class TestOfflineReplay:
         assert [(e.t, e.kind.name) for e in offline.events] == [
             (r["t"], r["kind"]) for r in online.records if r["record"] == "regulation"
         ]
+
+
+class TestCachedObservables:
+    """demand and windowed_performance reuse their last value while the
+    inputs stand still; every tick must still equal a fresh computation."""
+
+    @pytest.mark.parametrize("dfa", [False, True])
+    def test_every_tick_equals_a_direct_computation(self, monkeypatch, dfa):
+        demand_at, windowed = World.demand, World.windowed_performance
+        checked = {"demand": 0, "perf": 0}
+
+        def checked_demand(self, t):
+            frame = demand_at(self, t)
+            active = [(v.x, v.y) for v in self.vehicles if v.neutralize_t is None]
+            assert frame.entropy == spatial_entropy(active, bounds=(1.0, 1.0))
+            checked["demand"] += 1
+            return frame
+
+        def checked_perf(self, t):
+            got = windowed(self, t)
+            cfg, lo = self.config, t - self.config.perf_window_s
+            neutralizations = [
+                (v.detect_t, v.neutralize_t if v.neutralize_t is not None
+                 else v.detect_t + cfg.t_ref_s)
+                for v in self.vehicles
+                if v.detect_t is not None and v.detect_t >= lo
+                and (v.neutralize_t is not None or t - v.detect_t >= cfg.t_ref_s)
+            ]
+            messages = [
+                (m.arrive_t, m.zone_t) for m in self.messages
+                if m.arrive_t >= lo
+                and (m.zone_t is not None or t > m.arrive_t + cfg.message_budget_s)
+            ]
+            assert got == performance_index(
+                neutralizations, messages, t_ref_s=cfg.t_ref_s,
+                message_budget_s=cfg.message_budget_s,
+            ).overall
+            checked["perf"] += 1
+            return got
+
+        monkeypatch.setattr(World, "demand", checked_demand)
+        monkeypatch.setattr(World, "windowed_performance", checked_perf)
+        cfg = ScenarioConfig(seed=4, operator="degrading-overload", dfa=dfa)
+        result = run_scenario(cfg)
+        assert checked == {"demand": cfg.duration_s, "perf": cfg.duration_s}
+        entropies = {r["entropy"] for r in result.records if r["record"] == "tick"}
+        assert len(entropies) > 10
 
 
 class TestCompareCompliance:

@@ -237,6 +237,20 @@ class TestPerSecondFrames:
         with pytest.raises(DataError, match="cleansing"):
             per_second_frames(beats, pupil)
 
+    def test_last_integer_second_is_framed(self):
+        beats = RRSeries(np.array([0.0, 0.8, 1.6, 2.4]), np.array([800.0, 800.0, 810.0, 790.0]))
+        pupil = PupilSeries(np.array([0.0, 1.0, 2.0, 3.0]), np.array([3.0, 3.2, 3.4, 3.9]))
+        frames = per_second_frames(beats, pupil, normalization="reference",
+                                   reference=(3.0, 0.5)).frames
+        assert [f.t for f in frames] == [0, 1, 2, 3]
+        assert frames[3].pupil_z == pytest.approx(1.8)
+        # no beat after 2.4 s, so second 3 sees the same four intervals as second 2
+        assert frames[3].hrv_sdnn_ms == frames[2].hrv_sdnn_ms
+
+    def test_span_below_two_rejected(self):
+        with pytest.raises(ValueError, match="span"):
+            per_second_frames(make_beats([800.0] * 5), make_pupil([3.0] * 8), span=1)
+
     def test_window_normalization(self):
         beats = make_beats([800.0] * 12)
         # per-second means 3.0..3.4 inside the window, 4.0 after it
@@ -247,10 +261,28 @@ class TestPerSecondFrames:
         assert out.meta["pupil_center_mm"] == pytest.approx(3.2)
 
 
+class TestVectorisedSdnn:
+    """Full-span windows are framed in one pass; each must equal `sdnn` on it."""
+
+    @pytest.mark.parametrize("span", [2, 3, 100, 257])
+    @pytest.mark.parametrize("n_beats", [1, 2, 50, 600])
+    def test_frames_equal_per_window_sdnn(self, rng, span, n_beats):
+        rr = rng.uniform(300.0, 2000.0, n_beats)
+        beats = make_beats(rr)
+        pupil = make_pupil(3.4 + 0.1 * rng.standard_normal(4 * 1300))
+        frames = per_second_frames(beats, pupil, span=span).frames
+        counts = np.searchsorted(beats.timestamps, np.arange(1, len(frames) + 1), side="left")
+        assert counts[-1] == n_beats
+        for frame, n in zip(frames, counts.tolist()):
+            want = sdnn(rr[max(0, n - span):n], span=span) if n >= 2 else None
+            assert frame.hrv_sdnn_ms == want  # bit for bit
+            assert frame.warmup == (n < span)
+
+
 def frames_oracle(beat_ts, rr, pupil_ts, pupil_mm, valid, span, center, scale):
     """Per-second frames the slow way: (hrv, warmup, z) for every second."""
     kept = [(t, mm) for t, mm, ok in zip(pupil_ts, pupil_mm, valid) if ok and 2.0 <= mm <= 8.0]
-    duration = max(1, math.ceil(max(beat_ts[-1], kept[-1][0])))
+    duration = max(1, math.floor(max(beat_ts[-1], kept[-1][0])) + 1)
     out = []
     for t in range(duration):
         seen = [v for bt, v in zip(beat_ts, rr) if bt < t + 1]

@@ -1,6 +1,8 @@
 """Offline monitor, end-to-end reports, rank correlation, and manifests."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
 
 import jsonschema
@@ -11,7 +13,9 @@ import scipy.stats
 from oft import __version__, physio
 from oft.errors import DataError
 from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_scenario
+from conftest import src_env
 from oft.pipeline import (
+    _average_ranks,
     endtoend_report,
     file_sha256,
     monitor_offline,
@@ -52,6 +56,22 @@ class TestSpearman:
                 continue
             expect = scipy.stats.spearmanr(x, y).statistic
             assert spearman(x, y) == pytest.approx(expect, abs=1e-12)
+
+    def test_average_ranks_equal_scipy_rankdata(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            x = rng.integers(0, 8, size=n).astype(float)  # many ties
+            if rng.random() < 0.5:
+                x += np.where(rng.random(n) < 0.5, rng.standard_normal(n), 0.0)
+            np.testing.assert_array_equal(_average_ranks(x), scipy.stats.rankdata(x))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            spearman([1.0, bad, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DataError, match="finite"):
+            spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, -bad, 4.0])
 
     def test_constant_series_rejected(self):
         with pytest.raises(DataError, match="rank variation"):
@@ -250,3 +270,16 @@ class TestEndToEnd:
         del broken["compliance"]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(broken, schema)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only by physio.bandpass, which imports it on first use
+    code = (
+        "import sys, oft, oft.cli\n"
+        "oft.MwlNetwork.default(); oft.default_bike_model()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

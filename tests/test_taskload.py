@@ -49,6 +49,11 @@ class TestDiscretize:
         with pytest.raises(DataError):
             ConstraintFrame(0, 0, 0, -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entropy_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            ConstraintFrame(0, 12, 3, bad)
+
 
 class TestSpatialEntropy:
     def test_four_distinct_cells_uniform(self):
