@@ -6,135 +6,30 @@ detection, task-demand discretization, fuzzy-evidence fusion into a
 five-level workload indicator, effort classifiers, control-mode coding,
 situation-dependent function allocation, workload-triggered assistance,
 and a deterministic surveillance microworld to exercise the whole loop.
+
+The top level re-exports only the names of the README quickstart; import
+everything else from its submodule (`oft.pipeline`, `oft.cocom`, ...).
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    InfeasibleError,
-    InsufficientDataError,
-    OftError,
-    SequencingError,
-)
-from .physio import (
-    PupilSeries,
-    RRSeries,
-    bandpass,
-    cleanse_pupil,
-    normalize,
-    per_second_frames,
-    sdnn,
-)
-from .regulation import (
-    ActivityTracker,
-    RegulationKind,
-    TaskSpec,
-    TaskTick,
-    classify_regulation,
-    compliance_rate,
-    snapshot,
-)
-from .taskload import (
-    ConstraintFrame,
-    discretize,
-    performance_index,
-    spatial_entropy,
-    task_difficulty,
-)
-from .fusion import (
-    FuzzyPartition,
-    MwlNetwork,
-    SoftEvidence,
-    fuse,
-    fuzzify,
-    mwl_level,
-    posterior,
-)
-from .effortclass import (
-    ForestModel,
-    KnnModel,
-    binarize,
-    cross_validate,
-    knn_predict,
-    rf_train,
-)
-from .cocom import ControlMode, TankTrace, code_mode, transitions
-from .dfaplan import (
-    AllocationModel,
-    check_feasible,
-    default_bike_model,
-    load_model,
-    optimize,
-)
-from .adapt import DEFAULT_RULES, AdaptationEngine, AssistanceRule, assistance_for_level
-from .microworld import ScenarioConfig, World, operator_script, run_scenario, six_tasks
-from .pipeline import endtoend_report, monitor_offline, spearman
+from .physio import PupilSeries, RRSeries, per_second_frames
+from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
+from .dfaplan import default_bike_model
+from .microworld import ScenarioConfig, run_scenario
 
 __all__ = [
     "__version__",
-    "OftError",
-    "ConfigError",
-    "DataError",
-    "InsufficientDataError",
-    "DegenerateInputError",
-    "SequencingError",
-    "InfeasibleError",
     "RRSeries",
     "PupilSeries",
-    "cleanse_pupil",
-    "sdnn",
-    "normalize",
-    "bandpass",
     "per_second_frames",
-    "TaskSpec",
-    "TaskTick",
-    "RegulationKind",
-    "ActivityTracker",
-    "classify_regulation",
-    "snapshot",
-    "compliance_rate",
-    "ConstraintFrame",
-    "discretize",
-    "spatial_entropy",
-    "task_difficulty",
-    "performance_index",
-    "FuzzyPartition",
-    "SoftEvidence",
     "MwlNetwork",
     "fuzzify",
     "posterior",
     "mwl_level",
-    "fuse",
-    "KnnModel",
-    "ForestModel",
-    "knn_predict",
-    "rf_train",
-    "binarize",
-    "cross_validate",
-    "ControlMode",
-    "TankTrace",
-    "code_mode",
-    "transitions",
-    "AllocationModel",
-    "check_feasible",
-    "optimize",
-    "load_model",
     "default_bike_model",
-    "AssistanceRule",
-    "DEFAULT_RULES",
-    "assistance_for_level",
-    "AdaptationEngine",
     "ScenarioConfig",
-    "World",
-    "operator_script",
-    "six_tasks",
     "run_scenario",
-    "spearman",
-    "monitor_offline",
-    "endtoend_report",
 ]

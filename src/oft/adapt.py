@@ -108,35 +108,3 @@ class AdaptationEngine:
                         AssistanceCommand(t=t, directive=name, task=rule.task, active=False)
                     )
         return commands
-
-
-def replay(levels, rules: Sequence[AssistanceRule] = DEFAULT_RULES, hold_s: float = 5.0) -> list:
-    """Run a whole (t, level) stream through a fresh engine."""
-    engine = AdaptationEngine(rules=rules, hold_s=hold_s)
-    commands = []
-    for t, level in levels:
-        commands.extend(engine.step(t, level))
-    return commands
-
-
-def active_after(commands) -> frozenset:
-    """Reconstruct the active-directive set from a command stream."""
-    state: set = set()
-    for cmd in commands:
-        if cmd.active:
-            state.add(cmd.directive)
-        else:
-            state.discard(cmd.directive)
-    return frozenset(state)
-
-
-def write_commands_jsonl(commands, path) -> None:
-    from .jsonl import dump_jsonl
-
-    dump_jsonl(
-        (
-            {"t": c.t, "directive": c.directive, "task": c.task, "active": c.active}
-            for c in commands
-        ),
-        path,
-    )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib.resources import as_file, files
@@ -39,6 +40,7 @@ from .effortclass import (
 )
 from .errors import ConfigError, DataError, InfeasibleError
 from .fusion import MwlNetwork
+from .jsonl import dump_json
 from .microworld import ScenarioConfig, run_scenario
 from .pipeline import (
     endtoend_report,
@@ -62,7 +64,27 @@ def _settings(args) -> dict:
         raise ConfigError(f"settings file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"settings file {path}: expected a JSON object")
+    if "fusion_net" in raw and not isinstance(raw["fusion_net"], str):
+        raise ConfigError(f"settings file {path}: fusion_net must be a path string")
+    if "hold_s" in raw and not (_finite(raw["hold_s"]) and raw["hold_s"] >= 0):
+        raise ConfigError(f"settings file {path}: hold_s must be a finite number >= 0")
+    ref = raw.get("pupil_reference")
+    if "pupil_reference" in raw and not (
+        isinstance(ref, list) and len(ref) == 2 and all(map(_finite, ref)) and ref[1] > 0
+    ):
+        raise ConfigError(
+            f"settings file {path}: pupil_reference must be [mean_mm, sd_mm], "
+            "two finite numbers with sd_mm > 0"
+        )
     return raw
+
+
+def _finite(value) -> bool:
+    """True for a finite JSON number (booleans excluded)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
 def _network(settings: dict) -> MwlNetwork:
@@ -75,10 +97,8 @@ def _reference(args, settings):
     if getattr(args, "reference", None):
         return tuple(args.reference)
     if "pupil_reference" in settings:
-        ref = settings["pupil_reference"]
-        if not (isinstance(ref, (list, tuple)) and len(ref) == 2):
-            raise ConfigError("settings: pupil_reference must be [mean_mm, sd_mm]")
-        return (float(ref[0]), float(ref[1]))
+        mean_mm, sd_mm = settings["pupil_reference"]
+        return (float(mean_mm), float(sd_mm))
     return None
 
 
@@ -164,8 +184,6 @@ def _dataset_arrays(frames, raw_labels: bool):
 
 def _cmd_classify_train(args) -> int:
     frames = read_dataset_csv(args.data)
-    if not frames:
-        raise DataError(f"dataset {args.data}: no rows")
     X, y = _dataset_arrays(frames, args.raw_labels)
     model = fit_model(_model_spec(args), X, y)
     save_model(model, args.model_out)
@@ -178,8 +196,6 @@ def _cmd_classify_predict(args) -> int:
 
     model = load_model(args.model)
     frames = read_dataset_csv(args.data)
-    if not frames:
-        raise DataError(f"dataset {args.data}: no rows")
     X = np.asarray([f.features for f in frames], dtype=float)
     labels = model.predict(X)
     with open(args.out, "w", newline="") as fh:
@@ -211,9 +227,7 @@ def _cmd_classify_cv(args) -> int:
         "model": _model_spec(args),
     }
     if args.report:
-        with open(args.report, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(payload, args.report)
     print(
         f"{args.scheme}: accuracy {payload['accuracy']} "
         f"({report.n_train} train / {report.n_test} test)"
@@ -244,9 +258,7 @@ def _cmd_cocom_transitions(args) -> int:
         "second_period_marginals": tm.second_period_marginals.tolist(),
         "adjacency_fraction": round(tm.adjacency_fraction, 6),
     }
-    with open(args.out, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(payload, args.out)
     print(
         f"{len(rows)} participants, adjacency fraction "
         f"{payload['adjacency_fraction']} -> {args.out}"
@@ -348,9 +360,7 @@ def _cmd_endtoend(args) -> int:
     config = _scenario_config(args, settings)
     report = endtoend_report(config, net=_network(settings))
     if args.report:
-        with open(args.report, "w", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        dump_json(report, args.report)
     print(
         f"level vs latent load: spearman {report['spearman_level_vs_latent']}; "
         f"level vs self-rating: spearman {report['spearman_level_vs_isa']}"

@@ -28,9 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
+from .jsonl import read_csv
 
 BAND = (2000.0, 3000.0)
-TARGET = 2500.0
 SCRAMBLED_FLOOR = 1950.0
 SCRAMBLED_CEIL = 3050.0
 STRATEGIC_MARGIN = 2750.0
@@ -141,27 +141,21 @@ def transitions(pairs: Iterable[tuple[ControlMode, ControlMode]]) -> TransitionM
 
 def read_trace_csv(path: str | Path) -> dict[str, TankTrace]:
     """Trace CSV with header t_s,tank_a,tank_b,period; one trace per period."""
-    buckets: dict[str, list[tuple[float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"t_s", "tank_a", "tank_b", "period"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise DataError(f"trace {path}: expected columns {sorted(need)}")
-        for row in reader:
-            try:
-                buckets.setdefault(row["period"], []).append(
-                    (float(row["t_s"]), float(row["tank_a"]), float(row["tank_b"]))
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"trace {path}: bad row {row!r}") from exc
-    if not buckets:
-        raise DataError(f"trace {path}: empty")
+    rows = read_csv(
+        path, "trace", ("t_s", "tank_a", "tank_b", "period"),
+        lambda row: (row["period"], float(row["t_s"]), float(row["tank_a"]), float(row["tank_b"])),
+    )
+    if not rows:
+        raise DataError(f"stream 'trace' ({path}): empty")
+    buckets: dict[str, list[list[float]]] = {}
+    for period, *levels in rows:
+        buckets.setdefault(period, []).append(levels)
     out = {}
-    for period, rows in buckets.items():
-        rows.sort(key=lambda r: r[0])
+    for period, levels in buckets.items():
+        levels.sort(key=lambda r: r[0])
         out[period] = TankTrace(
-            tank_a=np.array([r[1] for r in rows]),
-            tank_b=np.array([r[2] for r in rows]),
+            tank_a=np.array([r[1] for r in levels]),
+            tank_b=np.array([r[2] for r in levels]),
             period=period,
         )
     return out
@@ -178,19 +172,10 @@ def write_coded_csv(coded: Sequence[tuple[str, ControlMode]], path: str | Path) 
 def read_roster_csv(path: str | Path) -> list[tuple[str, ControlMode, ControlMode]]:
     """Roster CSV with header participant,mode_low,mode_high."""
     by_name = {m.name: m for m in ControlMode}
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"participant", "mode_low", "mode_high"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise DataError(f"roster {path}: expected columns {sorted(need)}")
-        for row in reader:
-            try:
-                rows.append(
-                    (row["participant"], by_name[row["mode_low"]], by_name[row["mode_high"]])
-                )
-            except KeyError as exc:
-                raise DataError(f"roster {path}: bad row {row!r}") from exc
+    rows = read_csv(
+        path, "roster", ("participant", "mode_low", "mode_high"),
+        lambda row: (row["participant"], by_name[row["mode_low"]], by_name[row["mode_high"]]),
+    )
     if not rows:
-        raise DataError(f"roster {path}: empty")
+        raise DataError(f"stream 'roster' ({path}): empty")
     return rows

@@ -13,7 +13,6 @@ Labels are small non-negative ints. The three-level difficulty labels are
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
+from .jsonl import dump_json, read_csv
 
 METRICS = ("euclidean", "squared_euclidean", "manhattan", "chebyshev")
 
@@ -235,25 +235,16 @@ class LabelledFrame:
 
 def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
     """Dataset CSV with header subject,t_s,hrv,pupil_z,td."""
-    frames = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"subject", "t_s", "hrv", "pupil_z", "td"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise DataError(f"dataset {path}: expected columns {sorted(need)}")
-        for row in reader:
-            try:
-                frames.append(
-                    LabelledFrame(
-                        subject=row["subject"],
-                        features=(float(row["hrv"]), float(row["pupil_z"])),
-                        label=int(row["td"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"dataset {path}: bad row {row!r}") from exc
+    frames = read_csv(
+        path, "dataset", ("subject", "t_s", "hrv", "pupil_z", "td"),
+        lambda row: LabelledFrame(
+            subject=row["subject"],
+            features=(float(row["hrv"]), float(row["pupil_z"])),
+            label=int(row["td"]),
+        ),
+    )
     if not frames:
-        raise DataError(f"dataset {path}: empty")
+        raise DataError(f"stream 'dataset' ({path}): empty")
     return frames
 
 
@@ -420,9 +411,7 @@ def model_from_dict(raw: Mapping):
 
 
 def save_model(model, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path):

@@ -38,7 +38,7 @@ from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
 from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
-                         RegulationEvent, TaskSpec, TaskTick)
+                         RegulationEvent, TaskTick)
 from .taskload import ConstraintFrame, discretize, performance_index, spatial_entropy, task_difficulty
 
 TASKS = (
@@ -70,24 +70,6 @@ BASE_SERVICE_S = {
 
 # what a load-shedding operator abandons first
 SHED_ORDER = ("ManageEmptyZone", "DrawZone", "ReadMessage", "DetectVehicle", "InspectLock", "Neutralize")
-
-PRESCRIPTIONS = {
-    "ReadMessage": "open the oldest unread banner first",
-    "DrawZone": "zone the reported coordinates",
-    "ManageEmptyZone": "send the nearest idle drone",
-    "DetectVehicle": "sweep the active zones",
-    "InspectLock": "lock on first sighting",
-    "Neutralize": "neutralize the closest locked vehicle",
-}
-
-
-def six_tasks() -> tuple:
-    """The six surveillance tasks with prescriptions and time budgets."""
-    return tuple(
-        TaskSpec(id=name, prescribed_strategy=PRESCRIPTIONS[name], time_budget_s=TASK_BUDGET_S[name])
-        for name in TASKS
-    )
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -249,7 +231,6 @@ class World:
         self.ot_flags = {task: 1 for task in TASKS}
         self.miss_counts = {task: 0 for task in TASKS}
         self.machine_done = {task: 0 for task in TASKS}
-        self.spawns_enabled = True
         self._next_id = 0
         # last inputs and outputs of the two per-tick observables; vehicles
         # are only ever appended and neutralised, so (vehicles, still active)
@@ -313,8 +294,6 @@ class World:
             self.queue = keep
 
     def _spawn(self, t: float):
-        if not self.spawns_enabled:
-            return
         rate = self.arrival_rate(t)
         for _ in range(int(self.rng_spawn.poisson(rate))):
             msg = Message(id=self._new_id(), arrive_t=t)

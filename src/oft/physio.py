@@ -19,7 +19,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     DegenerateInputError,
     InsufficientDataError,
 )
-from .jsonl import dump_jsonl
+from .jsonl import dump_jsonl, read_csv
 
 PUPIL_MIN_MM = 2.0
 PUPIL_MAX_MM = 8.0
@@ -94,10 +94,9 @@ class PupilSeries:
 
 @dataclass(frozen=True)
 class NormalizedSeries:
-    """Normalized values plus the parameters that produced them."""
+    """Z-scored values plus the mean and sample std that produced them."""
 
     values: np.ndarray
-    method: str
     center: float
     scale: float
 
@@ -152,29 +151,19 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
     return float(np.std(tail, ddof=1))
 
 
-def normalize(values, method: str = "z-score") -> NormalizedSeries:
-    """Normalize a value sequence.
+def normalize(values) -> NormalizedSeries:
+    """Z-score a value sequence: (x - mean) / sample std.
 
-    "z-score": (x - mean) / sample std; the output has sample mean 0 and
-    sample std 1. "mean-ratio": x / mean, so the output has mean 1.
+    The output has sample mean 0 and sample std 1.
     """
     x = np.asarray(values, dtype=float)
-    if method == "z-score":
-        if len(x) < 2:
-            raise InsufficientDataError("z-score: need at least 2 values")
-        center = float(np.mean(x))
-        scale = float(np.std(x, ddof=1))
-        if scale == 0.0:
-            raise DegenerateInputError("z-score: zero variance input")
-        return NormalizedSeries((x - center) / scale, method, center, scale)
-    if method == "mean-ratio":
-        if len(x) < 1:
-            raise InsufficientDataError("mean-ratio: need at least 1 value")
-        center = float(np.mean(x))
-        if center == 0.0:
-            raise DegenerateInputError("mean-ratio: zero mean input")
-        return NormalizedSeries(x / center, method, center, center)
-    raise ValueError(f"normalize: unknown method {method!r}")
+    if len(x) < 2:
+        raise InsufficientDataError("z-score: need at least 2 values")
+    center = float(np.mean(x))
+    scale = float(np.std(x, ddof=1))
+    if scale == 0.0:
+        raise DegenerateInputError("z-score: zero variance input")
+    return NormalizedSeries((x - center) / scale, center, scale)
 
 
 def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
@@ -268,7 +257,6 @@ def per_second_frames(
     normalization: str = "session",
     window: Optional[tuple[float, float]] = None,
     reference: Optional[tuple[float, float]] = None,
-    cleanse: bool = True,
 ) -> PhysioFrames:
     """Per-second feature frames: rolling SDNN plus normalized pupil size.
 
@@ -283,7 +271,7 @@ def per_second_frames(
         raise DataError("stream 'beats' is empty")
     if len(pupil) == 0:
         raise DataError("stream 'pupil' is empty")
-    clean = cleanse_pupil(pupil) if cleanse else pupil
+    clean = cleanse_pupil(pupil)
     if len(clean) == 0:
         raise DataError("stream 'pupil' has no valid samples after cleansing")
 
@@ -331,35 +319,22 @@ def per_second_frames(
 
 def read_beats_csv(path: str | Path) -> RRSeries:
     """Read a beats CSV with header t_s,rr_ms."""
-    ts, rr = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"t_s", "rr_ms"} <= set(reader.fieldnames):
-            raise DataError(f"stream 'beats' ({path}): expected columns t_s,rr_ms")
-        for row in reader:
-            try:
-                ts.append(float(row["t_s"]))
-                rr.append(float(row["rr_ms"]))
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"stream 'beats' ({path}): bad row {row!r}") from exc
-    return RRSeries(np.asarray(ts), np.asarray(rr))
+    rows = read_csv(path, "beats", ("t_s", "rr_ms"),
+                    lambda row: (float(row["t_s"]), float(row["rr_ms"])))
+    # the copy gives each column its own contiguous array
+    ts, rr = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
+    return RRSeries(ts, rr)
 
 
 def read_pupil_csv(path: str | Path) -> PupilSeries:
     """Read a pupil CSV with header t_s,pupil_mm,valid."""
-    ts, mm, ok = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"t_s", "pupil_mm", "valid"} <= set(reader.fieldnames):
-            raise DataError(f"stream 'pupil' ({path}): expected columns t_s,pupil_mm,valid")
-        for row in reader:
-            try:
-                ts.append(float(row["t_s"]))
-                mm.append(float(row["pupil_mm"]))
-                ok.append(row["valid"].strip() in ("1", "true", "True"))
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise DataError(f"stream 'pupil' ({path}): bad row {row!r}") from exc
-    return PupilSeries(np.asarray(ts), np.asarray(mm), np.asarray(ok))
+    rows = read_csv(
+        path, "pupil", ("t_s", "pupil_mm", "valid"),
+        lambda row: (float(row["t_s"]), float(row["pupil_mm"]),
+                     row["valid"].strip() in ("1", "true", "True")),
+    )
+    ts, mm, ok = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    return PupilSeries(ts, mm, ok)
 
 
 def write_frames_csv(result: PhysioFrames, path: str | Path) -> None:

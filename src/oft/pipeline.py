@@ -27,7 +27,7 @@ from .errors import DataError
 # fuzzify and task_difficulty are used by microworld.Monitor, not here; the
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
-from .jsonl import dump_jsonl
+from .jsonl import dump_json, dump_jsonl, read_csv
 from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
@@ -90,9 +90,7 @@ def write_manifest(path: str | Path, command: str, args: dict,
         ],
         "package_version": __version__,
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(manifest, path)
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +98,24 @@ def write_manifest(path: str | Path, command: str, args: dict,
 
 
 def read_demand_csv(path: str | Path) -> dict:
-    """Demand counts per second: t_s,n1,n2,entropy -> {t: ConstraintFrame}."""
-    import csv
+    """Demand counts per second: t_s,n1,n2,entropy -> {t: ConstraintFrame}.
+
+    Each t_s must be a whole second (1.0 reads as 1) and appear only once.
+    """
+    def parse(row):
+        t = float(row["t_s"])
+        second = int(t)
+        if second != t:
+            raise DataError(f"stream 'demand' ({path}): t_s {row['t_s']} is not a whole second")
+        return ConstraintFrame(
+            t=second, n1=int(row["n1"]), n2=int(row["n2"]), entropy=float(row["entropy"])
+        )
 
     frames = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"t_s", "n1", "n2", "entropy"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise DataError(f"stream 'demand' ({path}): expected columns t_s,n1,n2,entropy")
-        for row in reader:
-            try:
-                t = int(float(row["t_s"]))
-                frames[t] = ConstraintFrame(
-                    t=t, n1=int(row["n1"]), n2=int(row["n2"]), entropy=float(row["entropy"])
-                )
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DataError(f"stream 'demand' ({path}): bad row {row!r}") from exc
+    for frame in read_csv(path, "demand", ("t_s", "n1", "n2", "entropy"), parse):
+        if frame.t in frames:
+            raise DataError(f"stream 'demand' ({path}): second {frame.t} appears twice")
+        frames[frame.t] = frame
     return frames
 
 
@@ -205,9 +204,7 @@ def write_monitor_outputs(result: MonitorResult, out_dir: str | Path) -> dict:
     }
     write_states_jsonl(result.states, paths["mwl"])
     write_events_jsonl(result.events, paths["events"])
-    with open(paths["report"], "w", newline="\n") as fh:
-        json.dump(result.report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(result.report, paths["report"])
     return paths
 
 

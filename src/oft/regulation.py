@@ -10,7 +10,7 @@ prescription is currently met. Two counts summarize the second:
 cps never exceeds nps. Changes of cps from one second to the next signal a
 regulation event, classified by this decision tree:
 
-    dcps(t) > 0 and perf(t) < threshold         -> PBR   (performance-based)
+    dcps(t) > 0 and perf(t) < PERF_THRESHOLD    -> PBR   (performance-based)
     dcps(t) > 0 and dcps(t-1) < 0               -> CBR   (compliance-based)
     dcps(t) > 0 otherwise                       -> OTHER_PERFORMANCE
     dcps(t) < 0 and dnps(t-1) > 0               -> COBR  (cost-based)
@@ -20,7 +20,6 @@ regulation event, classified by this decision tree:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -45,19 +44,6 @@ PERFORMANCE_ORIENTED = frozenset(
     {RegulationKind.PBR, RegulationKind.CBR, RegulationKind.OTHER_PERFORMANCE}
 )
 COST_ORIENTED = frozenset({RegulationKind.COBR, RegulationKind.PRBR})
-
-
-@dataclass(frozen=True)
-class TaskSpec:
-    """A task with its prescription and per-object time budget."""
-
-    id: str
-    prescribed_strategy: str
-    time_budget_s: float
-
-    def __post_init__(self):
-        if self.time_budget_s <= 0:
-            raise ValueError(f"task {self.id}: time budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -113,11 +99,7 @@ def snapshot(tick: TaskTick, prev: Optional[ActivitySnapshot], perf: float) -> A
     return ActivitySnapshot(t=tick.t, nps=nps, cps=cps, dcps=dcps, dnps=dnps, perf=perf)
 
 
-def classify_regulation(
-    curr: ActivitySnapshot,
-    prev: ActivitySnapshot,
-    perf_threshold: float = PERF_THRESHOLD,
-) -> Optional[RegulationKind]:
+def classify_regulation(curr: ActivitySnapshot, prev: ActivitySnapshot) -> Optional[RegulationKind]:
     """Classify the regulation event at curr.t, if any.
 
     prev must be the snapshot at curr.t - 1; its dcps/dnps fields are the
@@ -132,7 +114,7 @@ def classify_regulation(
     if curr.dcps == 0:
         return None
     if curr.dcps > 0:
-        if curr.perf < perf_threshold:
+        if curr.perf < PERF_THRESHOLD:
             return RegulationKind.PBR
         if prev.dcps < 0:
             return RegulationKind.CBR
@@ -162,8 +144,7 @@ class ActivityTracker:
     snapshot, classifies events, and accumulates the compliance sums.
     """
 
-    def __init__(self, perf_threshold: float = PERF_THRESHOLD):
-        self.perf_threshold = perf_threshold
+    def __init__(self):
         self.prev: Optional[ActivitySnapshot] = None
         self.events: list[RegulationEvent] = []
         self._sum_nps = 0
@@ -173,7 +154,7 @@ class ActivityTracker:
         snap = snapshot(tick, self.prev, perf)
         event = None
         if self.prev is not None and snap.dcps != 0:
-            kind = classify_regulation(snap, self.prev, self.perf_threshold)
+            kind = classify_regulation(snap, self.prev)
             event = RegulationEvent(t=snap.t, kind=kind)
             self.events.append(event)
         self._sum_nps += snap.nps
@@ -189,19 +170,6 @@ class ActivityTracker:
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def load_task_specs(path: str | Path) -> list[TaskSpec]:
-    """Task roster JSON: {"tasks": [{"id", "strategy", "budget_s"}, ...]}."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        return [
-            TaskSpec(t["id"], t["strategy"], float(t["budget_s"]))
-            for t in raw["tasks"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"task roster {path}: {exc}") from exc
 
 
 def read_ticks_jsonl(path: str | Path):

@@ -10,17 +10,16 @@ entropy of target positions. Each is cut into ordinal levels:
     entropy: low <= 0.45 < medium <= 1.0 < high
 
 Difficulty (1..3) is read from a first-match rule table over those levels;
-the table must be total and is validated at load time.
+the table must be total, which `_validate_rules` checks when the table is
+built.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -169,25 +168,6 @@ DEFAULT_DIFFICULTY_RULES = _validate_rules(
         DifficultyRule(td=2),
     ]
 )
-
-
-def load_difficulty_rules(path: str | Path) -> tuple[DifficultyRule, ...]:
-    """Rule table JSON: {"rules": [{"td": 3, "n1": [...], ...}, ...]}."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    try:
-        rules = [
-            DifficultyRule(
-                td=int(r["td"]),
-                n1=frozenset(r["n1"]) if "n1" in r else None,
-                n2=frozenset(r["n2"]) if "n2" in r else None,
-                entropy=frozenset(r["entropy"]) if "entropy" in r else None,
-            )
-            for r in raw["rules"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"difficulty rules {path}: {exc}") from exc
-    return _validate_rules(rules)
 
 
 def task_difficulty(

@@ -3,15 +3,11 @@
 import pytest
 
 from oft.errors import ConfigError, SequencingError
-from oft.jsonl import load_jsonl
 from oft.adapt import (
     DEFAULT_RULES,
     AdaptationEngine,
     AssistanceRule,
-    active_after,
     assistance_for_level,
-    replay,
-    write_commands_jsonl,
 )
 
 
@@ -123,35 +119,24 @@ class TestEngine:
 class TestReplay:
     LEVELS = [(float(t), lvl) for t, lvl in enumerate([1, 2, 4, 4, 5, 3, 3, 3, 3, 3, 3, 3, 2, 4])]
 
-    def test_active_after_matches_engine_state(self):
+    def fold(self):
         eng = AdaptationEngine()
         commands = []
         for t, level in self.LEVELS:
             commands.extend(eng.step(t, level))
-        assert active_after(commands) == eng.active
+        return eng, commands
 
-    def test_replay_equals_manual_fold(self):
-        manual = []
-        eng = AdaptationEngine()
-        for t, level in self.LEVELS:
-            manual.extend(eng.step(t, level))
-        assert replay(self.LEVELS) == manual
+    def test_active_after_matches_engine_state(self):
+        # applying the edges in order rebuilds the engine's active set
+        eng, commands = self.fold()
+        state = set()
+        for cmd in commands:
+            (state.add if cmd.active else state.discard)(cmd.directive)
+        assert state == eng.active
 
     def test_commands_alternate_per_directive(self):
-        commands = replay(self.LEVELS)
+        _eng, commands = self.fold()
         last = {}
         for cmd in commands:
             assert last.get(cmd.directive) != cmd.active  # no repeated edges
             last[cmd.directive] = cmd.active
-
-    def test_jsonl_serialization(self, tmp_path):
-        path = tmp_path / "commands.jsonl"
-        write_commands_jsonl(replay(self.LEVELS), path)
-        rows = list(load_jsonl(path))
-        assert rows[0] == {
-            "t": 2.0,
-            "directive": "highlight_messages",
-            "task": "ReadMessage",
-            "active": True,
-        }
-        assert {"t", "directive", "task", "active"} == set(rows[-1])

@@ -253,6 +253,23 @@ class TestMonitorCommand:
         assert code == 3
         assert "bad record" in capsys.readouterr().err
 
+    def test_ticks_line_not_json_exits_3(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        with open(ticks, "a") as fh:
+            fh.write("{not json\n")
+        code = main(["monitor", "--beats", beats, "--pupil", pupil, "--ticks", ticks,
+                     "--out-dir", str(tmp_path / "mon")])
+        assert code == 3
+        assert "line 241" in capsys.readouterr().err
+
+    def test_missing_ticks_file_exits_3(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        code = main(["monitor", "--beats", beats, "--pupil", pupil,
+                     "--ticks", str(tmp_path / "absent.jsonl"), "--out-dir", str(tmp_path / "mon")])
+        assert code == 3
+        assert "absent.jsonl" in capsys.readouterr().err
+
     def test_disjoint_streams_exit_3(self, tmp_path, capsys):
         beats, pupil = write_streams(tmp_path)
         ticks = tmp_path / "ticks.jsonl"
@@ -573,3 +590,80 @@ class TestSettings:
         ticks = write_ticks(tmp_path / "ticks.jsonl")
         assert main(["monitor", "--beats", beats, "--pupil", pupil,
                      "--ticks", ticks, "--out-dir", str(tmp_path / "mon")]) == 0
+
+    # an int would reach open() as a file descriptor, which can block the
+    # test run instead of failing it, so a float stands in for it
+    @pytest.mark.parametrize("value", [5.0, ["net.json"], None])
+    def test_fusion_net_must_be_a_string(self, tmp_path, capsys, value):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": value}))
+        code = main(["--config", str(settings), "simulate", "--duration", "60",
+                     "--log", str(tmp_path / "run.jsonl")])
+        assert code == 2
+        assert "fusion_net" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", -1.0, True, None, [5.0], 1e400])
+    def test_hold_s_must_be_a_finite_non_negative_number(self, tmp_path, capsys, value):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"hold_s": value}))  # 1e400 is written as Infinity
+        code = main(["--config", str(settings), "simulate", "--duration", "60",
+                     "--log", str(tmp_path / "run.jsonl")])
+        assert code == 2
+        assert "hold_s" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [
+        [3.45, 0.0], [3.45, -0.45], ["3.45", 0.45], [3.45, float("nan")], [True, 0.45],
+        [3.45, 0.45, 1.0], "3.45,0.45",
+    ])
+    def test_pupil_reference_must_be_two_finite_numbers(self, tmp_path, capsys, value):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"pupil_reference": value}))
+        beats, pupil = write_streams(tmp_path)
+        code = main(["--config", str(settings), "physio", "--beats", beats, "--pupil", pupil,
+                     "--normalization", "reference", "--out", str(tmp_path / "frames.csv")])
+        assert code == 2
+        assert "pupil_reference" in capsys.readouterr().err
+
+
+class TestMissingInputs:
+    """A CSV or JSONL input that cannot be opened exits 3, naming the file."""
+
+    def run(self, capsys, argv):
+        code = main([str(a) for a in argv])
+        assert code == 3
+        assert "absent.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream", ["beats", "pupil"])
+    def test_physio(self, tmp_path, capsys, stream):
+        paths = dict(zip(("beats", "pupil"), write_streams(tmp_path)))
+        paths[stream] = tmp_path / "absent.csv"
+        self.run(capsys, ["physio", "--beats", paths["beats"], "--pupil", paths["pupil"],
+                          "--out", tmp_path / "frames.csv"])
+
+    def test_monitor_demand(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        self.run(capsys, ["monitor", "--beats", beats, "--pupil", pupil, "--ticks", ticks,
+                          "--demand", tmp_path / "absent.csv", "--out-dir", tmp_path / "mon"])
+
+    def test_classify_train(self, tmp_path, capsys):
+        self.run(capsys, ["classify", "train", "--data", tmp_path / "absent.csv",
+                          "--model-out", tmp_path / "model.json"])
+
+    def test_classify_predict(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["classify", "train", "--data", write_dataset(tmp_path / "data.csv"),
+                     "--model-out", str(model)]) == 0
+        self.run(capsys, ["classify", "predict", "--model", model,
+                          "--data", tmp_path / "absent.csv", "--out", tmp_path / "pred.csv"])
+
+    def test_classify_cv(self, tmp_path, capsys):
+        self.run(capsys, ["classify", "cv", "--data", tmp_path / "absent.csv"])
+
+    def test_cocom_code(self, tmp_path, capsys):
+        self.run(capsys, ["cocom", "code", "--trace", tmp_path / "absent.csv",
+                          "--out", tmp_path / "coded.csv"])
+
+    def test_cocom_transitions(self, tmp_path, capsys):
+        self.run(capsys, ["cocom", "transitions", "--roster", tmp_path / "absent.csv",
+                          "--out", tmp_path / "transitions.json"])

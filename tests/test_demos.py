@@ -26,3 +26,20 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) >= 5
+
+
+def test_readme_quickstart_runs():
+    """The README quickstart imports only from the top-level package, so a
+    name missing from `oft/__init__.py` fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3

@@ -8,9 +8,7 @@ import pytest
 from oft.errors import ConfigError
 from oft.fusion import MwlNetwork
 from oft.microworld import (
-    BASE_SERVICE_S,
     EFFORT_SMOOTH_S,
-    TASK_BUDGET_S,
     TASKS,
     Monitor,
     ScenarioConfig,
@@ -20,7 +18,6 @@ from oft.microworld import (
     generate_pupil,
     operator_script,
     run_scenario,
-    six_tasks,
 )
 from oft.physio import PupilSeries, RRSeries, per_second_frames
 from oft.pipeline import monitor_offline
@@ -29,23 +26,13 @@ from oft.taskload import performance_index, spatial_entropy
 
 
 def quiet_world(operator="diligent", **overrides):
-    """A world with arrivals switched off, for hand-fed job scenarios."""
-    cfg = ScenarioConfig(duration_s=600, phase_split_s=300, **overrides)
+    """A world with no arrivals, for hand-fed job scenarios."""
+    cfg = ScenarioConfig(duration_s=600, phase_split_s=300,
+                         calm_rate_per_s=0.0, busy_rate_per_s=0.0, **overrides)
     script = operator_script(operator, cfg.duration_s, cfg.phase_split_s)
-    world = World(cfg, script,
-                  rng_spawn=np.random.default_rng(1),
-                  rng_operator=np.random.default_rng(2))
-    world.spawns_enabled = False
-    return world
-
-
-class TestSixTasks:
-    def test_roster(self):
-        specs = six_tasks()
-        assert tuple(s.id for s in specs) == TASKS
-        for spec in specs:
-            assert spec.time_budget_s == TASK_BUDGET_S[spec.id]
-            assert spec.prescribed_strategy.strip()
+    return World(cfg, script,
+                 rng_spawn=np.random.default_rng(1),
+                 rng_operator=np.random.default_rng(2))
 
 
 class TestScenarioConfig:
@@ -285,7 +272,10 @@ class TestShedding:
 
 class TestSpawning:
     def test_arrival_rate_switches_at_split(self):
-        world = quiet_world()
+        cfg = ScenarioConfig(duration_s=600, phase_split_s=300)
+        world = World(cfg, operator_script("diligent", cfg.duration_s, cfg.phase_split_s),
+                      rng_spawn=np.random.default_rng(1),
+                      rng_operator=np.random.default_rng(2))
         assert world.arrival_rate(0.0) == pytest.approx(1.0 / 60.0)
         assert world.arrival_rate(299.0) == pytest.approx(1.0 / 60.0)
         assert world.arrival_rate(300.0) == pytest.approx(1.0 / 20.0)

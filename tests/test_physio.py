@@ -110,11 +110,6 @@ class TestNormalize:
         assert out.center == pytest.approx(statistics.fmean(x), abs=1e-9)
         assert out.scale == pytest.approx(statistics.stdev(x), abs=1e-9)
 
-    def test_mean_ratio(self):
-        out = normalize([2.0, 4.0], method="mean-ratio")
-        assert out.values == pytest.approx([2.0 / 3.0, 4.0 / 3.0])
-        assert float(np.mean(out.values)) == pytest.approx(1.0)
-
     def test_constant_input_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
             normalize([4.2, 4.2, 4.2])
@@ -122,14 +117,6 @@ class TestNormalize:
     def test_single_value_insufficient(self):
         with pytest.raises(InsufficientDataError):
             normalize([4.2])
-
-    def test_zero_mean_ratio_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            normalize([-1.0, 1.0], method="mean-ratio")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            normalize([1.0, 2.0], method="median")
 
 
 class TestBandpass:

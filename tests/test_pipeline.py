@@ -138,6 +138,23 @@ class TestDemandCsv:
         with pytest.raises(DataError, match="bad row"):
             read_demand_csv(path)
 
+    def test_whole_second_written_as_float_is_accepted(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("t_s,n1,n2,entropy\n0.0,2,1,0.5\n1.0,3,0,0.75\n")
+        assert set(read_demand_csv(path)) == {0, 1}
+
+    def test_fractional_second_rejected(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("t_s,n1,n2,entropy\n0,2,1,0.5\n0.6,3,0,0.75\n1.5,1,0,0.1\n")
+        with pytest.raises(DataError, match="whole second"):
+            read_demand_csv(path)
+
+    def test_repeated_second_rejected(self, tmp_path):
+        path = tmp_path / "demand.csv"
+        path.write_text("t_s,n1,n2,entropy\n0,2,1,0.5\n1,3,0,0.75\n1,1,0,0.1\n")
+        with pytest.raises(DataError, match="twice"):
+            read_demand_csv(path)
+
 
 def calm_streams(duration_s=240, seed=4):
     rng = np.random.default_rng(seed)

@@ -9,7 +9,6 @@ from oft.jsonl import load_jsonl
 from oft.regulation import (
     ActivityTracker,
     RegulationKind,
-    TaskSpec,
     TaskTick,
     classify_regulation,
     compliance_rate,
@@ -164,10 +163,6 @@ class TestValidation:
             classify_regulation(s1, far)
         with pytest.raises(SequencingError):
             classify_regulation(s1, None)
-
-    def test_task_spec_budget(self):
-        with pytest.raises(ValueError):
-            TaskSpec("x", "always", 0.0)
 
 
 def test_events_jsonl_round_trip(tmp_path):

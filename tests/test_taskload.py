@@ -1,6 +1,5 @@
 """Demand discretization, spatial entropy, difficulty rules, performance index."""
 
-import json
 import math
 from itertools import product
 
@@ -12,8 +11,8 @@ from oft.taskload import (
     ConstraintFrame,
     DifficultyRule,
     DiscretizedConstraints,
+    _validate_rules,
     discretize,
-    load_difficulty_rules,
     performance_index,
     spatial_entropy,
     task_difficulty,
@@ -130,28 +129,22 @@ class TestDifficulty:
         )
         assert task_difficulty(DiscretizedConstraints("high", "high", "high"), rules) == 1
 
-    def test_non_total_table_rejected_at_load(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps({"rules": [{"td": 3, "n1": ["high"]}]}))
+    # _validate_rules is the check DEFAULT_DIFFICULTY_RULES passes when the
+    # module loads
+    def test_non_total_table_rejected_at_load(self):
         with pytest.raises(ConfigError, match="not total"):
-            load_difficulty_rules(path)
+            _validate_rules([DifficultyRule(td=3, n1=frozenset({"high"}))])
 
-    def test_bad_level_name_rejected(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps({"rules": [{"td": 2, "n1": ["enormous"]}, {"td": 2}]}))
+    def test_bad_level_name_rejected(self):
         with pytest.raises(ConfigError):
-            load_difficulty_rules(path)
+            _validate_rules([DifficultyRule(td=2, n1=frozenset({"enormous"})), DifficultyRule(td=2)])
 
-    def test_bad_td_rejected(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps({"rules": [{"td": 7}]}))
+    def test_bad_td_rejected(self):
         with pytest.raises(ConfigError):
-            load_difficulty_rules(path)
+            _validate_rules([DifficultyRule(td=7)])
 
-    def test_valid_table_loads(self, tmp_path):
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps({"rules": [{"td": 2}]}))
-        rules = load_difficulty_rules(path)
+    def test_valid_table_loads(self):
+        rules = _validate_rules([DifficultyRule(td=2)])
         assert task_difficulty(DiscretizedConstraints("low", "low", "low"), rules) == 2
 
 
