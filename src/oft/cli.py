@@ -18,11 +18,8 @@ supply defaults: {"fusion_net": path, "pupil_reference": [mean_mm, sd_mm],
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
-from importlib.resources import as_file, files
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +37,7 @@ from .effortclass import (
 )
 from .errors import ConfigError, DataError, InfeasibleError
 from .fusion import MwlNetwork
-from .jsonl import dump_json
+from .jsonl import DATA, dump_json, is_finite_number, load_json, write_csv
 from .microworld import ScenarioConfig, run_scenario
 from .pipeline import (
     endtoend_report,
@@ -57,34 +54,22 @@ def _settings(args) -> dict:
     path = args.config or os.environ.get("OFT_CONFIG")
     if not path:
         return {}
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"settings file {path}: {exc}") from exc
+    raw = load_json(path, "settings file")
     if not isinstance(raw, dict):
         raise ConfigError(f"settings file {path}: expected a JSON object")
     if "fusion_net" in raw and not isinstance(raw["fusion_net"], str):
         raise ConfigError(f"settings file {path}: fusion_net must be a path string")
-    if "hold_s" in raw and not (_finite(raw["hold_s"]) and raw["hold_s"] >= 0):
+    if "hold_s" in raw and not (is_finite_number(raw["hold_s"]) and raw["hold_s"] >= 0):
         raise ConfigError(f"settings file {path}: hold_s must be a finite number >= 0")
     ref = raw.get("pupil_reference")
     if "pupil_reference" in raw and not (
-        isinstance(ref, list) and len(ref) == 2 and all(map(_finite, ref)) and ref[1] > 0
+        isinstance(ref, list) and len(ref) == 2 and all(map(is_finite_number, ref)) and ref[1] > 0
     ):
         raise ConfigError(
             f"settings file {path}: pupil_reference must be [mean_mm, sd_mm], "
             "two finite numbers with sd_mm > 0"
         )
     return raw
-
-
-def _finite(value) -> bool:
-    """True for a finite JSON number (booleans excluded)."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        return False
 
 
 def _network(settings: dict) -> MwlNetwork:
@@ -192,17 +177,12 @@ def _cmd_classify_train(args) -> int:
 
 
 def _cmd_classify_predict(args) -> int:
-    import csv
-
     model = load_model(args.model)
     frames = read_dataset_csv(args.data)
     X = np.asarray([f.features for f in frames], dtype=float)
     labels = model.predict(X)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "subject", "label"])
-        for i, (frame, label) in enumerate(zip(frames, labels)):
-            writer.writerow([i, frame.subject, int(label)])
+    rows = ((i, frame.subject, int(label)) for i, (frame, label) in enumerate(zip(frames, labels)))
+    write_csv(args.out, ("row", "subject", "label"), rows)
     print(f"predicted {len(frames)} rows -> {args.out}")
     return 0
 
@@ -245,11 +225,7 @@ def _cmd_cocom_code(args) -> int:
 
 
 def _cmd_cocom_transitions(args) -> int:
-    if args.roster:
-        rows = read_roster_csv(args.roster)
-    else:
-        with as_file(files("oft.data").joinpath("cocom_roster.csv")) as p:
-            rows = read_roster_csv(p)
+    rows = read_roster_csv(args.roster or DATA / "cocom_roster.csv")
     tm = transitions((low, high) for _name, low, high in rows)
     payload = {
         "participants": len(rows),
@@ -521,6 +497,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # input readers raise DataError or ConfigError: an output failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

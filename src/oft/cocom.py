@@ -19,7 +19,6 @@ used for the adjacency share of period-to-period transitions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .jsonl import read_csv
+from .jsonl import read_csv, write_csv
 
 BAND = (2000.0, 3000.0)
 SCRAMBLED_FLOOR = 1950.0
@@ -162,11 +161,7 @@ def read_trace_csv(path: str | Path) -> dict[str, TankTrace]:
 
 
 def write_coded_csv(coded: Sequence[tuple[str, ControlMode]], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["period", "mode"])
-        for period, mode in coded:
-            writer.writerow([period, mode.name])
+    write_csv(path, ("period", "mode"), ((period, mode.name) for period, mode in coded))
 
 
 def read_roster_csv(path: str | Path) -> list[tuple[str, ControlMode, ControlMode]]:

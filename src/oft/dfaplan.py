@@ -35,7 +35,6 @@ sequence).
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import warnings
@@ -44,6 +43,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError, InfeasibleError
+from .jsonl import DATA, load_json
 
 EXPECTED, OPTIONAL, IMPOSSIBLE = "expected", "optional", "impossible"
 
@@ -630,12 +630,7 @@ def _unsat_core(min_config, pot, constraints, history) -> list:
 
 
 def load_model(path: str | Path) -> AllocationModel:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"allocation model {path}: {exc}") from exc
-    return model_from_dict(raw)
+    return model_from_dict(load_json(path, "allocation model"))
 
 
 def model_from_dict(raw: Mapping) -> AllocationModel:
@@ -682,6 +677,8 @@ def model_from_dict(raw: Mapping) -> AllocationModel:
                 for criterion, table in raw.get("costs", {}).items()
             },
         )
+    except ConfigError:
+        raise
     except KeyError as exc:
         raise ConfigError(f"allocation model: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -690,7 +687,4 @@ def model_from_dict(raw: Mapping) -> AllocationModel:
 
 
 def default_bike_model() -> AllocationModel:
-    from importlib.resources import files
-
-    with files("oft.data").joinpath("bike.json").open() as fh:
-        return model_from_dict(json.load(fh))
+    return load_model(DATA / "bike.json")

@@ -13,7 +13,6 @@ Labels are small non-negative ints. The three-level difficulty labels are
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
-from .jsonl import dump_json, read_csv
+from .jsonl import dump_json, is_finite_number, load_json, read_csv
 
 METRICS = ("euclidean", "squared_euclidean", "manhattan", "chebyshev")
 
@@ -109,10 +108,8 @@ def _majority(y: np.ndarray) -> int:
     return min(label for label, n in votes.items() if n == top)
 
 
-def _build_tree(X, y, classes, rng, n_feats, min_leaf, max_depth, depth):
+def _build_tree(X, y, classes, rng, n_feats):
     n = len(y)
-    if n < 2 * min_leaf or (max_depth is not None and depth >= max_depth):
-        return {"label": _majority(y)}
     class_idx = np.searchsorted(classes, y)
     total = np.bincount(class_idx, minlength=len(classes))
     parent_gini = _gini(total)
@@ -131,8 +128,6 @@ def _build_tree(X, y, classes, rng, n_feats, min_leaf, max_depth, depth):
                 continue
             n_left = i + 1
             n_right = n - n_left
-            if n_left < min_leaf or n_right < min_leaf:
-                continue
             impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
             if best is None or impurity < best[0] - 1e-12:
                 best = (impurity, int(j), float((xs[i] + xs[i + 1]) / 2.0))
@@ -144,8 +139,8 @@ def _build_tree(X, y, classes, rng, n_feats, min_leaf, max_depth, depth):
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _build_tree(X[mask], y[mask], classes, rng, n_feats, min_leaf, max_depth, depth + 1),
-        "right": _build_tree(X[~mask], y[~mask], classes, rng, n_feats, min_leaf, max_depth, depth + 1),
+        "left": _build_tree(X[mask], y[mask], classes, rng, n_feats),
+        "right": _build_tree(X[~mask], y[~mask], classes, rng, n_feats),
     }
 
 
@@ -175,14 +170,7 @@ class ForestModel:
         return np.array([self.predict_one(x) for x in X], dtype=int)
 
 
-def rf_train(
-    X,
-    y,
-    n_trees: int = 23,
-    seed: int = 0,
-    max_depth: Optional[int] = None,
-    min_leaf: int = 1,
-) -> ForestModel:
+def rf_train(X, y, n_trees: int = 23, seed: int = 0) -> ForestModel:
     """Bootstrap-aggregated Gini trees with sqrt(d) feature subsampling.
 
     All randomness (bootstraps, per-node feature draws) is derived from the
@@ -205,9 +193,7 @@ def rf_train(
     for stream in streams:
         rng = np.random.default_rng(stream)
         idx = rng.integers(0, n, size=n)
-        trees.append(
-            _build_tree(X[idx], y[idx], classes, rng, n_feats, min_leaf, max_depth, 0)
-        )
+        trees.append(_build_tree(X[idx], y[idx], classes, rng, n_feats))
     return ForestModel(trees=trees, n_features=d)
 
 
@@ -273,14 +259,7 @@ def fit_model(spec: ModelSpec, X, y):
     if kind == "knn":
         return KnnModel(X, y, k=int(spec.get("k", 1)), metric=spec.get("metric", "euclidean"))
     if kind == "rf":
-        return rf_train(
-            X,
-            y,
-            n_trees=int(spec.get("trees", 23)),
-            seed=int(spec.get("seed", 0)),
-            max_depth=spec.get("max_depth"),
-            min_leaf=int(spec.get("min_leaf", 1)),
-        )
+        return rf_train(X, y, n_trees=int(spec.get("trees", 23)), seed=int(spec.get("seed", 0)))
     raise ConfigError(f"model spec: unknown kind {kind!r}")
 
 
@@ -404,10 +383,42 @@ def model_from_dict(raw: Mapping):
                 metric=raw["metric"],
             )
         if raw["kind"] == "rf":
-            return ForestModel(trees=list(raw["trees"]), n_features=int(raw["n_features"]))
+            model = ForestModel(trees=list(raw["trees"]), n_features=int(raw["n_features"]))
+            _check_forest(model)
+            return model
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"model file: {exc}") from exc
     raise ConfigError(f"model file: unknown kind {raw.get('kind')!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_forest(model: ForestModel) -> None:
+    """Every node is a {"label": int} leaf or a split on one of the features."""
+    if not model.trees:
+        raise ConfigError("model file: rf needs at least 1 tree")
+    stack = list(model.trees)
+    while stack:  # iterative: a file may nest deeper than the recursion limit
+        node = stack.pop()
+        if not isinstance(node, dict):
+            raise ConfigError(f"model file: tree node is a {type(node).__name__}, not an object")
+        if "label" in node:
+            if not _is_int(node["label"]):
+                raise ConfigError(f"model file: leaf label {node['label']!r} is not an int")
+            continue
+        feature, threshold = node.get("feature"), node.get("threshold")
+        if not (_is_int(feature) and 0 <= feature < model.n_features
+                and is_finite_number(threshold) and {"left", "right"} <= node.keys()):
+            raise ConfigError(
+                f"model file: a split needs a feature in 0..{model.n_features - 1}, a finite "
+                f"threshold and left and right branches; got feature {feature!r}, threshold "
+                f"{threshold!r}, keys {sorted(node)}"
+            )
+        stack += [node["left"], node["right"]]
 
 
 def save_model(model, path: str | Path) -> None:
@@ -415,9 +426,4 @@ def save_model(model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"model file {path}: {exc}") from exc
-    return model_from_dict(raw)
+    return model_from_dict(load_json(path, "model file"))

@@ -11,8 +11,8 @@ class OftError(Exception):
     """Base class for errors raised by this package."""
 
 
-class ConfigError(OftError):
-    """A config file, rule table or parameter set is invalid."""
+class ConfigError(OftError, ValueError):
+    """A config file, rule table, parameter set or argument value is invalid."""
 
 
 class DataError(OftError):

@@ -13,7 +13,6 @@ Children without evidence drop out (their labels marginalize to 1).
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .jsonl import dump_jsonl
+from .jsonl import DATA, dump_jsonl, load_json
 
 N_LEVELS = 5
 
@@ -167,25 +166,19 @@ class MwlNetwork:
                 for var, spec in raw.get("partitions", {}).items()
             }
             prior = np.asarray(raw["prior"], dtype=float)
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"workload network config: {exc}") from exc
         return cls(prior=prior, children=children, partitions=partitions)
 
     @classmethod
     def load(cls, path: str | Path) -> "MwlNetwork":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"workload network config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(load_json(path, "workload network config"))
 
     @classmethod
     def default(cls) -> "MwlNetwork":
-        from importlib.resources import files
-
-        with files("oft.data").joinpath("mwl_net.json").open() as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.load(DATA / "mwl_net.json")
 
 
 def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:

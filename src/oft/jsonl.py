@@ -1,22 +1,28 @@
-"""File helpers for every stream the package reads or writes.
+"""Every file format the package reads or writes.
 
-All line-oriented outputs go through dump_jsonl and every JSON document
-through dump_json, so that a given record always serializes to the same
-bytes (sorted keys, fixed whitespace, "\\n" line ends).
+Outputs go through dump_jsonl (records), dump_json (documents; both with
+sorted keys, fixed whitespace, "\\n" line ends) and write_csv (the csv
+default dialect, "\\r\\n" line ends), so a result always serializes to the
+same bytes. They let OSError through; the CLI exits 2 on it.
 
-Every CSV input stream is read through read_csv and every JSONL input
-through load_jsonl. Both raise DataError, naming the file, when it cannot
-be read, lacks a column, or holds a malformed row or line.
+Inputs: CSV and JSONL data streams are read through read_csv and
+load_jsonl, which raise DataError, naming the file, when it cannot be read,
+lacks a column, or holds a malformed row or line. Config and model files
+are read through load_json, which raises ConfigError when the file cannot
+be opened or is not UTF-8 JSON. The bundled defaults live under DATA.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+
+DATA = Path(__file__).parent / "data"
 
 
 def dumps_record(record: dict[str, Any]) -> str:
@@ -37,6 +43,30 @@ def dump_json(obj: Any, path: str | Path) -> None:
         fh.write("\n")
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def is_finite_number(value) -> bool:
+    """True for a finite JSON number (booleans excluded)."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def load_json(path: str | Path, what: str) -> Any:
+    """One JSON document; `what` names the file in the ConfigError message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+        raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
 def load_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -46,7 +76,7 @@ def load_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     raise DataError(f"{path}, line {lineno}: not JSON ({exc})") from exc
                 yield record
     except (OSError, UnicodeDecodeError) as exc:

@@ -71,6 +71,10 @@ BASE_SERVICE_S = {
 # what a load-shedding operator abandons first
 SHED_ORDER = ("ManageEmptyZone", "DrawZone", "ReadMessage", "DetectVehicle", "InspectLock", "Neutralize")
 
+# longest session a scenario may ask for; the run keeps per-second records in memory
+MAX_DURATION_S = 86_400
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     duration_s: int = 1200
@@ -91,6 +95,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.duration_s < 1 or not 0 < self.phase_split_s <= self.duration_s:
             raise ConfigError("scenario: need 0 < phase_split_s <= duration_s")
+        if self.duration_s > MAX_DURATION_S:
+            raise ConfigError(f"scenario: duration_s must be at most {MAX_DURATION_S} (one day)")
         if self.calm_rate_per_s < 0 or self.busy_rate_per_s < 0:
             raise ConfigError("scenario: arrival rates must be >= 0")
         if self.isa_period_s < 1:

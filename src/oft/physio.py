@@ -15,7 +15,6 @@ z-scored series has sample mean 0 and sample std 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,11 +23,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     DegenerateInputError,
     InsufficientDataError,
 )
-from .jsonl import dump_jsonl, read_csv
+from .jsonl import dump_jsonl, read_csv, write_csv
 
 PUPIL_MIN_MM = 2.0
 PUPIL_MAX_MM = 8.0
@@ -139,7 +139,7 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
     `span` intervals fall back to all of them; fewer than 2 is an error.
     """
     if span < 2:
-        raise ValueError(f"sdnn: span must be >= 2, got {span}")
+        raise ConfigError(f"sdnn: span must be >= 2, got {span}")
     rr = window.intervals_ms if isinstance(window, RRSeries) else np.asarray(window, dtype=float)
     if np.any(rr <= 0):
         raise DataError("sdnn: RR intervals must be positive")
@@ -209,20 +209,20 @@ def _norm_stats(per_sec, method, window, reference):
     """Resolve the (center, scale) pair used for per-second pupil z-scores."""
     if method == "reference":
         if reference is None:
-            raise ValueError("per_second_frames: reference normalization needs (mean, std)")
+            raise ConfigError("per_second_frames: reference normalization needs (mean, std)")
         center, scale = float(reference[0]), float(reference[1])
-        if scale <= 0:
-            raise ValueError("per_second_frames: reference std must be positive")
+        if not (math.isfinite(center) and math.isfinite(scale) and scale > 0):
+            raise ConfigError("per_second_frames: reference needs a finite mean and a finite std > 0")
         return center, scale
     if method == "window":
         if window is None:
-            raise ValueError("per_second_frames: window normalization needs (start_s, end_s)")
+            raise ConfigError("per_second_frames: window normalization needs (start_s, end_s)")
         lo, hi = window
         pool = [v for t, v in per_sec.items() if lo <= t < hi]
     elif method == "session":
         pool = list(per_sec.values())
     else:
-        raise ValueError(f"per_second_frames: unknown normalization method {method!r}")
+        raise ConfigError(f"per_second_frames: unknown normalization method {method!r}")
     if len(pool) < 2:
         raise InsufficientDataError("pupil normalization: need at least 2 per-second means")
     arr = np.asarray(pool, dtype=float)
@@ -276,7 +276,7 @@ def per_second_frames(
         raise DataError("stream 'pupil' has no valid samples after cleansing")
 
     if span < 2:
-        raise ValueError(f"per_second_frames: span must be >= 2, got {span}")
+        raise ConfigError(f"per_second_frames: span must be >= 2, got {span}")
     duration = max(int(math.floor(max(beats.timestamps[-1], clean.timestamps[-1]))) + 1, 1)
 
     edges = np.arange(duration + 1)
@@ -338,17 +338,10 @@ def read_pupil_csv(path: str | Path) -> PupilSeries:
 
 
 def write_frames_csv(result: PhysioFrames, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "hrv_sdnn_ms", "pupil_z"])
-        for f in result.frames:
-            writer.writerow(
-                [
-                    f.t,
-                    "" if f.hrv_sdnn_ms is None else repr(f.hrv_sdnn_ms),
-                    "" if f.pupil_z is None else repr(f.pupil_z),
-                ]
-            )
+    write_csv(path, ("t_s", "hrv_sdnn_ms", "pupil_z"), (
+        (f.t, "" if f.hrv_sdnn_ms is None else repr(f.hrv_sdnn_ms),
+         "" if f.pupil_z is None else repr(f.pupil_z)) for f in result.frames
+    ))
 
 
 def write_frames_jsonl(result: PhysioFrames, path: str | Path) -> None:

@@ -15,7 +15,6 @@ files.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -27,7 +26,7 @@ from .errors import DataError
 # fuzzify and task_difficulty are used by microworld.Monitor, not here; the
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
-from .jsonl import dump_json, dump_jsonl, read_csv
+from .jsonl import DATA, dump_json, dump_jsonl, load_json, read_csv
 from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
@@ -246,10 +245,7 @@ def endtoend_report(config: ScenarioConfig, net: Optional[MwlNetwork] = None) ->
 
 
 def report_schema() -> dict:
-    from importlib.resources import files
-
-    with files("oft.data").joinpath("report_schema.json").open() as fh:
-        return json.load(fh)
+    return load_json(DATA / "report_schema.json", "report schema")
 
 
 def _validate_report(report: dict) -> None:

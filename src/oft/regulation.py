@@ -125,18 +125,6 @@ def classify_regulation(curr: ActivitySnapshot, prev: ActivitySnapshot) -> Optio
     return RegulationKind.PRBR
 
 
-def compliance_rate(snapshots: Iterable[ActivitySnapshot]) -> float:
-    """Overall sum(cps) / sum(nps); 1.0 when no task was ever active."""
-    total_nps = 0
-    total_cps = 0
-    for snap in snapshots:
-        total_nps += snap.nps
-        total_cps += snap.cps
-    if total_nps == 0:
-        return 1.0
-    return total_cps / total_nps
-
-
 class ActivityTracker:
     """Single-writer fold of a tick stream into snapshots and events.
 

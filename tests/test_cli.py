@@ -263,6 +263,15 @@ class TestMonitorCommand:
         assert code == 3
         assert "line 241" in capsys.readouterr().err
 
+    def test_ticks_line_nested_too_deep_exits_3(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        ticks = tmp_path / "ticks.jsonl"
+        ticks.write_text("[" * 100_000 + "\n")
+        code = main(["monitor", "--beats", beats, "--pupil", pupil, "--ticks", str(ticks),
+                     "--out-dir", str(tmp_path / "mon")])
+        assert code == 3
+        assert "line 1" in capsys.readouterr().err
+
     def test_missing_ticks_file_exits_3(self, tmp_path, capsys):
         beats, pupil = write_streams(tmp_path)
         code = main(["monitor", "--beats", beats, "--pupil", pupil,
@@ -667,3 +676,139 @@ class TestMissingInputs:
     def test_cocom_transitions(self, tmp_path, capsys):
         self.run(capsys, ["cocom", "transitions", "--roster", tmp_path / "absent.csv",
                           "--out", tmp_path / "transitions.json"])
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+NOT_JSON = b"{not json"
+TOO_DEEP = b"[" * 100_000  # the JSON decoder gives up with a RecursionError
+
+
+class TestJsonInputs:
+    """A settings, network or model file that is not UTF-8 JSON exits 2 with one line."""
+
+    def settings(self, tmp_path, bad):
+        return ["--config", bad, "simulate", "--duration", "60", "--log", tmp_path / "run.jsonl"]
+
+    def fusion_net(self, tmp_path, bad):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": str(bad)}))
+        return self.settings(tmp_path, settings)
+
+    def dfa_model(self, tmp_path, bad):
+        return ["dfa", "check", "--model", bad, "--situations", "S1"]
+
+    def classify_model(self, tmp_path, bad):
+        return ["classify", "predict", "--model", bad,
+                "--data", write_dataset(tmp_path / "data.csv"), "--out", tmp_path / "pred.csv"]
+
+    @pytest.mark.parametrize("blob", [NOT_UTF8, NOT_JSON, TOO_DEEP],
+                             ids=["not-utf8", "not-json", "too-deep"])
+    @pytest.mark.parametrize("case,prefix", [
+        ("settings", "settings file"),
+        ("fusion_net", "workload network config"),
+        ("dfa_model", "allocation model"),
+        ("classify_model", "model file"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, case, prefix, blob):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(blob)
+        argv = getattr(self, case)(tmp_path, bad)
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix} {bad}: ") and err.count("\n") == 1
+        assert not (tmp_path / "run.jsonl").exists() and not (tmp_path / "pred.csv").exists()
+
+
+def _streams(tmp_path):
+    beats, pupil = write_streams(tmp_path)
+    return ["--beats", beats, "--pupil", pupil]
+
+
+def _trained_model(tmp_path):
+    model = tmp_path / "model.json"
+    assert main(["classify", "train", "--data", write_dataset(tmp_path / "data.csv"),
+                 "--model-out", str(model)]) == 0
+    return model
+
+
+OUTPUT_FLAGS = {
+    "physio --out": lambda d, bad: ["physio", *_streams(d), "--out", bad],
+    "physio --jsonl": lambda d, bad: [
+        "physio", *_streams(d), "--out", d / "f.csv", "--jsonl", bad],
+    "physio --manifest": lambda d, bad: [
+        "physio", *_streams(d), "--out", d / "f.csv", "--manifest", bad],
+    "monitor --out-dir": lambda d, bad: [
+        "monitor", *_streams(d), "--ticks", write_ticks(d / "ticks.jsonl"), "--out-dir", bad],
+    "classify train --model-out": lambda d, bad: [
+        "classify", "train", "--data", write_dataset(d / "data.csv"), "--model-out", bad],
+    "classify predict --out": lambda d, bad: [
+        "classify", "predict", "--model", _trained_model(d),
+        "--data", d / "data.csv", "--out", bad],
+    "classify cv --report": lambda d, bad: [
+        "classify", "cv", "--data", write_dataset(d / "data.csv"), "--report", bad],
+    "cocom code --out": lambda d, bad: [
+        "cocom", "code", "--trace", write_trace(d / "trace.csv"), "--out", bad],
+    "cocom transitions --out": lambda d, bad: ["cocom", "transitions", "--out", bad],
+    "simulate --log": lambda d, bad: ["simulate", "--duration", "60", "--log", bad],
+    "simulate --manifest": lambda d, bad: [
+        "simulate", "--duration", "60", "--log", d / "run.jsonl", "--manifest", bad],
+    "endtoend --report": lambda d, bad: ["endtoend", "--duration", "600", "--report", bad],
+}
+
+
+@pytest.mark.parametrize("flag,parent", [
+    (flag, parent)
+    for flag in OUTPUT_FLAGS
+    for parent in ("absent", "a_file")
+    if (flag, parent) != ("monitor --out-dir", "absent")  # monitor creates a missing --out-dir
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, flag, parent):
+    (tmp_path / "a_file").write_text("")
+    bad = tmp_path / parent / "out"
+    argv = OUTPUT_FLAGS[flag](tmp_path, bad)
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+
+
+class TestArgumentErrors:
+    """Argument values the library rejects exit 2 with one line, before any output."""
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--span", "1"], "span must be >= 2"),
+        (["--normalization", "window"], "window normalization needs"),
+        (["--normalization", "reference", "--reference", "3", "0"], "finite std > 0"),
+        (["--normalization", "reference", "--reference", "3", "nan"], "finite std > 0"),
+    ])
+    def test_physio(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "frames.csv"
+        assert main([str(a) for a in ["physio", *_streams(tmp_path), "--out", out, *extra]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "endtoend"])
+    def test_duration_beyond_one_day(self, tmp_path, capsys, command):
+        log = tmp_path / "run.jsonl"
+        argv = [command, "--duration", "100000000000"]
+        if command == "simulate":
+            argv += ["--log", str(log)]
+        assert main(argv) == 2
+        assert "at most 86400" in capsys.readouterr().err
+        assert not log.exists()
+
+    @pytest.mark.parametrize("trees", [
+        [],
+        [{}],
+        [{"feature": 5, "threshold": 0.0, "left": {"label": 0}, "right": {"label": 1}}],
+    ])
+    def test_malformed_forest(self, tmp_path, capsys, trees):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "rf", "n_features": 2, "trees": trees}))
+        out = tmp_path / "pred.csv"
+        assert main(["classify", "predict", "--model", str(model),
+                     "--data", write_dataset(tmp_path / "data.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file: ") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,5 +1,7 @@
 """kNN and random-forest effort classifiers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from oft.effortclass import (
     fit_model,
     knn_predict,
     load_model,
+    model_from_dict,
+    model_to_dict,
     read_dataset_csv,
     rf_train,
     save_model,
@@ -268,6 +272,43 @@ class TestPersistence:
         back = load_model(path)
         probes = rng.normal(0.2, 0.5, (20, 2))
         assert np.array_equal(back.predict(probes), model.predict(probes))
+
+    @staticmethod
+    def split(feature=0, threshold=0.0, left=None, right=None):
+        return {"feature": feature, "threshold": threshold,
+                "left": left or {"label": 0}, "right": right or {"label": 1}}
+
+    @pytest.mark.parametrize("trees,message", [
+        ([], "at least 1 tree"),
+        ([{}], "feature None"),
+        ([[0]], "list"),
+        ([{"label": 1.5}], "label"),
+        ([{"label": True}], "label"),
+        ([split(feature=5)], "feature 5"),
+        ([split(feature=-1)], "feature -1"),
+        ([split(feature="0")], "feature '0'"),
+        ([split(threshold=float("nan"))], "threshold nan"),
+        ([split(threshold=1e400)], "threshold inf"),
+        ([split(threshold="1")], "threshold '1'"),
+        ([{"feature": 0, "threshold": 0.0, "left": {"label": 0}}],
+         r"keys \['feature', 'left', 'threshold'\]"),
+        ([{"label": 0}, split(1, right=split(left={"feature": 0}))], "threshold None"),
+    ])
+    def test_malformed_forest_rejected(self, trees, message):
+        with pytest.raises(ConfigError, match=message):
+            model_from_dict({"kind": "rf", "n_features": 2, "trees": trees})
+
+    def test_trained_forest_passes_the_check(self, rng):
+        X, y = blob_dataset(rng, n_per=15)
+        raw = json.loads(json.dumps(model_to_dict(rf_train(X, y, n_trees=5, seed=1))))
+        assert model_from_dict(raw).trees == raw["trees"]
+
+    @pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"{not json"])
+    def test_unreadable_model_file(self, tmp_path, blob):
+        path = tmp_path / "model.json"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match="model file"):
+            load_model(path)
 
     def test_bad_model_file(self, tmp_path):
         path = tmp_path / "model.json"

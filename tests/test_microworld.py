@@ -9,6 +9,7 @@ from oft.errors import ConfigError
 from oft.fusion import MwlNetwork
 from oft.microworld import (
     EFFORT_SMOOTH_S,
+    MAX_DURATION_S,
     TASKS,
     Monitor,
     ScenarioConfig,
@@ -48,10 +49,16 @@ class TestScenarioConfig:
         {"calm_rate_per_s": -0.1},
         {"busy_rate_per_s": -1.0},
         {"isa_period_s": 0},
+        {"duration_s": MAX_DURATION_S + 1},
+        {"duration_s": 100_000_000_000},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    def test_one_day_is_the_longest_session(self):
+        # only constructed: running it would simulate a whole day
+        assert ScenarioConfig(duration_s=MAX_DURATION_S).duration_s == 86_400
 
 
 class TestOperatorScripts:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oft.errors import DataError, DegenerateInputError, InsufficientDataError
+from oft.errors import ConfigError, DataError, DegenerateInputError, InsufficientDataError
 from oft.physio import (
     PupilSeries,
     RRSeries,
@@ -237,6 +237,20 @@ class TestPerSecondFrames:
     def test_span_below_two_rejected(self):
         with pytest.raises(ValueError, match="span"):
             per_second_frames(make_beats([800.0] * 5), make_pupil([3.0] * 8), span=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"span": 1},
+        {"normalization": "window"},
+        {"normalization": "reference"},
+        {"normalization": "reference", "reference": (3.0, 0.0)},
+        {"normalization": "reference", "reference": (3.0, float("nan"))},
+        {"normalization": "reference", "reference": (3.0, float("inf"))},
+        {"normalization": "reference", "reference": (float("nan"), 0.5)},
+        {"normalization": "median"},
+    ])
+    def test_bad_arguments_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError):
+            per_second_frames(make_beats([800.0] * 5), make_pupil([3.0, 3.2] * 4), **kwargs)
 
     def test_window_normalization(self):
         beats = make_beats([800.0] * 12)

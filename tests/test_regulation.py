@@ -11,7 +11,6 @@ from oft.regulation import (
     RegulationKind,
     TaskTick,
     classify_regulation,
-    compliance_rate,
     read_ticks_jsonl,
     snapshot,
     write_events_jsonl,
@@ -122,14 +121,6 @@ class TestCompliance:
     def test_idle_session_is_vacuously_compliant(self):
         tr = run_tracker([(None,), (None,)], [1.0, 1.0])
         assert tr.compliance_rate() == 1.0
-
-    def test_free_function_matches_tracker(self, rng):
-        per_task = (None, 0, 1)
-        rows = [tuple(per_task[i] for i in rng.integers(0, 3, 4)) for _ in range(25)]
-        perf = [1.0] * 25
-        tracker = ActivityTracker()
-        snaps = [tracker.ingest(tick_from_states(t, r), perf[t])[0] for t, r in enumerate(rows)]
-        assert compliance_rate(snaps) == pytest.approx(tracker.compliance_rate())
 
 
 class TestValidation:
