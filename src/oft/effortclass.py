@@ -13,6 +13,7 @@ Labels are small non-negative ints. The three-level difficulty labels are
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,6 +55,8 @@ class KnnModel:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.points.ndim != 2 or len(self.points) != len(self.labels):
             raise DataError("knn: points must be 2-d with one label per row")
+        if not np.all(np.isfinite(self.points)):
+            raise DataError("knn: points must be finite")
         if not 1 <= self.k <= len(self.points):
             raise ConfigError(f"knn: k must be in 1..{len(self.points)}, got {self.k}")
         if self.metric not in METRICS:
@@ -94,47 +97,68 @@ def knn_predict(model: KnnModel, x) -> int:
 # random forest
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p * p))
+def _gini(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of class counts; every row sums to > 0."""
+    p = counts / counts.sum(axis=1, keepdims=True)
+    return 1.0 - (p * p).sum(axis=1)
 
 
-def _majority(y: np.ndarray) -> int:
-    votes = Counter(int(v) for v in y)
-    top = max(votes.values())
-    return min(label for label, n in votes.items() if n == top)
+def _first_best(impurity: np.ndarray, best: float) -> Optional[int]:
+    """Index of the split the in-order rule `value < best - 1e-12` settles
+    on, starting from `best`, or None when no value beats it.
+
+    Only a strict running minimum can beat the best so far, so the rule
+    runs over those values alone and picks the same split as a scan of
+    every value.
+    """
+    running_min = np.minimum.accumulate(impurity)
+    if running_min[-1] >= best - 1e-12:
+        return None
+    candidates = np.concatenate(([0], np.flatnonzero(impurity[1:] < running_min[:-1]) + 1))
+    pick = None
+    for i, value in zip(candidates.tolist(), impurity[candidates].tolist()):
+        if value < best - 1e-12:
+            best, pick = value, i
+    return pick
 
 
 def _build_tree(X, y, classes, rng, n_feats):
+    """Gini tree grown depth first, left before right.
+
+    For each sampled feature (in index order) every cut between two
+    distinct sorted values is scored at once from cumulative class counts.
+    The first cut that lowers the impurity by more than 1e-12 below the
+    best so far wins, across features too.
+    """
     n = len(y)
     class_idx = np.searchsorted(classes, y)
     total = np.bincount(class_idx, minlength=len(classes))
-    parent_gini = _gini(total)
+    parent_gini = float(_gini(total[None, :])[0])
     if parent_gini == 0.0:
         return {"label": int(classes[class_idx[0]])}
 
     feats = np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
-    best = None  # (impurity, feature, threshold)
-    for j in feats:
+    one_hot = np.eye(len(classes), dtype=np.int64)[class_idx]
+    best, split = np.inf, None  # split: (feature, threshold)
+    for j in feats.tolist():
         order = np.argsort(X[:, j], kind="stable")
         xs = X[order, j]
-        left = np.zeros(len(classes), dtype=int)
-        for i in range(n - 1):
-            left[class_idx[order[i]]] += 1
-            if xs[i + 1] <= xs[i]:
-                continue
-            n_left = i + 1
-            n_right = n - n_left
-            impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
-            if best is None or impurity < best[0] - 1e-12:
-                best = (impurity, int(j), float((xs[i] + xs[i + 1]) / 2.0))
-    if best is None or best[0] >= parent_gini - 1e-12:
-        return {"label": _majority(y)}
+        cuts = np.flatnonzero(xs[1:] > xs[:-1])
+        if len(cuts) == 0:
+            continue
+        left = np.cumsum(one_hot[order[:-1]], axis=0)[cuts]
+        n_left = cuts + 1
+        n_right = n - n_left
+        impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
+        i = _first_best(impurity, best)
+        if i is not None:
+            best = float(impurity[i])
+            split = (j, float((xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0))
+    if split is None or best >= parent_gini - 1e-12:
+        # the most frequent class, the lowest label on a tie
+        return {"label": int(classes[np.argmax(total)])}
 
-    _, feature, threshold = best
+    feature, threshold = split
     mask = X[:, feature] <= threshold
     return {
         "feature": feature,
@@ -144,10 +168,20 @@ def _build_tree(X, y, classes, rng, n_feats):
     }
 
 
-def _tree_predict(node, x) -> int:
-    while "label" not in node:
-        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
-    return node["label"]
+def _tree_predict(tree, X: np.ndarray) -> np.ndarray:
+    """Leaf label of each row of X: all rows go down the tree together."""
+    out = np.empty(len(X), dtype=np.int64)
+    stack = [(tree, np.arange(len(X)))]
+    while stack:  # iterative: a loaded tree may nest deeper than the recursion limit
+        node, rows = stack.pop()
+        if "label" in node:
+            out[rows] = node["label"]
+            continue
+        go_left = X[rows, node["feature"]] <= node["threshold"]
+        for child, part in ((node["left"], rows[go_left]), (node["right"], rows[~go_left])):
+            if len(part):
+                stack.append((child, part))
+    return out
 
 
 @dataclass
@@ -156,18 +190,22 @@ class ForestModel:
     n_features: int
 
     def predict_one(self, x) -> int:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.n_features:
-            raise DataError(
-                f"forest: probe has {x.shape[0]} features, model expects {self.n_features}"
-            )
-        votes = Counter(_tree_predict(tree, x) for tree in self.trees)
-        top = max(votes.values())
-        return min(label for label, n in votes.items() if n == top)
+        return int(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def predict(self, X) -> np.ndarray:
+        """Majority vote of the trees per row, the lowest label on a tie."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.predict_one(x) for x in X], dtype=int)
+        if X.shape[-1] != self.n_features:
+            raise DataError(
+                f"forest: probe has {X.shape[-1]} features, model expects {self.n_features}"
+            )
+        if len(X) == 0:
+            return np.empty(0, dtype=int)
+        votes = np.array([_tree_predict(tree, X) for tree in self.trees])
+        labels, idx = np.unique(votes, return_inverse=True)
+        idx = idx.reshape(votes.shape) + np.arange(len(X)) * len(labels)
+        counts = np.bincount(idx.ravel(), minlength=len(X) * len(labels))
+        return labels[np.argmax(counts.reshape(len(X), len(labels)), axis=1)].astype(int)
 
 
 def rf_train(X, y, n_trees: int = 23, seed: int = 0) -> ForestModel:
@@ -181,6 +219,8 @@ def rf_train(X, y, n_trees: int = 23, seed: int = 0) -> ForestModel:
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or len(X) != len(y):
         raise DataError("rf: X must be 2-d with one label per row")
+    if not np.all(np.isfinite(X)):
+        raise DataError("rf: X must be finite")
     if n_trees < 1:
         raise ConfigError(f"rf: need at least 1 tree, got {n_trees}")
     classes = np.unique(y)
@@ -220,15 +260,14 @@ class LabelledFrame:
 
 
 def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
-    """Dataset CSV with header subject,t_s,hrv,pupil_z,td."""
-    frames = read_csv(
-        path, "dataset", ("subject", "t_s", "hrv", "pupil_z", "td"),
-        lambda row: LabelledFrame(
-            subject=row["subject"],
-            features=(float(row["hrv"]), float(row["pupil_z"])),
-            label=int(row["td"]),
-        ),
-    )
+    """Dataset CSV with header subject,t_s,hrv,pupil_z,td; features must be finite."""
+    def parse(row):
+        features = (float(row["hrv"]), float(row["pupil_z"]))
+        if not all(math.isfinite(v) for v in features):
+            raise DataError(f"stream 'dataset' ({path}): non-finite feature in row {row!r}")
+        return LabelledFrame(subject=row["subject"], features=features, label=int(row["td"]))
+
+    frames = read_csv(path, "dataset", ("subject", "t_s", "hrv", "pupil_z", "td"), parse)
     if not frames:
         raise DataError(f"stream 'dataset' ({path}): empty")
     return frames
@@ -388,7 +427,7 @@ def model_from_dict(raw: Mapping):
             return model
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"model file: {exc}") from exc
     raise ConfigError(f"model file: unknown kind {raw.get('kind')!r}")
 

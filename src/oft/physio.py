@@ -218,6 +218,8 @@ def _norm_stats(per_sec, method, window, reference):
         if window is None:
             raise ConfigError("per_second_frames: window normalization needs (start_s, end_s)")
         lo, hi = window
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ConfigError("per_second_frames: window needs finite bounds with start < end")
         pool = [v for t, v in per_sec.items() if lo <= t < hi]
     elif method == "session":
         pool = list(per_sec.values())

@@ -1,6 +1,7 @@
 """Command line round-trips and exit codes, mostly in-process."""
 
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -360,12 +361,71 @@ class TestClassifyCommands:
         report = json.loads(report_path.read_text())
         assert report["n_test"] == 60
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--kind", "rf"], ["train", "--kind", "knn"], ["cv", "--kind", "rf"],
+        ["predict"],
+    ], ids=["train-rf", "train-knn", "cv-rf", "predict"])
+    def test_non_finite_feature_exits_3(self, tmp_path, capsys, argv, value):
+        model = _trained_model(tmp_path)
+        data = write_dataset(tmp_path / "bad.csv")
+        overwrite_rows(data, "hrv", value, rows=slice(7, 8))
+        outputs = {"train": ["--model-out", tmp_path / "m.json"], "cv": [],
+                   "predict": ["--model", model, "--out", tmp_path / "pred.csv"]}
+        argv = ["classify", argv[0], "--data", data, *outputs[argv[0]], *argv[1:]]
+        assert main([str(a) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite feature" in err and f"'hrv': '{value}'" in err
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "pred.csv").exists()
+
     def test_empty_dataset_exits_3(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("subject,t_s,hrv,pupil_z,td\n")
         code = main(["classify", "train", "--data", str(data),
                      "--model-out", str(tmp_path / "m.json")])
         assert code == 3
+
+
+def write_fixed_dataset(path):
+    """120 rows from integer arithmetic alone: the same bytes everywhere."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["subject", "t_s", "hrv", "pupil_z", "td"])
+        for i in range(120):
+            hrv = 30 + (i * 37) % 41
+            pupil = (i * 53) % 29 - 14
+            td = 1 + ((hrv - 30) // 14 + (i % 5 == 0) + (pupil > 8)) % 3
+            w.writerow([f"s{i % 4}", i, f"{hrv}.{(i * 13) % 10}", f"{pupil / 10}", td])
+    return str(path)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# written by the per-threshold tree builder and per-row forest voter
+MODEL_SHA256 = "82e09d52c4cf4bab355f43daea56d8aa73f0d27afc0303221c141adaddd68043"
+PREDICT_SHA256 = "258646342ed333c81b1a219645b0b196b12b7399b85dc34c8452d58ef0603b75"
+CV_REPORT_SHA256 = "e41f0ee30218ab2794df754e8b1f556132010c25a4ae7b09f0012036fa056c3c"
+
+
+class TestClassifyDigests:
+    """Forest training, prediction and cross-validation write the same bytes
+    as the per-threshold builder and per-row voter they replaced."""
+
+    def test_forest_outputs(self, tmp_path):
+        data = write_fixed_dataset(tmp_path / "data.csv")
+        model, pred, report = tmp_path / "model.json", tmp_path / "pred.csv", tmp_path / "cv.json"
+        assert main(["classify", "train", "--data", data, "--model-out", str(model),
+                     "--kind", "rf", "--raw-labels"]) == 0
+        assert main(["classify", "predict", "--model", str(model), "--data", data,
+                     "--out", str(pred)]) == 0
+        assert main(["classify", "cv", "--data", data, "--scheme", "leave-subjects-out",
+                     "--kind", "rf", "--trees", "9", "--seed", "3", "--report", str(report)]) == 0
+        assert sha256(model) == MODEL_SHA256
+        assert sha256(pred) == PREDICT_SHA256
+        assert sha256(report) == CV_REPORT_SHA256
 
 
 class TestCocomCommands:
@@ -778,6 +838,10 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("extra,message", [
         (["--span", "1"], "span must be >= 2"),
         (["--normalization", "window"], "window normalization needs"),
+        (["--normalization", "window", "--window", "5", "2"], "start < end"),
+        (["--normalization", "window", "--window", "2", "2"], "start < end"),
+        (["--normalization", "window", "--window", "0", "nan"], "finite bounds"),
+        (["--normalization", "window", "--window", "5", "inf"], "finite bounds"),
         (["--normalization", "reference", "--reference", "3", "0"], "finite std > 0"),
         (["--normalization", "reference", "--reference", "3", "nan"], "finite std > 0"),
     ])
@@ -786,6 +850,22 @@ class TestArgumentErrors:
         assert main([str(a) for a in ["physio", *_streams(tmp_path), "--out", out, *extra]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points,labels,message", [
+        ("[[0.0, 1.0], [1.0, 0.0]]", "[0]", "one label per row"),
+        ("[[0.0, 1.0], [NaN, 0.0]]", "[0, 1]", "points must be finite"),
+        ("[[0.0, 1.0], [Infinity, 0.0]]", "[0, 1]", "points must be finite"),
+    ])
+    def test_malformed_knn(self, tmp_path, capsys, points, labels, message):
+        model = tmp_path / "model.json"
+        model.write_text(f'{{"kind": "knn", "k": 1, "metric": "euclidean", '
+                         f'"points": {points}, "labels": {labels}}}')
+        out = tmp_path / "pred.csv"
+        assert main(["classify", "predict", "--model", str(model),
+                     "--data", write_dataset(tmp_path / "data.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "endtoend"])

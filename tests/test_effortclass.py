@@ -1,12 +1,14 @@
 """kNN and random-forest effort classifiers."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from oft.errors import ConfigError, DataError, DegenerateInputError
 from oft.effortclass import (
+    ForestModel,
     KnnModel,
     LabelledFrame,
     binarize,
@@ -97,6 +99,11 @@ class TestKnn:
         with pytest.raises(ConfigError):
             KnnModel([[0.0], [1.0]], [1, 2], k=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_points_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            KnnModel([[0.0, 1.0], [bad, 0.0]], [0, 1], k=1)
+
     def test_feature_width_checked(self):
         model = KnnModel([[0.0, 1.0]], [1], k=1)
         with pytest.raises(DataError):
@@ -142,9 +149,188 @@ class TestForest:
         model = rf_train(X, y, n_trees=23, seed=0)
         assert float(np.mean(model.predict(X) == y)) >= 0.95
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            rf_train([[0.0], [bad], [1.0]], [0, 1, 1])
+
     def test_tree_count_validated(self):
         with pytest.raises(ConfigError):
             rf_train([[0.0], [1.0]], [0, 1], n_trees=0)
+
+
+# ---------------------------------------------------------------------------
+# the forest oracle: the per-threshold builder and per-row voter that the
+# numpy split scan and routing replace, kept verbatim as the reference
+
+
+def _oracle_gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return float(1.0 - np.sum(p * p))
+
+
+def _oracle_majority(y):
+    votes = Counter(int(v) for v in y)
+    top = max(votes.values())
+    return min(label for label, n in votes.items() if n == top)
+
+
+def _oracle_build_tree(X, y, classes, rng, n_feats):
+    n = len(y)
+    class_idx = np.searchsorted(classes, y)
+    total = np.bincount(class_idx, minlength=len(classes))
+    parent_gini = _oracle_gini(total)
+    if parent_gini == 0.0:
+        return {"label": int(classes[class_idx[0]])}
+
+    feats = np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
+    best = None  # (impurity, feature, threshold)
+    for j in feats:
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        left = np.zeros(len(classes), dtype=int)
+        for i in range(n - 1):
+            left[class_idx[order[i]]] += 1
+            if xs[i + 1] <= xs[i]:
+                continue
+            n_left = i + 1
+            n_right = n - n_left
+            impurity = (n_left * _oracle_gini(left) + n_right * _oracle_gini(total - left)) / n
+            if best is None or impurity < best[0] - 1e-12:
+                best = (impurity, int(j), float((xs[i] + xs[i + 1]) / 2.0))
+    if best is None or best[0] >= parent_gini - 1e-12:
+        return {"label": _oracle_majority(y)}
+
+    _, feature, threshold = best
+    mask = X[:, feature] <= threshold
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": _oracle_build_tree(X[mask], y[mask], classes, rng, n_feats),
+        "right": _oracle_build_tree(X[~mask], y[~mask], classes, rng, n_feats),
+    }
+
+
+def _oracle_trees(X, y, n_trees, seed):
+    """rf_train's bootstraps and feature draws around the oracle builder."""
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=int)
+    classes = np.unique(y)
+    n, d = X.shape
+    n_feats = max(1, int(round(np.sqrt(d))))
+    trees = []
+    for stream in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(stream)
+        idx = rng.integers(0, n, size=n)
+        trees.append(_oracle_build_tree(X[idx], y[idx], classes, rng, n_feats))
+    return trees
+
+
+def _oracle_tree_predict(node, x):
+    while "label" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node["label"]
+
+
+def _oracle_predict(trees, X):
+    out = []
+    for x in np.atleast_2d(np.asarray(X, dtype=float)):
+        votes = Counter(_oracle_tree_predict(tree, x) for tree in trees)
+        top = max(votes.values())
+        out.append(min(label for label, n in votes.items() if n == top))
+    return np.array(out, dtype=int)
+
+
+def tied_dataset(rng):
+    """Small data full of ties: features on coarse grids or repeated values,
+    labels drawn from a few arbitrary (possibly negative) ints."""
+    n = int(rng.integers(2, 50))
+    d = int(rng.integers(1, 6))
+    k = int(rng.integers(2, 7))
+    columns = []
+    for _ in range(d):
+        kind = rng.integers(0, 3)
+        if kind == 0:  # coarse integer grid: many equal values
+            columns.append(rng.integers(0, int(rng.integers(1, 6)), n).astype(float))
+        elif kind == 1:  # a few distinct reals, repeated
+            columns.append(rng.choice(rng.normal(0.0, 1.0, 4), n))
+        else:
+            columns.append(rng.normal(0.0, 1.0, n))
+    X = np.column_stack(columns)
+    alphabet = np.sort(rng.choice(np.arange(-5, 12), size=k, replace=False))
+    y = rng.choice(alphabet, n)
+    y[: 2] = alphabet[:2]  # at least two classes
+    return X, y
+
+
+def same_bits(a, b):
+    """Equal trees with bit-equal thresholds: float reprs round-trip, and
+    tell -0.0 from 0.0 and 1 from 1.0."""
+    return json.dumps(a) == json.dumps(b)
+
+
+class TestForestOracle:
+    def test_trees_match_the_oracle_on_tied_data(self):
+        rng = np.random.default_rng(20260)
+        for case in range(300):
+            X, y = tied_dataset(rng)
+            n_trees, seed = int(rng.integers(1, 4)), int(rng.integers(0, 1000))
+            model = rf_train(X, y, n_trees=n_trees, seed=seed)
+            assert same_bits(model.trees, _oracle_trees(X, y, n_trees, seed)), case
+
+    def test_blob_forest_matches_the_oracle(self, rng):
+        X, y = blob_dataset(rng, n_per=40, sigma=0.4)
+        model = rf_train(X, y, n_trees=23, seed=5)
+        assert same_bits(model.trees, _oracle_trees(X, y, 23, 5))
+        probes = np.vstack([X, rng.normal(0.3, 0.8, (100, 2))])
+        assert np.array_equal(model.predict(probes), _oracle_predict(model.trees, probes))
+
+    def test_predict_matches_per_row_voting(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            X, y = tied_dataset(rng)
+            model = rf_train(X, y, n_trees=int(rng.integers(1, 8)), seed=int(rng.integers(0, 99)))
+            probes = np.vstack([X, rng.normal(0.0, 2.0, (30, X.shape[1]))])
+            assert np.array_equal(model.predict(probes), _oracle_predict(model.trees, probes))
+
+    @staticmethod
+    def random_tree(rng, depth, n_features, labels):
+        if depth == 0 or rng.random() < 0.25:
+            return {"label": int(rng.choice(labels))}
+        return {
+            "feature": int(rng.integers(0, n_features)),
+            "threshold": int(rng.integers(-2, 3)),
+            "left": TestForestOracle.random_tree(rng, depth - 1, n_features, labels),
+            "right": TestForestOracle.random_tree(rng, depth - 1, n_features, labels),
+        }
+
+    def test_loaded_forests_with_int_thresholds_and_odd_labels(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            labels = rng.choice([-7, -1, 0, 3, 40, 1000], size=int(rng.integers(1, 5)),
+                                replace=False)
+            trees = [self.random_tree(rng, 5, d, labels) for _ in range(int(rng.integers(1, 10)))]
+            raw = json.loads(json.dumps({"kind": "rf", "n_features": d, "trees": trees}))
+            model = model_from_dict(raw)
+            probes = rng.integers(-3, 4, (40, d)).astype(float)  # often exactly on a threshold
+            expected = _oracle_predict(model.trees, probes)
+            assert np.array_equal(model.predict(probes), expected)
+            one = [model.predict_one(p) for p in probes]
+            assert one == expected.tolist() and all(type(v) is int for v in one)
+
+    def test_probe_width_checked(self):
+        model = ForestModel(trees=[{"label": 1}], n_features=2)
+        with pytest.raises(DataError, match="probe has 3 features, model expects 2"):
+            model.predict_one([0.0, 1.0, 2.0])
+        with pytest.raises(DataError, match="probe has 1 features"):
+            model.predict([[0.0], [1.0]])
+
+    def test_no_rows_no_labels(self):
+        model = ForestModel(trees=[{"label": 1}], n_features=2)
+        assert model.predict(np.empty((0, 2))).shape == (0,)
 
 
 class TestHoldout:
@@ -310,6 +496,15 @@ class TestPersistence:
         with pytest.raises(ConfigError, match="model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("points,labels", [
+        ([[0.0], [1.0]], [0]),
+        ([[0.0], [float("nan")]], [0, 1]),
+    ])
+    def test_malformed_knn_is_a_config_error(self, points, labels):
+        raw = {"kind": "knn", "k": 1, "metric": "euclidean", "points": points, "labels": labels}
+        with pytest.raises(ConfigError, match="model file: knn"):
+            model_from_dict(raw)
+
     def test_bad_model_file(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"kind": "perceptron"}')
@@ -343,6 +538,18 @@ class TestDatasetCsv:
         path.write_text("subject,t_s,hrv,pupil_z,td\ns1,0,not_a_number,0.3,1\n")
         with pytest.raises(DataError):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("column", ["hrv", "pupil_z"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature(self, tmp_path, column, value):
+        row = {"subject": "s1", "t_s": "1", "hrv": "40.1", "pupil_z": "0.5", "td": "2"}
+        row[column] = value
+        path = tmp_path / "data.csv"
+        path.write_text("subject,t_s,hrv,pupil_z,td\ns1,0,42.5,0.3,1\n"
+                        + ",".join(row.values()) + "\n")
+        with pytest.raises(DataError, match="non-finite feature in row") as err:
+            read_dataset_csv(path)
+        assert f"'{column}': '{value}'" in str(err.value)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "data.csv"

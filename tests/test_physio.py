@@ -241,6 +241,10 @@ class TestPerSecondFrames:
     @pytest.mark.parametrize("kwargs", [
         {"span": 1},
         {"normalization": "window"},
+        {"normalization": "window", "window": (5.0, 2.0)},
+        {"normalization": "window", "window": (2.0, 2.0)},
+        {"normalization": "window", "window": (0.0, float("nan"))},
+        {"normalization": "window", "window": (float("-inf"), 5.0)},
         {"normalization": "reference"},
         {"normalization": "reference", "reference": (3.0, 0.0)},
         {"normalization": "reference", "reference": (3.0, float("nan"))},
