@@ -838,12 +838,12 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("extra,message", [
         (["--span", "1"], "span must be >= 2"),
         (["--normalization", "window"], "window normalization needs"),
+        (["--normalization", "reference", "--reference", "3", "0"], "finite std > 0"),
+        (["--normalization", "reference", "--reference", "3", "nan"], "finite std > 0"),
         (["--normalization", "window", "--window", "5", "2"], "start < end"),
         (["--normalization", "window", "--window", "2", "2"], "start < end"),
         (["--normalization", "window", "--window", "0", "nan"], "finite bounds"),
         (["--normalization", "window", "--window", "5", "inf"], "finite bounds"),
-        (["--normalization", "reference", "--reference", "3", "0"], "finite std > 0"),
-        (["--normalization", "reference", "--reference", "3", "nan"], "finite std > 0"),
     ])
     def test_physio(self, tmp_path, capsys, extra, message):
         out = tmp_path / "frames.csv"
