@@ -142,7 +142,7 @@ def read_trace_csv(path: str | Path) -> dict[str, TankTrace]:
     """Trace CSV with header t_s,tank_a,tank_b,period; one trace per period."""
     rows = read_csv(
         path, "trace", ("t_s", "tank_a", "tank_b", "period"),
-        lambda row: (row["period"], float(row["t_s"]), float(row["tank_a"]), float(row["tank_b"])),
+        lambda t_s, tank_a, tank_b, period: (period, float(t_s), float(tank_a), float(tank_b)),
     )
     if not rows:
         raise DataError(f"stream 'trace' ({path}): empty")
@@ -169,7 +169,7 @@ def read_roster_csv(path: str | Path) -> list[tuple[str, ControlMode, ControlMod
     by_name = {m.name: m for m in ControlMode}
     rows = read_csv(
         path, "roster", ("participant", "mode_low", "mode_high"),
-        lambda row: (row["participant"], by_name[row["mode_low"]], by_name[row["mode_high"]]),
+        lambda participant, low, high: (participant, by_name[low], by_name[high]),
     )
     if not rows:
         raise DataError(f"stream 'roster' ({path}): empty")

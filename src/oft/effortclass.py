@@ -63,10 +63,12 @@ class KnnModel:
             raise ConfigError(f"unknown metric {self.metric!r}; choose one of {METRICS}")
 
     def predict_one(self, x) -> int:
-        return knn_predict(self, x)
+        return int(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not np.all(np.isfinite(X)):
+            raise DataError("knn: probes must be finite")
         return np.array([knn_predict(self, x) for x in X], dtype=int)
 
 
@@ -199,6 +201,8 @@ class ForestModel:
             raise DataError(
                 f"forest: probe has {X.shape[-1]} features, model expects {self.n_features}"
             )
+        if not np.all(np.isfinite(X)):
+            raise DataError("forest: probes must be finite")
         if len(X) == 0:
             return np.empty(0, dtype=int)
         votes = np.array([_tree_predict(tree, X) for tree in self.trees])
@@ -261,13 +265,16 @@ class LabelledFrame:
 
 def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
     """Dataset CSV with header subject,t_s,hrv,pupil_z,td; features must be finite."""
-    def parse(row):
-        features = (float(row["hrv"]), float(row["pupil_z"]))
-        if not all(math.isfinite(v) for v in features):
-            raise DataError(f"stream 'dataset' ({path}): non-finite feature in row {row!r}")
-        return LabelledFrame(subject=row["subject"], features=features, label=int(row["td"]))
+    columns = ("subject", "t_s", "hrv", "pupil_z", "td")
 
-    frames = read_csv(path, "dataset", ("subject", "t_s", "hrv", "pupil_z", "td"), parse)
+    def parse(subject, t_s, hrv, pupil_z, td):
+        features = (float(hrv), float(pupil_z))
+        if not all(math.isfinite(v) for v in features):
+            row = dict(zip(columns, (subject, t_s, hrv, pupil_z, td)))
+            raise DataError(f"stream 'dataset' ({path}): non-finite feature in row {row!r}")
+        return LabelledFrame(subject=subject, features=features, label=int(td))
+
+    frames = read_csv(path, "dataset", columns, parse)
     if not frames:
         raise DataError(f"stream 'dataset' ({path}): empty")
     return frames

@@ -8,7 +8,10 @@ likelihood per label, not necessarily normalized); the posterior is exact:
 
     post(k)  proportional to  prior(k) * prod_children sum_l lik(l) * cpt[k, l]
 
-Children without evidence drop out (their labels marginalize to 1).
+Children without evidence drop out (their labels marginalize to 1), and a
+label that evidence leaves out has likelihood 0. Evidence from `fuzzify`
+lists only the labels with nonzero weight: one label on a plateau of the
+partition, two inside an overlap.
 """
 
 from __future__ import annotations
@@ -60,34 +63,48 @@ class FuzzyPartition:
                 raise ConfigError(
                     f"partition {self.variable}: overlaps must be increasing and inside the domain"
                 )
+            if hi - lo == math.inf:
+                raise ConfigError(f"partition {self.variable}: overlap ({lo}, {hi}) is too wide")
             cursor = hi
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "domain", (lo_dom, hi_dom))
         object.__setattr__(self, "overlaps", overlaps)
 
     def membership(self, x: float) -> dict:
-        """Label weights for a reading; a finite reading outside the domain
-        is clamped to it with a warning, a non-finite one is a DataError."""
+        """Label weights for a reading, every label listed; a finite reading
+        outside the domain is clamped to it with a warning, a non-finite one
+        is a DataError."""
+        weights = dict.fromkeys(self.labels, 0.0)
+        weights.update(self._nonzero(x))
+        return weights
+
+    def _nonzero(self, x: float) -> dict:
+        """The labels of `membership` with nonzero weight, in label order.
+
+        The weights are positive and finite and sum to 1 up to rounding:
+        inside an overlap `up` lies in [0, 1], because the overlap is
+        narrower than the largest float.
+        """
         if not math.isfinite(x):
             raise DataError(f"partition {self.variable}: reading {x} is not finite")
         lo_dom, hi_dom = self.domain
         if x < lo_dom or x > hi_dom:
             warnings.warn(
-                f"partition {self.variable}: {x} outside domain, clamped", stacklevel=2
+                f"partition {self.variable}: {x} outside domain, clamped", stacklevel=3
             )
             x = min(max(x, lo_dom), hi_dom)
-        weights = {label: 0.0 for label in self.labels}
+        labels = self.labels
         for i, (lo, hi) in enumerate(self.overlaps):
             if x <= lo:
-                weights[self.labels[i]] = 1.0
-                return weights
+                return {labels[i]: 1.0}
             if x < hi:
-                up = (x - lo) / (hi - lo)
-                weights[self.labels[i]] = 1.0 - up
-                weights[self.labels[i + 1]] = up
-                return weights
-        weights[self.labels[-1]] = 1.0
-        return weights
+                up = float((x - lo) / (hi - lo))
+                if up == 0.0:
+                    return {labels[i]: 1.0}
+                if up == 1.0:
+                    return {labels[i + 1]: 1.0}
+                return {labels[i]: 1.0 - up, labels[i + 1]: up}
+        return {labels[-1]: 1.0}
 
 
 @dataclass(frozen=True)
@@ -115,8 +132,17 @@ class SoftEvidence:
 
 
 def fuzzify(x: float, partition: FuzzyPartition) -> SoftEvidence:
-    """Turn a continuous reading into soft evidence via the partition."""
-    return SoftEvidence(partition.variable, partition.membership(x))
+    """Turn a continuous reading into soft evidence via the partition.
+
+    The evidence lists only the labels with nonzero membership. Those
+    weights are positive and finite by construction, so the checks of
+    SoftEvidence are skipped; the reading itself is checked (a non-finite
+    one is a DataError, one outside the domain is clamped with a warning).
+    """
+    ev = object.__new__(SoftEvidence)
+    object.__setattr__(ev, "variable", partition.variable)
+    object.__setattr__(ev, "likelihood", partition._nonzero(x))
+    return ev
 
 
 @dataclass(frozen=True)
@@ -148,6 +174,13 @@ class MwlNetwork:
             children[name] = (labels, cpt)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "children", children)
+        # what posterior reads per piece of evidence, as Python floats: the
+        # prior, and for each child every label's table column
+        object.__setattr__(self, "_prior", prior.tolist())
+        object.__setattr__(self, "_columns", {
+            name: {label: cpt[:, i].tolist() for i, label in enumerate(labels)}
+            for name, (labels, cpt) in children.items()
+        })
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MwlNetwork":
@@ -190,44 +223,50 @@ def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:
     that it overflows.
     """
     seen = set()
-    post = net.prior.copy()
+    p1, p2, p3, p4, p5 = net._prior
     for ev in evidence:
-        if ev.variable in seen:
-            raise DataError(f"duplicate evidence for variable {ev.variable!r}")
-        seen.add(ev.variable)
-        if ev.variable not in net.children:
-            raise DataError(f"evidence for unknown variable {ev.variable!r}")
-        labels, cpt = net.children[ev.variable]
-        unknown = set(ev.likelihood) - set(labels)
-        if unknown:
-            raise DataError(
-                f"evidence for {ev.variable!r} names unknown labels {sorted(unknown)}"
-            )
-        if len(ev.likelihood) == 1:
+        variable, likelihood = ev.variable, ev.likelihood
+        if variable in seen:
+            raise DataError(f"duplicate evidence for variable {variable!r}")
+        seen.add(variable)
+        columns = net._columns.get(variable)
+        if columns is None:
+            raise DataError(f"evidence for unknown variable {variable!r}")
+        if not likelihood.keys() <= columns.keys():
+            unknown = sorted(likelihood.keys() - columns.keys())
+            raise DataError(f"evidence for {variable!r} names unknown labels {unknown}")
+        if len(likelihood) == 1:
             # the other terms of cpt @ lik are +0.0, so this is the same bits
-            ((label, weight),) = ev.likelihood.items()
-            post = post * (cpt[:, labels.index(label)] * weight)
+            ((label, weight),) = likelihood.items()
+            c1, c2, c3, c4, c5 = columns[label]
+            c1, c2, c3, c4, c5 = c1 * weight, c2 * weight, c3 * weight, c4 * weight, c5 * weight
         else:
-            lik = np.array([ev.likelihood.get(label, 0.0) for label in labels])
-            post = post * (cpt @ lik)
-    total = post.sum()
+            labels, cpt = net.children[variable]
+            lik = np.array([likelihood.get(label, 0.0) for label in labels])
+            c1, c2, c3, c4, c5 = (cpt @ lik).tolist()
+        p1, p2, p3, p4, p5 = p1 * c1, p2 * c2, p3 * c3, p4 * c4, p5 * c5
+    # left to right, the order in which numpy sums five entries
+    total = p1 + p2 + p3 + p4 + p5
     if total <= 0.0:
         raise DataError("evidence has zero probability under the model")
     if total == math.inf:
         raise DataError("evidence likelihoods overflow; scale them down")
-    return post / total
+    return np.array([p1 / total, p2 / total, p3 / total, p4 / total, p5 / total])
 
 
 def mwl_level(post: Sequence[float]) -> int:
     """Level 1..5 with the highest posterior; exact ties go to the higher level."""
-    p = np.asarray(post, dtype=float)
-    if p.shape != (N_LEVELS,):
+    if isinstance(post, np.ndarray):
+        post = post.tolist()
+    if len(post) != N_LEVELS:
         raise ValueError(f"posterior must have {N_LEVELS} entries")
-    best = p.max()
-    for k in range(N_LEVELS - 1, -1, -1):
-        if p[k] == best:
-            return k + 1
-    raise ValueError("posterior has no maximum")  # unreachable
+    level, best = 0, -math.inf
+    for k, p in enumerate(post, start=1):
+        if p >= best:
+            level, best = k, p
+        elif not p < best:  # NaN
+            raise ValueError("posterior has no maximum")
+    return level
 
 
 @dataclass(frozen=True)
@@ -241,10 +280,10 @@ class MwlState:
 
 
 def fuse(net: MwlNetwork, t: int, evidence: Sequence[SoftEvidence]) -> MwlState:
-    post = posterior(net, evidence)
+    post = tuple(posterior(net, evidence).tolist())
     return MwlState(
         t=t,
-        posterior=tuple(float(v) for v in post),
+        posterior=post,
         level=mwl_level(post),
         evidence={ev.variable: dict(ev.likelihood) for ev in evidence},
     )

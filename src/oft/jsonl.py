@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -84,25 +85,49 @@ def load_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
 
 
 def read_csv(path: str | Path, stream: str, columns: Sequence[str],
-             parse: Callable[[dict], Any]) -> list:
-    """`parse` applied to each row of a CSV input stream, in file order.
+             parse: Callable[..., Any]) -> list:
+    """`parse(*values)` for each row of a CSV input stream, in file order.
 
-    The header must hold every name in `columns`. A KeyError, TypeError,
-    ValueError, AttributeError or OverflowError raised by `parse` is
-    reported as a bad row; a DataError it raises passes through.
+    `values` are the row's fields named by `columns`, as strings, in the
+    order of `columns`: a stream with columns ("t_s", "rr_ms") calls
+    `parse(t_s, rr_ms)`. The header must hold every name in `columns`; a
+    name repeated in the header reads its last column. Blank lines are
+    skipped and fields past the header are ignored. A row too short to hold
+    every column in `columns`, or one on which `parse` raises KeyError,
+    TypeError, ValueError, AttributeError or OverflowError, is reported as
+    a bad row, shown as csv.DictReader would give it; a DataError raised by
+    `parse` passes through.
     """
     where = f"stream {stream!r} ({path})"
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or not set(columns) <= set(header):
                 raise DataError(f"{where}: expected columns {','.join(columns)}")
+            index = {name: i for i, name in enumerate(header)}  # the last one wins
+            indices = [index[name] for name in columns]
+            pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
             parsed = []
             for row in reader:
+                if not row:
+                    continue
                 try:
-                    parsed.append(parse(row))
-                except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-                    raise DataError(f"{where}: bad row {row!r}") from exc
+                    parsed.append(parse(*pick(row)))
+                except (IndexError, KeyError, TypeError, ValueError, AttributeError,
+                        OverflowError) as exc:
+                    raise DataError(f"{where}: bad row {_as_dict(header, row)!r}") from exc
             return parsed
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{where}: {exc}") from exc
+
+
+def _as_dict(header: list, row: list) -> dict:
+    """The row as csv.DictReader gives it: the fields past the header under
+    the key None, a missing field as None."""
+    record = dict(zip(header, row))
+    if len(row) > len(header):
+        record[None] = row[len(header):]
+    for name in header[len(row):]:
+        record[name] = None
+    return record

@@ -648,7 +648,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
         step = monitor.step(task_tick, perf, frame, demand)
         if step.event is not None:
             records.append({"record": "regulation", "t": t, "kind": step.event.kind.name})
-        post = posterior(net, step.evidence)
+        post = posterior(net, step.evidence).tolist()
         level = mwl_level(post)
         levels[t] = level
 
@@ -676,7 +676,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
             "pupil_z": round(step.pupil_z, 6),
             "behaviour": step.behaviour,
             "level": level,
-            "posterior": [round(float(p), 9) for p in post],
+            "posterior": [round(p, 9) for p in post],
         })
 
         if t > 0 and t % config.isa_period_s == 0:

@@ -321,8 +321,7 @@ def per_second_frames(
 
 def read_beats_csv(path: str | Path) -> RRSeries:
     """Read a beats CSV with header t_s,rr_ms."""
-    rows = read_csv(path, "beats", ("t_s", "rr_ms"),
-                    lambda row: (float(row["t_s"]), float(row["rr_ms"])))
+    rows = read_csv(path, "beats", ("t_s", "rr_ms"), lambda t_s, rr_ms: (float(t_s), float(rr_ms)))
     # the copy gives each column its own contiguous array
     ts, rr = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
     return RRSeries(ts, rr)
@@ -332,8 +331,8 @@ def read_pupil_csv(path: str | Path) -> PupilSeries:
     """Read a pupil CSV with header t_s,pupil_mm,valid."""
     rows = read_csv(
         path, "pupil", ("t_s", "pupil_mm", "valid"),
-        lambda row: (float(row["t_s"]), float(row["pupil_mm"]),
-                     row["valid"].strip() in ("1", "true", "True")),
+        lambda t_s, pupil_mm, valid: (float(t_s), float(pupil_mm),
+                                      valid.strip() in ("1", "true", "True")),
     )
     ts, mm, ok = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
     return PupilSeries(ts, mm, ok)

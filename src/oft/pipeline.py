@@ -101,14 +101,12 @@ def read_demand_csv(path: str | Path) -> dict:
 
     Each t_s must be a whole second (1.0 reads as 1) and appear only once.
     """
-    def parse(row):
-        t = float(row["t_s"])
+    def parse(t_s, n1, n2, entropy):
+        t = float(t_s)
         second = int(t)
         if second != t:
-            raise DataError(f"stream 'demand' ({path}): t_s {row['t_s']} is not a whole second")
-        return ConstraintFrame(
-            t=second, n1=int(row["n1"]), n2=int(row["n2"]), entropy=float(row["entropy"])
-        )
+            raise DataError(f"stream 'demand' ({path}): t_s {t_s} is not a whole second")
+        return ConstraintFrame(t=second, n1=int(n1), n2=int(n2), entropy=float(entropy))
 
     frames = {}
     for frame in read_csv(path, "demand", ("t_s", "n1", "n2", "entropy"), parse):

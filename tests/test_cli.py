@@ -428,6 +428,93 @@ class TestClassifyDigests:
         assert sha256(report) == CV_REPORT_SHA256
 
 
+def write_fixed_recording(folder, duration=300):
+    """Beats, 4 Hz pupil, ticks and demand from integer arithmetic alone.
+
+    The pupil has blinks, invalid samples and a dropout; perf and the pupil
+    level sweep the fuzzy overlaps; task activity makes every kind of
+    regulation event; demand skips every 13th second.
+    """
+    beats, pupil, ticks, demand = (folder / n for n in
+                                   ("beats.csv", "pupil.csv", "ticks.jsonl", "demand.csv"))
+    with open(beats, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t_s", "rr_ms"])
+        t_ms = 0
+        for i in range(duration * 2):
+            rr = 650 + (i * 37) % 211 + 40 * ((i // 90) % 3)
+            t_ms += rr
+            if t_ms >= duration * 1000:
+                break
+            w.writerow([f"{t_ms // 1000}.{t_ms % 1000:03d}", rr])
+    with open(pupil, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t_s", "pupil_mm", "valid"])
+        for i in range(duration * 4):
+            if 400 <= i < 416:
+                continue  # a four-second dropout
+            mm = 300 + 40 * ((i // 160) % 5) + (i * 7) % 23
+            mm = 0 if i % 97 == 0 else mm  # blinks
+            w.writerow([f"{i // 4}.{(i % 4) * 25:02d}", f"{mm // 100}.{mm % 100:02d}",
+                        int(i % 53 != 0)])
+    records = []
+    for t in range(duration):
+        at = {"A": int((t // 7) % 3 != 0), "B": int((t // 5) % 4 < 2), "C": int(t % 11 < 6)}
+        ot = {task: int((t * (3 + n)) % 5 < 3) for n, task in enumerate(at) if at[task]}
+        records.append({"t": t, "at": at, "ot": ot, "perf": ((t * 13) % 101) / 100})
+    dump_jsonl(records, ticks)
+    with open(demand, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t_s", "n1", "n2", "entropy"])
+        for t in range(duration):
+            if t % 13 != 5:
+                w.writerow([t, (t * 3) % 17, (t // 11) % 5, ((t * 17) % 250) / 100])
+    return str(beats), str(pupil), str(ticks), str(demand)
+
+
+# written by the SoftEvidence-checked fuzzify, the numpy posterior and the
+# csv.DictReader input path
+MONITOR_SHA256 = {
+    ("session", False): "9be56fbfcd9ffe515037128eddec00804bdd8a2b7d303152e9486472177a0f90",
+    ("session", True): "a1888eea0f45103baa0de9ecf509ea64e6ec547f1b25229dab0c5aa688f3a385",
+    ("reference", False): "e8af174968d1bf9c4e66aac94cd62af92a59c833b0831a078584db9285cfdf8f",
+    ("reference", True): "921d5ff2f1a58f4660f72d567de2cac825099c14bb337d24bd754923b7e5846f",
+}
+SIMULATE_SHA256 = {
+    (2, "off"): "271c16968b111dfa78c6910d65f0b8f4be900b2ab66413939247eb844cbd36f1",
+    (2, "on"): "fedce421b6f19cce2320c24435fcbc9701e9c93983f23cfb532f007f6b2bd22a",
+    (9, "off"): "594c0ea95cff7dbe89678f5ef985de79faaa86d94b8db342143f577d5efa5e7c",
+    (9, "on"): "56f20cbaf7846c6d4160e14e083755c6dcaed59d53970e19cfff3c42afcf3d4d",
+}
+
+
+class TestFusionDigests:
+    """Offline monitoring and the closed loop write the same bytes as the
+    fusion and CSV input paths they replaced."""
+
+    @pytest.mark.parametrize("normalization,with_demand", list(MONITOR_SHA256))
+    def test_monitor_outputs(self, tmp_path, normalization, with_demand):
+        beats, pupil, ticks, demand = write_fixed_recording(tmp_path)
+        out = tmp_path / "mon"
+        argv = ["monitor", "--beats", beats, "--pupil", pupil, "--ticks", ticks,
+                "--out-dir", str(out), "--normalization", normalization]
+        if normalization == "reference":
+            argv += ["--reference", "3.2", "0.3"]
+        if with_demand:
+            argv += ["--demand", demand]
+        assert main(argv) == 0
+        blob = b"".join((out / n).read_bytes()
+                        for n in ("mwl.jsonl", "events.jsonl", "report.json", "manifest.json"))
+        assert hashlib.sha256(blob).hexdigest() == MONITOR_SHA256[(normalization, with_demand)]
+
+    @pytest.mark.parametrize("seed,dfa", list(SIMULATE_SHA256))
+    def test_simulate_log(self, tmp_path, seed, dfa):
+        log = tmp_path / "run.jsonl"
+        assert main(["simulate", "--operator", "degrading-overload", "--seed", str(seed),
+                     "--dfa", dfa, "--duration", "240", "--log", str(log)]) == 0
+        assert sha256(log) == SIMULATE_SHA256[(seed, dfa)]
+
+
 class TestCocomCommands:
     def test_code_trace(self, tmp_path, capsys):
         trace = write_trace(tmp_path / "trace.csv")

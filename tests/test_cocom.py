@@ -215,3 +215,10 @@ class TestFiles:
         path.write_text("t_s,tank_a\n0,2500\n")
         with pytest.raises(DataError):
             read_trace_csv(path)
+
+    def test_short_trace_row_is_a_bad_row(self, tmp_path):
+        # the period field is missing, not a period named None
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,tank_a,tank_b,period\n0,2400,2500,p\n1,2400,2500\n")
+        with pytest.raises(DataError, match="bad row .*'period': None"):
+            read_trace_csv(path)

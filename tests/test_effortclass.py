@@ -114,6 +114,15 @@ class TestKnn:
         model = KnnModel(X, y, k=3)
         probe = X[7]
         assert knn_predict(model, probe) == model.predict_one(probe)
+        assert type(model.predict_one(probe)) is int
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probes_rejected(self, bad):
+        model = KnnModel([[0.0], [1.0]], [0, 1], k=1)
+        with pytest.raises(DataError, match="knn: probes must be finite"):
+            model.predict([[0.5], [bad]])
+        with pytest.raises(DataError, match="knn: probes must be finite"):
+            model.predict_one([bad])
 
 
 class TestForest:
@@ -157,6 +166,14 @@ class TestForest:
     def test_tree_count_validated(self):
         with pytest.raises(ConfigError):
             rf_train([[0.0], [1.0]], [0, 1], n_trees=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_probes_rejected(self, bad):
+        model = rf_train([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], n_trees=3)
+        with pytest.raises(DataError, match="forest: probes must be finite"):
+            model.predict([[0.5], [bad]])
+        with pytest.raises(DataError, match="forest: probes must be finite"):
+            model.predict_one([bad])
 
 
 # ---------------------------------------------------------------------------

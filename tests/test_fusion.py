@@ -5,12 +5,14 @@ networks by nested loops, which is tractable because the children are tiny.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oft import microworld
 from oft.errors import ConfigError, DataError
 from oft.fusion import (
     FuzzyPartition,
@@ -385,3 +387,218 @@ def test_fuse_packages_state(rng):
     assert state.level == mwl_level(np.array(state.posterior))
     assert sum(state.posterior) == pytest.approx(1.0, abs=1e-9)
     assert state.evidence == {"c0": {"l0": 0.4, "l1": 0.6}}
+
+
+# ---------------------------------------------------------------------------
+# the fusion oracle: posterior, mwl_level and fuzzify as they were before the
+# per-net column tables and the unchecked nonzero-label evidence, kept
+# verbatim as the reference
+
+
+def _oracle_posterior(net, evidence):
+    seen = set()
+    post = net.prior.copy()
+    for ev in evidence:
+        if ev.variable in seen:
+            raise DataError(f"duplicate evidence for variable {ev.variable!r}")
+        seen.add(ev.variable)
+        if ev.variable not in net.children:
+            raise DataError(f"evidence for unknown variable {ev.variable!r}")
+        labels, cpt = net.children[ev.variable]
+        unknown = set(ev.likelihood) - set(labels)
+        if unknown:
+            raise DataError(
+                f"evidence for {ev.variable!r} names unknown labels {sorted(unknown)}"
+            )
+        if len(ev.likelihood) == 1:
+            # the other terms of cpt @ lik are +0.0, so this is the same bits
+            ((label, weight),) = ev.likelihood.items()
+            post = post * (cpt[:, labels.index(label)] * weight)
+        else:
+            lik = np.array([ev.likelihood.get(label, 0.0) for label in labels])
+            post = post * (cpt @ lik)
+    total = post.sum()
+    if total <= 0.0:
+        raise DataError("evidence has zero probability under the model")
+    if total == math.inf:
+        raise DataError("evidence likelihoods overflow; scale them down")
+    return post / total
+
+
+def _oracle_mwl_level(post):
+    p = np.asarray(post, dtype=float)
+    if p.shape != (5,):
+        raise ValueError("posterior must have 5 entries")
+    best = p.max()
+    for k in range(4, -1, -1):
+        if p[k] == best:
+            return k + 1
+    raise ValueError("posterior has no maximum")
+
+
+def _oracle_fuzzify(x, partition):
+    """Every label listed, zeros included, through the SoftEvidence checks."""
+    return SoftEvidence(partition.variable, partition.membership(x))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_evidence(rng, net):
+    """Hard, weighted single-label, two-label or any-label evidence on a
+    random subset of the children, in random order."""
+    evidence = []
+    for name, (labels, _) in net.children.items():
+        kind = rng.integers(5)
+        i = int(rng.integers(len(labels)))
+        if kind == 0:
+            continue
+        if kind == 1:
+            ev = SoftEvidence.hard(name, labels[i])
+        elif kind == 2:
+            ev = SoftEvidence(name, {labels[i]: float(rng.random() * 50 + 1e-3)})
+        elif kind == 3 and len(labels) > 1:
+            j = min(i, len(labels) - 2)
+            up = float(rng.random())
+            ev = SoftEvidence(name, {labels[j]: 1.0 - up, labels[j + 1]: up})
+        else:
+            picked = [l for l in labels if rng.random() < 0.6] or [labels[i]]
+            ev = SoftEvidence(name, {l: float(rng.random() + 1e-3) for l in picked})
+        evidence.append(ev)
+    rng.shuffle(evidence)
+    return evidence
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DataError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFusionOracle:
+    def test_posterior_bit_for_bit_on_random_nets(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(2000):
+            counts = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 6))))
+            net = random_net(rng, counts, zero_share=0.2)
+            evidence = random_evidence(rng, net)
+            want = outcome(_oracle_posterior, net, evidence)
+            got = outcome(posterior, net, evidence)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert same_bits(got, want)
+                checked += 1
+        assert checked > 1500
+
+    def test_level_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            post = rng.integers(0, 4, 5) / 4.0  # ties are common
+            for form in (post, post.tolist(), tuple(post.tolist())):
+                assert mwl_level(form) == _oracle_mwl_level(post)
+        for bad in ([0.2, float("nan"), 0.3, 0.1, 0.1], [float("nan")] * 5, [0.5, 0.5]):
+            assert outcome(mwl_level, bad) == outcome(_oracle_mwl_level, bad)
+
+    @pytest.mark.parametrize("case", [
+        "duplicate", "unknown variable", "unknown label", "unknown labels",
+        "zero mass", "zero mass multi", "overflow",
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_same_errors(self, case):
+        net = random_net(np.random.default_rng(3), (2, 3, 3))
+        net = MwlNetwork(prior=net.prior, children={
+            **net.children, "z": (("a", "b", "c"), np.tile([1.0, 0.0, 0.0], (5, 1)))})
+        evidence = {
+            "duplicate": [SoftEvidence.hard("c0", "l0"), SoftEvidence("c0", {"l1": 2.0})],
+            "unknown variable": [SoftEvidence.hard("c1", "l0"), SoftEvidence.hard("nope", "l0")],
+            "unknown label": [SoftEvidence("c1", {"zz": 3.0})],
+            "unknown labels": [SoftEvidence("c2", {"l1": 0.5, "zz": 0.1, "aa": 0.2, "l0": 1.0})],
+            "zero mass": [SoftEvidence.hard("c0", "l1"), SoftEvidence.hard("z", "b")],
+            "zero mass multi": [SoftEvidence("z", {"b": 0.5, "c": 0.5})],
+            "overflow": [SoftEvidence(f"c{i}", {"l0": 1e300, "l1": 1e300}) for i in range(3)],
+        }[case]
+        want = outcome(_oracle_posterior, net, evidence)
+        assert isinstance(want, tuple) and want[0] is DataError
+        assert outcome(posterior, net, evidence) == want
+
+    @pytest.mark.parametrize("operator,dfa", [
+        ("degrading-overload", True), ("degrading-overload", False), ("diligent", False),
+    ])
+    def test_every_tick_of_a_session(self, monkeypatch, operator, dfa):
+        """Each tick's posterior equals the oracle's on the same evidence and
+        on the evidence the checked, every-label fuzzify gave."""
+        calls = []
+
+        def checked(net, evidence):
+            post = posterior(net, evidence)
+            dense = [
+                SoftEvidence(ev.variable, {l: ev.likelihood.get(l, 0.0)
+                                           for l in net.children[ev.variable][0]})
+                if ev.variable in net.partitions else ev
+                for ev in evidence
+            ]
+            assert same_bits(post, _oracle_posterior(net, evidence))
+            assert same_bits(post, _oracle_posterior(net, dense))
+            calls.append(len(evidence))
+            return post
+
+        monkeypatch.setattr(microworld, "posterior", checked)
+        config = microworld.ScenarioConfig(operator=operator, seed=7, dfa=dfa, duration_s=1200)
+        result = microworld.run_scenario(config)
+        assert len(calls) == 1200
+        ticks = [r for r in result.records if r["record"] == "tick"]
+        assert [r["level"] for r in ticks] == [
+            _oracle_mwl_level(r["posterior"]) for r in ticks]
+
+
+class TestFuzzifyNonzero:
+    PARTS = [THREE_BAND, *MwlNetwork.default().partitions.values()]
+
+    @pytest.mark.parametrize("part", PARTS, ids=lambda p: p.variable)
+    def test_nonzero_labels_of_membership(self, part):
+        lo, hi = part.domain
+        edges = [x for o in part.overlaps for x in o]
+        xs = np.r_[np.linspace(lo, hi, 301), edges,
+                   [math.nextafter(e, -math.inf) for e in edges],
+                   [math.nextafter(e, math.inf) for e in edges]]
+        for x in xs.tolist():
+            ev = fuzzify(x, part)
+            want = _oracle_fuzzify(x, part)
+            assert ev == SoftEvidence(want.variable,
+                                      {l: w for l, w in want.likelihood.items() if w != 0.0})
+            assert list(ev.likelihood) == [l for l in part.labels if l in ev.likelihood]
+            assert all(type(w) is float and w > 0.0 for w in ev.likelihood.values())
+            assert len(ev.likelihood) in (1, 2) and sum(ev.likelihood.values()) == 1.0
+
+    def test_overlap_weight_rounding_to_an_end(self):
+        # (x - lo) / (hi - lo) underflows to 0 here, and rounds to 1 there
+        part = FuzzyPartition("v", ("a", "b"), (0.0, 10.0), ((0.0, 4.0),))
+        assert fuzzify(5e-324, part).likelihood == {"a": 1.0}
+        assert part.membership(5e-324) == {"a": 1.0, "b": 0.0}
+        lo, hi = -2.434454589115478, -0.7838273344621424
+        part = FuzzyPartition("v", ("a", "b"), (-5.0, 5.0), ((lo, hi),))
+        x = math.nextafter(hi, -math.inf)
+        assert fuzzify(x, part).likelihood == {"b": 1.0}
+        assert part.membership(x) == {"a": 0.0, "b": 1.0}
+
+    def test_reading_checks_kept(self):
+        with pytest.warns(UserWarning, match="outside domain"):
+            assert fuzzify(-3.0, THREE_BAND).likelihood == {"low": 1.0}
+        with pytest.raises(DataError, match="reading nan is not finite"):
+            fuzzify(float("nan"), THREE_BAND)
+
+    def test_overlap_wider_than_the_largest_float_rejected(self):
+        with pytest.raises(ConfigError, match="too wide"):
+            FuzzyPartition("v", ("a", "b"), (-1e308, 1e308), ((-1e308, 1e308),))
+
+
+def test_fuse_state_holds_floats(rng):
+    net = random_net(rng, (3,))
+    evidence = [SoftEvidence("c0", {"l0": 0.4, "l2": 0.6})]
+    state = fuse(net, 4, evidence)
+    assert all(type(p) is float for p in state.posterior)
+    assert state.posterior == tuple(_oracle_posterior(net, evidence).tolist())
