@@ -243,7 +243,7 @@ def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:
         else:
             labels, cpt = net.children[variable]
             lik = np.array([likelihood.get(label, 0.0) for label in labels])
-            c1, c2, c3, c4, c5 = (cpt @ lik).tolist()
+            c1, c2, c3, c4, c5 = cpt.dot(lik).tolist()
         p1, p2, p3, p4, p5 = p1 * c1, p2 * c2, p3 * c3, p4 * c4, p5 * c5
     # left to right, the order in which numpy sums five entries
     total = p1 + p2 + p3 + p4 + p5

@@ -26,8 +26,11 @@ from .errors import ConfigError, DataError
 DATA = Path(__file__).parent / "data"
 
 
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def dumps_record(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _RECORD_ENCODER.encode(record)
 
 
 def dump_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,7 +73,9 @@ BASE_SERVICE_S = {
 SHED_ORDER = ("ManageEmptyZone", "DrawZone", "ReadMessage", "DetectVehicle", "InspectLock", "Neutralize")
 
 # longest session a scenario may ask for; the run keeps per-second records in memory
-MAX_DURATION_S = 86_400
+MAX_DURATION_S = physio.MAX_RECORDING_S
+# earliest deadline first, ties to the older job
+_EDF_KEY = attrgetter("deadline_t", "id")
 
 
 @dataclass(frozen=True)
@@ -320,10 +323,9 @@ class World:
             if directive not in directives:
                 continue
             for _ in range(2):  # the automation handles up to two items a second
-                candidates = [j for j in self.queue if j.task == task]
-                if not candidates:
+                job = min((j for j in self.queue if j.task == task), key=_EDF_KEY, default=None)
+                if job is None:
                     break
-                job = min(candidates, key=lambda j: (j.deadline_t, j.id))
                 self.queue.remove(job)
                 self.machine_done[task] += 1
                 self._complete(job, t, completed)
@@ -345,10 +347,9 @@ class World:
         load = self.script.load(t)
         factor = self.script.service_factor(load)
         while budget > 1e-9:
-            live = [j for j in self.queue if not j.slipped]
-            if not live:
+            job = min((j for j in self.queue if not j.slipped), key=_EDF_KEY, default=None)
+            if job is None:
                 break
-            job = min(live, key=lambda j: (j.deadline_t, j.id))
             if job.remaining_s is None:
                 job.remaining_s = BASE_SERVICE_S[job.task] * factor * self._service_multiplier(job.task, directives)
             spend = min(budget, job.remaining_s)
@@ -392,8 +393,13 @@ class World:
         self._machine_pass(t, directives, completed)
         self._serve(t, directives, completed)
         seen |= completed
-        at = {task: (1 if task in seen else 0) for task in TASKS}
-        ot = {task: self.ot_flags[task] for task in TASKS if at[task] == 1}
+        at, ot = {}, {}
+        for task in TASKS:
+            if task in seen:
+                at[task] = 1
+                ot[task] = self.ot_flags[task]
+            else:
+                at[task] = 0
         return TaskTick(t=t, at=at, ot=ot)
 
     # -- observables --------------------------------------------------------

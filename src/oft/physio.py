@@ -33,6 +33,11 @@ from .jsonl import dump_jsonl, read_csv, write_csv
 PUPIL_MIN_MM = 2.0
 PUPIL_MAX_MM = 8.0
 SDNN_SPAN = 100
+# latest timestamp a framed recording may reach (one day); framing allocates per second
+MAX_RECORDING_S = 86_400
+# np.mean sums fewer values than this one by one, left to right from 0.0;
+# longer runs are summed pairwise
+_PAIRWISE_MIN = 8
 # windows per vectorised SDNN pass; bounds the copy of the windows in memory
 _SDNN_BLOCK = 128
 
@@ -251,6 +256,29 @@ def _full_span_sdnn(rr: np.ndarray, counts: np.ndarray, span: int) -> dict:
     return dict(zip(ends.tolist(), np.concatenate(values).tolist()))
 
 
+def _pupil_means(clean: PupilSeries, edges: np.ndarray) -> dict:
+    """Mean diameter of every second [edges[t], edges[t+1]) with samples, as
+    {t: mm}, the same bits as np.mean over each second's samples.
+
+    The seconds with fewer than _PAIRWISE_MIN samples are summed together,
+    one sample position at a time, so each is summed left to right from 0.0
+    as np.mean sums it; longer seconds go through np.mean.
+    """
+    bounds = np.searchsorted(clean.timestamps, edges, side="left")
+    starts, counts = bounds[:-1], np.diff(bounds)
+    mm = clean.diameters_mm
+    sums = np.zeros(len(counts))
+    short = counts < _PAIRWISE_MIN
+    for k in range(int(counts[short].max(initial=0))):
+        rows = np.flatnonzero(short & (counts > k))
+        sums[rows] += mm[starts[rows] + k]
+    means = sums / np.maximum(counts, 1)
+    for t in np.flatnonzero(~short).tolist():
+        means[t] = np.mean(mm[starts[t]:bounds[t + 1]])
+    seconds = np.flatnonzero(counts)
+    return dict(zip(seconds.tolist(), means[seconds].tolist()))
+
+
 def per_second_frames(
     beats: RRSeries,
     pupil: PupilSeries,
@@ -268,6 +296,8 @@ def per_second_frames(
     flagged as warm-up. The pupil feature is the z-score of that second's
     mean diameter; the z baseline is the whole session by default, a fixed
     [start, end) window, or externally supplied (mean, std) reference stats.
+    A recording whose last framed timestamp is past MAX_RECORDING_S is a
+    DataError.
     """
     if len(beats) == 0:
         raise DataError("stream 'beats' is empty")
@@ -279,15 +309,16 @@ def per_second_frames(
 
     if span < 2:
         raise ConfigError(f"per_second_frames: span must be >= 2, got {span}")
-    duration = max(int(math.floor(max(beats.timestamps[-1], clean.timestamps[-1]))) + 1, 1)
+    end = max(beats.timestamps[-1], clean.timestamps[-1])
+    if end > MAX_RECORDING_S:
+        raise DataError(
+            f"recording ends at {end:g} s, past one day ({MAX_RECORDING_S} s); "
+            "timestamps must be seconds from the start of the recording"
+        )
+    duration = max(int(math.floor(end)) + 1, 1)
 
     edges = np.arange(duration + 1)
-    pupil_edges = np.searchsorted(clean.timestamps, edges, side="left").tolist()
-    pupil_sec: dict[int, float] = {}
-    for t in range(duration):
-        lo, hi = pupil_edges[t], pupil_edges[t + 1]
-        if hi > lo:
-            pupil_sec[t] = float(np.mean(clean.diameters_mm[lo:hi]))
+    pupil_sec = _pupil_means(clean, edges)
 
     center, scale = _norm_stats(pupil_sec, normalization, window, reference)
 

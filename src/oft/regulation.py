@@ -55,12 +55,16 @@ class TaskTick:
     ot: dict
 
     def __post_init__(self):
-        active = {k for k, v in self.at.items() if v == 1}
-        if any(v not in (0, 1) for v in self.at.values()):
-            raise DataError(f"tick t={self.t}: at values must be 0 or 1")
-        if any(v not in (0, 1) for v in self.ot.values()):
-            raise DataError(f"tick t={self.t}: ot values must be 0 or 1")
-        if set(self.ot) != active:
+        active = set()
+        for task, value in self.at.items():
+            if value == 1:
+                active.add(task)
+            elif value != 0:
+                raise DataError(f"tick t={self.t}: at values must be 0 or 1")
+        for value in self.ot.values():
+            if value not in (0, 1):
+                raise DataError(f"tick t={self.t}: ot values must be 0 or 1")
+        if self.ot.keys() != active:
             raise DataError(
                 f"tick t={self.t}: ot must be reported for exactly the active tasks"
             )

@@ -1,6 +1,8 @@
 """Assistance rules and the hysteresis engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oft.errors import ConfigError, SequencingError
 from oft.adapt import (
@@ -140,3 +142,50 @@ class TestReplay:
         for cmd in commands:
             assert last.get(cmd.directive) != cmd.active  # no repeated edges
             last[cmd.directive] = cmd.active
+
+
+def hysteresis_oracle(rules, hold_s, stream):
+    """Commands per step, from a declarative rule: a directive is on after
+    the step at time t exactly when some level seen so far, at a time t0
+    with t - t0 <= hold_s, reached its trigger. Each directive is judged on
+    its own, and a step reports the directives whose state changed, in
+    rule order."""
+    out, seen, before = [], [], {r.directive: False for r in rules}
+    for t, level in stream:
+        seen.append((t, level))
+        step = []
+        for rule in rules:
+            on = any(lvl >= rule.trigger_level and t - t0 <= hold_s for t0, lvl in seen)
+            if on != before[rule.directive]:
+                step.append((t, rule.directive, rule.task, on))
+                before[rule.directive] = on
+        out.append((step, frozenset(d for d, on in before.items() if on)))
+    return out
+
+
+@st.composite
+def level_streams(draw):
+    gaps = draw(st.lists(st.one_of(st.integers(1, 4).map(float), st.floats(0.01, 8.0)),
+                         min_size=1, max_size=60))
+    times, t = [], draw(st.one_of(st.integers(-10, 10).map(float), st.floats(-10.0, 10.0)))
+    for gap in gaps:
+        t += gap
+        times.append(t)
+    levels = draw(st.lists(st.integers(1, 5), min_size=len(times), max_size=len(times)))
+    return list(zip(times, levels))
+
+
+class TestHysteresisOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(level_streams(),
+           st.one_of(st.sampled_from([0.0, 1.0, 2.0, 2.5, 5.0]), st.floats(0.0, 12.0)),
+           st.lists(st.integers(1, 5), min_size=1, max_size=6))
+    def test_engine_matches_the_declarative_rule(self, stream, hold_s, triggers):
+        rules = tuple(AssistanceRule(f"aid{i}", f"Task{i % 2}", "action", level)
+                      for i, level in enumerate(triggers))
+        for table in (DEFAULT_RULES, rules):
+            eng = AdaptationEngine(rules=table, hold_s=hold_s)
+            for (t, level), (want, active) in zip(stream, hysteresis_oracle(table, hold_s, stream)):
+                got = eng.step(t, level)
+                assert [(c.t, c.directive, c.task, c.active) for c in got] == want
+                assert eng.active == active

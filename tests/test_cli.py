@@ -1,14 +1,20 @@
 """Command line round-trips and exit codes, mostly in-process."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import src_env
 from oft import __version__
@@ -181,6 +187,22 @@ class TestPhysioCommand:
         frames = list(load_jsonl(jsonl))[1:]
         assert [f["pupil_z"] for f in frames[25:45]] == [None] * 20  # samples 100..179
         assert all(f["pupil_z"] is not None for f in frames[:25] + frames[45:240])
+
+    @pytest.mark.parametrize("command", ["physio", "monitor"])
+    def test_epoch_second_beat_times_exit_3(self, tmp_path, capsys, command):
+        # framing these would take one slot per second since 1970
+        beats, pupil = write_streams(tmp_path)
+        with open(beats, newline="") as fh:
+            rows = list(csv.reader(fh))
+        with open(beats, "w", newline="") as fh:
+            csv.writer(fh).writerows(
+                [rows[0]] + [[repr(1.7e9 + float(t)), rr] for t, rr in rows[1:]])
+        out = tmp_path / "out"
+        argv = ["physio", "--out", str(out)] if command == "physio" else [
+            "monitor", "--ticks", write_ticks(tmp_path / "ticks.jsonl"), "--out-dir", str(out)]
+        assert main(argv + ["--beats", beats, "--pupil", pupil]) == 3
+        assert "past one day" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMonitorCommand:
@@ -487,6 +509,16 @@ SIMULATE_SHA256 = {
     (9, "on"): "56f20cbaf7846c6d4160e14e083755c6dcaed59d53970e19cfff3c42afcf3d4d",
 }
 
+# 1200 s sessions that reach the automation's machine pass (seeds 2 and 9,
+# counts in the summary) and the prioritizer's load shedding (seed 5)
+FULL_SESSION_SHA256 = {
+    ("degrading-overload", 2): "44eec73084fba8d71950268b16bc01036de8af7312bb775e11b253af76429c27",
+    ("degrading-overload", 9): "4c12c57999e6d948dcccff2a082f3c6e91a0c5fb97edd8d4054264d506a27c42",
+    ("prioritizer", 5): "32f3ac2b5dbfcc30306f1be9c27a0762a8618a6b878b2f855c6a92acb994c05d",
+}
+MACHINE_DONE = {2: {"ManageEmptyZone": 11, "InspectLock": 1},
+                9: {"ManageEmptyZone": 4, "InspectLock": 8}}
+
 
 class TestFusionDigests:
     """Offline monitoring and the closed loop write the same bytes as the
@@ -513,6 +545,16 @@ class TestFusionDigests:
         assert main(["simulate", "--operator", "degrading-overload", "--seed", str(seed),
                      "--dfa", dfa, "--duration", "240", "--log", str(log)]) == 0
         assert sha256(log) == SIMULATE_SHA256[(seed, dfa)]
+
+    @pytest.mark.parametrize("operator,seed", list(FULL_SESSION_SHA256))
+    def test_full_session_log(self, tmp_path, operator, seed):
+        log = tmp_path / "run.jsonl"
+        assert main(["simulate", "--operator", operator, "--seed", str(seed),
+                     "--dfa", "on", "--duration", "1200", "--log", str(log)]) == 0
+        assert sha256(log) == FULL_SESSION_SHA256[(operator, seed)]
+        summary = list(load_jsonl(log))[-1]
+        for task, count in MACHINE_DONE.get(seed, {}).items():
+            assert summary["machine_done"][task] == count
 
 
 class TestCocomCommands:
@@ -979,3 +1021,122 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: model file: ") and err.count("\n") == 1
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing `oft monitor` inputs
+
+FUZZ_SECONDS = 60
+FUZZ_TASKS = ("ReadMessage", "DetectVehicle", "InspectLock")
+# what a mutated field holds, as CSV text and as a JSON value
+FUZZ_FIELDS = (("nan", float("nan")), ("inf", float("inf")), ("-1", -1),
+               ("text", "text"), ("1e308", 1e308))
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A valid one-minute recording: beats path, pupil rows, tick records."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    beats, pupil = write_streams(folder, duration=FUZZ_SECONDS)
+    with open(pupil, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rng = np.random.default_rng(3)
+    ticks = []
+    for t in range(FUZZ_SECONDS):
+        at = {task: int(rng.random() < 0.5) for task in FUZZ_TASKS}
+        ot = {task: int(rng.random() < 0.8) for task in FUZZ_TASKS if at[task]}
+        ticks.append({"t": t, "at": at, "ot": ot, "perf": round(float(rng.random()), 3)})
+    return beats, rows, ticks
+
+
+@st.composite
+def monitor_mutations(draw):
+    """(stream, kind, args) for one mutation of ticks.jsonl or pupil.csv."""
+    stream = draw(st.sampled_from(["ticks", "pupil"]))
+    kinds = ["truncate", "field", "duplicate", "reorder"]
+    kinds += ["drop_header", "rename_header"] if stream == "pupil" else ["at_value", "break_json"]
+    kind = draw(st.sampled_from(kinds))
+    last = FUZZ_SECONDS * (4 if stream == "pupil" else 1) - 1
+    row = draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)))
+    if kind == "truncate":
+        return stream, kind, draw(st.floats(0.0, 1.0))
+    if kind == "field":
+        column = draw(st.sampled_from(["t_s", "pupil_mm", "valid"] if stream == "pupil"
+                                      else ["t", "perf"]))
+        return stream, kind, (row, column, draw(st.sampled_from(FUZZ_FIELDS)))
+    if kind == "duplicate":
+        return stream, kind, row
+    if kind == "reorder":
+        return stream, kind, (row, draw(st.integers(0, FUZZ_SECONDS - 1)))
+    if kind == "rename_header":
+        return stream, kind, draw(st.sampled_from(["t_s", "pupil_mm", "valid"]))
+    if kind == "at_value":
+        return stream, kind, (row, draw(st.sampled_from(FUZZ_TASKS)),
+                              draw(st.sampled_from([[1], "1", None])))
+    if kind == "break_json":
+        return stream, kind, (row, draw(st.integers(0, 80)))
+    return stream, kind, None
+
+
+def mutated_text(stream, kind, args, pupil_rows, ticks):
+    """The mutated file's text; the other stream is left valid."""
+    if stream == "pupil":
+        header, rows = list(pupil_rows[0]), [list(r) for r in pupil_rows[1:]]
+    else:
+        header, rows = None, json.loads(json.dumps(ticks))
+    if kind == "field":
+        row, column, (text, value) = args
+        if stream == "pupil":
+            rows[row][header.index(column)] = text
+        else:
+            rows[row][column] = value
+    elif kind == "duplicate":
+        rows.insert(args, rows[args])
+    elif kind == "reorder":
+        a, b = args
+        rows[a], rows[b] = rows[b], rows[a]
+    elif kind == "drop_header":
+        header = None
+    elif kind == "rename_header":
+        header[header.index(args)] = args + "_x"
+    elif kind == "at_value":
+        row, task, value = args
+        rows[row]["at"][task] = value
+    if stream == "pupil":
+        out = io.StringIO()
+        csv.writer(out).writerows(([header] if header else []) + rows)
+        text = out.getvalue()
+    else:
+        lines = [json.dumps(r) for r in rows]
+        if kind == "break_json":
+            row, cut = args
+            lines[row] = lines[row][:cut] + lines[row][cut + 1:]
+        text = "\n".join(lines) + "\n"
+    if kind == "truncate":
+        text = text[:int(args * len(text))]
+    return text
+
+
+class TestMonitorFuzz:
+    """Mutated ticks and pupil inputs end in a documented exit code."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=monitor_mutations())
+    # a last pupil sample far past one day
+    @example(mutation=("pupil", "field", (4 * FUZZ_SECONDS - 1, "t_s", ("1e308", 1e308))))
+    def test_exit_code_is_documented(self, fuzz_inputs, mutation):
+        beats, pupil_rows, ticks = fuzz_inputs
+        stream, kind, args = mutation
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            paths = {"pupil": folder / "pupil.csv", "ticks": folder / "ticks.jsonl"}
+            paths["pupil"].write_text(mutated_text(
+                "pupil", kind if stream == "pupil" else None, args, pupil_rows, ticks))
+            paths["ticks"].write_text(mutated_text(
+                "ticks", kind if stream == "ticks" else None, args, pupil_rows, ticks))
+            argv = ["monitor", "--beats", beats, "--pupil", str(paths["pupil"]),
+                    "--ticks", str(paths["ticks"]), "--out-dir", str(folder / "out")]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 2, 3, 4)

@@ -8,12 +8,16 @@ import pytest
 from oft.errors import ConfigError
 from oft.fusion import MwlNetwork
 from oft.microworld import (
+    BASE_SERVICE_S,
     EFFORT_SMOOTH_S,
     MAX_DURATION_S,
     TASKS,
+    Message,
     Monitor,
     ScenarioConfig,
+    Vehicle,
     World,
+    Zone,
     compare_compliance,
     generate_beats,
     generate_pupil,
@@ -545,6 +549,91 @@ class TestCachedObservables:
         assert checked == {"demand": cfg.duration_s, "perf": cfg.duration_s}
         entropies = {r["entropy"] for r in result.records if r["record"] == "tick"}
         assert len(entropies) > 10
+
+
+class ListPickWorld(World):
+    """A world whose earliest-deadline picks build the candidate list and
+    call min with a lambda key, as they were first written."""
+
+    def _machine_pass(self, t, directives, completed):
+        for directive, task in (("auto_transfer_drones", "ManageEmptyZone"),
+                                ("auto_inspect", "InspectLock")):
+            if directive not in directives:
+                continue
+            for _ in range(2):
+                candidates = [j for j in self.queue if j.task == task]
+                if not candidates:
+                    break
+                job = min(candidates, key=lambda j: (j.deadline_t, j.id))
+                self.queue.remove(job)
+                self.machine_done[task] += 1
+                self._complete(job, t, completed)
+
+    def _serve(self, t, directives, completed):
+        budget = 1.0
+        factor = self.script.service_factor(self.script.load(t))
+        while budget > 1e-9:
+            live = [j for j in self.queue if not j.slipped]
+            if not live:
+                break
+            job = min(live, key=lambda j: (j.deadline_t, j.id))
+            if job.remaining_s is None:
+                job.remaining_s = (BASE_SERVICE_S[job.task] * factor
+                                   * self._service_multiplier(job.task, directives))
+            spend = min(budget, job.remaining_s)
+            job.remaining_s -= spend
+            budget -= spend
+            if job.remaining_s <= 1e-9:
+                self.queue.remove(job)
+                self._complete(job, t, completed)
+
+
+def crowded_world(cls, seed, jobs):
+    """A degrading-overload world with steady arrivals, fed `jobs` as
+    (task, deadline_t, slipped) at t=0."""
+    cfg = ScenarioConfig(duration_s=600, phase_split_s=300, calm_rate_per_s=0.2,
+                         busy_rate_per_s=0.2, operator="degrading-overload")
+    world = cls(cfg, operator_script(cfg.operator, cfg.duration_s, cfg.phase_split_s),
+                rng_spawn=np.random.default_rng(seed),
+                rng_operator=np.random.default_rng(seed + 1))
+    for task, deadline, slipped in jobs:
+        subject = {}
+        if task in ("ReadMessage", "DrawZone"):
+            subject["message"] = Message(id=world._new_id(), arrive_t=0.0)
+        elif task == "ManageEmptyZone":
+            subject["zone"] = Zone(id=world._new_id(), created_t=0.0)
+        else:
+            subject["vehicle"] = Vehicle(id=world._new_id(), spawn_t=0.0, x=0.5, y=0.5)
+        world.add_job(task, 0.0, deadline, **subject).slipped = slipped
+    return world
+
+
+def world_state(world, tick):
+    return (tick.at, tick.ot, [(j.id, j.task, j.remaining_s, j.slipped) for j in world.queue],
+            world.machine_done, world.miss_counts, world.ot_flags)
+
+
+class TestEarliestDeadlinePick:
+    """The generator-and-attrgetter picks choose the job the list-and-lambda
+    min chose, ties on deadline going to the lower id, slipped jobs left for
+    their deadline, in both the operator's queue and the automation's."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_picks_as_the_list_min(self, seed):
+        rng = np.random.default_rng(seed)
+        jobs = [(TASKS[rng.integers(len(TASKS))], float(rng.integers(3, 12)), bool(rng.random() < 0.3))
+                for _ in range(int(rng.integers(5, 30)))]
+        order = rng.permutation(len(jobs))
+        worlds = [crowded_world(cls, seed, jobs) for cls in (World, ListPickWorld)]
+        for world in worlds:
+            world.queue = [world.queue[i] for i in order]
+        directives = ["auto_transfer_drones", "auto_inspect", "highlight_messages",
+                      "highlight_empty_zones", "auto_judge_zone_useful", "annotate_message_coords"]
+        for t in range(40):
+            aids = frozenset(d for d in directives if rng.random() < 0.5)
+            fast, slow = (world_state(w, w.tick(t, aids)) for w in worlds)
+            assert fast == slow, t
+        assert sum(worlds[0].machine_done.values()) > 0
 
 
 class TestCompareCompliance:

@@ -364,3 +364,87 @@ class TestSeriesValidation:
     def test_pupil_shape_mismatch(self):
         with pytest.raises(DataError):
             PupilSeries(np.array([0.0, 0.25]), np.array([3.0]))
+
+
+def pupil_means_oracle(pupil):
+    """{second: np.mean of that second's cleansed diameters}, one second at
+    a time: the per-second framing that the one-pass means replace."""
+    clean = cleanse_pupil(pupil)
+    ts, mm = clean.timestamps, clean.diameters_mm
+    out = {}
+    for t in range(int(math.floor(ts[-1])) + 1):
+        second = mm[(ts >= t) & (ts < t + 1)]
+        if len(second):
+            out[t] = float(np.mean(second))
+    return out
+
+
+def framed_means(pupil):
+    """Per-second pupil means as per_second_frames reports them: with the
+    reference (0, 1) a z-score is the mean itself, bit for bit."""
+    beats = RRSeries(np.array([0.0, 0.8]), np.array([800.0, 800.0]))
+    frames = per_second_frames(beats, pupil, normalization="reference",
+                               reference=(0.0, 1.0)).frames
+    return {f.t: f.pupil_z for f in frames if f.pupil_z is not None}
+
+
+class TestPupilMeans:
+    """The one-pass per-second means equal np.mean over each second."""
+
+    @pytest.mark.parametrize("hz", [1, 4, 10, 30, 60])
+    def test_rates_with_gaps_and_jitter(self, rng, hz):
+        n = 120 * hz
+        ts = np.sort(np.arange(n) / hz + rng.uniform(0.0, 1.0 / hz, n))
+        mm = rng.uniform(1.5, 8.5, n)  # some fall outside [2, 8] and are cleansed
+        keep = np.ones(n, dtype=bool)
+        for start in (10, 50, 51, 90):  # whole seconds without a sample
+            keep[(ts >= start) & (ts < start + 1)] = False
+        valid = rng.random(n) > 0.1
+        pupil = PupilSeries(ts[keep], mm[keep], valid[keep])
+        want = pupil_means_oracle(pupil)
+        assert 10 not in want and 50 not in want
+        assert framed_means(pupil) == want
+
+    def test_second_lengths_around_the_pairwise_cutoff(self, rng):
+        # second t holds t % 20 samples: none, one, 2 to 7, and 8 or more
+        lengths = [t % 20 for t in range(60)]
+        ts = np.concatenate([t + np.sort(rng.uniform(0.0, 1.0, n)) for t, n in enumerate(lengths)])
+        pupil = PupilSeries(ts, rng.uniform(2.0, 8.0, len(ts)))
+        want = pupil_means_oracle(pupil)
+        assert sorted(want) == [t for t, n in enumerate(lengths) if n]
+        assert framed_means(pupil) == want
+
+    def test_samples_on_whole_seconds_and_repeated_times(self):
+        ts = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.5, 4.0, 4.0])
+        pupil = PupilSeries(ts, np.array([3.1, 3.3, 2.9, 4.4, 5.05, 7.7, 3.0, 3.6]))
+        assert framed_means(pupil) == pupil_means_oracle(pupil)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 30.0), st.floats(2.0, 8.0)), min_size=1, max_size=200))
+    def test_random_samples(self, samples):
+        samples.sort()
+        ts, mm = (np.array(col) for col in zip(*samples))
+        pupil = PupilSeries(ts, mm)
+        assert framed_means(pupil) == pupil_means_oracle(pupil)
+
+
+class TestRecordingLength:
+    def test_a_day_long_recording_is_framed(self):
+        beats = RRSeries(np.array([0.0, 86_400.0]), np.array([800.0, 800.0]))
+        pupil = PupilSeries(np.array([0.0, 86_399.5]), np.array([3.0, 3.2]))
+        frames = per_second_frames(beats, pupil).frames
+        assert frames[-1].t == 86_400
+
+    @pytest.mark.parametrize("beat_end,pupil_end", [(86_400.5, 10.0), (10.0, 86_401.0),
+                                                    (1.7e9, 1.7e9), (1e308, 5.0)])
+    def test_past_one_day_is_a_data_error(self, beat_end, pupil_end):
+        beats = RRSeries(np.array([0.0, beat_end]), np.array([800.0, 800.0]))
+        pupil = PupilSeries(np.array([0.0, pupil_end]), np.array([3.0, 3.2]))
+        with pytest.raises(DataError, match="past one day"):
+            per_second_frames(beats, pupil)
+
+    def test_cleansed_samples_do_not_count(self):
+        beats = RRSeries(np.array([0.0, 5.0]), np.array([800.0, 800.0]))
+        pupil = PupilSeries(np.array([0.0, 1.0, 1.7e9]), np.array([3.0, 3.2, 3.1]),
+                            np.array([True, True, False]))
+        assert len(per_second_frames(beats, pupil).frames) == 6

@@ -1,6 +1,7 @@
 """Regulation event detection against a test-local restatement of the rules."""
 
 import itertools
+import json
 
 import pytest
 
@@ -177,3 +178,79 @@ def test_ticks_jsonl_reader(tmp_path):
     bad.write_text('{"t": 0, "at": {"a": 1}}\n')
     with pytest.raises(DataError, match="ticks"):
         list(read_ticks_jsonl(bad))
+
+
+def tick_check_by_comprehensions(t, at, ot):
+    """TaskTick validation as three comprehension scans: the error message
+    it raises, or None when the tick is accepted."""
+    active = {k for k, v in at.items() if v == 1}
+    if any(v not in (0, 1) for v in at.values()):
+        return f"tick t={t}: at values must be 0 or 1"
+    if any(v not in (0, 1) for v in ot.values()):
+        return f"tick t={t}: ot values must be 0 or 1"
+    if set(ot) != active:
+        return f"tick t={t}: ot must be reported for exactly the active tasks"
+    return None
+
+
+TICK_VALUES = (0, 1, True, False, 1.0, 0.0, None, "1", [1], float("nan"))
+
+
+def tick_outcome(t, at, ot):
+    try:
+        TaskTick(t=t, at=at, ot=ot)
+    except DataError as exc:
+        return str(exc)
+    return None
+
+
+def ot_variants(at):
+    """ot dicts over the tasks of `at` plus one unknown task "c": every key
+    subset of at most two keys, each key with every test value."""
+    keys = list(at) + ["c"]
+    yield {}
+    for size in (1, 2):
+        for chosen in itertools.combinations(keys, size):
+            for values in itertools.product(TICK_VALUES, repeat=size):
+                yield dict(zip(chosen, values))
+
+
+class TestTickValidationOracle:
+    """One loop over at and one over ot accept and reject what the three
+    scans did, with the same message."""
+
+    def test_every_value_pair(self):
+        checked = rejected = 0
+        for a, b in itertools.product(TICK_VALUES, repeat=2):
+            at = {"a": a, "b": b}
+            for ot in ot_variants(at):
+                want = tick_check_by_comprehensions(7, at, ot)
+                assert tick_outcome(7, at, ot) == want, (at, ot)
+                checked += 1
+                rejected += want is not None
+        assert checked > 20_000 and 0 < rejected < checked
+
+    @pytest.mark.parametrize("value", TICK_VALUES, ids=repr)
+    @pytest.mark.parametrize("where", ["at", "ot", "missing ot", "extra ot"])
+    def test_through_the_ticks_reader(self, tmp_path, value, where):
+        at, ot = {"a": 1, "b": 0}, {"a": 1}
+        if where == "at":
+            at["b"] = value
+            if value == 1:
+                ot["b"] = 1
+        elif where == "ot":
+            ot["a"] = value
+        elif where == "missing ot":
+            at["b"] = value
+        else:
+            ot["c"] = value
+        want = tick_check_by_comprehensions(0, at, ot)
+        path = tmp_path / "ticks.jsonl"
+        path.write_text(json.dumps({"t": 0, "at": at, "ot": ot, "perf": 1.0}) + "\n")
+        if want is None:
+            (tick, perf), = read_ticks_jsonl(path)
+            assert (tick.at, tick.ot, perf) == (at, ot, 1.0)
+        else:
+            with pytest.raises(DataError) as info:
+                list(read_ticks_jsonl(path))
+            assert str(info.value) == want
