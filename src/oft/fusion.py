@@ -12,6 +12,10 @@ Children without evidence drop out (their labels marginalize to 1), and a
 label that evidence leaves out has likelihood 0. Evidence from `fuzzify`
 lists only the labels with nonzero weight: one label on a plateau of the
 partition, two inside an overlap.
+
+`fuse` packages one second's result as an `MwlState`: the second, the
+posterior as five Python floats, and the level `mwl_level` reads from it.
+The state keeps nothing of the evidence it was fused from.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -269,24 +273,17 @@ def mwl_level(post: Sequence[float]) -> int:
     return level
 
 
-@dataclass(frozen=True)
-class MwlState:
+class MwlState(NamedTuple):
     """Fused workload at one second."""
 
     t: int
     posterior: tuple
     level: int
-    evidence: dict = field(default_factory=dict)  # variable -> likelihood dict
 
 
 def fuse(net: MwlNetwork, t: int, evidence: Sequence[SoftEvidence]) -> MwlState:
     post = tuple(posterior(net, evidence).tolist())
-    return MwlState(
-        t=t,
-        posterior=post,
-        level=mwl_level(post),
-        evidence={ev.variable: dict(ev.likelihood) for ev in evidence},
-    )
+    return MwlState(t, post, mwl_level(post))
 
 
 def write_states_jsonl(states: Iterable[MwlState], path: str | Path) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from math import isfinite
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -27,9 +27,85 @@ DATA = Path(__file__).parent / "data"
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+# Two record shapes are written once per second: the closed-loop tick
+# record and the fused state of mwl.jsonl. Each has a %-template that writes
+# the bytes _RECORD_ENCODER writes, used only when the record holds exactly
+# the schema's keys and every slot holds a value whose encoding the template
+# knows: an exact, finite float (written as float.__repr__, as json does), an
+# exact int (never a bool), None or a bool where the schema allows it, and an
+# ASCII identifier as the behaviour label, which needs no escaping. Anything
+# else, an np.float64 included, goes through _RECORD_ENCODER.
+_TICK_SLOTS = itemgetter(
+    "behaviour", "cps", "entropy", "hrv_sdnn_ms", "hrv_warmup", "latent", "level", "n1",
+    "n2", "nps", "perf", "posterior", "pupil_z", "record", "t", "td",
+)
+_TICK = ('{"behaviour":"%s","cps":%d,"entropy":%r,"hrv_sdnn_ms":%s,"hrv_warmup":%s,'
+         '"latent":%r,"level":%d,"n1":%d,"n2":%d,"nps":%d,"perf":%r,'
+         '"posterior":[%r,%r,%r,%r,%r],"pupil_z":%r,"record":"tick","t":%d,"td":%s}')
+_STATE_SLOTS = itemgetter("level", "posterior", "t")
+_STATE = '{"level":%d,"posterior":[%r,%r,%r,%r,%r],"t":%d}'
+
+
+def _five_finite_floats(values) -> bool:
+    if type(values) is not list or len(values) != 5:
+        return False
+    a, b, c, d, e = values
+    return (type(a) is float and type(b) is float and type(c) is float
+            and type(d) is float and type(e) is float
+            and isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e))
+
+
+def _tick_line(record: dict) -> str | None:
+    try:
+        (behaviour, cps, entropy, hrv, warmup, latent, level, n1, n2, nps, perf, post,
+         pupil_z, kind, t, td) = _TICK_SLOTS(record)
+    except KeyError:
+        return None
+    if (type(kind) is str and kind == "tick"
+            and type(behaviour) is str and behaviour.isascii() and behaviour.isidentifier()
+            and type(cps) is int and type(level) is int and type(n1) is int
+            and type(n2) is int and type(nps) is int and type(t) is int
+            and (td is None or type(td) is int)
+            and (warmup is True or warmup is False)
+            and type(entropy) is float and type(latent) is float
+            and type(perf) is float and type(pupil_z) is float
+            and isfinite(entropy) and isfinite(latent) and isfinite(perf) and isfinite(pupil_z)
+            and (hrv is None or (type(hrv) is float and isfinite(hrv)))
+            and _five_finite_floats(post)):
+        return _TICK % (
+            behaviour, cps, entropy, "null" if hrv is None else repr(hrv),
+            "true" if warmup else "false", latent, level, n1, n2, nps, perf, *post,
+            pupil_z, t, "null" if td is None else td,
+        )
+    return None
+
+
+def _state_line(record: dict) -> str | None:
+    try:
+        level, post, t = _STATE_SLOTS(record)
+    except KeyError:
+        return None
+    if type(level) is int and type(t) is int and _five_finite_floats(post):
+        return _STATE % (level, *post, t)
+    return None
+
+
+# schema by key count; a record of that size missing one of the keys is
+# not of the schema
+_FIXED_SCHEMAS = {16: _tick_line, 3: _state_line}
 
 
 def dumps_record(record: dict[str, Any]) -> str:
+    """One record as a JSON line: sorted keys, no spaces, NaN and infinity
+    rejected (ValueError), as _RECORD_ENCODER writes it."""
+    if type(record) is dict:
+        line_of = _FIXED_SCHEMAS.get(len(record))
+        if line_of is not None:
+            line = line_of(record)
+            if line is not None:
+                return line
     return _RECORD_ENCODER.encode(record)
 
 
@@ -57,7 +133,7 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 def is_finite_number(value) -> bool:
     """True for a finite JSON number (booleans excluded)."""
     try:
-        return not isinstance(value, bool) and math.isfinite(value)
+        return not isinstance(value, bool) and isfinite(value)
     except (TypeError, OverflowError):
         return False
 
@@ -79,9 +155,15 @@ def load_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    raise DataError(f"{path}, line {lineno}: not JSON ({exc})") from exc
+                    record, end = _SCAN_ONCE(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = -1
+                if end != len(line):
+                    # not one JSON value; json.loads fails too, with the message
+                    try:
+                        record = json.loads(line)
+                    except (ValueError, RecursionError) as exc:  # an int past the digit limit too
+                        raise DataError(f"{path}, line {lineno}: not JSON ({exc})") from exc
                 yield record
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import DataError, SequencingError
 from .jsonl import dump_jsonl, load_jsonl
@@ -70,8 +70,7 @@ class TaskTick:
             )
 
 
-@dataclass(frozen=True)
-class ActivitySnapshot:
+class ActivitySnapshot(NamedTuple):
     """Counts at second t plus their deltas against t-1."""
 
     t: int
@@ -82,8 +81,7 @@ class ActivitySnapshot:
     perf: float
 
 
-@dataclass(frozen=True)
-class RegulationEvent:
+class RegulationEvent(NamedTuple):
     t: int
     kind: RegulationKind
 
@@ -165,14 +163,27 @@ class ActivityTracker:
 
 
 def read_ticks_jsonl(path: str | Path):
-    """Tick stream: {"t", "at": {...}, "ot": {...}, "perf"} per line."""
+    """Tick stream: {"t", "at": {...}, "ot": {...}, "perf"} per line.
+
+    `t` must be a JSON integer and `at` and `ot` JSON objects; the tick
+    holds the decoded `at` and `ot` dicts themselves.
+    """
+    where = f"stream 'ticks' ({path})"
     for rec in load_jsonl(path):
         try:
-            yield TaskTick(t=int(rec["t"]), at=dict(rec["at"]), ot=dict(rec["ot"])), float(
-                rec["perf"]
-            )
+            t, at, ot = rec["t"], rec["at"], rec["ot"]
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{where}: bad record {rec!r}") from exc
+        if type(t) is not int:
+            raise DataError(f"{where}: bad record {rec!r}: t is not an integer")
+        if type(at) is not dict or type(ot) is not dict:
+            raise DataError(f"{where}: bad record {rec!r}: at and ot must be JSON objects")
+        tick = TaskTick(t=t, at=at, ot=ot)
+        try:
+            perf = float(rec["perf"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"stream 'ticks' ({path}): bad record {rec!r}") from exc
+            raise DataError(f"{where}: bad record {rec!r}") from exc
+        yield tick, perf
 
 
 def write_events_jsonl(events: Iterable[RegulationEvent], path: str | Path) -> None:

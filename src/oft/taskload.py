@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,7 @@ class ConstraintFrame:
             raise DataError(f"constraint frame t={self.t}: entropy must be >= 0")
 
 
-@dataclass(frozen=True)
-class DiscretizedConstraints:
+class DiscretizedConstraints(NamedTuple):
     n1_level: str
     n2_level: str
     entropy_level: str

@@ -276,6 +276,32 @@ class TestMonitorCommand:
         assert code == 3
         assert "bad record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("second,shown,message", [
+        # a t of 1.9 read as second 1, and "2" as second 2
+        ('{"t": 1.9, "at": {"a": 1}, "ot": {"a": 1}, "perf": "0.5"}', "'t': 1.9",
+         "t is not an integer"),
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": "0.5"}', "'t': '2'",
+         "t is not an integer"),
+        ('{"t": true, "at": {"a": 1}, "ot": {"a": 1}, "perf": 0.5}', "'t': True",
+         "t is not an integer"),
+        ('{"t": 1, "at": [["a", 1]], "ot": {"a": 1}, "perf": 0.5}', "'at': [['a', 1]]",
+         "at and ot must be JSON objects"),
+        ('{"t": 1, "at": {"a": 0}, "ot": [], "perf": 0.5}', "'ot': []",
+         "at and ot must be JSON objects"),
+    ], ids=["fractional t", "string t", "boolean t", "list at", "list ot"])
+    def test_malformed_tick_exits_3(self, tmp_path, capsys, second, shown, message):
+        beats, pupil = write_streams(tmp_path)
+        ticks = tmp_path / "ticks.jsonl"
+        ticks.write_text('{"t": 0, "at": {"a": 1}, "ot": {"a": 1}, "perf": 0.9}\n' + second
+                         + '\n{"t": "2", "at": {"a": 1}, "ot": {"a": 1}, "perf": 0.9}\n')
+        code = main(["monitor", "--beats", beats, "--pupil", pupil, "--ticks", str(ticks),
+                     "--out-dir", str(tmp_path / "mon")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"stream 'ticks' ({ticks}): bad record" in err
+        assert shown in err and message in err
+        assert not (tmp_path / "mon").exists()
+
     def test_ticks_line_not_json_exits_3(self, tmp_path, capsys):
         beats, pupil = write_streams(tmp_path)
         ticks = write_ticks(tmp_path / "ticks.jsonl")
@@ -294,6 +320,16 @@ class TestMonitorCommand:
                      "--out-dir", str(tmp_path / "mon")])
         assert code == 3
         assert "line 1" in capsys.readouterr().err
+
+    def test_ticks_integer_past_digit_limit_exits_3(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        ticks = tmp_path / "ticks.jsonl"
+        ticks.write_text('{"t": ' + "1" * 5000 + ', "at": {}, "ot": {}, "perf": 0.5}\n')
+        code = main(["monitor", "--beats", beats, "--pupil", pupil, "--ticks", str(ticks),
+                     "--out-dir", str(tmp_path / "mon")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "line 1: not JSON (" in err and err.count("\n") == 1
 
     def test_missing_ticks_file_exits_3(self, tmp_path, capsys):
         beats, pupil = write_streams(tmp_path)
@@ -1031,6 +1067,12 @@ FUZZ_TASKS = ("ReadMessage", "DetectVehicle", "InspectLock")
 # what a mutated field holds, as CSV text and as a JSON value
 FUZZ_FIELDS = (("nan", float("nan")), ("inf", float("inf")), ("-1", -1),
                ("text", "text"), ("1e308", 1e308))
+# a tick field may also hold a fractional second, a second as a string, a
+# list where an object belongs, or an integer past the int digit limit, which
+# json cannot write: the line gets its text in place of the marker
+HUGE_INT = "\x00huge int\x00"
+FUZZ_TICK_FIELDS = FUZZ_FIELDS + (("1.5", 1.5), ('"2"', "2"), ("[[...]]", [["ReadMessage", 1]]),
+                                  ("1" * 5000, HUGE_INT))
 
 
 @pytest.fixture(scope="module")
@@ -1061,9 +1103,11 @@ def monitor_mutations(draw):
     if kind == "truncate":
         return stream, kind, draw(st.floats(0.0, 1.0))
     if kind == "field":
-        column = draw(st.sampled_from(["t_s", "pupil_mm", "valid"] if stream == "pupil"
-                                      else ["t", "perf"]))
-        return stream, kind, (row, column, draw(st.sampled_from(FUZZ_FIELDS)))
+        if stream == "pupil":
+            column = draw(st.sampled_from(["t_s", "pupil_mm", "valid"]))
+            return stream, kind, (row, column, draw(st.sampled_from(FUZZ_FIELDS)))
+        column = draw(st.sampled_from(["t", "perf", "at"]))
+        return stream, kind, (row, column, draw(st.sampled_from(FUZZ_TICK_FIELDS)))
     if kind == "duplicate":
         return stream, kind, row
     if kind == "reorder":
@@ -1107,7 +1151,7 @@ def mutated_text(stream, kind, args, pupil_rows, ticks):
         csv.writer(out).writerows(([header] if header else []) + rows)
         text = out.getvalue()
     else:
-        lines = [json.dumps(r) for r in rows]
+        lines = [json.dumps(r).replace(json.dumps(HUGE_INT), "1" * 5000) for r in rows]
         if kind == "break_json":
             row, cut = args
             lines[row] = lines[row][:cut] + lines[row][cut + 1:]
@@ -1124,6 +1168,12 @@ class TestMonitorFuzz:
     @given(mutation=monitor_mutations())
     # a last pupil sample far past one day
     @example(mutation=("pupil", "field", (4 * FUZZ_SECONDS - 1, "t_s", ("1e308", 1e308))))
+    # a fractional and a string second, and a list of pairs as `at`
+    @example(mutation=("ticks", "field", (1, "t", FUZZ_TICK_FIELDS[-4])))
+    @example(mutation=("ticks", "field", (2, "t", FUZZ_TICK_FIELDS[-3])))
+    @example(mutation=("ticks", "field", (3, "at", FUZZ_TICK_FIELDS[-2])))
+    # an integer too long to read
+    @example(mutation=("ticks", "field", (4, "t", FUZZ_TICK_FIELDS[-1])))
     def test_exit_code_is_documented(self, fuzz_inputs, mutation):
         beats, pupil_rows, ticks = fuzz_inputs
         stream, kind, args = mutation

@@ -17,12 +17,15 @@ from oft.errors import ConfigError, DataError
 from oft.fusion import (
     FuzzyPartition,
     MwlNetwork,
+    MwlState,
     SoftEvidence,
     fuse,
     fuzzify,
     mwl_level,
     posterior,
 )
+from oft.regulation import ActivitySnapshot, RegulationEvent, RegulationKind
+from oft.taskload import DiscretizedConstraints
 
 
 def posterior_by_joint_enumeration(prior, tables, likelihoods):
@@ -386,7 +389,23 @@ def test_fuse_packages_state(rng):
     assert state.t == 17
     assert state.level == mwl_level(np.array(state.posterior))
     assert sum(state.posterior) == pytest.approx(1.0, abs=1e-9)
-    assert state.evidence == {"c0": {"l0": 0.4, "l1": 0.6}}
+
+
+# the per-second value types, fields in order
+@pytest.mark.parametrize("cls,fields", [
+    (ActivitySnapshot, {"t": 3, "nps": 2, "cps": 1, "dcps": -1, "dnps": 1, "perf": 0.5}),
+    (RegulationEvent, {"t": 3, "kind": RegulationKind.COBR}),
+    (DiscretizedConstraints, {"n1_level": "low", "n2_level": "high", "entropy_level": "medium"}),
+    (MwlState, {"t": 3, "posterior": (0.1, 0.2, 0.4, 0.2, 0.1), "level": 3}),
+])
+def test_per_second_value_types(cls, fields):
+    assert cls._fields == tuple(fields)
+    value = cls(**fields)
+    assert value == cls(*fields.values())
+    for name, field_value in fields.items():
+        assert getattr(value, name) is field_value
+        with pytest.raises(AttributeError):
+            setattr(value, name, field_value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,22 @@
-"""The shared CSV reader against the csv.DictReader reader it replaced."""
+"""The shared readers and record writer against the code they replaced: the
+CSV reader against csv.DictReader, load_jsonl against json.loads per line,
+and the fixed-schema record templates against the JSON encoder."""
 
 import csv
+import itertools
+import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oft import fusion, physio, pipeline, regulation
+from oft.cli import main
 from oft.errors import DataError
-from oft.jsonl import read_csv
+from oft.jsonl import _FIXED_SCHEMAS, _RECORD_ENCODER, dumps_record, load_jsonl, read_csv
+from test_cli import FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, write_fixed_recording
 
 
 def _dictreader_read_csv(path, stream, columns, parse):
@@ -124,3 +135,241 @@ def test_single_column(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("t_s,level\n0,1.5\n2,2.5\n")
     assert read_csv(path, "s", ("level",), float) == [1.5, 2.5]
+
+
+# ---------------------------------------------------------------------------
+# load_jsonl against the json.loads loader it replaced
+
+
+def _loads_load_jsonl(path):
+    """The loader as it was, kept verbatim as the reference."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise DataError(f"{path}, line {lineno}: not JSON ({exc})") from exc
+                yield record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+JSONL_FILES = {
+    "records": '{"t": 0, "at": {"A": 1}}\n\n  {"t": 1, "x": [1.5, null, true]}  \r\n',
+    "scalars": '1\n"text"\n[1, 2]\nnull\n-0.0\n1e400\nNaN\n-Infinity\n',
+    "trailing data": '{"t": 0}\n{"t": 1} x\n',
+    "two values": '{"t": 0}{"t": 1}\n',
+    "trailing value after space": '[1] 2\n',
+    "bare [": '{"t": 0}\n[\n',
+    "bare word": 'nope\n',
+    "unterminated string": '{"t": "0\n',
+    "missing value": '{"t": }\n',
+    "too deeply nested": '{"t": 0}\n' + "[" * 100_000 + "\n",
+    "nested, closed": "[" * 50 + "]" * 50 + "\n",
+    "byte order mark": '\ufeff{"t": 0}\n',
+    "form feed inside": '{"t": 0}\x0c{"t": 1}\n',
+    "form feed around": '\x0c{"t": 0}\x0c\n',
+    "not UTF-8": b'{"t": "\xff"}\n',
+    "huge integer": '{"t": 0}\n{"t": ' + "1" * 5000 + "}\n",
+    "empty": "",
+}
+
+
+def read_all(loader, path):
+    try:
+        return list(loader(path))
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(JSONL_FILES))
+def test_load_jsonl_matches_json_loads(tmp_path, name):
+    path = tmp_path / "in.jsonl"
+    text = JSONL_FILES[name]
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    got = read_all(load_jsonl, path)
+    if name == "huge integer":
+        # past the int digit limit json.loads raises a plain ValueError, which
+        # the loader as it was let through; load_jsonl reports the line
+        with pytest.raises(ValueError) as exc:
+            list(_loads_load_jsonl(path))
+        assert got == f"{path}, line 2: not JSON ({exc.value})"
+        return
+    assert got == read_all(_loads_load_jsonl, path)
+    if name in ("trailing data", "bare [", "too deeply nested"):
+        assert isinstance(got, str) and got.startswith(f"{path}, line 2: not JSON (")
+
+
+# ---------------------------------------------------------------------------
+# the fixed-schema record templates against the encoder they bypass
+
+
+def encoded(encode, record):
+    try:
+        return encode(record)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def same_as_encoder(record):
+    got = encoded(dumps_record, record)
+    assert got == encoded(_RECORD_ENCODER.encode, record)
+    return got
+
+
+def takes_template(record):
+    line_of = _FIXED_SCHEMAS.get(len(record))
+    return line_of is not None and line_of(record) is not None
+
+
+def recorded_writes(monkeypatch, module):
+    """Every record that `module` passes to dump_jsonl, in order."""
+    written = []
+    monkeypatch.setattr(module, "dump_jsonl", lambda records, _path: written.extend(records))
+    return written
+
+
+def test_every_record_of_the_pinned_sessions(tmp_path, monkeypatch):
+    records = recorded_writes(monkeypatch, pipeline)
+    log = str(tmp_path / "run.jsonl")
+    for seed, dfa in SIMULATE_SHA256:
+        assert main(["simulate", "--operator", "degrading-overload", "--seed", str(seed),
+                     "--dfa", dfa, "--duration", "240", "--log", log]) == 0
+    for operator, seed in FULL_SESSION_SHA256:
+        assert main(["simulate", "--operator", operator, "--seed", str(seed),
+                     "--dfa", "on", "--duration", "1200", "--log", log]) == 0
+    ticks = 0
+    for record in records:
+        same_as_encoder(record)
+        if record["record"] == "tick":
+            assert takes_template(record)
+            ticks += 1
+    assert ticks == 4 * 240 + 3 * 1200
+
+
+def test_every_record_of_the_pinned_monitor_outputs(tmp_path, monkeypatch):
+    states = recorded_writes(monkeypatch, fusion)
+    events = recorded_writes(monkeypatch, regulation)
+    beats, pupil, ticks, demand = write_fixed_recording(tmp_path)
+    for normalization, with_demand in MONITOR_SHA256:
+        argv = ["monitor", "--beats", beats, "--pupil", pupil, "--ticks", ticks,
+                "--out-dir", str(tmp_path / "mon"), "--normalization", normalization]
+        if normalization == "reference":
+            argv += ["--reference", "3.2", "0.3"]
+        if with_demand:
+            argv += ["--demand", demand]
+        assert main(argv) == 0
+    assert len(states) == 4 * 300 and events
+    for record in states:
+        same_as_encoder(record)
+        assert takes_template(record)
+    for record in events:
+        same_as_encoder(record)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int()"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float()"
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 5e-324, 1.7976931348623157e308, 0.1]),
+)
+FIVE = st.lists(FINITE, min_size=5, max_size=5)
+# per schema, the values each slot holds when the record takes its template
+SCHEMAS = {
+    "tick": {
+        "behaviour": st.one_of(st.sampled_from(["cost_oriented", "performance_oriented", "none"]),
+                               st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)),
+        "cps": st.integers(), "entropy": FINITE, "hrv_sdnn_ms": st.one_of(st.none(), FINITE),
+        "hrv_warmup": st.booleans(), "latent": FINITE, "level": st.integers(),
+        "n1": st.integers(), "n2": st.integers(), "nps": st.integers(), "perf": FINITE,
+        "posterior": FIVE, "pupil_z": FINITE, "record": st.just("tick"), "t": st.integers(),
+        "td": st.one_of(st.none(), st.integers()),
+    },
+    "state": {"level": st.integers(), "posterior": FIVE, "t": st.integers()},
+}
+# what a slot holds instead, which sends the record to the encoder
+ODD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, 1, 0.5, "tick", "",
+                     'a"b', "\u00e9", "\u00e9\n", "none ", "a\\b", "1a", [], {}]),
+    FINITE.map(np.float64), FINITE.map(_Float), st.integers(-5, 5).map(_Int),
+    st.integers(-5, 5).map(np.int64), st.lists(FINITE, min_size=4, max_size=6),
+    st.tuples(*[FINITE] * 5),
+    st.lists(st.one_of(FINITE, st.sampled_from([math.nan, -math.inf, None, True, 1])),
+             min_size=5, max_size=5),
+)
+
+
+@st.composite
+def schema_records(draw, schema):
+    """(record, change): a record that takes the schema's template, or one
+    with a slot changed, a key dropped or a key added."""
+    record = {key: draw(value) for key, value in SCHEMAS[schema].items()}
+    change = draw(st.sampled_from(["none", "slot", "drop", "add"]))
+    if change == "slot":
+        record[draw(st.sampled_from(sorted(record)))] = draw(ODD)
+    elif change == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif change == "add":
+        record[draw(st.sampled_from(["a", "s", "zz", "u"]))] = draw(FINITE)
+    return record, change
+
+
+@pytest.mark.parametrize("schema", list(SCHEMAS))
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_drawn_records_encode_as_the_encoder_does(schema, data):
+    record, change = data.draw(schema_records(schema))
+    same_as_encoder(record)
+    if change == "none":
+        assert takes_template(record)
+
+
+TICK = {
+    "behaviour": "none", "cps": 1, "entropy": 0.5, "hrv_sdnn_ms": None, "hrv_warmup": True,
+    "latent": 0.25, "level": 3, "n1": 4, "n2": 0, "nps": 2, "perf": 1.0,
+    "posterior": [0.1, 0.2, 0.4, 0.2, 0.1], "pupil_z": -0.0, "record": "tick", "t": 7,
+    "td": None,
+}
+STATE = {"level": 3, "posterior": [0.1, 0.2, 0.4, 0.2, 0.1], "t": 7}
+
+
+@pytest.mark.parametrize("record", [TICK, STATE], ids=["tick", "state"])
+def test_non_finite_floats_and_numpy_ints_still_raise(record):
+    assert takes_template(record)
+    for key, value in record.items():
+        if key == "posterior":
+            for i, bad in itertools.product(range(5), (math.nan, math.inf, -math.inf)):
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    dumps_record({**record, key: value[:i] + [bad] + value[i + 1:]})
+        elif type(value) is float:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    dumps_record({**record, key: bad})
+        elif type(value) is int:
+            with pytest.raises(TypeError, match="int64"):
+                dumps_record({**record, key: np.int64(value)})
+
+
+def test_values_that_are_not_dicts_go_to_the_encoder():
+    for value in ([1, 2], [0.5, None, "x"], "ab", (STATE, 1), type("D", (dict,), {})(STATE)):
+        same_as_encoder(value)
+
+
+@pytest.mark.parametrize("label", ["new_label", "B2", 'a"b', "a\\b", "é", "a\nb", "\x7f",
+                                   "", "a b", "2b"])
+def test_behaviour_label_needing_no_escape_takes_the_template(label):
+    record = {**TICK, "behaviour": label}
+    same_as_encoder(record)
+    assert takes_template(record) == (label in ("new_label", "B2"))
