@@ -13,8 +13,8 @@ from oft.taskload import ConstraintFrame, discretize, spatial_entropy, task_diff
 # a tight cluster of threats vs the same number scattered widely
 cluster = [(0.51, 0.52), (0.52, 0.53), (0.53, 0.51), (0.52, 0.52)]
 spread = [(0.1, 0.1), (0.9, 0.1), (0.1, 0.9), (0.9, 0.9)]
-print(f"entropy, clustered: {spatial_entropy(cluster, bounds=(1.0, 1.0)):.3f} nats")
-print(f"entropy, scattered: {spatial_entropy(spread, bounds=(1.0, 1.0)):.3f} nats")
+print(f"entropy, clustered: {spatial_entropy(cluster):.3f} nats")
+print(f"entropy, scattered: {spatial_entropy(spread):.3f} nats")
 print()
 
 scenes = [

@@ -380,9 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ticks", required=True, help="activity JSONL: t, at, ot, perf")
     p.add_argument("--demand", help="optional CSV t_s,n1,n2,entropy")
     p.add_argument("--out-dir", required=True)
-    p.add_argument(
-        "--normalization", default="session", choices=("session", "window", "reference")
-    )
+    p.add_argument("--normalization", default="session", choices=("session", "reference"))
     p.add_argument("--reference", nargs=2, type=float, metavar=("MEAN_MM", "SD_MM"))
     p.set_defaults(func=_cmd_monitor)
 

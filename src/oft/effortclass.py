@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -285,8 +285,6 @@ def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
 
 SCHEMES = ("per-subject-75-25", "leave-subjects-out")
 
-ModelSpec = Union[Mapping, Callable]
-
 
 @dataclass(frozen=True)
 class CvReport:
@@ -297,10 +295,9 @@ class CvReport:
     n_test: int
 
 
-def fit_model(spec: ModelSpec, X, y):
-    """Build a fitted predictor from a spec dict or a factory callable."""
-    if callable(spec):
-        return spec(X, y)
+def fit_model(spec: Mapping, X, y):
+    """Build a fitted predictor from a spec dict: {"kind": "knn", "k",
+    "metric"} or {"kind": "rf", "trees", "seed"}."""
     kind = spec.get("kind")
     if kind == "knn":
         return KnnModel(X, y, k=int(spec.get("k", 1)), metric=spec.get("metric", "euclidean"))
@@ -328,7 +325,7 @@ def _accuracy_report(y_true, y_pred, split, n_train) -> CvReport:
 def cross_validate(
     frames: Sequence[LabelledFrame],
     scheme: str,
-    model_spec: ModelSpec,
+    model_spec: Mapping,
     seed: int = 0,
     test_subjects: Optional[Sequence[str]] = None,
 ) -> CvReport:

@@ -17,10 +17,15 @@ were handled per their prescription), demand numbers, a windowed
 performance score, synthetic heart-beat and pupil channels driven by the
 latent load, the fused workload level, and, when adaptation is on, the
 assistance directives switched by that level. A self-rating on a 1..5
-scale is logged every isa_period_s seconds for external comparison.
+scale is logged every ISA_PERIOD_S seconds for external comparison.
+
+A scenario varies only in the fields of ScenarioConfig. The arrival rates,
+self-rating period, performance window and pupil reference are constants
+below; the message budget and neutralization reference time come from
+`taskload`.
 
 The physiology is framed by `physio.per_second_frames` against the fixed
-pupil reference (pupil_ref_mm, pupil_ref_sd), and each second goes through
+pupil reference (PUPIL_REF_MM, PUPIL_REF_SD), and each second goes through
 `Monitor.step`, the policy `pipeline.monitor_offline` runs on recordings:
 replaying a session's streams with that reference gives its levels.
 """
@@ -35,12 +40,13 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import physio
-from .adapt import DEFAULT_RULES, AdaptationEngine
+from .adapt import AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
 from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
                          RegulationEvent, TaskTick)
-from .taskload import ConstraintFrame, discretize, performance_index, spatial_entropy, task_difficulty
+from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
+                       spatial_entropy, task_difficulty)
 
 TASKS = (
     "ReadMessage",
@@ -51,9 +57,9 @@ TASKS = (
     "Neutralize",
 )
 
+# DrawZone has no budget of its own: its deadline is the message's
 TASK_BUDGET_S = {
-    "ReadMessage": 120.0,
-    "DrawZone": 120.0,
+    "ReadMessage": MESSAGE_BUDGET_S,
     "ManageEmptyZone": 60.0,
     "DetectVehicle": 90.0,
     "InspectLock": 60.0,
@@ -77,33 +83,32 @@ MAX_DURATION_S = physio.MAX_RECORDING_S
 # earliest deadline first, ties to the older job
 _EDF_KEY = attrgetter("deadline_t", "id")
 
+#: Poisson rate of each arrival stream (messages, vehicles) before and after the phase split.
+CALM_RATE_PER_S = 1.0 / 60.0
+BUSY_RATE_PER_S = 1.0 / 20.0
+#: A self-rating is logged every this many seconds.
+ISA_PERIOD_S = 90
+#: Pupil reference (mean, sd in mm) that z-scores the simulated pupil trace.
+PUPIL_REF_MM = 3.45
+PUPIL_REF_SD = 0.45
+#: The windowed performance looks back this many seconds.
+PERF_WINDOW_S = 300.0
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     duration_s: int = 1200
     phase_split_s: int = 600
-    calm_rate_per_s: float = 1.0 / 60.0
-    busy_rate_per_s: float = 1.0 / 20.0
     seed: int = 0
     operator: str = "diligent"
     dfa: bool = False
-    isa_period_s: int = 90
     hold_s: float = 5.0
-    pupil_ref_mm: float = 3.45
-    pupil_ref_sd: float = 0.45
-    t_ref_s: float = 180.0
-    message_budget_s: float = 120.0
-    perf_window_s: float = 300.0
 
     def __post_init__(self):
         if self.duration_s < 1 or not 0 < self.phase_split_s <= self.duration_s:
             raise ConfigError("scenario: need 0 < phase_split_s <= duration_s")
         if self.duration_s > MAX_DURATION_S:
             raise ConfigError(f"scenario: duration_s must be at most {MAX_DURATION_S} (one day)")
-        if self.calm_rate_per_s < 0 or self.busy_rate_per_s < 0:
-            raise ConfigError("scenario: arrival rates must be >= 0")
-        if self.isa_period_s < 1:
-            raise ConfigError("scenario: isa_period_s must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -257,8 +262,8 @@ class World:
 
     def arrival_rate(self, t: float) -> float:
         if t < self.config.phase_split_s:
-            return self.config.calm_rate_per_s
-        return self.config.busy_rate_per_s
+            return CALM_RATE_PER_S
+        return BUSY_RATE_PER_S
 
     def add_job(self, task: str, t: float, deadline_t: float, *,
                 message: Optional[Message] = None, vehicle: Optional[Vehicle] = None,
@@ -364,7 +369,7 @@ class World:
         completed.add(job.task)
         if job.task == "ReadMessage" and job.message is not None:
             job.message.read_t = t
-            self.add_job("DrawZone", t, job.message.arrive_t + self.config.message_budget_s,
+            self.add_job("DrawZone", t, job.message.arrive_t + MESSAGE_BUDGET_S,
                          message=job.message)
         elif job.task == "DrawZone" and job.message is not None:
             job.message.zone_t = t
@@ -412,11 +417,11 @@ class World:
         active = [v for v in self.vehicles if v.neutralize_t is None]
         pending_msgs = sum(
             1 for m in self.messages
-            if m.read_t is None and t <= m.arrive_t + self.config.message_budget_s
+            if m.read_t is None and t <= m.arrive_t + MESSAGE_BUDGET_S
         )
         key = (len(self.vehicles), len(active))
         if key != self._entropy_key:
-            self._entropy = spatial_entropy([(v.x, v.y) for v in active], bounds=(1.0, 1.0))
+            self._entropy = spatial_entropy([(v.x, v.y) for v in active])
             self._entropy_key = key
         return ConstraintFrame(t=int(t), n1=len(active), n2=pending_msgs, entropy=self._entropy)
 
@@ -427,30 +432,26 @@ class World:
         zero-score entries so an overload shows up while it is happening.
         The window is rescanned every call, but scored only when it changed.
         """
-        cfg = self.config
-        lo = t - cfg.perf_window_s
+        lo = t - PERF_WINDOW_S
         neutralizations = []
         for v in self.vehicles:
             if v.detect_t is None or v.detect_t < lo:
                 continue
             if v.neutralize_t is not None:
                 neutralizations.append((v.detect_t, v.neutralize_t))
-            elif t - v.detect_t >= cfg.t_ref_s:
-                neutralizations.append((v.detect_t, v.detect_t + cfg.t_ref_s))
+            elif t - v.detect_t >= T_REF_S:
+                neutralizations.append((v.detect_t, v.detect_t + T_REF_S))
         messages = []
         for m in self.messages:
             if m.arrive_t < lo:
                 continue
             if m.zone_t is not None:
                 messages.append((m.arrive_t, m.zone_t))
-            elif t > m.arrive_t + cfg.message_budget_s:
+            elif t > m.arrive_t + MESSAGE_BUDGET_S:
                 messages.append((m.arrive_t, None))
         key = (neutralizations, messages)
         if key != self._perf_key:
-            self._perf = performance_index(
-                neutralizations, messages, t_ref_s=cfg.t_ref_s,
-                message_budget_s=cfg.message_budget_s,
-            ).overall
+            self._perf = performance_index(neutralizations, messages).overall
             self._perf_key = key
         return self._perf
 
@@ -461,10 +462,7 @@ class World:
             if v.detect_t is not None and v.neutralize_t is not None
         ]
         messages = [(m.arrive_t, m.zone_t) for m in self.messages]
-        return performance_index(
-            neutralizations, messages,
-            t_ref_s=self.config.t_ref_s, message_budget_s=self.config.message_budget_s,
-        )
+        return performance_index(neutralizations, messages)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +489,14 @@ def generate_beats(load: Callable[[float], float], duration_s: float,
 
 
 def generate_pupil(load: Callable[[float], float], duration_s: float,
-                   rng: np.random.Generator, hz: float = 4.0,
-                   blink_p: float = 0.005) -> tuple:
-    """4 Hz pupil trace: 3.0 + 1.5 * L mm, noise 0.1 mm, occasional blink zeros."""
-    n = int(duration_s * hz)
-    ts = np.arange(n) / hz
+                   rng: np.random.Generator) -> tuple:
+    """4 Hz pupil trace: 3.0 + 1.5 * L mm, noise 0.1 mm, and a blink (a
+    zero) at each sample with probability 0.005."""
+    n = int(duration_s * 4.0)
+    ts = np.arange(n) / 4.0
     base = np.asarray([3.0 + 1.5 * load(float(t)) for t in ts])
     values = base + 0.1 * rng.standard_normal(n)
-    blinks = rng.random(n) < blink_p
+    blinks = rng.random(n) < 0.005
     values[blinks] = 0.0
     return ts, values
 
@@ -605,8 +603,7 @@ class RunResult:
         return [r for r in self.records if r.get("record") == "assistance"]
 
 
-def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
-                 rules=DEFAULT_RULES) -> RunResult:
+def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> RunResult:
     """Run the microworld end to end and fuse workload each second."""
     if net is None:
         net = MwlNetwork.default()
@@ -624,21 +621,21 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
         physio.RRSeries(beat_times, beat_intervals),
         physio.PupilSeries(pupil_ts, pupil_values),
         normalization="reference",
-        reference=(config.pupil_ref_mm, config.pupil_ref_sd),
+        reference=(PUPIL_REF_MM, PUPIL_REF_SD),
     ).frames
 
-    engine = AdaptationEngine(rules=rules, hold_s=config.hold_s)
+    engine = AdaptationEngine(hold_s=config.hold_s)
     directives: frozenset = frozenset()
     records: list[dict] = [{
         "record": "config",
         "duration_s": config.duration_s,
         "phase_split_s": config.phase_split_s,
-        "calm_rate_per_s": round(config.calm_rate_per_s, 9),
-        "busy_rate_per_s": round(config.busy_rate_per_s, 9),
+        "calm_rate_per_s": round(CALM_RATE_PER_S, 9),
+        "busy_rate_per_s": round(BUSY_RATE_PER_S, 9),
         "seed": config.seed,
         "operator": config.operator,
         "dfa": config.dfa,
-        "isa_period_s": config.isa_period_s,
+        "isa_period_s": ISA_PERIOD_S,
     }]
     levels = np.zeros(config.duration_s, dtype=int)
     latent = np.zeros(config.duration_s, dtype=float)
@@ -685,7 +682,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
             "posterior": [round(p, 9) for p in post],
         })
 
-        if t > 0 and t % config.isa_period_s == 0:
+        if t > 0 and t % ISA_PERIOD_S == 0:
             rating = min(5, 1 + int(5.0 * load))
             isa.append((t, rating, level))
             records.append({"record": "isa", "t": t, "rating": rating, "level": level})
@@ -701,7 +698,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None,
         "messages": len(world.messages),
         "messages_zoned_in_time": sum(
             1 for m in world.messages
-            if m.zone_t is not None and m.zone_t - m.arrive_t <= config.message_budget_s
+            if m.zone_t is not None and m.zone_t - m.arrive_t <= MESSAGE_BUDGET_S
         ),
         "vehicles": len(world.vehicles),
         "neutralized": sum(1 for v in world.vehicles if v.neutralize_t is not None),

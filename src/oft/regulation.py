@@ -165,8 +165,10 @@ class ActivityTracker:
 def read_ticks_jsonl(path: str | Path):
     """Tick stream: {"t", "at": {...}, "ot": {...}, "perf"} per line.
 
-    `t` must be a JSON integer and `at` and `ot` JSON objects; the tick
-    holds the decoded `at` and `ot` dicts themselves.
+    `t` must be a JSON integer, `at` and `ot` JSON objects whose values are
+    the JSON integers 0 or 1, and `perf` a JSON number; nothing is coerced
+    (not `true`, `1.0` or `"0.5"`). The tick holds the decoded `at` and
+    `ot` dicts themselves.
     """
     where = f"stream 'ticks' ({path})"
     for rec in load_jsonl(path):
@@ -178,10 +180,16 @@ def read_ticks_jsonl(path: str | Path):
             raise DataError(f"{where}: bad record {rec!r}: t is not an integer")
         if type(at) is not dict or type(ot) is not dict:
             raise DataError(f"{where}: bad record {rec!r}: at and ot must be JSON objects")
+        for value in (*at.values(), *ot.values()):
+            if type(value) is not int or not 0 <= value <= 1:
+                raise DataError(f"{where}: bad record {rec!r}: at and ot values must be 0 or 1")
         tick = TaskTick(t=t, at=at, ot=ot)
+        perf = rec.get("perf")
+        if type(perf) not in (int, float):
+            raise DataError(f"{where}: bad record {rec!r}: perf is not a number")
         try:
-            perf = float(rec["perf"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            perf = float(perf)
+        except OverflowError as exc:  # an integer past the float range
             raise DataError(f"{where}: bad record {rec!r}") from exc
         yield tick, perf
 

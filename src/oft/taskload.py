@@ -33,6 +33,11 @@ ENTROPY_LEVELS = (LOW, MEDIUM, HIGH)
 
 ENTROPY_GRID = (8, 8)
 
+#: A message counts as answered when its zone is drawn within this many seconds.
+MESSAGE_BUDGET_S = 120.0
+#: A neutralization scores 1 when instant, falling linearly to 0 at this many seconds.
+T_REF_S = 180.0
+
 
 @dataclass(frozen=True)
 class ConstraintFrame:
@@ -83,34 +88,27 @@ def discretize(frame: ConstraintFrame) -> DiscretizedConstraints:
     return DiscretizedConstraints(n1_level=n1, n2_level=n2, entropy_level=ent)
 
 
-def spatial_entropy(
-    positions: Sequence[tuple[float, float]],
-    bounds: tuple[float, float],
-    grid: tuple[int, int] = ENTROPY_GRID,
-) -> float:
+def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
     """Shannon entropy (nats) of target positions over an occupancy grid.
 
-    The area [0,w] x [0,h] is split into grid cells; entropy is taken over
+    The unit square is split into ENTROPY_GRID cells; entropy is taken over
     the fraction of targets per occupied cell. No targets, or all targets in
-    one cell, gives 0. Positions outside the area are clamped to the border
-    cell and a warning is emitted.
+    one cell, gives 0. Positions outside the square are clamped to the
+    border cell and a warning is emitted.
     """
-    w, h = bounds
-    rows, cols = grid
-    if w <= 0 or h <= 0 or rows < 1 or cols < 1:
-        raise ValueError("spatial_entropy: bounds and grid must be positive")
+    rows, cols = ENTROPY_GRID
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return 0.0
     xs, ys = pts[:, 0], pts[:, 1]
-    outside = (xs < 0) | (xs > w) | (ys < 0) | (ys > h)
+    outside = (xs < 0) | (xs > 1) | (ys < 0) | (ys > 1)
     if np.any(outside):
         warnings.warn(
             f"spatial_entropy: {int(outside.sum())} position(s) outside the area, clamped",
             stacklevel=2,
         )
-    col = np.clip((np.clip(xs, 0, w) / w) * cols, 0, cols - 1e-9).astype(int)
-    row = np.clip((np.clip(ys, 0, h) / h) * rows, 0, rows - 1e-9).astype(int)
+    col = np.clip(np.clip(xs, 0, 1) * cols, 0, cols - 1e-9).astype(int)
+    row = np.clip(np.clip(ys, 0, 1) * rows, 0, rows - 1e-9).astype(int)
     cells = row * cols + col
     _, counts = np.unique(cells, return_counts=True)
     p = counts / counts.sum()
@@ -187,24 +185,15 @@ def task_difficulty(
 def performance_index(
     neutralizations: Sequence[tuple[float, float]],
     messages: Sequence[tuple[float, Optional[float]]],
-    weights: tuple[float, float] = (0.5, 0.5),
-    t_ref_s: float = 180.0,
-    message_budget_s: float = 120.0,
 ) -> PerformanceIndex:
-    """Two-part performance score in [0,1].
+    """Two-part performance score in [0,1], the mean of p1 and p2.
 
     p1 scores neutralization speed: each (detect_t, neutralize_t) pair
-    contributes max(0, 1 - duration / t_ref_s). p2 is the fraction of
+    contributes max(0, 1 - duration / T_REF_S). p2 is the fraction of
     messages answered in time: each (appear_t, zone_t) pair counts when
-    zone_t - appear_t <= message_budget_s; zone_t of None is a miss.
+    zone_t - appear_t <= MESSAGE_BUDGET_S; zone_t of None is a miss.
     Components with no observations are vacuously 1.0.
     """
-    w1, w2 = weights
-    if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-9:
-        raise ConfigError(f"performance weights must be >= 0 and sum to 1, got {weights}")
-    if t_ref_s <= 0 or message_budget_s <= 0:
-        raise ConfigError("performance: t_ref_s and message_budget_s must be positive")
-
     if neutralizations:
         scores = []
         for detect_t, neutralize_t in neutralizations:
@@ -212,7 +201,7 @@ def performance_index(
                 raise DataError(
                     f"neutralization at {neutralize_t} precedes detection at {detect_t}"
                 )
-            scores.append(max(0.0, 1.0 - (neutralize_t - detect_t) / t_ref_s))
+            scores.append(max(0.0, 1.0 - (neutralize_t - detect_t) / T_REF_S))
         p1 = float(np.mean(scores))
     else:
         p1 = 1.0
@@ -221,10 +210,10 @@ def performance_index(
         ok = sum(
             1
             for appear_t, zone_t in messages
-            if zone_t is not None and zone_t - appear_t <= message_budget_s
+            if zone_t is not None and zone_t - appear_t <= MESSAGE_BUDGET_S
         )
         p2 = ok / len(messages)
     else:
         p2 = 1.0
 
-    return PerformanceIndex(p1=p1, p2=p2, overall=w1 * p1 + w2 * p2)
+    return PerformanceIndex(p1=p1, p2=p2, overall=0.5 * p1 + 0.5 * p2)

@@ -280,7 +280,7 @@ class TestMonitorCommand:
         # a t of 1.9 read as second 1, and "2" as second 2
         ('{"t": 1.9, "at": {"a": 1}, "ot": {"a": 1}, "perf": "0.5"}', "'t': 1.9",
          "t is not an integer"),
-        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": "0.5"}', "'t': '2'",
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": 0.5}', "'t': '2'",
          "t is not an integer"),
         ('{"t": true, "at": {"a": 1}, "ot": {"a": 1}, "perf": 0.5}', "'t': True",
          "t is not an integer"),
@@ -288,7 +288,26 @@ class TestMonitorCommand:
          "at and ot must be JSON objects"),
         ('{"t": 1, "at": {"a": 0}, "ot": [], "perf": 0.5}', "'ot': []",
          "at and ot must be JSON objects"),
-    ], ids=["fractional t", "string t", "boolean t", "list at", "list ot"])
+        # perf, at and ot values are taken as written, never coerced
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": "0.5"}', "'perf': '0.5'",
+         "perf is not a number"),
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": true}', "'perf': True",
+         "perf is not a number"),
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": " 1e-1 "}', "'perf': ' 1e-1 '",
+         "perf is not a number"),
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}, "perf": null}', "'perf': None",
+         "perf is not a number"),
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}}', "'ot': {'a': 1}}",
+         "perf is not a number"),
+        ('{"t": 1, "at": {"a": true}, "ot": {"a": 1}, "perf": 0.5}', "'at': {'a': True}",
+         "at and ot values must be 0 or 1"),
+        ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1.0}, "perf": 0.5}', "'ot': {'a': 1.0}",
+         "at and ot values must be 0 or 1"),
+        ('{"t": 1, "at": {"a": 2}, "ot": {"a": 1}, "perf": 0.5}', "'at': {'a': 2}",
+         "at and ot values must be 0 or 1"),
+    ], ids=["fractional t", "string t", "boolean t", "list at", "list ot", "string perf",
+            "boolean perf", "padded string perf", "null perf", "missing perf", "boolean at",
+            "float ot", "at of 2"])
     def test_malformed_tick_exits_3(self, tmp_path, capsys, second, shown, message):
         beats, pupil = write_streams(tmp_path)
         ticks = tmp_path / "ticks.jsonl"
@@ -300,6 +319,17 @@ class TestMonitorCommand:
         err = capsys.readouterr().err
         assert f"stream 'ticks' ({ticks}): bad record" in err
         assert shown in err and message in err
+        assert not (tmp_path / "mon").exists()
+
+    def test_window_normalization_is_not_a_choice(self, tmp_path, capsys):
+        # monitor has no --window to anchor it
+        beats, pupil = write_streams(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--beats", beats, "--pupil", pupil,
+                  "--ticks", write_ticks(tmp_path / "ticks.jsonl"),
+                  "--out-dir", str(tmp_path / "mon"), "--normalization", "window"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'window'" in capsys.readouterr().err
         assert not (tmp_path / "mon").exists()
 
     def test_ticks_line_not_json_exits_3(self, tmp_path, capsys):
@@ -555,6 +585,18 @@ FULL_SESSION_SHA256 = {
 MACHINE_DONE = {2: {"ManageEmptyZone": 11, "InspectLock": 1},
                 9: {"ManageEmptyZone": 4, "InspectLock": 8}}
 
+# 1200 s sessions of the two operators the pins above leave out, seed 1,
+# and one endtoend report: they pin the scenario's fixed rates, periods,
+# budgets and pupil reference as a whole run sees them
+CALM_SESSION_SHA256 = {
+    ("diligent", "off"): "20f4c79b553c51c1b547a0d9cfcbff9da046de37ba5ca570075dafe1625a54da",
+    ("diligent", "on"): "23bf2b695c361b9b5eea8fb0c3d4a5784cb7c5befda677b1d253984e7f2c2025",
+    ("flat", "off"): "0f93c6d7ec6c1a932c4b1f5fdcfbcf80e5c1f6162d43633514161941bd88f465",
+    ("flat", "on"): "8373993a364b233c0c4a9dea0690335f41e15fec868b0b4dd3f35e29dde08d4d",
+}
+# degrading-overload, seed 1, --dfa on, 1200 s
+ENDTOEND_SHA256 = "bc56f7ae9ff9d33bfd31468d530436c87741b39eb9656257623d4f41802d7c7f"
+
 
 class TestFusionDigests:
     """Offline monitoring and the closed loop write the same bytes as the
@@ -591,6 +633,19 @@ class TestFusionDigests:
         summary = list(load_jsonl(log))[-1]
         for task, count in MACHINE_DONE.get(seed, {}).items():
             assert summary["machine_done"][task] == count
+
+    @pytest.mark.parametrize("operator,dfa", list(CALM_SESSION_SHA256))
+    def test_calm_session_log(self, tmp_path, operator, dfa):
+        log = tmp_path / "run.jsonl"
+        assert main(["simulate", "--operator", operator, "--seed", "1",
+                     "--dfa", dfa, "--duration", "1200", "--log", str(log)]) == 0
+        assert sha256(log) == CALM_SESSION_SHA256[(operator, dfa)]
+
+    def test_endtoend_report(self, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["endtoend", "--operator", "degrading-overload", "--seed", "1",
+                     "--dfa", "on", "--duration", "1200", "--report", str(report)]) == 0
+        assert sha256(report) == ENDTOEND_SHA256
 
 
 class TestCocomCommands:

@@ -431,8 +431,7 @@ class TestCrossValidate:
     def test_callable_spec(self, rng):
         frames = separable_frames(rng, subjects=("s1", "s2"))
         report = cross_validate(
-            frames, "leave-subjects-out", lambda X, y: KnnModel(X, y, k=1),
-            test_subjects=["s1"],
+            frames, "leave-subjects-out", {"kind": "knn", "k": 1}, test_subjects=["s1"],
         )
         assert 0.0 <= report.global_accuracy <= 1.0
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oft import __version__, physio
+from oft import __version__, microworld, physio
 from oft.errors import DataError
 from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_scenario
 from conftest import src_env
@@ -253,7 +253,11 @@ class TestRunLog:
 
 
 class TestEndToEnd:
-    CFG = ScenarioConfig(duration_s=360, phase_split_s=180, seed=0, isa_period_s=60)
+    CFG = ScenarioConfig(duration_s=360, phase_split_s=180, seed=0)
+
+    @pytest.fixture(autouse=True)
+    def _rating_every_minute(self, monkeypatch):
+        monkeypatch.setattr(microworld, "ISA_PERIOD_S", 60)
 
     def test_report_fields(self):
         report = endtoend_report(self.CFG)
@@ -274,7 +278,7 @@ class TestEndToEnd:
             endtoend_report(cfg)
 
     def test_needs_enough_self_ratings(self):
-        cfg = ScenarioConfig(duration_s=100, phase_split_s=50, isa_period_s=90)
+        cfg = ScenarioConfig(duration_s=100, phase_split_s=50)
         with pytest.raises(DataError):
             endtoend_report(cfg)
 

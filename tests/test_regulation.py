@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import pytest
 
@@ -247,7 +248,13 @@ class TestTickValidationOracle:
         want = tick_check_by_comprehensions(0, at, ot)
         path = tmp_path / "ticks.jsonl"
         path.write_text(json.dumps({"t": 0, "at": at, "ot": ot, "perf": 1.0}) + "\n")
-        if want is None:
+        if type(value) is not int:
+            # the reader takes only the JSON integers 0 and 1, not what
+            # TaskTick would coerce (true, 1.0) or reject itself
+            with pytest.raises(DataError, match=re.escape(f"ticks' ({path}): bad record")
+                               + ".*at and ot values must be 0 or 1"):
+                list(read_ticks_jsonl(path))
+        elif want is None:
             (tick, perf), = read_ticks_jsonl(path)
             assert (tick.at, tick.ot, perf) == (at, ot, 1.0)
         else:

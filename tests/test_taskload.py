@@ -57,31 +57,27 @@ class TestDiscretize:
 class TestSpatialEntropy:
     def test_four_distinct_cells_uniform(self):
         pts = [(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)]
-        h = spatial_entropy(pts, bounds=(1.0, 1.0), grid=(2, 2))
+        h = spatial_entropy(pts)
         assert h == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_single_cell_is_zero(self):
         pts = [(0.1, 0.1)] * 7
-        assert spatial_entropy(pts, bounds=(1.0, 1.0)) == 0.0
+        assert spatial_entropy(pts) == 0.0
 
     def test_empty_is_zero(self):
-        assert spatial_entropy([], bounds=(1.0, 1.0)) == 0.0
+        assert spatial_entropy([]) == 0.0
 
     def test_upper_bound_log_cells(self, rng):
         for _ in range(20):
             pts = rng.random((50, 2))
-            h = spatial_entropy(pts, bounds=(1.0, 1.0), grid=(4, 4))
-            assert 0.0 <= h <= math.log(16.0) + 1e-12
+            h = spatial_entropy(pts)
+            assert 0.0 <= h <= math.log(64.0) + 1e-12
 
     def test_outside_positions_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
-            h = spatial_entropy([(1.5, 0.5), (0.99, 0.5)], bounds=(1.0, 1.0), grid=(2, 2))
+            h = spatial_entropy([(1.5, 0.5), (0.99, 0.5)])
         # both end up in the east column, same cell
         assert h == 0.0
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            spatial_entropy([(0.5, 0.5)], bounds=(0.0, 1.0))
 
 
 class TestDifficulty:
@@ -168,16 +164,6 @@ class TestPerformanceIndex:
         out = performance_index([], [])
         assert (out.p1, out.p2, out.overall) == (1.0, 1.0, 1.0)
 
-    def test_custom_weights(self):
-        out = performance_index([(0.0, 90.0)], [(0.0, None)], weights=(0.3, 0.7))
-        assert out.overall == pytest.approx(0.3 * 0.5 + 0.7 * 0.0)
-
-    def test_weights_validated(self):
-        with pytest.raises(ConfigError):
-            performance_index([], [], weights=(0.5, 0.6))
-        with pytest.raises(ConfigError):
-            performance_index([], [], weights=(-0.2, 1.2))
-
     def test_causality_checked(self):
         with pytest.raises(DataError):
             performance_index([(50.0, 10.0)], [])
@@ -186,6 +172,6 @@ class TestPerformanceIndex:
         detect = np.sort(rng.uniform(0, 500, 30))
         dur = rng.uniform(0, 400, 30)
         pairs = [(float(d), float(d + u)) for d, u in zip(detect, dur)]
-        out = performance_index(pairs, [], t_ref_s=180.0)
+        out = performance_index(pairs, [])
         want = float(np.mean(np.maximum(0.0, 1.0 - dur / 180.0)))
         assert out.p1 == pytest.approx(want, abs=1e-12)
