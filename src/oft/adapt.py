@@ -1,9 +1,10 @@
-"""Workload-triggered assistance rules with hysteresis.
+"""Workload-triggered assistance with hysteresis.
 
-Each rule names a directive, the task it helps with, the cognitive stage it
-intervenes at (gathering, analysis, decision, action), and the workload
-level that switches it on. A directive is active at level L when its
-trigger level is <= L, so aids gained at level 4 stay on at level 5.
+DEFAULT_RULES is the assistance policy. Each rule names a directive, the
+task it helps with, the stage of automation it intervenes at (gathering,
+analysis, decision, action) and the workload level that switches it on. A
+directive is active at level L when its trigger level is <= L, so aids
+gained at level 4 stay on at level 5.
 
 The engine is edge-triggered: feeding it a timestamped level yields only
 the activate/deactivate commands for directives whose state changed.
@@ -14,10 +15,11 @@ aids every tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import ConfigError, SequencingError
+from .jsonl import is_finite_number
 
 STAGES = ("gathering", "analysis", "decision", "action")
 
@@ -26,14 +28,8 @@ STAGES = ("gathering", "analysis", "decision", "action")
 class AssistanceRule:
     directive: str
     task: str
-    stage: str
-    trigger_level: int
-
-    def __post_init__(self):
-        if self.stage not in STAGES:
-            raise ConfigError(f"rule {self.directive}: unknown stage {self.stage!r}")
-        if not 1 <= self.trigger_level <= 5:
-            raise ConfigError(f"rule {self.directive}: trigger level must be 1..5")
+    stage: str  # one of STAGES
+    trigger_level: int  # 1..5
 
 
 DEFAULT_RULES = (
@@ -46,11 +42,11 @@ DEFAULT_RULES = (
 )
 
 
-def assistance_for_level(level: int, rules: Sequence[AssistanceRule] = DEFAULT_RULES) -> tuple:
+def assistance_for_level(level: int) -> tuple:
     """Directives that should be on at a workload level, in rule order."""
     if not 1 <= level <= 5:
         raise ConfigError(f"workload level must be 1..5, got {level}")
-    return tuple(r.directive for r in rules if r.trigger_level <= level)
+    return tuple(r.directive for r in DEFAULT_RULES if r.trigger_level <= level)
 
 
 @dataclass(frozen=True)
@@ -63,22 +59,16 @@ class AssistanceCommand:
     active: bool
 
 
-@dataclass
 class AdaptationEngine:
     """Turns a level stream into activation edges, with release hysteresis."""
 
-    rules: Sequence[AssistanceRule] = DEFAULT_RULES
-    hold_s: float = 5.0
-    _active: set = field(default_factory=set)
-    _last_high: dict = field(default_factory=dict)  # directive -> last t at/above trigger
-    _last_t: Optional[float] = None
-
-    def __post_init__(self):
-        if self.hold_s < 0:
-            raise ConfigError("hold_s must be >= 0")
-        names = [r.directive for r in self.rules]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate assistance directives")
+    def __init__(self, hold_s: float = 5.0):
+        if not (is_finite_number(hold_s) and hold_s >= 0):
+            raise ConfigError(f"hold_s must be a finite number >= 0, got {hold_s!r}")
+        self.hold_s = hold_s
+        self._active: set = set()
+        self._last_high: dict = {}  # directive -> last t at/above trigger
+        self._last_t: Optional[float] = None
 
     @property
     def active(self) -> frozenset:
@@ -91,7 +81,7 @@ class AdaptationEngine:
             raise SequencingError(f"time went backwards: {t} after {self._last_t}")
         self._last_t = t
         commands = []
-        for rule in self.rules:
+        for rule in DEFAULT_RULES:
             name = rule.directive
             if level >= rule.trigger_level:
                 self._last_high[name] = t
@@ -101,8 +91,7 @@ class AdaptationEngine:
                         AssistanceCommand(t=t, directive=name, task=rule.task, active=True)
                     )
             elif name in self._active:
-                since = self._last_high.get(name)
-                if since is None or t - since > self.hold_s:
+                if t - self._last_high[name] > self.hold_s:
                     self._active.discard(name)
                     commands.append(
                         AssistanceCommand(t=t, directive=name, task=rule.task, active=False)

@@ -79,9 +79,10 @@ def _network(settings: dict) -> MwlNetwork:
 
 
 def _reference(args, settings):
-    if getattr(args, "reference", None):
+    """`--reference`, else the settings' pupil_reference under `--normalization reference`."""
+    if args.reference:
         return tuple(args.reference)
-    if "pupil_reference" in settings:
+    if args.normalization == "reference" and "pupil_reference" in settings:
         mean_mm, sd_mm = settings["pupil_reference"]
         return (float(mean_mm), float(sd_mm))
     return None

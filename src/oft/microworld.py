@@ -43,6 +43,7 @@ from . import physio
 from .adapt import AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
+from .jsonl import is_finite_number
 from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
                          RegulationEvent, TaskTick)
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
@@ -109,6 +110,8 @@ class ScenarioConfig:
             raise ConfigError("scenario: need 0 < phase_split_s <= duration_s")
         if self.duration_s > MAX_DURATION_S:
             raise ConfigError(f"scenario: duration_s must be at most {MAX_DURATION_S} (one day)")
+        if not (is_finite_number(self.hold_s) and self.hold_s >= 0):
+            raise ConfigError(f"scenario: hold_s must be a finite number >= 0, got {self.hold_s!r}")
 
 
 @dataclass(frozen=True)

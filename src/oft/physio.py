@@ -212,6 +212,10 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
 
 def _norm_stats(per_sec, method, window, reference):
     """Resolve the (center, scale) pair used for per-second pupil z-scores."""
+    if window is not None and method != "window":
+        raise ConfigError(f"per_second_frames: {method!r} normalization takes no window")
+    if reference is not None and method != "reference":
+        raise ConfigError(f"per_second_frames: {method!r} normalization takes no reference")
     if method == "reference":
         if reference is None:
             raise ConfigError("per_second_frames: reference normalization needs (mean, std)")
@@ -296,6 +300,8 @@ def per_second_frames(
     flagged as warm-up. The pupil feature is the z-score of that second's
     mean diameter; the z baseline is the whole session by default, a fixed
     [start, end) window, or externally supplied (mean, std) reference stats.
+    A window or reference given to a normalization that does not use it is
+    a ConfigError.
     A recording whose last framed timestamp is past MAX_RECORDING_S is a
     DataError.
     """

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import physio
-from .errors import DataError
+from .errors import ConfigError, DataError
 # fuzzify and task_difficulty are used by microworld.Monitor, not here; the
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
@@ -140,8 +140,13 @@ def monitor_offline(
     the frame at its own second and goes through the same monitor step as
     the simulator (`microworld.Monitor`). Ticks must be contiguous
     integers. Demand counts are optional; a second without them leaves the
-    difficulty channel out of the fusion.
+    difficulty channel out of the fusion. Normalization is "session" or
+    "reference"; there is no window to anchor "window" normalization.
     """
+    if normalization not in ("session", "reference"):
+        raise ConfigError(
+            f"monitor_offline: normalization is 'session' or 'reference', not {normalization!r}"
+        )
     if net is None:
         net = MwlNetwork.default()
     monitor = Monitor(net)

@@ -1,5 +1,5 @@
 """Task-demand indicators: constraint discretization, spatial entropy,
-rule-based difficulty, and the two-part performance index.
+difficulty grading, and the two-part performance index.
 
 The constraint frame carries the per-second demand numbers: n1 (targets
 awaiting processing), n2 (messages awaiting processing) and the spatial
@@ -9,9 +9,7 @@ entropy of target positions. Each is cut into ordinal levels:
     n2:      low <= 2 < high
     entropy: low <= 0.45 < medium <= 1.0 < high
 
-Difficulty (1..3) is read from a first-match rule table over those levels;
-the table must be total, which `_validate_rules` checks when the table is
-built.
+Difficulty (1..3) is graded from those levels by `task_difficulty`.
 """
 
 from __future__ import annotations
@@ -19,17 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 LOW, MEDIUM, HIGH = "low", "medium", "high"
-N1_LEVELS = (LOW, MEDIUM, HIGH)
-N2_LEVELS = (LOW, HIGH)
-ENTROPY_LEVELS = (LOW, MEDIUM, HIGH)
 
 ENTROPY_GRID = (8, 8)
 
@@ -116,66 +110,21 @@ def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# difficulty rule table
+# difficulty
 
 
-@dataclass(frozen=True)
-class DifficultyRule:
-    """First-match rule: unspecified inputs match anything."""
+def task_difficulty(d: DiscretizedConstraints) -> int:
+    """Difficulty level 1..3 of one second's demand levels.
 
-    td: int
-    n1: Optional[frozenset] = None
-    n2: Optional[frozenset] = None
-    entropy: Optional[frozenset] = None
-
-    def matches(self, d: DiscretizedConstraints) -> bool:
-        return (
-            (self.n1 is None or d.n1_level in self.n1)
-            and (self.n2 is None or d.n2_level in self.n2)
-            and (self.entropy is None or d.entropy_level in self.entropy)
-        )
-
-
-def _validate_rules(rules: Sequence[DifficultyRule]) -> tuple[DifficultyRule, ...]:
-    for rule in rules:
-        if rule.td not in (1, 2, 3):
-            raise ConfigError(f"difficulty rule: td must be 1..3, got {rule.td}")
-        for name, levels, allowed in (
-            ("n1", rule.n1, N1_LEVELS),
-            ("n2", rule.n2, N2_LEVELS),
-            ("entropy", rule.entropy, ENTROPY_LEVELS),
-        ):
-            if levels is not None and not set(levels) <= set(allowed):
-                raise ConfigError(f"difficulty rule: bad {name} levels {sorted(levels)}")
-    for combo in product(N1_LEVELS, N2_LEVELS, ENTROPY_LEVELS):
-        d = DiscretizedConstraints(*combo)
-        if not any(rule.matches(d) for rule in rules):
-            raise ConfigError(f"difficulty rules are not total: no rule matches {combo}")
-    return tuple(rules)
-
-
-#: High demand needs saturated target and message counts plus at least medium
-#: spread; the easy level needs everything at its minimum rank.
-DEFAULT_DIFFICULTY_RULES = _validate_rules(
-    [
-        DifficultyRule(td=3, n1=frozenset({HIGH}), n2=frozenset({HIGH}),
-                       entropy=frozenset({MEDIUM, HIGH})),
-        DifficultyRule(td=1, n1=frozenset({LOW}), n2=frozenset({LOW}),
-                       entropy=frozenset({LOW})),
-        DifficultyRule(td=2),
-    ]
-)
-
-
-def task_difficulty(
-    d: DiscretizedConstraints,
-    rules: Sequence[DifficultyRule] = DEFAULT_DIFFICULTY_RULES,
-) -> int:
-    """Difficulty level 1..3 from the first matching rule."""
-    for rule in rules:
-        if rule.matches(d):
-            return rule.td
-    raise ConfigError(f"difficulty rules are not total: no rule matches {d}")
+    High demand (3) needs saturated target and message counts plus at least
+    medium spread; the easy level (1) needs everything at its minimum rank;
+    every other combination is 2.
+    """
+    if d.n1_level == HIGH and d.n2_level == HIGH and d.entropy_level != LOW:
+        return 3
+    if d.n1_level == LOW and d.n2_level == LOW and d.entropy_level == LOW:
+        return 1
+    return 2
 
 
 # ---------------------------------------------------------------------------

@@ -900,6 +900,16 @@ class TestSettings:
         assert code == 2
         assert "hold_s" in capsys.readouterr().err
 
+    def test_pupil_reference_only_anchors_reference_normalization(self, tmp_path):
+        beats, pupil = write_streams(tmp_path)
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"pupil_reference": [3.2, 0.3]}))
+        argv = ["physio", "--beats", beats, "--pupil", pupil, "--out"]
+        assert main(argv + [str(tmp_path / "plain.csv")]) == 0
+        assert main(["--config", str(settings), *argv, str(tmp_path / "set.csv")]) == 0
+        # the default session normalization ignores the settings' reference
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "set.csv").read_bytes()
+
     @pytest.mark.parametrize("value", [
         [3.45, 0.0], [3.45, -0.45], ["3.45", 0.45], [3.45, float("nan")], [True, 0.45],
         [3.45, 0.45, 1.0], "3.45,0.45",
@@ -1064,12 +1074,27 @@ class TestArgumentErrors:
         (["--normalization", "window", "--window", "2", "2"], "start < end"),
         (["--normalization", "window", "--window", "0", "nan"], "finite bounds"),
         (["--normalization", "window", "--window", "5", "inf"], "finite bounds"),
+        (["--reference", "3.0", "0.5"], "'session' normalization takes no reference"),
+        (["--window", "0", "30"], "'session' normalization takes no window"),
+        (["--normalization", "window", "--window", "0", "30", "--reference", "3.0", "0.5"],
+         "'window' normalization takes no reference"),
+        (["--normalization", "reference", "--reference", "3.0", "0.5", "--window", "0", "30"],
+         "'reference' normalization takes no window"),
     ])
     def test_physio(self, tmp_path, capsys, extra, message):
         out = tmp_path / "frames.csv"
         assert main([str(a) for a in ["physio", *_streams(tmp_path), "--out", out, *extra]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_monitor(self, tmp_path, capsys):
+        out = tmp_path / "mon"
+        argv = ["monitor", *_streams(tmp_path), "--ticks", write_ticks(tmp_path / "ticks.jsonl"),
+                "--out-dir", out, "--reference", "3.0", "0.5"]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'session' normalization takes no reference" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("points,labels,message", [

@@ -65,6 +65,9 @@ class TestScenarioConfig:
         {"duration_s": -60, "phase_split_s": -60},
         {"duration_s": MAX_DURATION_S + 1},
         {"duration_s": 100_000_000_000},
+        {"hold_s": float("nan")},
+        {"hold_s": float("inf")},
+        {"hold_s": -1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from oft import __version__, microworld, physio
-from oft.errors import DataError
+from oft.errors import ConfigError, DataError
 from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_scenario
 from conftest import src_env
 from oft.pipeline import (
@@ -219,6 +219,12 @@ class TestMonitorOffline:
         )
         assert result.report["normalization"] == "reference"
         assert result.meta["pupil_center_mm"] == pytest.approx(3.45)
+
+    @pytest.mark.parametrize("normalization", ["window", "zscore"])
+    def test_only_session_and_reference_normalization(self, normalization):
+        beats, pupil = calm_streams()
+        with pytest.raises(ConfigError, match="'session' or 'reference', not '" + normalization):
+            monitor_offline(beats, pupil, idle_ticks(240), normalization=normalization)
 
     def test_busy_degraded_session_reads_higher(self):
         rng = np.random.default_rng(10)

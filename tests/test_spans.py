@@ -2,9 +2,9 @@
 
 The wrappers rebind the names the library looks up in its module globals,
 so a library change that calls a layer some other way drops its span. This
-runs one short operation of each per-second workload with the wrappers
-installed, and checks that every layer the workload reports recorded a span
-and that tracing changed no output byte.
+runs one short operation of each per-second workload, and one pass of the
+decision workload, with the wrappers installed, and checks that every layer
+the workload reports recorded a span and that tracing changed no output.
 """
 
 from pathlib import Path
@@ -62,3 +62,33 @@ def test_every_layer_records_a_span_and_tracing_changes_no_output(tmp_path, benc
     for workload in (closed_loop, monitor_replay):
         recorded = {name for name, *_, op in recorder.spans if op == workload.__name__}
         assert set(workload.LAYERS) - recorded == set(), workload.__name__
+
+
+def test_every_decision_layer_records_a_span_and_tracing_changes_no_digest(bench):
+    import decision
+
+    spans = bench[0]
+    ops = decision.build(1, None, None, None).ops
+
+    def digests(recorder, first):
+        """Each op's digest; its inspect must report no problem."""
+        out = []
+        for i, op in enumerate(ops):
+            recorder.op = i
+            output = op.run()
+            recorder.op = None
+            problems, digest, _info = op.inspect(output, first)
+            assert problems == [], (i, op.kind, problems)
+            out.append(digest)
+        return out
+
+    untraced = digests(spans.Recorder(), True)  # not installed, so it records nothing
+    recorder = spans.Recorder()
+    spans.install(recorder)
+    try:
+        traced = digests(recorder, False)
+    finally:
+        recorder.uninstall()
+    assert traced == untraced
+    recorded = {name for name, *_ in recorder.spans}
+    assert set(decision.LAYERS) - recorded == set()

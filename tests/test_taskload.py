@@ -1,4 +1,4 @@
-"""Demand discretization, spatial entropy, difficulty rules, performance index."""
+"""Demand discretization, spatial entropy, difficulty grading, performance index."""
 
 import math
 from itertools import product
@@ -6,12 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from oft.errors import ConfigError, DataError
+from oft.errors import DataError
 from oft.taskload import (
     ConstraintFrame,
-    DifficultyRule,
     DiscretizedConstraints,
-    _validate_rules,
     discretize,
     performance_index,
     spatial_entropy,
@@ -96,10 +94,34 @@ class TestDifficulty:
     def test_everything_else_is_medium(self, combo):
         assert task_difficulty(DiscretizedConstraints(*combo)) == 2
 
+    # the pinned grade of every (n1, n2, entropy) level combination
+    GRADES = {
+        ("low", "low", "low"): 1,
+        ("low", "low", "medium"): 2,
+        ("low", "low", "high"): 2,
+        ("low", "high", "low"): 2,
+        ("low", "high", "medium"): 2,
+        ("low", "high", "high"): 2,
+        ("medium", "low", "low"): 2,
+        ("medium", "low", "medium"): 2,
+        ("medium", "low", "high"): 2,
+        ("medium", "high", "low"): 2,
+        ("medium", "high", "medium"): 2,
+        ("medium", "high", "high"): 2,
+        ("high", "low", "low"): 2,
+        ("high", "low", "medium"): 2,
+        ("high", "low", "high"): 2,
+        ("high", "high", "low"): 2,
+        ("high", "high", "medium"): 3,
+        ("high", "high", "high"): 3,
+    }
+
     def test_default_table_is_total(self):
-        for combo in product(("low", "medium", "high"), ("low", "high"),
-                             ("low", "medium", "high")):
-            assert task_difficulty(DiscretizedConstraints(*combo)) in (1, 2, 3)
+        combos = list(product(("low", "medium", "high"), ("low", "high"),
+                              ("low", "medium", "high")))
+        assert set(combos) == set(self.GRADES)
+        for combo in combos:
+            assert task_difficulty(DiscretizedConstraints(*combo)) == self.GRADES[combo], combo
 
     def test_monotone_in_each_input(self):
         """Raising any single demand level never lowers the default difficulty."""
@@ -117,31 +139,6 @@ class TestDifficulty:
                     raised = list(combo)
                     raised[i] = order[pos + 1]
                     assert task_difficulty(DiscretizedConstraints(*raised)) >= base
-
-    def test_first_match_wins(self):
-        rules = (
-            DifficultyRule(td=1, n2=frozenset({"high"})),
-            DifficultyRule(td=3),
-        )
-        assert task_difficulty(DiscretizedConstraints("high", "high", "high"), rules) == 1
-
-    # _validate_rules is the check DEFAULT_DIFFICULTY_RULES passes when the
-    # module loads
-    def test_non_total_table_rejected_at_load(self):
-        with pytest.raises(ConfigError, match="not total"):
-            _validate_rules([DifficultyRule(td=3, n1=frozenset({"high"}))])
-
-    def test_bad_level_name_rejected(self):
-        with pytest.raises(ConfigError):
-            _validate_rules([DifficultyRule(td=2, n1=frozenset({"enormous"})), DifficultyRule(td=2)])
-
-    def test_bad_td_rejected(self):
-        with pytest.raises(ConfigError):
-            _validate_rules([DifficultyRule(td=7)])
-
-    def test_valid_table_loads(self):
-        rules = _validate_rules([DifficultyRule(td=2)])
-        assert task_difficulty(DiscretizedConstraints("low", "low", "low"), rules) == 2
 
 
 class TestPerformanceIndex:
