@@ -79,10 +79,14 @@ def _network(settings: dict) -> MwlNetwork:
 
 
 def _reference(args, settings):
-    """`--reference`, else the settings' pupil_reference under `--normalization reference`."""
+    """`--reference`, else the settings' pupil_reference under `--normalization reference`,
+    which needs one of the two."""
     if args.reference:
         return tuple(args.reference)
-    if args.normalization == "reference" and "pupil_reference" in settings:
+    if args.normalization == "reference":
+        if "pupil_reference" not in settings:
+            raise ConfigError("--normalization reference needs --reference MEAN_MM SD_MM "
+                              "or pupil_reference in the settings file")
         mean_mm, sd_mm = settings["pupil_reference"]
         return (float(mean_mm), float(sd_mm))
     return None
@@ -94,6 +98,9 @@ def _reference(args, settings):
 
 def _cmd_physio(args) -> int:
     settings = _settings(args)
+    reference = _reference(args, settings)
+    if args.normalization == "window" and not args.window:
+        raise ConfigError("window normalization needs --window START END")
     beats = physio.read_beats_csv(args.beats)
     pupil = physio.read_pupil_csv(args.pupil)
     framed = physio.per_second_frames(
@@ -102,7 +109,7 @@ def _cmd_physio(args) -> int:
         span=args.span,
         normalization=args.normalization,
         window=tuple(args.window) if args.window else None,
-        reference=_reference(args, settings),
+        reference=reference,
     )
     physio.write_frames_csv(framed, args.out)
     if args.jsonl:
@@ -125,6 +132,7 @@ def _cmd_physio(args) -> int:
 
 def _cmd_monitor(args) -> int:
     settings = _settings(args)
+    reference = _reference(args, settings)
     beats = physio.read_beats_csv(args.beats)
     pupil = physio.read_pupil_csv(args.pupil)
     ticks = list(read_ticks_jsonl(args.ticks))
@@ -136,7 +144,7 @@ def _cmd_monitor(args) -> int:
         demand=demand,
         net=_network(settings),
         normalization=args.normalization,
-        reference=_reference(args, settings),
+        reference=reference,
     )
     paths = write_monitor_outputs(result, args.out_dir)
     inputs = [args.beats, args.pupil, args.ticks] + ([args.demand] if args.demand else [])

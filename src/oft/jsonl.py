@@ -3,7 +3,14 @@
 Outputs go through dump_jsonl (records), dump_json (documents; both with
 sorted keys, fixed whitespace, "\\n" line ends) and write_csv (the csv
 default dialect, "\\r\\n" line ends), so a result always serializes to the
-same bytes. They let OSError through; the CLI exits 2 on it.
+same bytes. All three open their path through _overwrite, the one place
+the package opens a file for writing. Like open(path, "w") it follows a
+symlink and keeps the inode, hard links and mode, but it does not truncate
+on open: it writes from offset 0, then cuts a regular file to the bytes
+written, also when a record raises. On ext4 with delayed allocation, the
+close of a non-empty file truncated to zero starts writeback, and the next
+such rewrite of the file waits on the disk. The writers let OSError
+through; the CLI exits 2 on it.
 
 Inputs: CSV and JSONL data streams are read through read_csv and
 load_jsonl, which raise DataError, naming the file, when it cannot be read,
@@ -16,6 +23,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
+from contextlib import contextmanager
 from math import isfinite
 from operator import itemgetter
 from pathlib import Path
@@ -109,8 +119,24 @@ def dumps_record(record: dict[str, Any]) -> str:
     return _RECORD_ENCODER.encode(record)
 
 
+def _keep_contents(path, flags):
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _overwrite(path: str | Path, newline: str):
+    """open(path, "w") without O_TRUNC: when the block ends, even by an
+    exception, a regular file is cut to the bytes written so far."""
+    with open(path, "w", encoding="utf-8", newline=newline, opener=_keep_contents) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+
+
 def dump_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(path, "\n") as fh:
         for record in records:
             fh.write(dumps_record(record))
             fh.write("\n")
@@ -118,13 +144,13 @@ def dump_jsonl(records: Iterable[dict[str, Any]], path: str | Path) -> None:
 
 def dump_json(obj: Any, path: str | Path) -> None:
     """One indented JSON document with sorted keys and a final newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _overwrite(path, "\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _overwrite(path, "") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

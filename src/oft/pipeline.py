@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
 from .jsonl import DATA, dump_json, dump_jsonl, load_json, read_csv
-from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario
+from .microworld import Monitor, RunResult, ScenarioConfig, operator_script, run_scenario
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
 
@@ -44,6 +44,9 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     ranks = np.empty(len(x))
     ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     return ranks
+
+
+_NO_RANK_VARIATION = "correlation undefined: a series has no rank variation"
 
 
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
@@ -64,7 +67,7 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:
-        raise DataError("correlation undefined: a series has no rank variation")
+        raise DataError(_NO_RANK_VARIATION)
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
@@ -218,13 +221,24 @@ def write_run_log(result: RunResult, path: str | Path) -> None:
     dump_jsonl(result.records, path)
 
 
+def _scripted_load(config: ScenarioConfig) -> np.ndarray:
+    """The per-second latent load run_scenario(config).latent will hold."""
+    script = operator_script(config.operator, config.duration_s, config.phase_split_s)
+    return np.array([script.load(float(t)) for t in range(config.duration_s)])
+
+
 def endtoend_report(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> dict:
     """Run the microworld and score how well the fused level tracks load.
 
     Correlates the per-second level against the scripted latent load, and
     the level at self-rating instants against the 1..5 ratings. Raises
-    DataError when a series is constant and the correlation is undefined.
+    DataError when a series is constant and the correlation is undefined;
+    a constant scripted load fails before the session is simulated.
     """
+    latent = _scripted_load(config)
+    # where spearman(levels, latent) would raise it: the levels are finite
+    if len(latent) >= 3 and np.all(np.isfinite(latent)) and np.ptp(latent) == 0:
+        raise DataError(_NO_RANK_VARIATION)
     result = run_scenario(config, net=net)
     rho_latent = spearman(result.levels, result.latent)
     if len(result.isa) >= 2:

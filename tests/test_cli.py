@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
-from oft import __version__
+from oft import __version__, pipeline
 from oft.cli import main
 from oft.jsonl import dump_jsonl, load_jsonl
 from oft.microworld import generate_beats, generate_pupil
@@ -830,6 +830,14 @@ class TestEndtoendCommand:
         assert code == 3
         assert "rank variation" in capsys.readouterr().err
 
+    def test_flat_operator_exits_3_before_the_first_tick(self, monkeypatch, capsys):
+        def no_session(*_args, **_kwargs):
+            raise AssertionError("the session was simulated")
+
+        monkeypatch.setattr(pipeline, "run_scenario", no_session)
+        assert main(["endtoend", "--duration", "360", "--operator", "flat"]) == 3
+        assert "rank variation" in capsys.readouterr().err
+
 
 class TestSettings:
     def test_env_var_supplies_defaults(self, tmp_path, monkeypatch, capsys):
@@ -1062,6 +1070,18 @@ def test_unwritable_output_exits_2(tmp_path, capsys, flag, parent):
     assert str(bad) in err
 
 
+@pytest.mark.parametrize("flag", [flag for flag in OUTPUT_FLAGS if flag != "monitor --out-dir"])
+def test_directory_at_output_path_exits_2(tmp_path, capsys, flag):
+    bad = tmp_path / "out"
+    bad.mkdir()
+    argv = OUTPUT_FLAGS[flag](tmp_path, bad)
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert bad.is_dir() and not any(bad.iterdir())
+
+
 class TestArgumentErrors:
     """Argument values the library rejects exit 2 with one line, before any output."""
 
@@ -1080,6 +1100,9 @@ class TestArgumentErrors:
          "'window' normalization takes no reference"),
         (["--normalization", "reference", "--reference", "3.0", "0.5", "--window", "0", "30"],
          "'reference' normalization takes no window"),
+        (["--normalization", "window"], "error: window normalization needs --window START END"),
+        (["--normalization", "reference"], "error: --normalization reference needs --reference "
+         "MEAN_MM SD_MM or pupil_reference in the settings file"),
     ])
     def test_physio(self, tmp_path, capsys, extra, message):
         out = tmp_path / "frames.csv"
@@ -1095,6 +1118,17 @@ class TestArgumentErrors:
         assert main([str(a) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'session' normalization takes no reference" in err
+        assert not out.exists()
+
+    def test_monitor_reference_needs_a_source(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("OFT_CONFIG", raising=False)
+        out = tmp_path / "mon"
+        argv = ["monitor", *_streams(tmp_path), "--ticks", write_ticks(tmp_path / "ticks.jsonl"),
+                "--out-dir", out, "--normalization", "reference"]
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: --normalization reference needs --reference MEAN_MM SD_MM "
+                       "or pupil_reference in the settings file\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("points,labels,message", [

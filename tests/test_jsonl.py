@@ -1,21 +1,29 @@
 """The shared readers and record writer against the code they replaced: the
 CSV reader against csv.DictReader, load_jsonl against json.loads per line,
-and the fixed-schema record templates against the JSON encoder."""
+and the fixed-schema record templates against the JSON encoder. The three
+file writers against open(path, "w"): how they treat an existing path."""
 
+import ast
 import csv
+import io
 import itertools
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oft
 from oft import fusion, physio, pipeline, regulation
 from oft.cli import main
 from oft.errors import DataError
-from oft.jsonl import _FIXED_SCHEMAS, _RECORD_ENCODER, dumps_record, load_jsonl, read_csv
+from oft.jsonl import (_FIXED_SCHEMAS, _RECORD_ENCODER, dump_json, dump_jsonl, dumps_record,
+                       load_jsonl, read_csv, write_csv)
 from test_cli import FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, write_fixed_recording
 
 
@@ -373,3 +381,163 @@ def test_behaviour_label_needing_no_escape_takes_the_template(label):
     record = {**TICK, "behaviour": label}
     same_as_encoder(record)
     assert takes_template(record) == (label in ("new_label", "B2"))
+
+
+# ---------------------------------------------------------------------------
+# the writers on an existing path: each case holds under open(path, "w") too
+
+
+def _write_jsonl(path, n, bad=False):
+    dump_jsonl([{"i": i} for i in range(n)] + ([{"i": math.nan}] if bad else []), path)
+
+
+def _write_json(path, n, bad=False):
+    dump_json({"a": list(range(n)), "b": object() if bad else None}, path)
+
+
+def _write_csv(path, n, bad=False):
+    write_csv(path, ["i"], [[i] for i in range(n)] + ([5] if bad else []))
+
+
+def _json_before_error(n):
+    buf = io.StringIO()
+    with pytest.raises(TypeError):
+        json.dump({"a": list(range(n)), "b": object()}, buf, indent=2, sort_keys=True)
+    return buf.getvalue()
+
+
+# writer -> (write(path, n, bad), the text left when the item after n raises)
+WRITERS = {
+    "dump_jsonl": (_write_jsonl, lambda n: "".join(f'{{"i":{i}}}\n' for i in range(n))),
+    "dump_json": (_write_json, _json_before_error),
+    "write_csv": (_write_csv, lambda n: "i\r\n" + "".join(f"{i}\r\n" for i in range(n))),
+}
+
+
+def _fresh(tmp_path, write, n):
+    """The bytes `write` puts in a new file."""
+    path = tmp_path / "fresh"
+    write(path, n)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+class TestWriterOnExistingPath:
+    def test_shorter_rewrite_leaves_only_the_new_bytes(self, tmp_path, writer):
+        write, _ = WRITERS[writer]
+        out = tmp_path / "out"
+        write(out, 500)
+        write(out, 3)
+        assert out.read_bytes() == _fresh(tmp_path, write, 3)
+
+    def test_hard_link_sees_the_new_bytes(self, tmp_path, writer):
+        write, _ = WRITERS[writer]
+        out, other = tmp_path / "out", tmp_path / "other"
+        write(out, 500)
+        os.link(out, other)
+        write(out, 3)
+        assert other.read_bytes() == _fresh(tmp_path, write, 3)
+        assert os.stat(other).st_ino == os.stat(out).st_ino
+
+    def test_symlink_is_followed_and_kept(self, tmp_path, writer):
+        write, _ = WRITERS[writer]
+        target, link = tmp_path / "target", tmp_path / "link"
+        write(target, 500)
+        link.symlink_to(target)
+        write(link, 3)
+        assert link.is_symlink()
+        assert target.read_bytes() == _fresh(tmp_path, write, 3)
+
+    def test_mode_is_kept(self, tmp_path, writer):
+        write, _ = WRITERS[writer]
+        out = tmp_path / "out"
+        write(out, 500)
+        out.chmod(0o600)
+        write(out, 3)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    def test_dev_null(self, writer):
+        write, _ = WRITERS[writer]
+        write(os.devnull, 3)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_raising_item_leaves_what_was_written_before_it(self, tmp_path, writer):
+        """A NaN record (dump_jsonl), an unencodable value (dump_json) or a
+        row that is not a sequence (write_csv) raises mid-file."""
+        write, before_error = WRITERS[writer]
+        out = tmp_path / "out"
+        write(out, 500)
+        with pytest.raises((ValueError, TypeError, csv.Error)):
+            write(out, 3, bad=True)
+        assert out.read_bytes().decode("utf-8") == before_error(3)
+
+
+def test_writers_never_open_with_o_trunc(tmp_path, monkeypatch):
+    """A non-empty file truncated to zero on open makes ext4 flush it, and
+    the next such rewrite waits on the disk: the writers open without
+    O_TRUNC and cut the file to length when done."""
+    flags_seen = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        flags_seen.append(flags)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for name, (write, _) in WRITERS.items():
+        out = tmp_path / name
+        write(out, 500)
+        write(out, 3)
+    assert len(flags_seen) == 2 * len(WRITERS)
+    assert all(flags & os.O_WRONLY and flags & os.O_CREAT for flags in flags_seen)
+    assert not any(flags & os.O_TRUNC for flags in flags_seen)
+
+
+def _write_opens(tree):
+    """(line, call) of every call in `tree` that opens a file for writing:
+    open, io.open or Path.open with a mode holding w, a, x or +, or one
+    that is not a string literal; os.open; write_text; write_bytes."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(getattr(func, "value", None), "id", None)
+        if name in ("write_text", "write_bytes") or (name == "open" and owner == "os"):
+            found.append((node.lineno, ast.unparse(func)))
+            continue
+        if name != "open":
+            continue
+        # builtin open(file, mode) and io.open; otherwise Path.open(mode)
+        position = 1 if isinstance(func, ast.Name) or owner == "io" else 0
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+        if mode is None and len(node.args) > position:
+            mode = node.args[position]
+        if mode is None:
+            continue
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                or set(mode.value) & set("wax+"):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_only_jsonl_opens_files_for_writing():
+    package = Path(oft.__file__).parent
+    offenders = {}
+    for module in sorted(package.glob("*.py")):
+        if module.name != "jsonl.py":
+            found = _write_opens(ast.parse(module.read_text(encoding="utf-8")))
+            if found:
+                offenders[module.name] = found
+    assert offenders == {}
+
+
+def test_write_open_finder_sees_each_form():
+    source = "\n".join([
+        "open(p, 'w')", "open(p, mode='a')", "open(p, 'rb')", "open(p)", "open(p, m)",
+        "io.open(p, 'x')", "q.open('r+')", "q.open()", "q.write_text(s)", "q.write_bytes(b)",
+        "os.open(p, f)",
+    ])
+    lines = [line for line, _ in _write_opens(ast.parse(source))]
+    assert sorted(lines) == [1, 2, 5, 6, 7, 9, 10, 11]

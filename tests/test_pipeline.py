@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oft import __version__, microworld, physio
+from oft import __version__, microworld, physio, pipeline
 from oft.errors import ConfigError, DataError
 from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_scenario
 from conftest import src_env
 from oft.pipeline import (
     _average_ranks,
+    _scripted_load,
     endtoend_report,
     file_sha256,
     monitor_offline,
@@ -282,6 +283,19 @@ class TestEndToEnd:
         cfg = replace(self.CFG, operator="flat")
         with pytest.raises(DataError, match="rank variation"):
             endtoend_report(cfg)
+
+    def test_flat_operator_fails_before_the_first_tick(self, monkeypatch):
+        def no_session(*_args, **_kwargs):
+            raise AssertionError("the session was simulated")
+
+        monkeypatch.setattr(pipeline, "run_scenario", no_session)
+        with pytest.raises(DataError, match="rank variation"):
+            endtoend_report(replace(self.CFG, operator="flat"))
+
+    @pytest.mark.parametrize("operator", ["diligent", "prioritizer", "degrading-overload", "flat"])
+    def test_scripted_load_is_the_run_latent(self, operator):
+        cfg = replace(self.CFG, operator=operator)
+        assert np.array_equal(_scripted_load(cfg), run_scenario(cfg).latent)
 
     def test_needs_enough_self_ratings(self):
         cfg = ScenarioConfig(duration_s=100, phase_split_s=50)
