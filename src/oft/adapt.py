@@ -2,9 +2,12 @@
 
 DEFAULT_RULES is the assistance policy. Each rule names a directive, the
 task it helps with, the stage of automation it intervenes at (gathering,
-analysis, decision, action) and the workload level that switches it on. A
-directive is active at level L when its trigger level is <= L, so aids
-gained at level 4 stay on at level 5.
+analysis, decision, action; after Parasuraman, Sheridan & Wickens 2000) and
+the workload level that switches it on. A directive is active at level L
+when its trigger level is <= L, so aids gained at level 4 stay on at level
+5. The table is the only place an aid is written down: the microworld
+reads each aid's task and stage from it, and the stage decides what the
+aid does there (`microworld.SERVICE_FACTOR`, `microworld.MACHINE_ITEMS_PER_S`).
 
 The engine is edge-triggered: feeding it a timestamped level yields only
 the activate/deactivate commands for directives whose state changed.

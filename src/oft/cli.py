@@ -28,6 +28,10 @@ from . import __version__, physio
 from .cocom import read_roster_csv, read_trace_csv, transitions, write_coded_csv, code_mode
 from .dfaplan import check_feasible, default_bike_model, load_model as load_alloc_model
 from .effortclass import (
+    KINDS,
+    METRICS,
+    RF_TREES,
+    SCHEMES,
     binarize,
     cross_validate,
     fit_model,
@@ -38,8 +42,9 @@ from .effortclass import (
 from .errors import ConfigError, DataError, InfeasibleError
 from .fusion import MwlNetwork
 from .jsonl import DATA, dump_json, is_finite_number, load_json, write_csv
-from .microworld import ScenarioConfig, run_scenario
+from .microworld import OPERATORS, ScenarioConfig, run_scenario
 from .pipeline import (
+    MONITOR_NORMALIZATIONS,
     endtoend_report,
     monitor_offline,
     read_demand_csv,
@@ -50,8 +55,12 @@ from .pipeline import (
 from .regulation import read_ticks_jsonl
 
 
+def _settings_path(args):
+    return args.config or os.environ.get("OFT_CONFIG")
+
+
 def _settings(args) -> dict:
-    path = args.config or os.environ.get("OFT_CONFIG")
+    path = _settings_path(args)
     if not path:
         return {}
     raw = load_json(path, "settings file")
@@ -70,6 +79,21 @@ def _settings(args) -> dict:
             "two finite numbers with sd_mm > 0"
         )
     return raw
+
+
+def _settings_inputs(args, settings, fuses: bool) -> list:
+    """The settings files that shape a command's output, for its manifest:
+    the settings file in effect and, if the command fuses, its fusion_net."""
+    path = _settings_path(args)
+    files = [path] if path else []
+    if fuses and "fusion_net" in settings:
+        files.append(settings["fusion_net"])
+    return files
+
+
+def _given(args, *names) -> dict:
+    """The optional arguments among `names` that were given, for a manifest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _network(settings: dict) -> MwlNetwork:
@@ -123,8 +147,9 @@ def _cmd_physio(args) -> int:
                 "pupil": args.pupil,
                 "normalization": args.normalization,
                 "span": args.span,
+                **_given(args, "window", "reference"),
             },
-            inputs=[args.beats, args.pupil],
+            inputs=[args.beats, args.pupil, *_settings_inputs(args, settings, fuses=False)],
         )
     print(f"framed {len(framed.frames)} seconds -> {args.out}")
     return 0
@@ -151,8 +176,9 @@ def _cmd_monitor(args) -> int:
     write_manifest(
         Path(args.out_dir) / "manifest.json",
         "monitor",
-        {"normalization": args.normalization, "demand": bool(args.demand)},
-        inputs=inputs,
+        {"normalization": args.normalization, "demand": bool(args.demand),
+         **_given(args, "reference")},
+        inputs=inputs + _settings_inputs(args, settings, fuses=True),
     )
     print(
         f"monitored {result.report['ticks']} s: mean level "
@@ -330,6 +356,7 @@ def _cmd_simulate(args) -> int:
                 "dfa": args.dfa,
                 "duration": args.duration,
             },
+            inputs=_settings_inputs(args, settings, fuses=True),
         )
     s = result.summary
     print(
@@ -374,9 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pupil", required=True, help="CSV t_s,pupil_mm,valid")
     p.add_argument("--out", required=True, help="frames CSV to write")
     p.add_argument("--jsonl", help="also write frames JSONL with run metadata")
-    p.add_argument(
-        "--normalization", default="session", choices=("session", "window", "reference")
-    )
+    p.add_argument("--normalization", default="session", choices=physio.NORMALIZATIONS)
     p.add_argument("--window", nargs=2, type=float, metavar=("START", "END"))
     p.add_argument("--reference", nargs=2, type=float, metavar=("MEAN_MM", "SD_MM"))
     p.add_argument("--span", type=int, default=physio.SDNN_SPAN)
@@ -389,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ticks", required=True, help="activity JSONL: t, at, ot, perf")
     p.add_argument("--demand", help="optional CSV t_s,n1,n2,entropy")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--normalization", default="session", choices=("session", "reference"))
+    p.add_argument("--normalization", default="session", choices=MONITOR_NORMALIZATIONS)
     p.add_argument("--reference", nargs=2, type=float, metavar=("MEAN_MM", "SD_MM"))
     p.set_defaults(func=_cmd_monitor)
 
@@ -397,14 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="classify_command", required=True)
 
     def _classifier_args(q):
-        q.add_argument("--kind", default="knn", choices=("knn", "rf"))
+        q.add_argument("--kind", default="knn", choices=KINDS)
         q.add_argument("--k", type=int, default=5, help="neighbours (knn)")
-        q.add_argument(
-            "--metric",
-            default="euclidean",
-            choices=("euclidean", "squared_euclidean", "manhattan", "chebyshev"),
-        )
-        q.add_argument("--trees", type=int, default=23, help="trees (rf)")
+        q.add_argument("--metric", default="euclidean", choices=METRICS)
+        q.add_argument("--trees", type=int, default=RF_TREES, help="trees (rf)")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument(
             "--raw-labels",
@@ -426,9 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = csub.add_parser("cv", help="held-out accuracy under a split scheme")
     q.add_argument("--data", required=True)
-    q.add_argument(
-        "--scheme", default="per-subject-75-25", choices=("per-subject-75-25", "leave-subjects-out")
-    )
+    q.add_argument("--scheme", default="per-subject-75-25", choices=SCHEMES)
     q.add_argument("--test-subjects", help="comma-separated held-out subjects")
     q.add_argument("--report", help="write the accuracy report JSON here")
     _classifier_args(q)
@@ -463,11 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _scenario_args(q, default_operator):
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument(
-            "--operator",
-            default=default_operator,
-            choices=("diligent", "prioritizer", "degrading-overload", "flat"),
-        )
+        q.add_argument("--operator", default=default_operator, choices=OPERATORS)
         q.add_argument(
             "--dfa", choices=("on", "off"), default="off",
             help="close the loop with workload-triggered assistance",

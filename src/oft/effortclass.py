@@ -22,9 +22,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
-from .jsonl import dump_json, is_finite_number, load_json, read_csv
+from .jsonl import dump_json, is_finite_number, is_seed, load_json, read_csv
 
 METRICS = ("euclidean", "squared_euclidean", "manhattan", "chebyshev")
+#: The model kinds fit_model builds.
+KINDS = ("knn", "rf")
+#: Trees in a forest when the spec does not say.
+RF_TREES = 23
 
 
 def distances(points: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
@@ -212,7 +216,7 @@ class ForestModel:
         return labels[np.argmax(counts.reshape(len(X), len(labels)), axis=1)].astype(int)
 
 
-def rf_train(X, y, n_trees: int = 23, seed: int = 0) -> ForestModel:
+def rf_train(X, y, n_trees: int = RF_TREES, seed: int = 0) -> ForestModel:
     """Bootstrap-aggregated Gini trees with sqrt(d) feature subsampling.
 
     All randomness (bootstraps, per-node feature draws) is derived from the
@@ -227,6 +231,8 @@ def rf_train(X, y, n_trees: int = 23, seed: int = 0) -> ForestModel:
         raise DataError("rf: X must be finite")
     if n_trees < 1:
         raise ConfigError(f"rf: need at least 1 tree, got {n_trees}")
+    if not is_seed(seed):
+        raise ConfigError(f"rf: seed must be an integer >= 0, got {seed!r}")
     classes = np.unique(y)
     if len(classes) < 2:
         raise DegenerateInputError("rf: training data has a single class")
@@ -302,8 +308,8 @@ def fit_model(spec: Mapping, X, y):
     if kind == "knn":
         return KnnModel(X, y, k=int(spec.get("k", 1)), metric=spec.get("metric", "euclidean"))
     if kind == "rf":
-        return rf_train(X, y, n_trees=int(spec.get("trees", 23)), seed=int(spec.get("seed", 0)))
-    raise ConfigError(f"model spec: unknown kind {kind!r}")
+        return rf_train(X, y, n_trees=int(spec.get("trees", RF_TREES)), seed=int(spec.get("seed", 0)))
+    raise ConfigError(f"model spec: unknown kind {kind!r}; choose one of {KINDS}")
 
 
 def _accuracy_report(y_true, y_pred, split, n_train) -> CvReport:
@@ -339,6 +345,8 @@ def cross_validate(
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
+    if not is_seed(seed):
+        raise ConfigError(f"cross_validate: seed must be an integer >= 0, got {seed!r}")
     if not frames:
         raise DataError("cross_validate: no frames")
     by_subject: dict[str, list[LabelledFrame]] = {}

@@ -27,6 +27,7 @@ import os
 import stat
 from contextlib import contextmanager
 from math import isfinite
+from numbers import Integral
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -162,6 +163,11 @@ def is_finite_number(value) -> bool:
         return not isinstance(value, bool) and isfinite(value)
     except (TypeError, OverflowError):
         return False
+
+
+def is_seed(value) -> bool:
+    """True for an integer >= 0 (booleans excluded): a seed numpy's SeedSequence takes."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
 
 
 def load_json(path: str | Path, what: str) -> Any:

@@ -19,6 +19,11 @@ latent load, the fused workload level, and, when adaptation is on, the
 assistance directives switched by that level. A self-rating on a 1..5
 scale is logged every ISA_PERIOD_S seconds for external comparison.
 
+The aids act by their stage of automation, read from `adapt.DEFAULT_RULES`:
+an action-stage aid takes up to MACHINE_ITEMS_PER_S of its task's jobs off
+the operator's queue each second; any other aid multiplies its task's
+service time by SERVICE_FACTOR of its stage. This module names no aid.
+
 A scenario varies only in the fields of ScenarioConfig. The arrival rates,
 self-rating period, performance window and pupil reference are constants
 below; the message budget and neutralization reference time come from
@@ -40,10 +45,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import physio
-from .adapt import AdaptationEngine
+from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
-from .jsonl import is_finite_number
+from .jsonl import is_finite_number, is_seed
 from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
                          RegulationEvent, TaskTick)
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
@@ -95,6 +100,14 @@ PUPIL_REF_SD = 0.45
 #: The windowed performance looks back this many seconds.
 PERF_WINDOW_S = 300.0
 
+#: What an aid does, by its stage (see the module docstring).
+MACHINE_ITEMS_PER_S = 2
+SERVICE_FACTOR = {"gathering": 0.6, "analysis": 0.5, "decision": 0.5}
+# the aids of DEFAULT_RULES, in rule order
+_TAKEOVERS = tuple((r.directive, r.task) for r in DEFAULT_RULES if r.stage == "action")
+_SPEEDUPS = tuple((r.directive, r.task, SERVICE_FACTOR[r.stage])
+                  for r in DEFAULT_RULES if r.stage != "action")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -112,6 +125,8 @@ class ScenarioConfig:
             raise ConfigError(f"scenario: duration_s must be at most {MAX_DURATION_S} (one day)")
         if not (is_finite_number(self.hold_s) and self.hold_s >= 0):
             raise ConfigError(f"scenario: hold_s must be a finite number >= 0, got {self.hold_s!r}")
+        if not is_seed(self.seed):
+            raise ConfigError(f"scenario: seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -141,31 +156,19 @@ def _two_ramp(a0: float, a1: float, b0: float, b1: float, split: float, duration
     return load
 
 
+OPERATORS = ("diligent", "prioritizer", "degrading-overload", "flat")
+
+
 def operator_script(name: str, duration_s: int = 1200, phase_split_s: int = 600) -> OperatorScript:
-    """Built-in operator behaviours: diligent, prioritizer, degrading-overload, flat."""
+    """The built-in operator behaviour called `name`, one of OPERATORS.
+
+    degrading-overload slows sharply and starts to slip jobs as its load
+    climbs. The other three share a gentle service curve and never slip;
+    flat feels a constant load, and prioritizer sheds past four queued jobs.
+    """
+    if name not in OPERATORS:
+        raise ConfigError(f"unknown operator script {name!r}; choose from {', '.join(OPERATORS)}")
     split, dur = float(phase_split_s), float(duration_s)
-    if name == "diligent":
-        return OperatorScript(
-            name=name,
-            load=_two_ramp(0.15, 0.20, 0.30, 0.45, split, dur),
-            service_factor=lambda L: 1.0 + 0.5 * L,
-            slip_probability=lambda L: 0.0,
-        )
-    if name == "flat":
-        return OperatorScript(
-            name=name,
-            load=lambda t: 0.25,
-            service_factor=lambda L: 1.0 + 0.5 * L,
-            slip_probability=lambda L: 0.0,
-        )
-    if name == "prioritizer":
-        return OperatorScript(
-            name=name,
-            load=_two_ramp(0.15, 0.20, 0.30, 0.45, split, dur),
-            service_factor=lambda L: 1.0 + 0.5 * L,
-            slip_probability=lambda L: 0.0,
-            shed_threshold=4,
-        )
     if name == "degrading-overload":
         return OperatorScript(
             name=name,
@@ -173,9 +176,12 @@ def operator_script(name: str, duration_s: int = 1200, phase_split_s: int = 600)
             service_factor=lambda L: 1.0 + 3.0 * L,
             slip_probability=lambda L: max(0.0, L - 0.65) * 0.8,
         )
-    raise ConfigError(
-        f"unknown operator script {name!r}; choose from diligent, prioritizer, "
-        "degrading-overload, flat"
+    return OperatorScript(
+        name=name,
+        load=(lambda t: 0.25) if name == "flat" else _two_ramp(0.15, 0.20, 0.30, 0.45, split, dur),
+        service_factor=lambda L: 1.0 + 0.5 * L,
+        slip_probability=lambda L: 0.0,
+        shed_threshold=4 if name == "prioritizer" else None,
     )
 
 
@@ -323,14 +329,10 @@ class World:
             self.add_job("DetectVehicle", t, t + TASK_BUDGET_S["DetectVehicle"], vehicle=veh)
 
     def _machine_pass(self, t: float, directives: frozenset, completed: set):
-        takeovers = (
-            ("auto_transfer_drones", "ManageEmptyZone"),
-            ("auto_inspect", "InspectLock"),
-        )
-        for directive, task in takeovers:
+        for directive, task in _TAKEOVERS:
             if directive not in directives:
                 continue
-            for _ in range(2):  # the automation handles up to two items a second
+            for _ in range(MACHINE_ITEMS_PER_S):
                 job = min((j for j in self.queue if j.task == task), key=_EDF_KEY, default=None)
                 if job is None:
                     break
@@ -340,14 +342,9 @@ class World:
 
     def _service_multiplier(self, task: str, directives: frozenset) -> float:
         mult = 1.0
-        if task == "ReadMessage" and "highlight_messages" in directives:
-            mult *= 0.6
-        if task == "ManageEmptyZone" and "highlight_empty_zones" in directives:
-            mult *= 0.6
-        if task == "ManageEmptyZone" and "auto_judge_zone_useful" in directives:
-            mult *= 0.5
-        if task == "DetectVehicle" and "annotate_message_coords" in directives:
-            mult *= 0.5
+        for directive, aided, factor in _SPEEDUPS:
+            if aided == task and directive in directives:
+                mult *= factor
         return mult
 
     def _serve(self, t: float, directives: frozenset, completed: set):

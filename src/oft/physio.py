@@ -33,6 +33,8 @@ from .jsonl import dump_jsonl, read_csv, write_csv
 PUPIL_MIN_MM = 2.0
 PUPIL_MAX_MM = 8.0
 SDNN_SPAN = 100
+#: Pupil z baselines: the whole recording, a [start, end) window or a (mean, std) reference.
+NORMALIZATIONS = ("session", "window", "reference")
 # latest timestamp a framed recording may reach (one day); framing allocates per second
 MAX_RECORDING_S = 86_400
 # np.mean sums fewer values than this one by one, left to right from 0.0;
@@ -212,6 +214,9 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
 
 def _norm_stats(per_sec, method, window, reference):
     """Resolve the (center, scale) pair used for per-second pupil z-scores."""
+    if method not in NORMALIZATIONS:
+        raise ConfigError(f"per_second_frames: unknown normalization method {method!r}; "
+                          f"choose one of {NORMALIZATIONS}")
     if window is not None and method != "window":
         raise ConfigError(f"per_second_frames: {method!r} normalization takes no window")
     if reference is not None and method != "reference":
@@ -230,10 +235,8 @@ def _norm_stats(per_sec, method, window, reference):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError("per_second_frames: window needs finite bounds with start < end")
         pool = [v for t, v in per_sec.items() if lo <= t < hi]
-    elif method == "session":
+    else:  # session
         pool = list(per_sec.values())
-    else:
-        raise ConfigError(f"per_second_frames: unknown normalization method {method!r}")
     if len(pool) < 2:
         raise InsufficientDataError("pupil normalization: need at least 2 per-second means")
     arr = np.asarray(pool, dtype=float)
@@ -302,8 +305,9 @@ def per_second_frames(
     [start, end) window, or externally supplied (mean, std) reference stats.
     A window or reference given to a normalization that does not use it is
     a ConfigError.
-    A recording whose last framed timestamp is past MAX_RECORDING_S is a
-    DataError.
+    A recording whose last framed timestamp is past MAX_RECORDING_S, or a
+    second whose SDNN or pupil z is not finite (huge intervals overflow the
+    SDNN, a tiny reference std the z), is a DataError.
     """
     if len(beats) == 0:
         raise DataError("stream 'beats' is empty")
@@ -329,17 +333,23 @@ def per_second_frames(
     center, scale = _norm_stats(pupil_sec, normalization, window, reference)
 
     beat_counts = np.searchsorted(beats.timestamps, edges[1:], side="left")
-    full_sdnn = _full_span_sdnn(beats.intervals_ms, beat_counts, span)
     frames: list[FeatureFrame] = []
-    for t, n_beats in enumerate(beat_counts.tolist()):
-        if n_beats >= span:
-            hrv = full_sdnn[n_beats]
-        elif n_beats >= 2:
-            hrv = sdnn(beats.intervals_ms[:n_beats], span=span)
-        else:
-            hrv = None
-        z = (pupil_sec[t] - center) / scale if t in pupil_sec else None
-        frames.append(FeatureFrame(t=t, hrv_sdnn_ms=hrv, pupil_z=z, warmup=n_beats < span))
+    # huge intervals overflow the SDNN: the check below reports it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        full_sdnn = _full_span_sdnn(beats.intervals_ms, beat_counts, span)
+        for t, n_beats in enumerate(beat_counts.tolist()):
+            if n_beats >= span:
+                hrv = full_sdnn[n_beats]
+            elif n_beats >= 2:
+                hrv = sdnn(beats.intervals_ms[:n_beats], span=span)
+            else:
+                hrv = None
+            z = (pupil_sec[t] - center) / scale if t in pupil_sec else None
+            if hrv is not None and not math.isfinite(hrv):
+                raise DataError(f"second {t}: SDNN is {hrv!r} ms, not a finite number")
+            if z is not None and not math.isfinite(z):
+                raise DataError(f"second {t}: pupil z is {z!r}, not a finite number")
+            frames.append(FeatureFrame(t=t, hrv_sdnn_ms=hrv, pupil_z=z, warmup=n_beats < span))
 
     meta = {
         "normalization": normalization,

@@ -119,6 +119,10 @@ def read_demand_csv(path: str | Path) -> dict:
     return frames
 
 
+#: Normalizations monitor_offline takes: it has no window to anchor "window".
+MONITOR_NORMALIZATIONS = ("session", "reference")
+
+
 @dataclass
 class MonitorResult:
     states: list  # MwlState per tick
@@ -143,12 +147,13 @@ def monitor_offline(
     the frame at its own second and goes through the same monitor step as
     the simulator (`microworld.Monitor`). Ticks must be contiguous
     integers. Demand counts are optional; a second without them leaves the
-    difficulty channel out of the fusion. Normalization is "session" or
-    "reference"; there is no window to anchor "window" normalization.
+    difficulty channel out of the fusion. Normalization is one of
+    MONITOR_NORMALIZATIONS.
     """
-    if normalization not in ("session", "reference"):
+    if normalization not in MONITOR_NORMALIZATIONS:
         raise ConfigError(
-            f"monitor_offline: normalization is 'session' or 'reference', not {normalization!r}"
+            f"monitor_offline: normalization is {' or '.join(map(repr, MONITOR_NORMALIZATIONS))}, "
+            f"not {normalization!r}"
         )
     if net is None:
         net = MwlNetwork.default()

@@ -166,6 +166,7 @@ class TestPhysioCommand:
         ("beats", "t_s", "nan"),
         ("pupil", "t_s", "nan"),
         ("pupil", "t_s", "-inf"),
+        ("beats", "rr_ms", "1e200"),  # finite, but its SDNN overflows
     ])
     def test_non_finite_values_exit_3(self, tmp_path, capsys, stream, column, value, jsonl):
         paths = dict(zip(("beats", "pupil"), write_streams(tmp_path)))
@@ -204,6 +205,45 @@ class TestPhysioCommand:
         assert "past one day" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jsonl", [False, True])
+    def test_overflowing_pupil_z_exits_3(self, tmp_path, capsys, jsonl):
+        beats, pupil = write_streams(tmp_path)
+        out, frames = tmp_path / "frames.csv", tmp_path / "frames.jsonl"
+        argv = ["physio", "--beats", beats, "--pupil", pupil, "--out", str(out),
+                "--normalization", "reference", "--reference", "3.4", "1e-320"]
+        if jsonl:
+            argv += ["--jsonl", str(frames)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: second 0: pupil z is ") and err.count("\n") == 1
+        assert not out.exists() and not frames.exists()
+
+    def test_overflowing_sdnn_names_second_and_feature(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        overwrite_rows(beats, "rr_ms", "1e200", rows=slice(100, 101))
+        assert main(["physio", "--beats", beats, "--pupil", pupil,
+                     "--out", str(tmp_path / "frames.csv")]) == 3
+        assert capsys.readouterr().err == "error: second 76: SDNN is inf ms, not a finite number\n"
+
+    def test_manifest_records_window_and_reference(self, tmp_path):
+        beats, pupil = write_streams(tmp_path)
+        argv = ["physio", "--beats", beats, "--pupil", pupil, "--out", str(tmp_path / "f.csv")]
+        runs = {
+            "plain": [],
+            "window": ["--normalization", "window", "--window", "0", "30"],
+            "ref_a": ["--normalization", "reference", "--reference", "3.0", "0.3"],
+            "ref_b": ["--normalization", "reference", "--reference", "3.6", "0.5"],
+        }
+        manifests = {}
+        for name, extra in runs.items():
+            path = tmp_path / f"{name}.json"
+            assert main(argv + extra + ["--manifest", str(path)]) == 0
+            manifests[name] = json.loads(path.read_text())["args"]
+        assert "window" not in manifests["plain"] and "reference" not in manifests["plain"]
+        assert manifests["window"]["window"] == [0.0, 30.0]
+        assert manifests["ref_a"]["reference"] == [3.0, 0.3]
+        assert manifests["ref_b"]["reference"] == [3.6, 0.5]
+
 
 class TestMonitorCommand:
     def test_outputs_and_manifest(self, tmp_path, capsys):
@@ -221,6 +261,16 @@ class TestMonitorCommand:
         report = json.loads((out_dir / "report.json").read_text())
         assert report["ticks"] == 240
         assert report["compliance"] == 1.0
+
+    def test_huge_interval_exits_3(self, tmp_path, capsys):
+        beats, pupil = write_streams(tmp_path)
+        overwrite_rows(beats, "rr_ms", "1e200", rows=slice(100, 101))
+        out_dir = tmp_path / "mon"
+        assert main(["monitor", "--beats", beats, "--pupil", pupil,
+                     "--ticks", write_ticks(tmp_path / "ticks.jsonl"),
+                     "--out-dir", str(out_dir)]) == 3
+        assert "SDNN is" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_demand_stream_and_determinism(self, tmp_path):
         beats, pupil = write_streams(tmp_path)
@@ -561,12 +611,13 @@ def write_fixed_recording(folder, duration=300):
 
 
 # written by the SoftEvidence-checked fuzzify, the numpy posterior and the
-# csv.DictReader input path
+# csv.DictReader input path; the manifests of the two reference runs record
+# their --reference
 MONITOR_SHA256 = {
     ("session", False): "9be56fbfcd9ffe515037128eddec00804bdd8a2b7d303152e9486472177a0f90",
     ("session", True): "a1888eea0f45103baa0de9ecf509ea64e6ec547f1b25229dab0c5aa688f3a385",
-    ("reference", False): "e8af174968d1bf9c4e66aac94cd62af92a59c833b0831a078584db9285cfdf8f",
-    ("reference", True): "921d5ff2f1a58f4660f72d567de2cac825099c14bb337d24bd754923b7e5846f",
+    ("reference", False): "84edd795ac6c5cb7131910c5503ab6f84c72b3d1da040ff0f653faf10faae61a",
+    ("reference", True): "af43f1393cdbcfa37c29e0159b9071beaadf1fbfc473916a4a0cd7e8009ebe6d",
 }
 SIMULATE_SHA256 = {
     (2, "off"): "271c16968b111dfa78c6910d65f0b8f4be900b2ab66413939247eb844cbd36f1",
@@ -931,6 +982,57 @@ class TestSettings:
         assert code == 2
         assert "pupil_reference" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["physio", "monitor", "simulate"])
+    def test_manifest_digests_the_settings_in_effect(self, tmp_path, monkeypatch, command):
+        from importlib.resources import as_file, files
+
+        with as_file(files("oft.data").joinpath("mwl_net.json")) as src:
+            net_path = tmp_path / "net.json"
+            net_path.write_bytes(src.read_bytes())
+        beats, pupil = write_streams(tmp_path)
+        argv = {
+            "physio": ["physio", "--beats", beats, "--pupil", pupil,
+                       "--out", str(tmp_path / "f.csv"), "--manifest"],
+            "monitor": ["monitor", "--beats", beats, "--pupil", pupil,
+                        "--ticks", write_ticks(tmp_path / "ticks.jsonl"), "--out-dir"],
+            "simulate": ["simulate", "--duration", "60", "--log", str(tmp_path / "run.jsonl"),
+                         "--manifest"],
+        }[command]
+
+        def inputs(name, settings=None):
+            if settings is None:
+                monkeypatch.delenv("OFT_CONFIG", raising=False)
+            else:
+                path = tmp_path / "settings.json"
+                path.write_text(json.dumps(settings))
+                monkeypatch.setenv("OFT_CONFIG", str(path))
+            out = tmp_path / name
+            assert main(argv + [str(out)]) == 0
+            manifest = out / "manifest.json" if command == "monitor" else out
+            return [d["path"] for d in json.loads(manifest.read_text())["inputs"]]
+
+        streams = {"physio": ["beats.csv", "pupil.csv"],
+                   "monitor": ["beats.csv", "pupil.csv", "ticks.jsonl"],
+                   "simulate": []}[command]
+        assert inputs("none") == streams
+        assert inputs("hold", {"hold_s": 60}) == streams + ["settings.json"]
+        # physio fuses nothing, so the network is not among its inputs
+        net = [] if command == "physio" else ["net.json"]
+        assert inputs("net", {"fusion_net": str(net_path)}) == streams + ["settings.json"] + net
+
+    def test_settings_that_change_a_run_change_its_manifest(self, tmp_path):
+        manifests = []
+        for hold in (0, 60):
+            settings = tmp_path / f"hold{hold}.json"
+            settings.write_text(json.dumps({"hold_s": hold}))
+            manifest = tmp_path / f"m{hold}.json"
+            assert main(["--config", str(settings), "simulate", "--duration", "120",
+                         "--operator", "degrading-overload", "--dfa", "on",
+                         "--log", str(tmp_path / "run.jsonl"), "--manifest", str(manifest)]) == 0
+            manifests.append(json.loads(manifest.read_text()))
+        assert manifests[0]["args"] == manifests[1]["args"]
+        assert manifests[0]["inputs"][0]["sha256"] != manifests[1]["inputs"][0]["sha256"]
+
 
 class TestMissingInputs:
     """A CSV or JSONL input that cannot be opened exits 3, naming the file."""
@@ -1157,6 +1259,27 @@ class TestArgumentErrors:
         assert "at most 86400" in capsys.readouterr().err
         assert not log.exists()
 
+    @pytest.mark.parametrize("command,seed,where", [
+        (["simulate", "--duration", "60"], "-1", "scenario"),
+        (["endtoend", "--duration", "360"], "-3", "scenario"),
+        (["classify", "cv"], "-1", "cross_validate"),
+        (["classify", "train", "--kind", "rf"], "-1", "rf"),
+    ])
+    def test_negative_seed(self, tmp_path, capsys, command, seed, where):
+        out = tmp_path / "out.json"
+        argv = command + ["--seed", seed]
+        if command[0] == "simulate":
+            argv += ["--log", str(out)]
+        elif command[0] == "endtoend":
+            argv += ["--report", str(out)]
+        else:
+            argv += ["--data", write_dataset(tmp_path / "data.csv"),
+                     "--model-out" if command[1] == "train" else "--report", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: seed must be an integer >= 0, got {seed}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("trees", [
         [],
         [{}],
@@ -1174,7 +1297,7 @@ class TestArgumentErrors:
 
 
 # ---------------------------------------------------------------------------
-# fuzzing `oft monitor` inputs
+# fuzzing `oft monitor` and `oft physio` inputs, and seeds
 
 FUZZ_SECONDS = 60
 FUZZ_TASKS = ("ReadMessage", "DetectVehicle", "InspectLock")
@@ -1187,6 +1310,8 @@ FUZZ_FIELDS = (("nan", float("nan")), ("inf", float("inf")), ("-1", -1),
 HUGE_INT = "\x00huge int\x00"
 FUZZ_TICK_FIELDS = FUZZ_FIELDS + (("1.5", 1.5), ('"2"', "2"), ("[[...]]", [["ReadMessage", 1]]),
                                   ("1" * 5000, HUGE_INT))
+# a beat interval may also be finite but so large that its SDNN overflows
+FUZZ_BEAT_FIELDS = FUZZ_FIELDS + (("1e200", 1e200),)
 
 
 @pytest.fixture(scope="module")
@@ -1203,6 +1328,32 @@ def fuzz_inputs(tmp_path_factory):
         ot = {task: int(rng.random() < 0.8) for task in FUZZ_TASKS if at[task]}
         ticks.append({"t": t, "at": at, "ot": ot, "perf": round(float(rng.random()), 3)})
     return beats, rows, ticks
+
+
+@pytest.fixture(scope="module")
+def fuzz_beats(fuzz_inputs):
+    """The rows of the valid recording's beats CSV, header first."""
+    with open(fuzz_inputs[0], newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    return write_dataset(tmp_path_factory.mktemp("fuzz_data") / "data.csv", n_per=12)
+
+
+@st.composite
+def beats_mutations(draw):
+    """(kind, args) for one mutation of beats.csv; a field's row is given as
+    a fraction of the data rows, 0.0 the first and 1.0 the last."""
+    kind = draw(st.sampled_from(["truncate", "field", "drop_header"]))
+    if kind == "truncate":
+        return kind, draw(st.floats(0.0, 1.0))
+    if kind == "field":
+        row = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        column = draw(st.sampled_from(["t_s", "rr_ms"]))
+        return kind, (row, column, draw(st.sampled_from(FUZZ_BEAT_FIELDS)))
+    return kind, None
 
 
 @st.composite
@@ -1236,15 +1387,15 @@ def monitor_mutations(draw):
     return stream, kind, None
 
 
-def mutated_text(stream, kind, args, pupil_rows, ticks):
-    """The mutated file's text; the other stream is left valid."""
-    if stream == "pupil":
-        header, rows = list(pupil_rows[0]), [list(r) for r in pupil_rows[1:]]
+def mutated_text(stream, kind, args, csv_rows, ticks):
+    """The mutated file's text: the ticks, or the CSV stream whose rows are given."""
+    if stream != "ticks":
+        header, rows = list(csv_rows[0]), [list(r) for r in csv_rows[1:]]
     else:
         header, rows = None, json.loads(json.dumps(ticks))
     if kind == "field":
         row, column, (text, value) = args
-        if stream == "pupil":
+        if stream != "ticks":
             rows[row][header.index(column)] = text
         else:
             rows[row][column] = value
@@ -1260,7 +1411,7 @@ def mutated_text(stream, kind, args, pupil_rows, ticks):
     elif kind == "at_value":
         row, task, value = args
         rows[row]["at"][task] = value
-    if stream == "pupil":
+    if stream != "ticks":
         out = io.StringIO()
         csv.writer(out).writerows(([header] if header else []) + rows)
         text = out.getvalue()
@@ -1276,7 +1427,8 @@ def mutated_text(stream, kind, args, pupil_rows, ticks):
 
 
 class TestMonitorFuzz:
-    """Mutated ticks and pupil inputs end in a documented exit code."""
+    """Mutated ticks, pupil and beats inputs, and any integer seed, end in a
+    documented exit code."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutation=monitor_mutations())
@@ -1303,4 +1455,52 @@ class TestMonitorFuzz:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
+        assert code in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=beats_mutations())
+    # a finite interval whose SDNN overflows
+    @example(mutation=("field", (0.5, "rr_ms", FUZZ_BEAT_FIELDS[-1])))
+    def test_beats_exit_code_is_documented(self, fuzz_inputs, fuzz_beats, mutation):
+        _, pupil_rows, ticks = fuzz_inputs
+        kind, args = mutation
+        if kind == "field":
+            fraction, column, value = args
+            args = (round(fraction * (len(fuzz_beats) - 2)), column, value)
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            paths = {"beats": folder / "beats.csv", "pupil": folder / "pupil.csv",
+                     "ticks": folder / "ticks.jsonl"}
+            paths["beats"].write_text(mutated_text("beats", kind, args, fuzz_beats, ticks))
+            paths["pupil"].write_text(mutated_text("pupil", None, None, pupil_rows, ticks))
+            paths["ticks"].write_text(mutated_text("ticks", None, None, None, ticks))
+            streams = ["--beats", str(paths["beats"]), "--pupil", str(paths["pupil"])]
+            for argv in (["physio", *streams, "--out", str(folder / "frames.csv"),
+                          "--jsonl", str(folder / "frames.jsonl")],
+                         ["monitor", *streams, "--ticks", str(paths["ticks"]),
+                          "--out-dir", str(folder / "out")]):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4), argv[0]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["simulate", "endtoend", "cv", "train"]),
+           seed=st.one_of(st.sampled_from([-1, 0, 2**64]), st.integers(-2**70, 2**70)))
+    @example(command="simulate", seed=-1)
+    def test_seed_exit_code_is_documented(self, fuzz_dataset, command, seed):
+        with tempfile.TemporaryDirectory() as folder:
+            out = str(Path(folder) / "out")
+            argv = {
+                "simulate": ["simulate", "--duration", "30", "--log", out],
+                "endtoend": ["endtoend", "--duration", "200", "--report", out],
+                "cv": ["classify", "cv", "--data", fuzz_dataset, "--kind", "rf",
+                       "--trees", "2", "--report", out],
+                "train": ["classify", "train", "--data", fuzz_dataset, "--kind", "rf",
+                          "--trees", "2", "--model-out", out],
+            }[command]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv + ["--seed", str(seed)])
+        assert code == (2 if seed < 0 else code)
         assert code in (0, 2, 3, 4)

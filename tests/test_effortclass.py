@@ -167,6 +167,15 @@ class TestForest:
         with pytest.raises(ConfigError):
             rf_train([[0.0], [1.0]], [0, 1], n_trees=0)
 
+    @pytest.mark.parametrize("seed", [-1, 0.5, True, None])
+    def test_seed_validated(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            rf_train([[0.0], [1.0]], [0, 1], seed=seed)
+
+    def test_large_and_numpy_seeds_accepted(self):
+        for seed in (np.int64(3), 2**70):
+            rf_train([[0.0], [1.0]], [0, 1], n_trees=2, seed=seed)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_probes_rejected(self, bad):
         model = rf_train([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], n_trees=3)
@@ -409,6 +418,12 @@ class TestCrossValidate:
     def test_unknown_scheme(self, rng):
         with pytest.raises(ConfigError):
             cross_validate(separable_frames(rng), "k-fold", {"kind": "knn"})
+
+    @pytest.mark.parametrize("scheme", ["per-subject-75-25", "leave-subjects-out"])
+    @pytest.mark.parametrize("seed", [-1, 2.5, False])
+    def test_seed_validated(self, rng, scheme, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            cross_validate(separable_frames(rng), scheme, {"kind": "knn"}, seed=seed)
 
     def test_unknown_test_subject(self, rng):
         with pytest.raises(DataError):

@@ -68,6 +68,10 @@ class TestScenarioConfig:
         {"hold_s": float("nan")},
         {"hold_s": float("inf")},
         {"hold_s": -1.0},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": True},
+        {"seed": "3"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
