@@ -13,9 +13,10 @@ label that evidence leaves out has likelihood 0. Evidence from `fuzzify`
 lists only the labels with nonzero weight: one label on a plateau of the
 partition, two inside an overlap.
 
-`fuse` packages one second's result as an `MwlState`: the second, the
-posterior as five Python floats, and the level `mwl_level` reads from it.
-The state keeps nothing of the evidence it was fused from.
+`posterior` returns the five level probabilities as a tuple of Python
+floats. `fuse` packages one second's result as an `MwlState`: the second,
+that tuple, and the level `mwl_level` reads from it. The state keeps
+nothing of the evidence it was fused from.
 """
 
 from __future__ import annotations
@@ -218,8 +219,9 @@ class MwlNetwork:
         return cls.load(DATA / "mwl_net.json")
 
 
-def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:
-    """Exact posterior over the five levels given soft evidence.
+def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> tuple:
+    """Exact posterior over the five levels given soft evidence, as a tuple
+    of five floats, level 1 first.
 
     Invariant under evidence order and under positive scaling of any
     likelihood vector. Raises if two pieces of evidence target one variable
@@ -255,13 +257,11 @@ def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> np.ndarray:
         raise DataError("evidence has zero probability under the model")
     if total == math.inf:
         raise DataError("evidence likelihoods overflow; scale them down")
-    return np.array([p1 / total, p2 / total, p3 / total, p4 / total, p5 / total])
+    return (p1 / total, p2 / total, p3 / total, p4 / total, p5 / total)
 
 
 def mwl_level(post: Sequence[float]) -> int:
     """Level 1..5 with the highest posterior; exact ties go to the higher level."""
-    if isinstance(post, np.ndarray):
-        post = post.tolist()
     if len(post) != N_LEVELS:
         raise ValueError(f"posterior must have {N_LEVELS} entries")
     level, best = 0, -math.inf
@@ -282,15 +282,9 @@ class MwlState(NamedTuple):
 
 
 def fuse(net: MwlNetwork, t: int, evidence: Sequence[SoftEvidence]) -> MwlState:
-    post = tuple(posterior(net, evidence).tolist())
+    post = posterior(net, evidence)
     return MwlState(t, post, mwl_level(post))
 
 
 def write_states_jsonl(states: Iterable[MwlState], path: str | Path) -> None:
-    dump_jsonl(
-        (
-            {"t": s.t, "level": s.level, "posterior": list(s.posterior)}
-            for s in states
-        ),
-        path,
-    )
+    dump_jsonl((s._asdict() for s in states), path)

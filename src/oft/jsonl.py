@@ -3,14 +3,17 @@
 Outputs go through dump_jsonl (records), dump_json (documents; both with
 sorted keys, fixed whitespace, "\\n" line ends) and write_csv (the csv
 default dialect, "\\r\\n" line ends), so a result always serializes to the
-same bytes. All three open their path through _overwrite, the one place
-the package opens a file for writing. Like open(path, "w") it follows a
-symlink and keeps the inode, hard links and mode, but it does not truncate
-on open: it writes from offset 0, then cuts a regular file to the bytes
-written, also when a record raises. On ext4 with delayed allocation, the
-close of a non-empty file truncated to zero starts writeback, and the next
-such rewrite of the file waits on the disk. The writers let OSError
-through; the CLI exits 2 on it.
+same bytes. Every JSONL record, whatever its kind, is one call of the one
+JSON encoder (dumps_record): this module holds no record schema, and each
+schema is written once, where its record is made. All three writers open
+their path through _overwrite, the one place the package opens a file for
+writing. Like open(path, "w") it follows a symlink and keeps the inode,
+hard links and mode, but it does not truncate on open: it writes from
+offset 0, then cuts a regular file to the bytes written, also when a
+record raises. On ext4 with delayed allocation, the close of a non-empty
+file truncated to zero starts writeback, and the next such rewrite of the
+file waits on the disk. The writers let OSError through; the CLI exits 2
+on it.
 
 Inputs: CSV and JSONL data streams are read through read_csv and
 load_jsonl, which raise DataError, naming the file, when it cannot be read,
@@ -40,83 +43,10 @@ DATA = Path(__file__).parent / "data"
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
-# Two record shapes are written once per second: the closed-loop tick
-# record and the fused state of mwl.jsonl. Each has a %-template that writes
-# the bytes _RECORD_ENCODER writes, used only when the record holds exactly
-# the schema's keys and every slot holds a value whose encoding the template
-# knows: an exact, finite float (written as float.__repr__, as json does), an
-# exact int (never a bool), None or a bool where the schema allows it, and an
-# ASCII identifier as the behaviour label, which needs no escaping. Anything
-# else, an np.float64 included, goes through _RECORD_ENCODER.
-_TICK_SLOTS = itemgetter(
-    "behaviour", "cps", "entropy", "hrv_sdnn_ms", "hrv_warmup", "latent", "level", "n1",
-    "n2", "nps", "perf", "posterior", "pupil_z", "record", "t", "td",
-)
-_TICK = ('{"behaviour":"%s","cps":%d,"entropy":%r,"hrv_sdnn_ms":%s,"hrv_warmup":%s,'
-         '"latent":%r,"level":%d,"n1":%d,"n2":%d,"nps":%d,"perf":%r,'
-         '"posterior":[%r,%r,%r,%r,%r],"pupil_z":%r,"record":"tick","t":%d,"td":%s}')
-_STATE_SLOTS = itemgetter("level", "posterior", "t")
-_STATE = '{"level":%d,"posterior":[%r,%r,%r,%r,%r],"t":%d}'
-
-
-def _five_finite_floats(values) -> bool:
-    if type(values) is not list or len(values) != 5:
-        return False
-    a, b, c, d, e = values
-    return (type(a) is float and type(b) is float and type(c) is float
-            and type(d) is float and type(e) is float
-            and isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(e))
-
-
-def _tick_line(record: dict) -> str | None:
-    try:
-        (behaviour, cps, entropy, hrv, warmup, latent, level, n1, n2, nps, perf, post,
-         pupil_z, kind, t, td) = _TICK_SLOTS(record)
-    except KeyError:
-        return None
-    if (type(kind) is str and kind == "tick"
-            and type(behaviour) is str and behaviour.isascii() and behaviour.isidentifier()
-            and type(cps) is int and type(level) is int and type(n1) is int
-            and type(n2) is int and type(nps) is int and type(t) is int
-            and (td is None or type(td) is int)
-            and (warmup is True or warmup is False)
-            and type(entropy) is float and type(latent) is float
-            and type(perf) is float and type(pupil_z) is float
-            and isfinite(entropy) and isfinite(latent) and isfinite(perf) and isfinite(pupil_z)
-            and (hrv is None or (type(hrv) is float and isfinite(hrv)))
-            and _five_finite_floats(post)):
-        return _TICK % (
-            behaviour, cps, entropy, "null" if hrv is None else repr(hrv),
-            "true" if warmup else "false", latent, level, n1, n2, nps, perf, *post,
-            pupil_z, t, "null" if td is None else td,
-        )
-    return None
-
-
-def _state_line(record: dict) -> str | None:
-    try:
-        level, post, t = _STATE_SLOTS(record)
-    except KeyError:
-        return None
-    if type(level) is int and type(t) is int and _five_finite_floats(post):
-        return _STATE % (level, *post, t)
-    return None
-
-
-# schema by key count; a record of that size missing one of the keys is
-# not of the schema
-_FIXED_SCHEMAS = {16: _tick_line, 3: _state_line}
-
 
 def dumps_record(record: dict[str, Any]) -> str:
     """One record as a JSON line: sorted keys, no spaces, NaN and infinity
-    rejected (ValueError), as _RECORD_ENCODER writes it."""
-    if type(record) is dict:
-        line_of = _FIXED_SCHEMAS.get(len(record))
-        if line_of is not None:
-            line = line_of(record)
-            if line is not None:
-                return line
+    rejected (ValueError)."""
     return _RECORD_ENCODER.encode(record)
 
 

@@ -651,7 +651,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
         step = monitor.step(task_tick, perf, frame, demand)
         if step.event is not None:
             records.append({"record": "regulation", "t": t, "kind": step.event.kind.name})
-        post = posterior(net, step.evidence).tolist()
+        post = posterior(net, step.evidence)
         level = mwl_level(post)
         levels[t] = level
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError
 # fuzzify and task_difficulty are used by microworld.Monitor, not here; the
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
-from .jsonl import DATA, dump_json, dump_jsonl, load_json, read_csv
+from .jsonl import dump_json, dump_jsonl, read_csv
 from .microworld import Monitor, RunResult, ScenarioConfig, operator_script, run_scenario
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
@@ -263,10 +263,3 @@ def endtoend_report(config: ScenarioConfig, net: Optional[MwlNetwork] = None) ->
         "summary": {k: v for k, v in result.summary.items() if k != "record"},
     }
     return report
-
-
-def report_schema() -> dict:
-    """The bundled JSON schema of the endtoend report (the tests check
-    reports against it; nothing validates at run time)."""
-    return load_json(DATA / "report_schema.json", "report schema")
-

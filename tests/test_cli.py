@@ -1301,6 +1301,7 @@ class TestArgumentErrors:
 
 FUZZ_SECONDS = 60
 FUZZ_TASKS = ("ReadMessage", "DetectVehicle", "InspectLock")
+FUZZ_CSV_COLUMNS = {"pupil": ("t_s", "pupil_mm", "valid"), "demand": ("t_s", "n1", "n2", "entropy")}
 # what a mutated field holds, as CSV text and as a JSON value
 FUZZ_FIELDS = (("nan", float("nan")), ("inf", float("inf")), ("-1", -1),
                ("text", "text"), ("1e308", 1e308))
@@ -1331,6 +1332,17 @@ def fuzz_inputs(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def fuzz_demand():
+    """The rows of a valid demand CSV for the recording, header first."""
+    rng = np.random.default_rng(5)
+    return [list(FUZZ_CSV_COLUMNS["demand"])] + [
+        [str(t), str(int(rng.integers(0, 6))), str(int(rng.integers(0, 4))),
+         repr(round(float(rng.random()) * 2.0, 6))]
+        for t in range(FUZZ_SECONDS)
+    ]
+
+
+@pytest.fixture(scope="module")
 def fuzz_beats(fuzz_inputs):
     """The rows of the valid recording's beats CSV, header first."""
     with open(fuzz_inputs[0], newline="") as fh:
@@ -1358,18 +1370,18 @@ def beats_mutations(draw):
 
 @st.composite
 def monitor_mutations(draw):
-    """(stream, kind, args) for one mutation of ticks.jsonl or pupil.csv."""
-    stream = draw(st.sampled_from(["ticks", "pupil"]))
+    """(stream, kind, args) for one mutation of ticks.jsonl, pupil.csv or demand.csv."""
+    stream = draw(st.sampled_from(["ticks", "pupil", "demand"]))
     kinds = ["truncate", "field", "duplicate", "reorder"]
-    kinds += ["drop_header", "rename_header"] if stream == "pupil" else ["at_value", "break_json"]
+    kinds += ["drop_header", "rename_header"] if stream != "ticks" else ["at_value", "break_json"]
     kind = draw(st.sampled_from(kinds))
     last = FUZZ_SECONDS * (4 if stream == "pupil" else 1) - 1
     row = draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)))
     if kind == "truncate":
         return stream, kind, draw(st.floats(0.0, 1.0))
     if kind == "field":
-        if stream == "pupil":
-            column = draw(st.sampled_from(["t_s", "pupil_mm", "valid"]))
+        if stream != "ticks":
+            column = draw(st.sampled_from(FUZZ_CSV_COLUMNS[stream]))
             return stream, kind, (row, column, draw(st.sampled_from(FUZZ_FIELDS)))
         column = draw(st.sampled_from(["t", "perf", "at"]))
         return stream, kind, (row, column, draw(st.sampled_from(FUZZ_TICK_FIELDS)))
@@ -1378,7 +1390,7 @@ def monitor_mutations(draw):
     if kind == "reorder":
         return stream, kind, (row, draw(st.integers(0, FUZZ_SECONDS - 1)))
     if kind == "rename_header":
-        return stream, kind, draw(st.sampled_from(["t_s", "pupil_mm", "valid"]))
+        return stream, kind, draw(st.sampled_from(FUZZ_CSV_COLUMNS[stream]))
     if kind == "at_value":
         return stream, kind, (row, draw(st.sampled_from(FUZZ_TASKS)),
                               draw(st.sampled_from([[1], "1", None])))
@@ -1427,8 +1439,8 @@ def mutated_text(stream, kind, args, csv_rows, ticks):
 
 
 class TestMonitorFuzz:
-    """Mutated ticks, pupil and beats inputs, and any integer seed, end in a
-    documented exit code."""
+    """Mutated ticks, pupil, demand and beats inputs, and any integer seed,
+    end in a documented exit code."""
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutation=monitor_mutations())
@@ -1440,18 +1452,22 @@ class TestMonitorFuzz:
     @example(mutation=("ticks", "field", (3, "at", FUZZ_TICK_FIELDS[-2])))
     # an integer too long to read
     @example(mutation=("ticks", "field", (4, "t", FUZZ_TICK_FIELDS[-1])))
-    def test_exit_code_is_documented(self, fuzz_inputs, mutation):
+    # a NaN entropy, and a second past one day
+    @example(mutation=("demand", "field", (5, "entropy", FUZZ_FIELDS[0])))
+    @example(mutation=("demand", "field", (FUZZ_SECONDS - 1, "t_s", FUZZ_FIELDS[-1])))
+    def test_exit_code_is_documented(self, fuzz_inputs, fuzz_demand, mutation):
         beats, pupil_rows, ticks = fuzz_inputs
         stream, kind, args = mutation
         with tempfile.TemporaryDirectory() as folder:
             folder = Path(folder)
-            paths = {"pupil": folder / "pupil.csv", "ticks": folder / "ticks.jsonl"}
-            paths["pupil"].write_text(mutated_text(
-                "pupil", kind if stream == "pupil" else None, args, pupil_rows, ticks))
-            paths["ticks"].write_text(mutated_text(
-                "ticks", kind if stream == "ticks" else None, args, pupil_rows, ticks))
+            paths = {"pupil": folder / "pupil.csv", "ticks": folder / "ticks.jsonl",
+                     "demand": folder / "demand.csv"}
+            for name, rows in (("pupil", pupil_rows), ("ticks", None), ("demand", fuzz_demand)):
+                paths[name].write_text(mutated_text(
+                    name, kind if stream == name else None, args, rows, ticks))
             argv = ["monitor", "--beats", beats, "--pupil", str(paths["pupil"]),
-                    "--ticks", str(paths["ticks"]), "--out-dir", str(folder / "out")]
+                    "--ticks", str(paths["ticks"]), "--demand", str(paths["demand"]),
+                    "--out-dir", str(folder / "out")]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)

@@ -1,6 +1,6 @@
-"""The shared readers and record writer against the code they replaced: the
-CSV reader against csv.DictReader, load_jsonl against json.loads per line,
-and the fixed-schema record templates against the JSON encoder. The three
+"""The shared readers and record writer: the CSV reader against
+csv.DictReader and load_jsonl against json.loads per line, the code they
+replaced; the record writer on every record of the pinned runs. The three
 file writers against open(path, "w"): how they treat an existing path."""
 
 import ast
@@ -15,15 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import oft
-from oft import fusion, physio, pipeline, regulation
+from oft import fusion, pipeline, regulation
 from oft.cli import main
 from oft.errors import DataError
-from oft.jsonl import (_FIXED_SCHEMAS, _RECORD_ENCODER, dump_json, dump_jsonl, dumps_record,
-                       load_jsonl, read_csv, write_csv)
+from oft.jsonl import dump_json, dump_jsonl, dumps_record, load_jsonl, read_csv, write_csv
 from test_cli import FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, write_fixed_recording
 
 
@@ -213,25 +210,14 @@ def test_load_jsonl_matches_json_loads(tmp_path, name):
 
 
 # ---------------------------------------------------------------------------
-# the fixed-schema record templates against the encoder they bypass
+# the record writer
 
 
-def encoded(encode, record):
-    try:
-        return encode(record)
-    except (TypeError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-def same_as_encoder(record):
-    got = encoded(dumps_record, record)
-    assert got == encoded(_RECORD_ENCODER.encode, record)
-    return got
-
-
-def takes_template(record):
-    line_of = _FIXED_SCHEMAS.get(len(record))
-    return line_of is not None and line_of(record) is not None
+def as_documented(record):
+    """The record's line is the documented format: sorted keys, no spaces."""
+    line = dumps_record(record)
+    assert line == json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return line
 
 
 def recorded_writes(monkeypatch, module):
@@ -250,12 +236,9 @@ def test_every_record_of_the_pinned_sessions(tmp_path, monkeypatch):
     for operator, seed in FULL_SESSION_SHA256:
         assert main(["simulate", "--operator", operator, "--seed", str(seed),
                      "--dfa", "on", "--duration", "1200", "--log", log]) == 0
-    ticks = 0
     for record in records:
-        same_as_encoder(record)
-        if record["record"] == "tick":
-            assert takes_template(record)
-            ticks += 1
+        as_documented(record)
+    ticks = sum(1 for record in records if record["record"] == "tick")
     assert ticks == 4 * 240 + 3 * 1200
 
 
@@ -273,75 +256,9 @@ def test_every_record_of_the_pinned_monitor_outputs(tmp_path, monkeypatch):
         assert main(argv) == 0
     assert len(states) == 4 * 300 and events
     for record in states:
-        same_as_encoder(record)
-        assert takes_template(record)
+        as_documented(record)
     for record in events:
-        same_as_encoder(record)
-
-
-class _Int(int):
-    def __repr__(self):
-        return "_Int()"
-
-
-class _Float(float):
-    def __repr__(self):
-        return "_Float()"
-
-
-FINITE = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 0.0, 1e-7, 1e22, 5e-324, 1.7976931348623157e308, 0.1]),
-)
-FIVE = st.lists(FINITE, min_size=5, max_size=5)
-# per schema, the values each slot holds when the record takes its template
-SCHEMAS = {
-    "tick": {
-        "behaviour": st.one_of(st.sampled_from(["cost_oriented", "performance_oriented", "none"]),
-                               st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True)),
-        "cps": st.integers(), "entropy": FINITE, "hrv_sdnn_ms": st.one_of(st.none(), FINITE),
-        "hrv_warmup": st.booleans(), "latent": FINITE, "level": st.integers(),
-        "n1": st.integers(), "n2": st.integers(), "nps": st.integers(), "perf": FINITE,
-        "posterior": FIVE, "pupil_z": FINITE, "record": st.just("tick"), "t": st.integers(),
-        "td": st.one_of(st.none(), st.integers()),
-    },
-    "state": {"level": st.integers(), "posterior": FIVE, "t": st.integers()},
-}
-# what a slot holds instead, which sends the record to the encoder
-ODD = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, 1, 0.5, "tick", "",
-                     'a"b', "\u00e9", "\u00e9\n", "none ", "a\\b", "1a", [], {}]),
-    FINITE.map(np.float64), FINITE.map(_Float), st.integers(-5, 5).map(_Int),
-    st.integers(-5, 5).map(np.int64), st.lists(FINITE, min_size=4, max_size=6),
-    st.tuples(*[FINITE] * 5),
-    st.lists(st.one_of(FINITE, st.sampled_from([math.nan, -math.inf, None, True, 1])),
-             min_size=5, max_size=5),
-)
-
-
-@st.composite
-def schema_records(draw, schema):
-    """(record, change): a record that takes the schema's template, or one
-    with a slot changed, a key dropped or a key added."""
-    record = {key: draw(value) for key, value in SCHEMAS[schema].items()}
-    change = draw(st.sampled_from(["none", "slot", "drop", "add"]))
-    if change == "slot":
-        record[draw(st.sampled_from(sorted(record)))] = draw(ODD)
-    elif change == "drop":
-        del record[draw(st.sampled_from(sorted(record)))]
-    elif change == "add":
-        record[draw(st.sampled_from(["a", "s", "zz", "u"]))] = draw(FINITE)
-    return record, change
-
-
-@pytest.mark.parametrize("schema", list(SCHEMAS))
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_drawn_records_encode_as_the_encoder_does(schema, data):
-    record, change = data.draw(schema_records(schema))
-    same_as_encoder(record)
-    if change == "none":
-        assert takes_template(record)
+        as_documented(record)
 
 
 TICK = {
@@ -355,7 +272,7 @@ STATE = {"level": 3, "posterior": [0.1, 0.2, 0.4, 0.2, 0.1], "t": 7}
 
 @pytest.mark.parametrize("record", [TICK, STATE], ids=["tick", "state"])
 def test_non_finite_floats_and_numpy_ints_still_raise(record):
-    assert takes_template(record)
+    as_documented(record)
     for key, value in record.items():
         if key == "posterior":
             for i, bad in itertools.product(range(5), (math.nan, math.inf, -math.inf)):
@@ -368,19 +285,6 @@ def test_non_finite_floats_and_numpy_ints_still_raise(record):
         elif type(value) is int:
             with pytest.raises(TypeError, match="int64"):
                 dumps_record({**record, key: np.int64(value)})
-
-
-def test_values_that_are_not_dicts_go_to_the_encoder():
-    for value in ([1, 2], [0.5, None, "x"], "ab", (STATE, 1), type("D", (dict,), {})(STATE)):
-        same_as_encoder(value)
-
-
-@pytest.mark.parametrize("label", ["new_label", "B2", 'a"b', "a\\b", "é", "a\nb", "\x7f",
-                                   "", "a b", "2b"])
-def test_behaviour_label_needing_no_escape_takes_the_template(label):
-    record = {**TICK, "behaviour": label}
-    same_as_encoder(record)
-    assert takes_template(record) == (label in ("new_label", "B2"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import scipy.stats
 
 from oft import __version__, microworld, physio, pipeline
 from oft.errors import ConfigError, DataError
+from oft.jsonl import DATA, load_json
 from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_scenario
 from conftest import src_env
 from oft.pipeline import (
@@ -21,7 +22,6 @@ from oft.pipeline import (
     file_sha256,
     monitor_offline,
     read_demand_csv,
-    report_schema,
     spearman,
     write_manifest,
     write_monitor_outputs,
@@ -244,6 +244,52 @@ class TestMonitorOffline:
         assert busy.report["mean_level"] > calm.report["mean_level"]
 
 
+def session_streams(monkeypatch, config):
+    """Run the session, keeping the streams the monitor would read: beats,
+    pupil samples, (tick, perf) per second and demand per second."""
+    kept = {}
+
+    def keep(name, fn):
+        def kept_call(*args, **kwargs):
+            value = fn(*args, **kwargs)
+            kept.setdefault(name, []).append(value)
+            return value
+        return kept_call
+
+    monkeypatch.setattr(microworld, "generate_beats", keep("beats", microworld.generate_beats))
+    monkeypatch.setattr(microworld, "generate_pupil", keep("pupil", microworld.generate_pupil))
+    for method in ("tick", "windowed_performance", "demand"):
+        monkeypatch.setattr(microworld.World, method,
+                            keep(method, getattr(microworld.World, method)))
+    run = run_scenario(config)
+    (beats,), (pupil,) = kept["beats"], kept["pupil"]
+    ticks = list(zip(kept["tick"], kept["windowed_performance"]))
+    demand = {frame.t: frame for frame in kept["demand"]}
+    assert len(ticks) == len(demand) == config.duration_s
+    return run, physio.RRSeries(*beats), physio.PupilSeries(*pupil), ticks, demand
+
+
+@pytest.mark.parametrize("dfa", [False, True])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("operator", ["degrading-overload", "diligent", "prioritizer"])
+def test_replaying_a_session_gives_its_levels(monkeypatch, operator, seed, dfa):
+    """The README's promise: a simulated session's streams, replayed with
+    the simulator's pupil reference, give the levels the session logged."""
+    config = ScenarioConfig(operator=operator, seed=seed, dfa=dfa, duration_s=600,
+                            phase_split_s=300)
+    run, beats, pupil, ticks, demand = session_streams(monkeypatch, config)
+    replay = monitor_offline(
+        beats, pupil, ticks, demand=demand, normalization="reference",
+        reference=(microworld.PUPIL_REF_MM, microworld.PUPIL_REF_SD),
+    )
+    logged = [(r["t"], r["level"], r["posterior"]) for r in run.records
+              if r["record"] == "tick"]
+    assert [(s.t, s.level, [round(p, 9) for p in s.posterior])
+            for s in replay.states] == logged
+    assert replay.compliance == run.compliance
+    assert replay.report["compliance"] == run.summary["compliance"]
+
+
 class TestRunLog:
     def test_byte_identical_and_sorted_keys(self, tmp_path):
         cfg = ScenarioConfig(duration_s=90, phase_split_s=45, seed=13)
@@ -303,7 +349,7 @@ class TestEndToEnd:
             endtoend_report(cfg)
 
     def test_report_validates_against_bundled_schema(self):
-        schema = report_schema()
+        schema = load_json(DATA / "report_schema.json", "report schema")
         assert schema["type"] == "object"
         report = endtoend_report(self.CFG)
         jsonschema.validate(report, schema)
