@@ -1,13 +1,13 @@
 """Supervised effort classification on per-second feature frames.
 
-Small, dependency-free learners sized for this data: a k-nearest-neighbour
-voter with a choice of distance and a random forest of Gini-split trees.
+Two small numpy learners sized for this data: a k-nearest-neighbour voter
+with a choice of distance and a random forest of Gini-split trees.
 Both are deterministic: kNN breaks distance ties by sample index and vote
 ties by the nearest neighbour's class, then the lowest label; the forest
 derives every tree's randomness from one seed and votes with a
 lowest-label tie-break, so predictions do not depend on tree order.
 
-Labels are small non-negative ints. The three-level difficulty labels are
+Labels are ints that fit 64 bits. The three-level difficulty labels are
 1..3; binarize() folds them to 0 (low, level 1) and 1 (high, levels 2-3).
 """
 
@@ -29,6 +29,12 @@ METRICS = ("euclidean", "squared_euclidean", "manhattan", "chebyshev")
 KINDS = ("knn", "rf")
 #: Trees in a forest when the spec does not say.
 RF_TREES = 23
+#: Forest nodes of at most this many rows score their cuts in Python floats,
+#: larger ones in numpy, whose fixed cost per call only pays off over many rows.
+SMALL_NODE = 96
+#: numpy sums 8 or more squares pairwise, not left to right as the Python
+#: kernel does, so nodes with this many classes always score in numpy.
+PAIRWISE_CLASSES = 8
 
 
 def distances(points: np.ndarray, x: np.ndarray, metric: str) -> np.ndarray:
@@ -128,50 +134,135 @@ def _first_best(impurity: np.ndarray, best: float) -> Optional[int]:
     return pick
 
 
+def _scan_numpy(rows, col, one_hot, total, best):
+    """Score every cut of one feature's sorted rows in one numpy pass.
+
+    Returns the best impurity so far and, when a cut of this feature
+    lowered it, (the number of rows left of the cut, their class counts).
+    """
+    xs = col[rows]
+    cuts = np.flatnonzero(xs[1:] > xs[:-1])
+    if len(cuts) == 0:
+        return best, None
+    left = np.cumsum(one_hot[rows[:-1]], axis=0)[cuts]
+    n = len(rows)
+    n_left = cuts + 1
+    n_right = n - n_left
+    impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
+    i = _first_best(impurity, best)
+    if i is None:
+        return best, None
+    return float(impurity[i]), (int(n_left[i]), left[i])
+
+
+def _py_gini(counts, n) -> float:
+    """_gini of one row of counts summing to n, in Python floats.
+
+    The squares are summed left to right, as numpy sums fewer than
+    PAIRWISE_CLASSES of them.
+    """
+    total = 0.0
+    for c in counts:
+        p = c / n
+        total += p * p
+    return 1.0 - total
+
+
+def _scan_floats(rows, col, cls, total, best):
+    """_scan_numpy in Python floats, one cut at a time: the same
+    operations in the same order, so the same cut wins, bit for bit."""
+    n = len(rows)
+    left, right = [0] * len(total), list(total)
+    pick = None
+    x_prev = col[rows[0]]
+    for i in range(1, n):
+        c = cls[rows[i - 1]]
+        left[c] += 1
+        right[c] -= 1
+        x = col[rows[i]]
+        if x > x_prev:
+            value = (i * _py_gini(left, i) + (n - i) * _py_gini(right, n - i)) / n
+            if value < best - 1e-12:
+                best, pick = value, (i, left.copy())
+        x_prev = x
+    return best, pick
+
+
+def _threshold(a: float, b: float) -> float:
+    """A value that sends a left and b right, for sorted neighbours a < b:
+    their midpoint, or a when the midpoint rounds up to b or overflows."""
+    mid = (a + b) / 2.0
+    return mid if a <= mid < b else a
+
+
 def _build_tree(X, y, classes, rng, n_feats):
     """Gini tree grown depth first, left before right.
 
-    For each sampled feature (in index order) every cut between two
-    distinct sorted values is scored at once from cumulative class counts.
-    The first cut that lowers the impurity by more than 1e-12 below the
-    best so far wins, across features too.
+    Each feature's rows are sorted once, stably, at the root (the sorted
+    attribute lists of SLIQ). A split hands each child its part of every
+    sorted list, in order, and the class counts left of the winning cut, so
+    no node sorts or counts again. For each sampled feature (in index
+    order) every cut between two distinct sorted values is scored; the
+    first cut that lowers the impurity by more than 1e-12 below the best so
+    far wins, across features too.
+
+    A node of at most SMALL_NODE rows with fewer than PAIRWISE_CLASSES
+    classes scores its cuts in Python floats; larger nodes score each
+    feature in one numpy pass, whose fixed cost only pays off over many
+    rows. Both kernels give the same trees.
     """
-    n = len(y)
+    n, d = X.shape
     class_idx = np.searchsorted(classes, y)
-    total = np.bincount(class_idx, minlength=len(classes))
-    parent_gini = float(_gini(total[None, :])[0])
-    if parent_gini == 0.0:
-        return {"label": int(classes[class_idx[0]])}
-
-    feats = np.sort(rng.choice(X.shape[1], size=n_feats, replace=False))
+    labels, cls, cols = classes.tolist(), class_idx.tolist(), X.T.tolist()
     one_hot = np.eye(len(classes), dtype=np.int64)[class_idx]
-    best, split = np.inf, None  # split: (feature, threshold)
-    for j in feats.tolist():
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        cuts = np.flatnonzero(xs[1:] > xs[:-1])
-        if len(cuts) == 0:
+    floats_ok = len(classes) < PAIRWISE_CLASSES
+    side = np.zeros(n, dtype=bool)  # marks the rows left of a numpy node's cut
+    root = {}
+    sorted_rows = [np.argsort(X[:, j], kind="stable") for j in range(d)]
+    stack = [(sorted_rows, np.bincount(class_idx, minlength=len(classes)), root)]
+    while stack:  # a left child is pushed last, so it grows first
+        lists, total, node = stack.pop()
+        m = len(lists[0])
+        small = floats_ok and m <= SMALL_NODE
+        if small and isinstance(total, np.ndarray):
+            lists, total = [rows.tolist() for rows in lists], total.tolist()
+        parent_gini = _py_gini(total, m) if small else float(_gini(total[None, :])[0])
+        if parent_gini == 0.0:
+            node["label"] = labels[cls[lists[0][0]]]
             continue
-        left = np.cumsum(one_hot[order[:-1]], axis=0)[cuts]
-        n_left = cuts + 1
-        n_right = n - n_left
-        impurity = (n_left * _gini(left) + n_right * _gini(total - left)) / n
-        i = _first_best(impurity, best)
-        if i is not None:
-            best = float(impurity[i])
-            split = (j, float((xs[cuts[i]] + xs[cuts[i] + 1]) / 2.0))
-    if split is None or best >= parent_gini - 1e-12:
-        # the most frequent class, the lowest label on a tie
-        return {"label": int(classes[np.argmax(total)])}
 
-    feature, threshold = split
-    mask = X[:, feature] <= threshold
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _build_tree(X[mask], y[mask], classes, rng, n_feats),
-        "right": _build_tree(X[~mask], y[~mask], classes, rng, n_feats),
-    }
+        feats = sorted(rng.choice(d, size=n_feats, replace=False).tolist())
+        best, split = math.inf, None  # split: (feature, how many rows go left, their counts)
+        for j in feats:
+            if small:
+                best, cut = _scan_floats(lists[j], cols[j], cls, total, best)
+            else:
+                best, cut = _scan_numpy(lists[j], X[:, j], one_hot, total, best)
+            if cut is not None:
+                split = (j, *cut)
+        if split is None or best >= parent_gini - 1e-12:
+            # the most frequent class, the lowest label on a tie
+            node["label"] = labels[total.index(max(total)) if small else int(np.argmax(total))]
+            continue
+
+        feature, i, left_total = split
+        rows = lists[feature]
+        if small:
+            right_total = [t - c for t, c in zip(total, left_total)]
+            goes_left = set(rows[:i])
+            left_lists = [[r for r in other if r in goes_left] for other in lists]
+            right_lists = [[r for r in other if r not in goes_left] for other in lists]
+        else:
+            right_total = total - left_total
+            side[rows[:i]] = True
+            left_lists = [other[side[other]] for other in lists]
+            right_lists = [other[~side[other]] for other in lists]
+            side[rows[:i]] = False
+        threshold = _threshold(cols[feature][rows[i - 1]], cols[feature][rows[i]])
+        node.update(feature=feature, threshold=threshold, left={}, right={})
+        stack.append((right_lists, right_total, node["right"]))
+        stack.append((left_lists, left_total, node["left"]))
+    return root
 
 
 def _tree_predict(tree, X: np.ndarray) -> np.ndarray:
@@ -270,15 +361,22 @@ class LabelledFrame:
 
 
 def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
-    """Dataset CSV with header subject,t_s,hrv,pupil_z,td; features must be finite."""
+    """Dataset CSV with header subject,t_s,hrv,pupil_z,td; features must be
+    finite and labels fit a 64-bit integer."""
     columns = ("subject", "t_s", "hrv", "pupil_z", "td")
 
-    def parse(subject, t_s, hrv, pupil_z, td):
+    def parse(*fields):
+        subject, _, hrv, pupil_z, td = fields
         features = (float(hrv), float(pupil_z))
+        label = int(td)
         if not all(math.isfinite(v) for v in features):
-            row = dict(zip(columns, (subject, t_s, hrv, pupil_z, td)))
-            raise DataError(f"stream 'dataset' ({path}): non-finite feature in row {row!r}")
-        return LabelledFrame(subject=subject, features=features, label=int(td))
+            problem = "non-finite feature"
+        elif not -2**63 <= label < 2**63:
+            problem = "label outside the 64-bit integer range"
+        else:
+            return LabelledFrame(subject=subject, features=features, label=label)
+        row = dict(zip(columns, fields))
+        raise DataError(f"stream 'dataset' ({path}): {problem} in row {row!r}")
 
     frames = read_csv(path, "dataset", columns, parse)
     if not frames:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import src_env
 from oft import __version__, pipeline
 from oft.cli import main
+from oft.effortclass import ForestModel, load_model
 from oft.jsonl import dump_jsonl, load_jsonl
 from oft.microworld import generate_beats, generate_pupil
 
@@ -523,6 +524,38 @@ class TestClassifyCommands:
         code = main(["classify", "train", "--data", str(data),
                      "--model-out", str(tmp_path / "m.json")])
         assert code == 3
+
+
+    @pytest.mark.parametrize("values", [
+        ["1e-300", "1.0000000000000002e-300"] * 3,  # their midpoint rounds up to the larger
+        ["1", "2", "1e308", "1.5e308", "1.6e308", "3"],  # 1e308 + 1.5e308 overflows
+    ], ids=["adjacent-floats", "near-the-float-limit"])
+    def test_forest_splits_neighbouring_and_huge_values(self, tmp_path, values):
+        data = tmp_path / "data.csv"
+        data.write_text("subject,t_s,hrv,pupil_z,td\n" + "".join(
+            f"s1,{t},{v},{v},{1 + t % 2}\n" for t, v in enumerate(values)))
+        model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+        assert main(["classify", "train", "--kind", "rf", "--data", str(data),
+                     "--model-out", str(model)]) == 0
+        assert isinstance(load_model(model), ForestModel)
+        assert main(["classify", "predict", "--model", str(model), "--data", str(data),
+                     "--out", str(pred)]) == 0
+        with open(pred, newline="") as fh:
+            assert [r["label"] for r in csv.DictReader(fh)] == ["0", "1"] * 3
+
+    @pytest.mark.parametrize("raw", [[], ["--raw-labels"]], ids=["folded", "raw"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_label_beyond_int64_exits_3(self, tmp_path, capsys, command, raw):
+        data = write_dataset(tmp_path / "data.csv")
+        overwrite_rows(data, "td", str(10**20), rows=slice(5, 6))
+        out = tmp_path / "out.json"
+        argv = ["classify", command, "--data", data, *raw,
+                "--model-out" if command == "train" else "--report", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "label outside the 64-bit integer range" in err and f"'td': '{10**20}'" in err
+        assert not out.exists()
 
 
 def write_fixed_dataset(path):
@@ -1520,3 +1553,137 @@ class TestMonitorFuzz:
                 code = main(argv + ["--seed", str(seed)])
         assert code == (2 if seed < 0 else code)
         assert code in (0, 2, 3, 4)
+
+
+# a dataset field may also hold a label past the 64-bit range
+FUZZ_DATASET_FIELDS = FUZZ_FIELDS + ((str(10**20), 10**20),)
+FUZZ_DATASET_COLUMNS = ("subject", "t_s", "hrv", "pupil_z", "td")
+# what a mutated forest node becomes
+FUZZ_BAD_NODES = (
+    [], {"label": 1.5}, {"label": None},
+    {"feature": 2, "threshold": 0.0, "left": {"label": 0}, "right": {"label": 1}},
+    {"feature": 0, "threshold": "0", "left": {"label": 0}, "right": {"label": 1}},
+    {"feature": 0, "threshold": float("inf"), "left": {"label": 0}, "right": {"label": 1}},
+    {"feature": 0, "threshold": 0.0, "left": {"label": 0}},
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset_rows(fuzz_dataset):
+    """The rows of the valid fuzz dataset, header first."""
+    with open(fuzz_dataset, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(fuzz_dataset, tmp_path_factory):
+    """A three-tree forest trained on the fuzz dataset, as parsed JSON."""
+    path = tmp_path_factory.mktemp("fuzz_model") / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["classify", "train", "--data", fuzz_dataset, "--kind", "rf",
+                     "--trees", "3", "--model-out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@st.composite
+def classify_mutations(draw):
+    """(target, kind, args) for one mutation of the dataset CSV or the
+    model file; a row is given as a fraction of the data rows."""
+    target = draw(st.sampled_from(["dataset", "model"]))
+    if target == "model":
+        kind = draw(st.sampled_from(["truncate", "break_json", "bad_node", "n_features"]))
+        if kind == "bad_node":
+            node = draw(st.integers(0, 10**6))  # taken modulo the node count
+            return target, kind, (node, draw(st.sampled_from(FUZZ_BAD_NODES)))
+        if kind == "n_features":
+            return target, kind, draw(st.sampled_from([0, 1, 3, -1, "2", None, 2.5]))
+        return target, kind, draw(st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["truncate", "field", "duplicate", "reorder", "drop_header",
+                                 "rename_header"]))
+    row = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    if kind == "truncate":
+        return target, kind, row
+    if kind == "field":
+        column = draw(st.sampled_from(FUZZ_DATASET_COLUMNS))
+        return target, kind, (row, column, draw(st.sampled_from(FUZZ_DATASET_FIELDS)))
+    if kind == "duplicate":
+        return target, kind, row
+    if kind == "reorder":
+        return target, kind, (row, draw(st.floats(0.0, 1.0)))
+    if kind == "rename_header":
+        return target, kind, draw(st.sampled_from(FUZZ_DATASET_COLUMNS))
+    return target, kind, None
+
+
+def mutated_model_text(model, kind, args):
+    """The model file's text after one mutation of the parsed forest."""
+    model = json.loads(json.dumps(model))
+    if kind == "bad_node":
+        index, bad = args
+        nodes = []  # (parent, key): every slot that holds a node
+        stack = [(model["trees"], i) for i in range(len(model["trees"]))]
+        while stack:
+            parent, key = stack.pop()
+            nodes.append((parent, key))
+            node = parent[key]
+            if "label" not in node:
+                stack += [(node, "left"), (node, "right")]
+        parent, key = nodes[index % len(nodes)]
+        parent[key] = bad
+    elif kind == "n_features":
+        model["n_features"] = args
+    text = json.dumps(model)
+    if kind == "truncate":
+        text = text[:int(args * len(text))]
+    elif kind == "break_json":
+        cut = int(args * (len(text) - 1))
+        text = text[:cut] + text[cut + 1:]
+    return text
+
+
+class TestClassifyFuzz:
+    """Mutated datasets and model files end in a documented exit code in
+    `classify train`, `predict` and `cv`, and a trained model loads back."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=classify_mutations(), kind=st.sampled_from(["rf", "knn"]),
+           scheme=st.sampled_from(["per-subject-75-25", "leave-subjects-out"]),
+           raw=st.booleans())
+    # a label past the 64-bit range, and features at the float limit
+    @example(mutation=("dataset", "field", (0.5, "td", FUZZ_DATASET_FIELDS[-1])),
+             kind="rf", scheme="leave-subjects-out", raw=True)
+    @example(mutation=("dataset", "field", (0.5, "hrv", FUZZ_FIELDS[-1])),
+             kind="rf", scheme="per-subject-75-25", raw=False)
+    def test_exit_code_is_documented(self, fuzz_dataset_rows, fuzz_model, mutation, kind,
+                                     scheme, raw):
+        target, mutation_kind, args = mutation
+        if target == "dataset" and mutation_kind in ("field", "duplicate", "reorder"):
+            last = len(fuzz_dataset_rows) - 2
+            if mutation_kind == "field":
+                args = (round(args[0] * last), *args[1:])
+            elif mutation_kind == "duplicate":
+                args = round(args * last)
+            else:
+                args = (round(args[0] * last), round(args[1] * last))
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            data, model, out = folder / "data.csv", folder / "model.json", folder / "out"
+            data.write_text(mutated_text("dataset", mutation_kind if target == "dataset" else None,
+                                         args, fuzz_dataset_rows, None))
+            model.write_text(mutated_model_text(
+                fuzz_model, mutation_kind if target == "model" else None, args))
+            labels = ["--raw-labels"] if raw else []
+            learner = ["--kind", kind, "--trees", "3", *labels]
+            runs = [["classify", "predict", "--model", str(model), "--data", str(data),
+                     "--out", str(out)]]
+            if target == "dataset":
+                runs += [["classify", "train", "--data", str(data), *learner,
+                          "--model-out", str(model)],
+                         ["classify", "cv", "--data", str(data), "--scheme", scheme, *learner]]
+            for argv in runs:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                assert code in (0, 2, 3, 4), argv[1]
+                if argv[1] == "train" and code == 0:
+                    assert load_model(model).predict([[40.0, 0.0]]).shape == (1,)

@@ -6,8 +6,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from oft import effortclass
 from oft.errors import ConfigError, DataError, DegenerateInputError
 from oft.effortclass import (
+    PAIRWISE_CLASSES,
     ForestModel,
     KnnModel,
     LabelledFrame,
@@ -23,6 +25,7 @@ from oft.effortclass import (
     rf_train,
     save_model,
 )
+from oft.effortclass import _gini, _py_gini, _threshold
 
 from conftest import blob_dataset
 
@@ -176,6 +179,24 @@ class TestForest:
         for seed in (np.int64(3), 2**70):
             rf_train([[0.0], [1.0]], [0, 1], n_trees=2, seed=seed)
 
+    @pytest.mark.parametrize("values,lower", [
+        ([1e-300, 1.0000000000000002e-300] * 3, 1e-300),  # the midpoint rounds up
+        ([1.0, 2.0, 1e308, 1.5e308, 1.6e308, 3.0], 1e308),  # 1e308 + 1.5e308 overflows
+    ], ids=["adjacent-floats", "near-the-float-limit"])
+    def test_every_split_separates_the_values_it_scored(self, values, lower):
+        X, y = np.column_stack([values, values]), np.array([1, 2] * 3)
+        model = rf_train(X, y, n_trees=23)
+        assert same_bits(model.trees, _oracle_trees(X, y, 23, 0))
+        stack, thresholds = list(model.trees), set()
+        while stack:
+            node = stack.pop()
+            if "label" not in node:
+                thresholds.add(node["threshold"])
+                stack += [node["left"], node["right"]]
+        assert all(min(values) <= t < max(values) for t in thresholds)
+        assert lower in thresholds  # the cut whose midpoint does not separate
+        assert np.array_equal(model.predict(X), y)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_probes_rejected(self, bad):
         model = rf_train([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1], n_trees=3)
@@ -187,7 +208,8 @@ class TestForest:
 
 # ---------------------------------------------------------------------------
 # the forest oracle: the per-threshold builder and per-row voter that the
-# numpy split scan and routing replace, kept verbatim as the reference
+# presorted split scan and numpy routing replace, kept as the reference; its
+# threshold is the midpoint only where that separates the two values
 
 
 def _oracle_gini(counts):
@@ -226,7 +248,9 @@ def _oracle_build_tree(X, y, classes, rng, n_feats):
             n_right = n - n_left
             impurity = (n_left * _oracle_gini(left) + n_right * _oracle_gini(total - left)) / n
             if best is None or impurity < best[0] - 1e-12:
-                best = (impurity, int(j), float((xs[i] + xs[i + 1]) / 2.0))
+                a, b = float(xs[i]), float(xs[i + 1])
+                mid = (a + b) / 2.0  # unless it rounds up to b or overflows
+                best = (impurity, int(j), mid if a <= mid < b else a)
     if best is None or best[0] >= parent_gini - 1e-12:
         return {"label": _oracle_majority(y)}
 
@@ -291,6 +315,40 @@ def tied_dataset(rng):
     return X, y
 
 
+def crossing_dataset(rng, n_classes=None):
+    """Ties, adjacent floats and values near the float limit, in up to 400
+    rows: root nodes score their cuts in numpy, deep nodes in Python floats."""
+    n = int(rng.integers(100, 401))
+    d = int(rng.integers(1, 5))
+    columns = []
+    for _ in range(d):
+        kind = rng.integers(0, 4)
+        if kind == 0:  # coarse integer grid: many equal values
+            columns.append(rng.integers(0, int(rng.integers(2, 40)), n).astype(float))
+        elif kind == 1:  # rounded reals: ties among distinct values
+            columns.append(np.round(rng.normal(0.0, 1.0, n), int(rng.integers(0, 3))))
+        elif kind == 2:  # runs of adjacent floats, whose midpoints round to either end
+            base = rng.choice([1e-300, 5e-324, 1.0, -3.0, 1e300])
+            steps = rng.integers(0, 6, n)
+            columns.append(np.array([_ulps(base, k) for k in steps.tolist()]))
+        else:  # near the float limit, where midpoints overflow
+            columns.append(rng.choice([-1.7e308, -1e308, 1.0, 1e308, 1.5e308, 1.7e308], n))
+    X = np.column_stack(columns)
+    k = n_classes or int(rng.integers(2, 7))
+    y = rng.integers(0, k, n)
+    if rng.random() < 0.5:  # labels that partly follow a feature: deeper, purer trees
+        rank = np.argsort(np.argsort(X[:, 0], kind="stable"))
+        y = np.where(rng.random(n) < 0.7, rank * k // n, y)
+    y[:k] = np.arange(k)  # every class present
+    return X, y * 3 - 4  # arbitrary, partly negative labels
+
+
+def _ulps(x, k):
+    for _ in range(k):
+        x = float(np.nextafter(x, np.inf))
+    return x
+
+
 def same_bits(a, b):
     """Equal trees with bit-equal thresholds: float reprs round-trip, and
     tell -0.0 from 0.0 and 1 from 1.0."""
@@ -305,6 +363,40 @@ class TestForestOracle:
             n_trees, seed = int(rng.integers(1, 4)), int(rng.integers(0, 1000))
             model = rf_train(X, y, n_trees=n_trees, seed=seed)
             assert same_bits(model.trees, _oracle_trees(X, y, n_trees, seed)), case
+
+    def test_trees_match_the_oracle_across_the_kernel_cutoff(self):
+        rng = np.random.default_rng(20261)
+        for case in range(30):
+            X, y = crossing_dataset(rng)
+            n_trees, seed = int(rng.integers(1, 3)), int(rng.integers(0, 1000))
+            model = rf_train(X, y, n_trees=n_trees, seed=seed)
+            assert same_bits(model.trees, _oracle_trees(X, y, n_trees, seed)), case
+
+    def test_trees_match_the_oracle_with_eight_or_more_classes(self):
+        rng = np.random.default_rng(20262)
+        for case in range(15):
+            X, y = crossing_dataset(rng, n_classes=int(rng.integers(8, 11)))
+            model = rf_train(X, y, n_trees=1, seed=case)
+            assert same_bits(model.trees, _oracle_trees(X, y, 1, case)), case
+
+    @pytest.mark.parametrize("small_node", [0, 10**9])
+    def test_one_kernel_alone_grows_the_same_trees(self, monkeypatch, small_node):
+        rng = np.random.default_rng(20263)
+        cases = [crossing_dataset(rng) for _ in range(10)] + [tied_dataset(rng) for _ in range(20)]
+        expected = [rf_train(X, y, n_trees=2, seed=i).trees for i, (X, y) in enumerate(cases)]
+        monkeypatch.setattr(effortclass, "SMALL_NODE", small_node)
+        for i, (X, y) in enumerate(cases):
+            assert same_bits(rf_train(X, y, n_trees=2, seed=i).trees, expected[i]), i
+
+    def test_squares_are_summed_pairwise_from_eight_classes(self):
+        # why nodes with PAIRWISE_CLASSES classes or more never score in Python
+        rng = np.random.default_rng(3)
+        for k in range(2, 11):
+            counts = rng.integers(0, 50, (2000, k))
+            counts[:, 0] += 1
+            floats = [_py_gini(row, sum(row)) for row in counts.tolist()]
+            same = floats == _gini(counts).tolist()
+            assert same == (k < PAIRWISE_CLASSES), k
 
     def test_blob_forest_matches_the_oracle(self, rng):
         X, y = blob_dataset(rng, n_per=40, sigma=0.4)
@@ -357,6 +449,25 @@ class TestForestOracle:
     def test_no_rows_no_labels(self):
         model = ForestModel(trees=[{"label": 1}], n_features=2)
         assert model.predict(np.empty((0, 2))).shape == (0,)
+
+
+class TestThreshold:
+    @pytest.mark.parametrize("a,b", [
+        (1e-300, 1.0000000000000002e-300),  # the midpoint rounds up to b
+        (5e-324, 1e-323),  # so does the midpoint of the two smallest subnormals
+        (1e308, 1.5e308),  # the sum overflows to inf
+        (-1.5e308, -1e308),  # to -inf
+    ])
+    def test_a_when_the_midpoint_does_not_separate(self, a, b):
+        assert not a <= (a + b) / 2.0 < b
+        assert _threshold(a, b) == a
+
+    @pytest.mark.parametrize("a,b,mid", [
+        (1.0, 2.0, 1.5), (-1.0, 1.0, 0.0), (1.0, 1.0000000000000004, 1.0000000000000002),
+        (1.0, 1.0000000000000002, 1.0),  # rounds down to a: still separates
+    ])
+    def test_the_midpoint_otherwise(self, a, b, mid):
+        assert _threshold(a, b) == mid
 
 
 class TestHoldout:
@@ -581,6 +692,20 @@ class TestDatasetCsv:
         with pytest.raises(DataError, match="non-finite feature in row") as err:
             read_dataset_csv(path)
         assert f"'{column}': '{value}'" in str(err.value)
+
+    @pytest.mark.parametrize("td", [str(2**63), str(-2**63 - 1), "1" + "0" * 20])
+    def test_label_outside_int64(self, tmp_path, td):
+        path = tmp_path / "data.csv"
+        path.write_text(f"subject,t_s,hrv,pupil_z,td\ns1,0,42.5,0.3,1\ns1,1,40.1,0.5,{td}\n")
+        with pytest.raises(DataError, match="label outside the 64-bit integer range in row") as err:
+            read_dataset_csv(path)
+        assert f"'td': '{td}'" in str(err.value)
+
+    def test_int64_extremes_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(f"subject,t_s,hrv,pupil_z,td\ns1,0,42.5,0.3,{2**63 - 1}\n"
+                        f"s1,1,40.1,0.5,{-2**63}\n")
+        assert [f.label for f in read_dataset_csv(path)] == [2**63 - 1, -2**63]
 
     def test_empty(self, tmp_path):
         path = tmp_path / "data.csv"
