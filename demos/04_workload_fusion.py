@@ -4,12 +4,13 @@ Fusing four indicators into one workload level
 
 The workload estimate is a five-level posterior over a small star-shaped
 network: task difficulty, regulation behaviour, performance, and effort
-each vote through their conditional table. Continuous readings enter as
-soft evidence through overlapping fuzzy bands, so a performance of 0.5
-counts partly as "degraded" and partly as "poor".
+each vote through their conditional table. Evidence maps each variable to
+its label weights. Continuous readings enter through overlapping fuzzy
+bands, so a performance of 0.5 counts partly as "degraded" and partly as
+"poor"; a known label is hard evidence, weight 1.
 """
 
-from oft.fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
+from oft.fusion import MwlNetwork, fuzzify, mwl_level, posterior
 
 net = MwlNetwork.default()
 
@@ -27,26 +28,26 @@ def show(title, evidence):
     print(f"{title:32s} level {mwl_level(post)}   [{bars}]")
 
 
-show("calm baseline", [
-    SoftEvidence.hard("constraint", "td1"),
-    SoftEvidence.hard("behaviour", "none"),
-    fuzzify(0.95, net.partitions["performance"]),
-    fuzzify(-0.5, net.partitions["effort"]),
-])
+show("calm baseline", {
+    "constraint": {"td1": 1.0},
+    "behaviour": {"none": 1.0},
+    "performance": fuzzify(0.95, net.partitions["performance"]),
+    "effort": fuzzify(-0.5, net.partitions["effort"]),
+})
 
-show("working hard, holding up", [
-    SoftEvidence.hard("constraint", "td2"),
-    SoftEvidence.hard("behaviour", "performance_oriented"),
-    fuzzify(0.85, net.partitions["performance"]),
-    fuzzify(1.6, net.partitions["effort"]),
-])
+show("working hard, holding up", {
+    "constraint": {"td2": 1.0},
+    "behaviour": {"performance_oriented": 1.0},
+    "performance": fuzzify(0.85, net.partitions["performance"]),
+    "effort": fuzzify(1.6, net.partitions["effort"]),
+})
 
-show("shedding tasks under pressure", [
-    SoftEvidence.hard("constraint", "td3"),
-    SoftEvidence.hard("behaviour", "cost_oriented"),
-    fuzzify(0.45, net.partitions["performance"]),
-    fuzzify(2.4, net.partitions["effort"]),
-])
+show("shedding tasks under pressure", {
+    "constraint": {"td3": 1.0},
+    "behaviour": {"cost_oriented": 1.0},
+    "performance": fuzzify(0.45, net.partitions["performance"]),
+    "effort": fuzzify(2.4, net.partitions["effort"]),
+})
 
 # evidence can be partial: leaving a channel out just widens the posterior
-show("difficulty alone (td3)", [SoftEvidence.hard("constraint", "td3")])
+show("difficulty alone (td3)", {"constraint": {"td3": 1.0}})

@@ -202,6 +202,9 @@ class AllocationModel:
                     raise ConfigError(f"costs[{criterion}]: unknown couple {cid}")
                 if not math.isfinite(value):
                     raise ConfigError(f"costs[{criterion}]: cost of {cid} must be finite")
+            # so that no sum of some of the costs, in any order, overflows
+            if not math.isfinite(sum(abs(value) for value in table.values())):
+                raise ConfigError(f"costs[{criterion}]: the costs add up past the largest float")
 
     # -- helpers ----------------------------------------------------------
 
@@ -681,7 +684,8 @@ def model_from_dict(raw: Mapping) -> AllocationModel:
         raise
     except KeyError as exc:
         raise ConfigError(f"allocation model: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        # a field of the wrong JSON type, or a cost beyond the floats
         raise ConfigError(f"allocation model: {exc}") from exc
     return model
 

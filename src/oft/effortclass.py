@@ -87,15 +87,21 @@ def knn_predict(model: KnnModel, x) -> int:
 
     Equal distances are ordered by training index. A tied vote goes to the
     single nearest neighbour's class when it is among the tied classes,
-    otherwise to the lowest label.
+    otherwise to the lowest label. A distance may overflow to inf; that is
+    a DataError only when the k-th nearest one does, because only then
+    does the vote depend on it.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != model.points.shape[1]:
         raise DataError(
             f"knn: probe has {x.shape[0]} features, model expects {model.points.shape[1]}"
         )
-    d = distances(model.points, x, model.metric)
+    with np.errstate(over="ignore"):
+        d = distances(model.points, x, model.metric)
     order = np.argsort(d, kind="stable")[: model.k]
+    if d[order[-1]] == math.inf:
+        raise DataError(f"knn: the {model.metric} distance from probe {x.tolist()} "
+                        f"to its neighbour number {model.k} overflows")
     votes = Counter(int(model.labels[i]) for i in order)
     top = max(votes.values())
     winners = sorted(label for label, n in votes.items() if n == top)
@@ -371,7 +377,7 @@ def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
         label = int(td)
         if not all(math.isfinite(v) for v in features):
             problem = "non-finite feature"
-        elif not -2**63 <= label < 2**63:
+        elif not _is_label(label):
             problem = "label outside the 64-bit integer range"
         else:
             return LabelledFrame(subject=subject, features=features, label=label)
@@ -523,27 +529,37 @@ def model_to_dict(model) -> dict:
 
 
 def model_from_dict(raw: Mapping):
+    """A model from its file form; k, n_features and the labels must be JSON
+    integers (not booleans), the labels inside the 64-bit range."""
     try:
         if raw["kind"] == "knn":
-            return KnnModel(
-                points=np.asarray(raw["points"], dtype=float),
-                labels=np.asarray(raw["labels"], dtype=int),
-                k=int(raw["k"]),
-                metric=raw["metric"],
-            )
+            k, labels = raw["k"], raw["labels"]
+            if not _is_int(k):
+                raise ConfigError(f"model file: knn k {k!r} is not an int")
+            if not (isinstance(labels, list) and all(map(_is_label, labels))):
+                raise ConfigError("model file: knn labels must be a list of 64-bit ints")
+            return KnnModel(points=np.asarray(raw["points"], dtype=float), labels=labels,
+                            k=k, metric=raw["metric"])
         if raw["kind"] == "rf":
-            model = ForestModel(trees=list(raw["trees"]), n_features=int(raw["n_features"]))
+            n_features = raw["n_features"]
+            if not _is_int(n_features):
+                raise ConfigError(f"model file: rf n_features {n_features!r} is not an int")
+            model = ForestModel(trees=list(raw["trees"]), n_features=n_features)
             _check_forest(model)
             return model
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, DataError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"model file: {exc}") from exc
     raise ConfigError(f"model file: unknown kind {raw.get('kind')!r}")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_label(value) -> bool:
+    return _is_int(value) and -2**63 <= value < 2**63
 
 
 def _check_forest(model: ForestModel) -> None:
@@ -556,8 +572,8 @@ def _check_forest(model: ForestModel) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"model file: tree node is a {type(node).__name__}, not an object")
         if "label" in node:
-            if not _is_int(node["label"]):
-                raise ConfigError(f"model file: leaf label {node['label']!r} is not an int")
+            if not _is_label(node["label"]):
+                raise ConfigError(f"model file: leaf label {node['label']!r} is not a 64-bit int")
             continue
         feature, threshold = node.get("feature"), node.get("threshold")
         if not (_is_int(feature) and 0 <= feature < model.n_features

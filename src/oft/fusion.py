@@ -3,15 +3,16 @@ small naive-fusion network over a five-level workload variable.
 
 The network has one root (workload level 1..5) and independent child
 indicators, each a labelled discrete variable with a conditional table
-P(label | level). Observations enter as soft evidence (a non-negative
-likelihood per label, not necessarily normalized); the posterior is exact:
+P(label | level). Evidence is a mapping {variable: {label: weight}}, one
+soft likelihood per child (non-negative weights, not necessarily
+normalized); the posterior is exact:
 
     post(k)  proportional to  prior(k) * prod_children sum_l lik(l) * cpt[k, l]
 
 Children without evidence drop out (their labels marginalize to 1), and a
-label that evidence leaves out has likelihood 0. Evidence from `fuzzify`
-lists only the labels with nonzero weight: one label on a plateau of the
-partition, two inside an overlap.
+label that evidence leaves out has likelihood 0. `fuzzify` gives one
+child's likelihood from a reading: only the labels with nonzero weight, one
+label on a plateau of the partition, two inside an overlap.
 
 `posterior` returns the five level probabilities as a tuple of Python
 floats. `fuse` packages one second's result as an `MwlState`: the second,
@@ -80,74 +81,39 @@ class FuzzyPartition:
         outside the domain is clamped to it with a warning, a non-finite one
         is a DataError."""
         weights = dict.fromkeys(self.labels, 0.0)
-        weights.update(self._nonzero(x))
+        weights.update(fuzzify(x, self))
         return weights
 
-    def _nonzero(self, x: float) -> dict:
-        """The labels of `membership` with nonzero weight, in label order.
 
-        The weights are positive and finite and sum to 1 up to rounding:
-        inside an overlap `up` lies in [0, 1], because the overlap is
-        narrower than the largest float.
-        """
-        if not math.isfinite(x):
-            raise DataError(f"partition {self.variable}: reading {x} is not finite")
-        lo_dom, hi_dom = self.domain
-        if x < lo_dom or x > hi_dom:
-            warnings.warn(
-                f"partition {self.variable}: {x} outside domain, clamped", stacklevel=3
-            )
-            x = min(max(x, lo_dom), hi_dom)
-        labels = self.labels
-        for i, (lo, hi) in enumerate(self.overlaps):
-            if x <= lo:
-                return {labels[i]: 1.0}
-            if x < hi:
-                up = float((x - lo) / (hi - lo))
-                if up == 0.0:
-                    return {labels[i]: 1.0}
-                if up == 1.0:
-                    return {labels[i + 1]: 1.0}
-                return {labels[i]: 1.0 - up, labels[i + 1]: up}
-        return {labels[-1]: 1.0}
+def fuzzify(x: float, partition: FuzzyPartition) -> dict:
+    """The labels of `partition.membership(x)` with nonzero weight, in label
+    order: one variable's likelihood, ready for `posterior`.
 
-
-@dataclass(frozen=True)
-class SoftEvidence:
-    """Likelihood weights over one child variable's labels."""
-
-    variable: str
-    likelihood: Mapping[str, float]
-
-    def __post_init__(self):
-        lik = {str(k): float(v) for k, v in self.likelihood.items()}
-        if not lik:
-            raise DataError(f"evidence for {self.variable}: empty likelihood")
-        if not all(math.isfinite(v) for v in lik.values()):
-            raise DataError(f"evidence for {self.variable}: non-finite likelihood")
-        if any(v < 0 for v in lik.values()):
-            raise DataError(f"evidence for {self.variable}: negative likelihood")
-        if all(v == 0 for v in lik.values()):
-            raise DataError(f"evidence for {self.variable}: all-zero likelihood")
-        object.__setattr__(self, "likelihood", lik)
-
-    @classmethod
-    def hard(cls, variable: str, label: str) -> "SoftEvidence":
-        return cls(variable, {label: 1.0})
-
-
-def fuzzify(x: float, partition: FuzzyPartition) -> SoftEvidence:
-    """Turn a continuous reading into soft evidence via the partition.
-
-    The evidence lists only the labels with nonzero membership. Those
-    weights are positive and finite by construction, so the checks of
-    SoftEvidence are skipped; the reading itself is checked (a non-finite
-    one is a DataError, one outside the domain is clamped with a warning).
+    The weights are positive and finite and sum to 1 up to rounding: inside
+    an overlap `up` lies in [0, 1], because the overlap is narrower than the
+    largest float. A non-finite reading is a DataError; one outside the
+    domain is clamped to it with a warning.
     """
-    ev = object.__new__(SoftEvidence)
-    object.__setattr__(ev, "variable", partition.variable)
-    object.__setattr__(ev, "likelihood", partition._nonzero(x))
-    return ev
+    if not math.isfinite(x):
+        raise DataError(f"partition {partition.variable}: reading {x} is not finite")
+    lo_dom, hi_dom = partition.domain
+    if x < lo_dom or x > hi_dom:
+        warnings.warn(
+            f"partition {partition.variable}: {x} outside domain, clamped", stacklevel=2
+        )
+        x = min(max(x, lo_dom), hi_dom)
+    labels = partition.labels
+    for i, (lo, hi) in enumerate(partition.overlaps):
+        if x <= lo:
+            return {labels[i]: 1.0}
+        if x < hi:
+            up = float((x - lo) / (hi - lo))
+            if up == 0.0:
+                return {labels[i]: 1.0}
+            if up == 1.0:
+                return {labels[i + 1]: 1.0}
+            return {labels[i]: 1.0 - up, labels[i + 1]: up}
+    return {labels[-1]: 1.0}
 
 
 @dataclass(frozen=True)
@@ -219,43 +185,45 @@ class MwlNetwork:
         return cls.load(DATA / "mwl_net.json")
 
 
-def posterior(net: MwlNetwork, evidence: Iterable[SoftEvidence]) -> tuple:
-    """Exact posterior over the five levels given soft evidence, as a tuple
-    of five floats, level 1 first.
+def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> tuple:
+    """Exact posterior over the five levels given evidence {variable: {label:
+    weight}}, as a tuple of five floats, level 1 first.
 
-    Invariant under evidence order and under positive scaling of any
-    likelihood vector. Raises if two pieces of evidence target one variable
-    or if the combined evidence has zero mass under the model, or so much
-    that it overflows.
+    The children's terms multiply in the mapping's order. Invariant under
+    that order and under positive scaling of any likelihood. Raises
+    DataError for an unknown variable or label, a weight that is not a
+    finite number >= 0, evidence with zero mass under the model (an empty or
+    all-zero likelihood has none), or so much mass that it overflows.
     """
-    seen = set()
     p1, p2, p3, p4, p5 = net._prior
-    for ev in evidence:
-        variable, likelihood = ev.variable, ev.likelihood
-        if variable in seen:
-            raise DataError(f"duplicate evidence for variable {variable!r}")
-        seen.add(variable)
+    for variable, likelihood in evidence.items():
         columns = net._columns.get(variable)
         if columns is None:
             raise DataError(f"evidence for unknown variable {variable!r}")
         if not likelihood.keys() <= columns.keys():
             unknown = sorted(likelihood.keys() - columns.keys())
             raise DataError(f"evidence for {variable!r} names unknown labels {unknown}")
+        for weight in likelihood.values():
+            if not 0.0 <= weight < math.inf:
+                raise DataError(
+                    f"evidence for {variable!r}: likelihood {weight!r} is not a finite number >= 0"
+                )
         if len(likelihood) == 1:
             # the other terms of cpt @ lik are +0.0, so this is the same bits
             ((label, weight),) = likelihood.items()
+            weight = float(weight)
             c1, c2, c3, c4, c5 = columns[label]
             c1, c2, c3, c4, c5 = c1 * weight, c2 * weight, c3 * weight, c4 * weight, c5 * weight
         else:
             labels, cpt = net.children[variable]
-            lik = np.array([likelihood.get(label, 0.0) for label in labels])
+            lik = np.array([likelihood.get(label, 0.0) for label in labels], dtype=float)
             c1, c2, c3, c4, c5 = cpt.dot(lik).tolist()
         p1, p2, p3, p4, p5 = p1 * c1, p2 * c2, p3 * c3, p4 * c4, p5 * c5
     # left to right, the order in which numpy sums five entries
     total = p1 + p2 + p3 + p4 + p5
     if total <= 0.0:
         raise DataError("evidence has zero probability under the model")
-    if total == math.inf:
+    if not total < math.inf:  # inf, or NaN from an overflowed term times a zero one
         raise DataError("evidence likelihoods overflow; scale them down")
     return (p1 / total, p2 / total, p3 / total, p4 / total, p5 / total)
 
@@ -281,7 +249,7 @@ class MwlState(NamedTuple):
     level: int
 
 
-def fuse(net: MwlNetwork, t: int, evidence: Sequence[SoftEvidence]) -> MwlState:
+def fuse(net: MwlNetwork, t: int, evidence: Mapping[str, Mapping[str, float]]) -> MwlState:
     post = posterior(net, evidence)
     return MwlState(t, post, mwl_level(post))
 

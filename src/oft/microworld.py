@@ -47,7 +47,7 @@ import numpy as np
 from . import physio
 from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
-from .fusion import MwlNetwork, SoftEvidence, fuzzify, mwl_level, posterior
+from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
 from .jsonl import is_finite_number, is_seed
 from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
                          RegulationEvent, TaskTick)
@@ -508,6 +508,11 @@ def generate_pupil(load: Callable[[float], float], duration_s: float,
 BEHAVIOUR_WINDOW_S = 30
 #: The effort reading is the held pupil z averaged over this many seconds.
 EFFORT_SMOOTH_S = 5
+#: The hard evidence of each behaviour label and each task difficulty.
+BEHAVIOUR_EVIDENCE = {
+    label: {label: 1.0} for label in ("cost_oriented", "performance_oriented", "none")
+}
+CONSTRAINT_EVIDENCE = {td: {f"td{td}": 1.0} for td in (1, 2, 3)}
 
 
 class MonitorStep(NamedTuple):
@@ -516,7 +521,7 @@ class MonitorStep(NamedTuple):
     behaviour: str  # "cost_oriented", "performance_oriented" or "none"
     pupil_z: float  # held pupil z smoothed over EFFORT_SMOOTH_S seconds
     td: Optional[int]  # task difficulty; None when the second has no demand
-    evidence: list  # SoftEvidence, ready to fuse
+    evidence: dict  # variable -> {label: weight}, ready to fuse
 
 
 class Monitor:
@@ -527,9 +532,9 @@ class Monitor:
     averages it over EFFORT_SMOOTH_S seconds, and labels the behaviour by
     the regulation events of the last BEHAVIOUR_WINDOW_S seconds: cost
     oriented if any of them sheds compliance, else performance oriented if
-    any raises it. The evidence is constraint (only when the second has a
-    demand frame), behaviour, performance and effort; fusing it is left to
-    the caller.
+    any raises it. The evidence maps constraint (only when the second has a
+    demand frame), behaviour, performance and effort, in that order, to
+    their likelihoods; fusing it is left to the caller.
     """
 
     def __init__(self, net: MwlNetwork):
@@ -538,11 +543,6 @@ class Monitor:
                 raise ConfigError(f"fusion model must carry a partition for {var!r}")
         self.net = net
         self.tracker = ActivityTracker()
-        self._behaviour_ev = {
-            label: SoftEvidence.hard("behaviour", label)
-            for label in ("cost_oriented", "performance_oriented", "none")
-        }
-        self._constraint_ev = {td: SoftEvidence.hard("constraint", f"td{td}") for td in (1, 2, 3)}
         self._recent_z: deque = deque(maxlen=EFFORT_SMOOTH_S)
         self._last_z = 0.0
         # events come in time order (the tracker rejects out-of-order
@@ -572,15 +572,15 @@ class Monitor:
         else:
             behaviour = "none"
 
-        evidence = [
-            self._behaviour_ev[behaviour],
-            fuzzify(perf, self.net.partitions["performance"]),
-            fuzzify(z_smooth, self.net.partitions["effort"]),
-        ]
+        # the insertion order is the order posterior multiplies in
+        evidence = {}
         td = None
         if demand is not None:
             td = task_difficulty(discretize(demand))
-            evidence.insert(0, self._constraint_ev[td])
+            evidence["constraint"] = CONSTRAINT_EVIDENCE[td]
+        evidence["behaviour"] = BEHAVIOUR_EVIDENCE[behaviour]
+        evidence["performance"] = fuzzify(perf, self.net.partitions["performance"])
+        evidence["effort"] = fuzzify(z_smooth, self.net.partitions["effort"])
         return MonitorStep(snap, event, behaviour, z_smooth, td, evidence)
 
 

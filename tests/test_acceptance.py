@@ -26,7 +26,7 @@ from oft.cli import main
 from oft.cocom import ControlMode, TankTrace, code_mode, read_roster_csv, transitions
 from oft.dfaplan import InfeasibleError, load_model
 from oft.errors import DataError
-from oft.fusion import MwlNetwork, SoftEvidence, mwl_level, posterior
+from oft.fusion import MwlNetwork, mwl_level, posterior
 from oft.effortclass import fit_model
 from oft.jsonl import load_jsonl
 from oft.microworld import ScenarioConfig, compare_compliance, run_scenario
@@ -227,17 +227,16 @@ def test_criterion_05_fusion_correctness(capsys):
 
     for _ in range(200):
         net = random_net(rng, [int(rng.integers(2, 5)) for _ in range(int(rng.integers(1, 4)))])
-        evidence = [
-            SoftEvidence(name, {lab: float(rng.random() + 0.01) for lab in labels})
+        evidence = {
+            name: {lab: float(rng.random() + 0.01) for lab in labels}
             for name, (labels, _a) in net.children.items()
-        ]
+        }
         post = posterior(net, evidence)
         check(failures, abs(float(np.sum(post)) - 1.0) <= 1e-9, "posterior not normalized")
-        scaled = [SoftEvidence(e.variable, {k: 3.7 * v for k, v in e.likelihood.items()})
-                  for e in evidence]
+        scaled = {name: {k: 3.7 * v for k, v in lik.items()} for name, lik in evidence.items()}
         check(failures, np.allclose(post, posterior(net, scaled), atol=1e-12),
               "posterior not scale invariant")
-        check(failures, np.allclose(post, posterior(net, list(reversed(evidence))), atol=1e-12),
+        check(failures, np.allclose(post, posterior(net, dict(reversed(evidence.items()))), atol=1e-12),
               "posterior not order invariant")
         if failures:
             break
@@ -246,10 +245,10 @@ def test_criterion_05_fusion_correctness(capsys):
         net = random_net(rng, [2, 3])
         tables = [net.children["c0"][1], net.children["c1"][1]]
         liks = [rng.random(2) + 0.01, rng.random(3) + 0.01]
-        evidence = [
-            SoftEvidence("c0", dict(zip(net.children["c0"][0], liks[0]))),
-            SoftEvidence("c1", dict(zip(net.children["c1"][0], liks[1]))),
-        ]
+        evidence = {
+            "c0": dict(zip(net.children["c0"][0], liks[0])),
+            "c1": dict(zip(net.children["c1"][0], liks[1])),
+        }
         expect = posterior_by_joint_enumeration(net.prior, tables, liks)
         got = posterior(net, evidence)
         check(failures, np.allclose(got, expect, atol=1e-12),
@@ -266,7 +265,7 @@ def test_criterion_05_fusion_correctness(capsys):
     net = MwlNetwork.default()
 
     def fused(ranks):
-        ev = [SoftEvidence.hard(child, load_order[child][r]) for child, r in ranks.items()]
+        ev = {child: {load_order[child][r]: 1.0} for child, r in ranks.items()}
         return mwl_level(posterior(net, ev))
 
     children = tuple(load_order)

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from conftest import src_env
 from oft import __version__, pipeline
 from oft.cli import main
 from oft.effortclass import ForestModel, load_model
-from oft.jsonl import dump_jsonl, load_jsonl
+from oft.jsonl import DATA, dump_jsonl, load_jsonl
 from oft.microworld import generate_beats, generate_pupil
 
 
@@ -557,6 +558,21 @@ class TestClassifyCommands:
         assert "label outside the 64-bit integer range" in err and f"'td': '{10**20}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("metric", ["euclidean", "squared_euclidean"])
+    def test_knn_distance_overflow_exits_3(self, tmp_path, capsys, metric):
+        data = write_dataset(tmp_path / "data.csv", n_per=12)
+        overwrite_rows(data, "hrv", "1e308", rows=slice(2, 30, 12))
+        overwrite_rows(data, "hrv", "-1e308", rows=slice(7, 8))
+        out = tmp_path / "report.json"
+        argv = ["classify", "cv", "--data", data, "--kind", "knn", "--k", "5",
+                "--metric", metric, "--raw-labels", "--report", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: knn: the ") and err.endswith("to its neighbour number 5 overflows\n")
+        assert not out.exists()
+
 
 def write_fixed_dataset(path):
     """120 rows from integer arithmetic alone: the same bytes everywhere."""
@@ -643,7 +659,7 @@ def write_fixed_recording(folder, duration=300):
     return str(beats), str(pupil), str(ticks), str(demand)
 
 
-# written by the SoftEvidence-checked fuzzify, the numpy posterior and the
+# written by the checked every-label evidence, the numpy posterior and the
 # csv.DictReader input path; the manifests of the two reference runs record
 # their --reference
 MONITOR_SHA256 = {
@@ -869,6 +885,37 @@ class TestDfaCommands:
         captured = capsys.readouterr()
         assert field in captured.err
         assert "solution" not in captured.out
+
+    @pytest.mark.parametrize("command", [["check"], ["solve", "--criterion", "rider_load"]])
+    @pytest.mark.parametrize("case,message", [
+        ("situations as a list", "'list' object has no attribute 'items'"),
+        ("a null situation", "'NoneType' object has no attribute 'get'"),
+        ("costs as a list", "'list' object has no attribute 'items'"),
+        ("an int couple id", "'int' object has no attribute 'partition'"),
+        ("an int cost past the floats", "int too large to convert to float"),
+        ("costs that add up past the floats", "the costs add up past the largest float"),
+    ])
+    def test_mistyped_model_exits_2(self, tmp_path, capsys, command, case, message):
+        model = json.loads((DATA / "bike.json").read_text())
+        if case == "situations as a list":
+            model["situations"] = [1, 2]
+        elif case == "a null situation":
+            model["situations"]["S1"] = None
+        elif case == "costs as a list":
+            model["costs"] = [1]
+        elif case == "an int couple id":
+            model["couples"].append(5)
+        elif case == "an int cost past the floats":
+            model["costs"]["rider_load"]["F1-H"] = 10**400
+        else:
+            model["costs"]["rider_load"].update({"F1-H": 1e308, "F1-M": 1e308})
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        argv = ["dfa", *command, "--model", str(path), "--situations", "S1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 class TestSimulateCommand:
@@ -1282,6 +1329,61 @@ class TestArgumentErrors:
         assert err.startswith("error: model file: ") and message in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", 1.9, "knn k 1.9 is not an int"),
+        ("k", "2", "knn k '2' is not an int"),
+        ("k", True, "knn k True is not an int"),
+        ("labels", [1.7, 0], "knn labels must be a list of 64-bit ints"),
+        ("labels", [1e30, 0], "knn labels must be a list of 64-bit ints"),
+        ("labels", [2**63, 0], "knn labels must be a list of 64-bit ints"),
+        ("labels", [False, 0], "knn labels must be a list of 64-bit ints"),
+        ("labels", {"0": 1}, "knn labels must be a list of 64-bit ints"),
+        ("points", [[10**400, 1.0], [1.0, 0.0]], "int too large to convert to float"),
+    ])
+    def test_mistyped_knn(self, tmp_path, capsys, field, value, message):
+        raw = {"kind": "knn", "k": 1, "metric": "euclidean", "points": [[0.0, 1.0], [1.0, 0.0]],
+               "labels": [0, 1], field: value}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(raw))
+        out = tmp_path / "pred.csv"
+        assert main(["classify", "predict", "--model", str(model),
+                     "--data", write_dataset(tmp_path / "data.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: model file: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_features,label,message", [
+        (2, 10**30, "leaf label 1000000000000000000000000000000 is not a 64-bit int"),
+        (2, -2**63 - 1, "leaf label -9223372036854775809 is not a 64-bit int"),
+        (2.5, 0, "rf n_features 2.5 is not an int"),
+        ("2", 0, "rf n_features '2' is not an int"),
+        (True, 0, "rf n_features True is not an int"),
+    ])
+    def test_mistyped_forest(self, tmp_path, capsys, n_features, label, message):
+        trees = [{"feature": 0, "threshold": 0.0, "left": {"label": 0}, "right": {"label": label}}]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "rf", "n_features": n_features, "trees": trees}))
+        out = tmp_path / "pred.csv"
+        assert main(["classify", "predict", "--model", str(model),
+                     "--data", write_dataset(tmp_path / "data.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: model file: {message}\n"
+        assert not out.exists()
+
+    def test_labels_at_the_int64_ends_load(self, tmp_path):
+        lo, hi = -2**63, 2**63 - 1
+        knn = {"kind": "knn", "k": 1, "metric": "euclidean", "points": [[0.0, 0.0], [90.0, 0.0]],
+               "labels": [lo, hi]}
+        rf = {"kind": "rf", "n_features": 2, "trees": [
+            {"feature": 0, "threshold": 45.0, "left": {"label": lo}, "right": {"label": hi}}]}
+        data = write_dataset(tmp_path / "data.csv")
+        for raw in (knn, rf):
+            model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+            model.write_text(json.dumps(raw))
+            assert main(["classify", "predict", "--model", str(model), "--data", data,
+                         "--out", str(out)]) == 0
+            with open(out, newline="") as fh:
+                assert {int(r["label"]) for r in csv.DictReader(fh)} == {lo, hi}
+
     @pytest.mark.parametrize("command", ["simulate", "endtoend"])
     def test_duration_beyond_one_day(self, tmp_path, capsys, command):
         log = tmp_path / "run.jsonl"
@@ -1687,3 +1789,200 @@ class TestClassifyFuzz:
                 assert code in (0, 2, 3, 4), argv[1]
                 if argv[1] == "train" and code == 0:
                     assert load_model(model).predict([[40.0, 0.0]]).shape == (1,)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the settings file, the allocation and classifier model files, and
+# the cocom trace and roster CSVs
+
+# what a mutated JSON value becomes: the values of FUZZ_FIELDS, an int past
+# the 64-bit range and one past the floats, a fraction, and each wrong JSON type
+FUZZ_JSON_VALUES = tuple(value for _, value in FUZZ_FIELDS) + (
+    10**30, 10**400, 1.7, True, None, "", [], [1, 2], {})
+FUZZ_COCOM_COLUMNS = {"trace": ("t_s", "tank_a", "tank_b", "period"),
+                      "roster": ("participant", "mode_low", "mode_high")}
+FUZZ_COCOM_FIELDS = FUZZ_FIELDS + ((str(10**30), 10**30),)
+FUZZ_SETTINGS = {"fusion_net": str(DATA / "mwl_net.json"), "pupil_reference": [3.45, 0.45],
+                 "hold_s": 2.0}
+
+
+def json_slots(doc):
+    """The one-item list that holds `doc`, and every (container, key) that
+    holds a value of it, the root first."""
+    holder = [doc]
+    slots, stack = [], [(holder, 0)]
+    while stack:
+        parent, key = stack.pop()
+        slots.append((parent, key))
+        value = parent[key]
+        if isinstance(value, dict):
+            stack += [(value, k) for k in value]
+        elif isinstance(value, list):
+            stack += [(value, i) for i in range(len(value))]
+    return holder, slots
+
+
+@st.composite
+def json_mutations(draw):
+    """(kind, args) for one mutation of a JSON file; the slot it changes is
+    an index, taken modulo the count of the slots the kind applies to."""
+    kind = draw(st.sampled_from(["truncate", "value", "drop_key", "rename_key", "duplicate",
+                                 "reorder"]))
+    if kind == "truncate":
+        return kind, draw(st.floats(0.0, 1.0))
+    slot = draw(st.integers(0, 10**6))
+    if kind == "value":
+        return kind, (slot, draw(st.sampled_from(FUZZ_JSON_VALUES)))
+    return kind, slot
+
+
+def mutated_json_text(doc, kind, args):
+    """The text of `doc` after one mutation: a value replaced, a key of an
+    object dropped or renamed, or an item of a list duplicated or swapped
+    with the next one. A slot may also be given as the path of keys to it."""
+    holder, slots = json_slots(json.loads(json.dumps(doc)))
+    if kind == "truncate":
+        text = json.dumps(holder[0])
+        return text[:int(args * len(text))]
+    slot, value = args if kind == "value" else (args, None)
+    if isinstance(slot, tuple):
+        parent, key = holder, 0
+        for step in slot:
+            parent, key = parent[key], step
+    else:
+        if kind != "value":
+            slots = [(p, k) for p, k in slots[1:] if isinstance(p, dict) == kind.endswith("_key")]
+            if not slots:
+                return json.dumps(holder[0])
+        parent, key = slots[slot % len(slots)]
+    if kind == "value":
+        parent[key] = value
+    elif kind == "drop_key":
+        del parent[key]
+    elif kind == "rename_key":
+        parent[key + "_x"] = parent.pop(key)
+    elif kind == "duplicate":
+        parent.insert(key, parent[key])
+    else:
+        other = (key + 1) % len(parent)
+        parent[key], parent[other] = parent[other], parent[key]
+    return json.dumps(holder[0])
+
+
+@st.composite
+def cocom_mutations(draw):
+    """(stream, kind, args) for one mutation of a trace or roster CSV; a row
+    is given as a fraction of the data rows."""
+    stream = draw(st.sampled_from(["trace", "roster"]))
+    kind = draw(st.sampled_from(["truncate", "field", "duplicate", "reorder", "drop_header",
+                                 "rename_header"]))
+    row = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    if kind in ("truncate", "duplicate"):
+        return stream, kind, row
+    if kind == "field":
+        column = draw(st.sampled_from(FUZZ_COCOM_COLUMNS[stream]))
+        return stream, kind, (row, column, draw(st.sampled_from(FUZZ_COCOM_FIELDS)))
+    if kind == "reorder":
+        return stream, kind, (row, draw(st.floats(0.0, 1.0)))
+    if kind == "rename_header":
+        return stream, kind, draw(st.sampled_from(FUZZ_COCOM_COLUMNS[stream]))
+    return stream, kind, None
+
+
+@pytest.fixture(scope="module")
+def fuzz_knn_model(fuzz_dataset, tmp_path_factory):
+    """A k=3 kNN model trained on the fuzz dataset, as parsed JSON."""
+    path = tmp_path_factory.mktemp("fuzz_knn") / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["classify", "train", "--data", fuzz_dataset, "--kind", "knn", "--k", "3",
+                     "--model-out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def fuzz_cocom_rows(tmp_path_factory):
+    """The rows of a valid trace CSV and of the bundled roster, header first."""
+    trace = write_trace(tmp_path_factory.mktemp("fuzz_cocom") / "trace.csv")
+    rows = {}
+    for stream, path in (("trace", trace), ("roster", DATA / "cocom_roster.csv")):
+        with open(path, newline="") as fh:
+            rows[stream] = list(csv.reader(fh))
+    return rows
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+class TestInputFileFuzz:
+    """Mutated settings, allocation model, classifier model, trace and
+    roster files end in a documented exit code."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=json_mutations())
+    def test_settings_file(self, fuzz_inputs, mutation):
+        beats, pupil_rows, _ = fuzz_inputs
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            config, pupil = folder / "settings.json", folder / "pupil.csv"
+            config.write_text(mutated_json_text(FUZZ_SETTINGS, *mutation))
+            pupil.write_text(mutated_text("pupil", None, None, pupil_rows, None))
+            for argv in (["simulate", "--duration", "20", "--log", folder / "run.jsonl"],
+                         ["physio", "--beats", beats, "--pupil", pupil, "--normalization",
+                          "reference", "--out", folder / "frames.csv"]):
+                assert quiet_main(["--config", config, *argv]) in (0, 2, 3, 4), argv[0]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=json_mutations())
+    # situations as a list, a null situation, costs as a list, an int couple
+    # id, and an int cost past the floats
+    @example(mutation=("value", (("situations",), [1, 2])))
+    @example(mutation=("value", (("situations", "S1"), None)))
+    @example(mutation=("value", (("costs",), [1, 2])))
+    @example(mutation=("value", (("couples", 0), -1)))
+    @example(mutation=("value", (("costs", "rider_load", "F1-H"), 10**400)))
+    def test_allocation_model_file(self, mutation):
+        model = json.loads((DATA / "bike.json").read_text())
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "model.json"
+            path.write_text(mutated_json_text(model, *mutation))
+            for argv in (["check", "--situations", "S1,S4"],
+                         ["solve", "--situations", "S1,S4", "--criterion", "rider_load"],
+                         ["solve", "--steps", "S1;S1,S4", "--criterion", "energy"]):
+                assert quiet_main(["dfa", *argv, "--model", path]) in (0, 2, 3, 4), argv
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=json_mutations(), kind=st.sampled_from(["knn", "rf"]))
+    # a kNN label past the int64 range, and a forest leaf label past it
+    @example(mutation=("value", (("labels", 0), 1e308)), kind="knn")
+    @example(mutation=("value", (("trees", 0, "label"), 10**30)), kind="rf")
+    def test_classifier_model_file(self, fuzz_dataset, fuzz_model, fuzz_knn_model, mutation,
+                                   kind):
+        model = fuzz_knn_model if kind == "knn" else fuzz_model
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "model.json"
+            path.write_text(mutated_json_text(model, *mutation))
+            argv = ["classify", "predict", "--model", path, "--data", fuzz_dataset,
+                    "--out", Path(folder) / "labels.csv"]
+            assert quiet_main(argv) in (0, 2, 3, 4)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=cocom_mutations())
+    def test_cocom_csv(self, fuzz_cocom_rows, mutation):
+        stream, kind, args = mutation
+        rows = fuzz_cocom_rows[stream]
+        last = len(rows) - 2
+        if kind == "field":
+            args = (round(args[0] * last), *args[1:])
+        elif kind == "duplicate":
+            args = round(args * last)
+        elif kind == "reorder":
+            args = (round(args[0] * last), round(args[1] * last))
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / f"{stream}.csv"
+            path.write_text(mutated_text(stream, kind, args, rows, None))
+            out = Path(folder) / "out"
+            argv = (["code", "--trace", path, "--out", out] if stream == "trace"
+                    else ["transitions", "--roster", path, "--out", out])
+            assert quiet_main(["cocom", *argv]) in (0, 2, 3, 4)

@@ -1,6 +1,7 @@
 """kNN and random-forest effort classifiers."""
 
 import json
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from oft import effortclass
 from oft.errors import ConfigError, DataError, DegenerateInputError
 from oft.effortclass import (
+    METRICS,
     PAIRWISE_CLASSES,
     ForestModel,
     KnnModel,
@@ -126,6 +128,24 @@ class TestKnn:
             model.predict([[0.5], [bad]])
         with pytest.raises(DataError, match="knn: probes must be finite"):
             model.predict_one([bad])
+
+    # a far point's coordinate difference overflows, so its distance does in every metric
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_overflow_beyond_the_kth_neighbour_is_ignored(self, metric):
+        model = KnnModel([[1e308, 0.0], [-1e308, 0.0], [-1e308, 1.0], [1e308, 1.0]], [7, 1, 2, 7],
+                         k=2, metric=metric)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.predict_one([-1e308, 0.0]) == 1
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_overflowing_kth_distance_rejected(self, metric):
+        points, labels = [[-1e308, 0.0], [-1e308, 1.0], [1e308, 5.0]], [1, 2, 7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="to its neighbour number 2 overflows"):
+                KnnModel(points, labels, k=2, metric=metric).predict_one([1e308, 0.0])
+            assert KnnModel(points, labels, k=1, metric=metric).predict_one([1e308, 0.0]) == 7
 
 
 class TestForest:

@@ -18,7 +18,6 @@ from oft.fusion import (
     FuzzyPartition,
     MwlNetwork,
     MwlState,
-    SoftEvidence,
     fuse,
     fuzzify,
     mwl_level,
@@ -45,12 +44,12 @@ def posterior_by_joint_enumeration(prior, tables, likelihoods):
 
 
 def posterior_by_matmul(net, evidence):
-    """The dense reference, every piece of evidence as cpt @ lik; None
+    """The dense reference, every variable's likelihood as cpt @ lik; None
     when the evidence has zero mass."""
     post = net.prior.copy()
-    for ev in evidence:
-        labels, cpt = net.children[ev.variable]
-        post = post * (cpt @ np.array([ev.likelihood.get(label, 0.0) for label in labels]))
+    for variable, likelihood in evidence.items():
+        labels, cpt = net.children[variable]
+        post = post * (cpt @ np.array([likelihood.get(label, 0.0) for label in labels]))
     total = post.sum()
     return post / total if total > 0.0 else None
 
@@ -123,51 +122,52 @@ class TestFuzzyPartition:
             FuzzyPartition("v", ("a", "b", "c"), (0.0, 1.0), ((0.2, 0.6), (0.5, 0.9)))
 
     def test_fuzzify_wraps_membership(self):
-        ev = fuzzify(3.0, THREE_BAND)
-        assert ev.variable == "v"
-        assert ev.likelihood["low"] == pytest.approx(0.5)
+        lik = fuzzify(3.0, THREE_BAND)
+        assert type(lik) is dict and list(lik) == ["low", "mid"]
+        assert lik["low"] == pytest.approx(0.5)
 
 
 class TestPosterior:
     def test_normalized(self, rng):
         for _ in range(50):
             net = random_net(rng, (2, 3, 4))
-            evidence = [
-                SoftEvidence(name, {l: float(v) for l, v in zip(labels, rng.random(len(labels)) + 0.01)})
+            evidence = {
+                name: {l: float(v) for l, v in zip(labels, rng.random(len(labels)) + 0.01)}
                 for name, (labels, _) in net.children.items()
-            ]
+            }
             post = posterior(net, evidence)
             assert sum(post) == pytest.approx(1.0, abs=1e-9)
             assert all(p >= 0 for p in post)
 
     def test_order_invariance(self, rng):
         net = random_net(rng, (3, 2, 3))
-        evidence = [
-            SoftEvidence("c0", {"l0": 0.2, "l1": 0.5, "l2": 0.3}),
-            SoftEvidence("c1", {"l0": 0.9, "l1": 0.1}),
-            SoftEvidence("c2", {"l0": 0.1, "l1": 0.1, "l2": 0.8}),
-        ]
+        evidence = {
+            "c0": {"l0": 0.2, "l1": 0.5, "l2": 0.3},
+            "c1": {"l0": 0.9, "l1": 0.1},
+            "c2": {"l0": 0.1, "l1": 0.1, "l2": 0.8},
+        }
         base = posterior(net, evidence)
-        assert posterior(net, evidence[::-1]) == pytest.approx(base, abs=1e-12)
+        reversed_order = dict(reversed(evidence.items()))
+        assert posterior(net, reversed_order) == pytest.approx(base, abs=1e-12)
 
     def test_scale_invariance(self, rng):
         net = random_net(rng, (3, 3))
-        ev_a = [SoftEvidence("c0", {"l0": 0.2, "l2": 0.8}), SoftEvidence("c1", {"l1": 1.0})]
-        ev_b = [SoftEvidence("c0", {"l0": 0.2 * 7.3, "l2": 0.8 * 7.3}), SoftEvidence("c1", {"l1": 0.004})]
+        ev_a = {"c0": {"l0": 0.2, "l2": 0.8}, "c1": {"l1": 1.0}}
+        ev_b = {"c0": {"l0": 0.2 * 7.3, "l2": 0.8 * 7.3}, "c1": {"l1": 0.004}}
         assert posterior(net, ev_b) == pytest.approx(posterior(net, ev_a), abs=1e-12)
 
     def test_no_evidence_returns_prior(self, rng):
         net = random_net(rng, (2,))
-        assert posterior(net, []) == pytest.approx(net.prior, abs=1e-12)
+        assert posterior(net, {}) == pytest.approx(net.prior, abs=1e-12)
 
     def test_matches_joint_enumeration(self, rng):
         for _ in range(60):
             net = random_net(rng, (2, 3))
             liks = [rng.random(2) + 0.01, rng.random(3) + 0.01]
-            evidence = [
-                SoftEvidence("c0", {f"l{j}": float(liks[0][j]) for j in range(2)}),
-                SoftEvidence("c1", {f"l{j}": float(liks[1][j]) for j in range(3)}),
-            ]
+            evidence = {
+                "c0": {f"l{j}": float(liks[0][j]) for j in range(2)},
+                "c1": {f"l{j}": float(liks[1][j]) for j in range(3)},
+            }
             tables = [net.children["c0"][1], net.children["c1"][1]]
             want = posterior_by_joint_enumeration(net.prior, tables, liks)
             assert posterior(net, evidence) == pytest.approx(want, abs=1e-12)
@@ -175,7 +175,7 @@ class TestPosterior:
     def test_partial_evidence_marginalizes_silent_children(self, rng):
         # evidence on one child only must equal the single-child network result
         net = random_net(rng, (3, 4))
-        ev = [SoftEvidence("c0", {"l0": 0.3, "l1": 0.7})]
+        ev = {"c0": {"l0": 0.3, "l1": 0.7}}
         small = MwlNetwork(prior=net.prior, children={"c0": net.children["c0"]})
         assert posterior(net, ev) == pytest.approx(posterior(small, ev), abs=1e-12)
 
@@ -186,70 +186,92 @@ class TestPosterior:
             children={"probe": (tuple("abcde"), eye)},
         )
         for k, label in enumerate("abcde"):
-            post = posterior(net, [SoftEvidence.hard("probe", label)])
+            post = posterior(net, {"probe": {label: 1.0}})
             assert post[k] == pytest.approx(1.0)
             assert mwl_level(post) == k + 1
-
-    def test_duplicate_evidence_rejected(self, rng):
-        net = random_net(rng, (2,))
-        ev = SoftEvidence("c0", {"l0": 1.0})
-        with pytest.raises(DataError, match="duplicate"):
-            posterior(net, [ev, ev])
 
     def test_unknown_variable_rejected(self, rng):
         net = random_net(rng, (2,))
         with pytest.raises(DataError, match="unknown variable"):
-            posterior(net, [SoftEvidence("nope", {"l0": 1.0})])
+            posterior(net, {"nope": {"l0": 1.0}})
 
     def test_unknown_label_rejected(self, rng):
         net = random_net(rng, (2,))
         with pytest.raises(DataError, match="unknown labels"):
-            posterior(net, [SoftEvidence("c0", {"zz": 1.0})])
+            posterior(net, {"c0": {"zz": 1.0}})
 
     def test_zero_mass_evidence_rejected(self):
         cpt = np.tile([1.0, 0.0], (5, 1))
         net = MwlNetwork(prior=np.full(5, 0.2), children={"c": (("a", "b"), cpt)})
         with pytest.raises(DataError, match="zero probability"):
-            posterior(net, [SoftEvidence.hard("c", "b")])
+            posterior(net, {"c": {"b": 1.0}})
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_evidence_rejected(self, rng):
         net = random_net(rng, (2, 2, 2))
-        huge = [SoftEvidence(f"c{i}", {"l0": 1e300, "l1": 1e300}) for i in range(3)]
+        huge = {f"c{i}": {"l0": 1e300, "l1": 1e300} for i in range(3)}
         with pytest.raises(DataError, match="overflow"):
             posterior(net, huge)
 
-    def test_evidence_validation(self):
-        with pytest.raises(DataError):
-            SoftEvidence("x", {})
-        with pytest.raises(DataError):
-            SoftEvidence("x", {"a": -0.1})
-        with pytest.raises(DataError):
-            SoftEvidence("x", {"a": 0.0, "b": 0.0})
+    def test_evidence_validation(self, rng):
+        net = random_net(rng, (2, 2))
+        # an empty or all-zero likelihood leaves no mass
+        with pytest.raises(DataError, match="zero probability"):
+            posterior(net, {"c0": {}})
+        with pytest.raises(DataError, match="zero probability"):
+            posterior(net, {"c1": {"l0": 1.0}, "c0": {"l0": 0.0, "l1": 0.0}})
+        with pytest.raises(DataError, match="'c0': likelihood -0.1 is not a finite number"):
+            posterior(net, {"c0": {"l0": -0.1}})
+        with pytest.raises(DataError, match="'c1': likelihood -0.1 is not a finite number"):
+            posterior(net, {"c0": {"l0": 1.0}, "c1": {"l0": 0.5, "l1": -0.1}})
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-    def test_non_finite_evidence_rejected(self, bad):
-        with pytest.raises(DataError, match="non-finite"):
-            SoftEvidence("x", {"a": bad})
-        with pytest.raises(DataError, match="non-finite"):
-            SoftEvidence("x", {"a": 0.5, "b": bad})
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float32("inf"), np.float64("nan")])
+    def test_non_finite_evidence_rejected(self, rng, bad):
+        net = random_net(rng, (2,))
+        with pytest.raises(DataError, match="not a finite number"):
+            posterior(net, {"c0": {"l0": bad}})
+        with pytest.raises(DataError, match="not a finite number"):
+            posterior(net, {"c0": {"l0": 0.5, "l1": bad}})
+
+    @pytest.mark.parametrize("weights", [
+        {"l1": 3}, {"l1": np.float64(0.3)}, {"l1": np.float32(0.3)}, {"l1": True},
+        {"l0": 1, "l1": 2}, {"l0": np.float32(0.25), "l1": np.float64(0.5)},
+        {"l0": np.int64(2), "l1": 10**300},
+    ])
+    def test_int_and_numpy_weights_give_floats(self, rng, weights):
+        """The weights are read as floats, exactly as the float weights would be."""
+        net = random_net(rng, (3, 2))
+        evidence = {"c1": {"l1": 0.7}, "c0": weights}
+        as_floats = {"c1": {"l1": 0.7}, "c0": {l: float(w) for l, w in weights.items()}}
+        got = posterior(net, evidence)
+        assert all(type(p) is float for p in got)
+        assert got == posterior(net, as_floats)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_times_zero_rejected(self, rng):
+        # the overflowed terms are inf, and inf times the zero term is NaN
+        net = random_net(rng, (2, 2, 2, 2))
+        evidence = {f"c{i}": {"l0": 1e300, "l1": 1e300} for i in range(3)}
+        evidence["c3"] = {"l0": 0.0}
+        with pytest.raises(DataError, match="overflow"):
+            posterior(net, evidence)
 
     def test_matches_matmul_reference_bit_for_bit(self, rng):
         for _ in range(300):
             counts = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 5))))
             net = random_net(rng, counts, zero_share=0.2)  # so 0 * weight terms occur
-            evidence = []
+            evidence = {}
             for name, (labels, _) in net.children.items():
                 kind = rng.integers(4)
                 label = labels[rng.integers(len(labels))]
                 if kind == 0:
-                    ev = SoftEvidence.hard(name, label)
+                    evidence[name] = {label: 1.0}
                 elif kind == 1:
-                    ev = SoftEvidence(name, {label: float(rng.random() * 50 + 1e-3)})
+                    evidence[name] = {label: float(rng.random() * 50 + 1e-3)}
                 else:
                     picked = [l for l in labels if kind == 2 or rng.random() < 0.6] or [labels[0]]
-                    ev = SoftEvidence(name, {l: float(rng.random() + 1e-3) for l in picked})
-                evidence.append(ev)
+                    evidence[name] = {l: float(rng.random() + 1e-3) for l in picked}
             want = posterior_by_matmul(net, evidence)
             if want is None:
                 with pytest.raises(DataError, match="zero probability"):
@@ -264,12 +286,12 @@ def net_and_evidence(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = random_net(rng, counts)
     weight = st.floats(1e-3, 1e3)
-    evidence = []
+    evidence = {}
     for name, (labels, _) in net.children.items():
         if not draw(st.booleans()):
             continue
         picked = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
-        evidence.append(SoftEvidence(name, {l: draw(weight) for l in picked}))
+        evidence[name] = {l: draw(weight) for l in picked}
     return net, evidence
 
 
@@ -278,19 +300,19 @@ class TestPosteriorProperties:
     @given(net_and_evidence(), st.randoms(use_true_random=False))
     def test_evidence_order_does_not_matter(self, case, shuffler):
         net, evidence = case
-        shuffled = list(evidence)
+        shuffled = list(evidence.items())
         shuffler.shuffle(shuffled)
-        np.testing.assert_allclose(posterior(net, shuffled), posterior(net, evidence),
+        np.testing.assert_allclose(posterior(net, dict(shuffled)), posterior(net, evidence),
                                    rtol=0, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(net_and_evidence(), st.lists(st.floats(1e-3, 1e3), min_size=4, max_size=4))
     def test_positive_likelihood_scaling_does_not_matter(self, case, scales):
         net, evidence = case
-        scaled = [
-            SoftEvidence(ev.variable, {l: w * c for l, w in ev.likelihood.items()})
-            for ev, c in zip(evidence, scales)
-        ]
+        scaled = {
+            variable: {l: w * c for l, w in likelihood.items()}
+            for (variable, likelihood), c in zip(evidence.items(), scales)
+        }
         np.testing.assert_allclose(posterior(net, scaled), posterior(net, evidence),
                                    rtol=0, atol=1e-12)
 
@@ -318,10 +340,7 @@ class TestDefaultNetwork:
     }
 
     def fused_level(self, net, ranks):
-        ev = [
-            SoftEvidence.hard(child, self.LOAD_ORDER[child][rank])
-            for child, rank in ranks.items()
-        ]
+        ev = {child: {self.LOAD_ORDER[child][rank]: 1.0} for child, rank in ranks.items()}
         return mwl_level(posterior(net, ev))
 
     def test_extremes(self):
@@ -385,7 +404,7 @@ class TestNetworkValidation:
 
 def test_fuse_packages_state(rng):
     net = random_net(rng, (2,))
-    state = fuse(net, 17, [SoftEvidence("c0", {"l0": 0.4, "l1": 0.6})])
+    state = fuse(net, 17, {"c0": {"l0": 0.4, "l1": 0.6}})
     assert state.t == 17
     assert state.level == mwl_level(np.array(state.posterior))
     assert sum(state.posterior) == pytest.approx(1.0, abs=1e-9)
@@ -410,31 +429,28 @@ def test_per_second_value_types(cls, fields):
 
 # ---------------------------------------------------------------------------
 # the fusion oracle: posterior, mwl_level and fuzzify as they were before the
-# per-net column tables and the unchecked nonzero-label evidence, kept
-# verbatim as the reference
+# per-net column tables and the nonzero-label evidence, kept as the
+# reference; only the evidence form changed, from a list of per-variable
+# objects to a mapping
 
 
 def _oracle_posterior(net, evidence):
-    seen = set()
     post = net.prior.copy()
-    for ev in evidence:
-        if ev.variable in seen:
-            raise DataError(f"duplicate evidence for variable {ev.variable!r}")
-        seen.add(ev.variable)
-        if ev.variable not in net.children:
-            raise DataError(f"evidence for unknown variable {ev.variable!r}")
-        labels, cpt = net.children[ev.variable]
-        unknown = set(ev.likelihood) - set(labels)
+    for variable, likelihood in evidence.items():
+        if variable not in net.children:
+            raise DataError(f"evidence for unknown variable {variable!r}")
+        labels, cpt = net.children[variable]
+        unknown = set(likelihood) - set(labels)
         if unknown:
             raise DataError(
-                f"evidence for {ev.variable!r} names unknown labels {sorted(unknown)}"
+                f"evidence for {variable!r} names unknown labels {sorted(unknown)}"
             )
-        if len(ev.likelihood) == 1:
+        if len(likelihood) == 1:
             # the other terms of cpt @ lik are +0.0, so this is the same bits
-            ((label, weight),) = ev.likelihood.items()
+            ((label, weight),) = likelihood.items()
             post = post * (cpt[:, labels.index(label)] * weight)
         else:
-            lik = np.array([ev.likelihood.get(label, 0.0) for label in labels])
+            lik = np.array([likelihood.get(label, 0.0) for label in labels])
             post = post * (cpt @ lik)
     total = post.sum()
     if total <= 0.0:
@@ -456,8 +472,8 @@ def _oracle_mwl_level(post):
 
 
 def _oracle_fuzzify(x, partition):
-    """Every label listed, zeros included, through the SoftEvidence checks."""
-    return SoftEvidence(partition.variable, partition.membership(x))
+    """Every label listed, zeros included."""
+    return partition.membership(x)
 
 
 def same_bits(got, want):
@@ -476,19 +492,19 @@ def random_evidence(rng, net):
         if kind == 0:
             continue
         if kind == 1:
-            ev = SoftEvidence.hard(name, labels[i])
+            lik = {labels[i]: 1.0}
         elif kind == 2:
-            ev = SoftEvidence(name, {labels[i]: float(rng.random() * 50 + 1e-3)})
+            lik = {labels[i]: float(rng.random() * 50 + 1e-3)}
         elif kind == 3 and len(labels) > 1:
             j = min(i, len(labels) - 2)
             up = float(rng.random())
-            ev = SoftEvidence(name, {labels[j]: 1.0 - up, labels[j + 1]: up})
+            lik = {labels[j]: 1.0 - up, labels[j + 1]: up}
         else:
             picked = [l for l in labels if rng.random() < 0.6] or [labels[i]]
-            ev = SoftEvidence(name, {l: float(rng.random() + 1e-3) for l in picked})
-        evidence.append(ev)
+            lik = {l: float(rng.random() + 1e-3) for l in picked}
+        evidence.append((name, lik))
     rng.shuffle(evidence)
-    return evidence
+    return dict(evidence)
 
 
 def outcome(fn, *args):
@@ -525,7 +541,7 @@ class TestFusionOracle:
             assert outcome(mwl_level, bad) == outcome(_oracle_mwl_level, bad)
 
     @pytest.mark.parametrize("case", [
-        "duplicate", "unknown variable", "unknown label", "unknown labels",
+        "unknown variable", "unknown label", "unknown labels",
         "zero mass", "zero mass multi", "overflow",
     ])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -534,13 +550,12 @@ class TestFusionOracle:
         net = MwlNetwork(prior=net.prior, children={
             **net.children, "z": (("a", "b", "c"), np.tile([1.0, 0.0, 0.0], (5, 1)))})
         evidence = {
-            "duplicate": [SoftEvidence.hard("c0", "l0"), SoftEvidence("c0", {"l1": 2.0})],
-            "unknown variable": [SoftEvidence.hard("c1", "l0"), SoftEvidence.hard("nope", "l0")],
-            "unknown label": [SoftEvidence("c1", {"zz": 3.0})],
-            "unknown labels": [SoftEvidence("c2", {"l1": 0.5, "zz": 0.1, "aa": 0.2, "l0": 1.0})],
-            "zero mass": [SoftEvidence.hard("c0", "l1"), SoftEvidence.hard("z", "b")],
-            "zero mass multi": [SoftEvidence("z", {"b": 0.5, "c": 0.5})],
-            "overflow": [SoftEvidence(f"c{i}", {"l0": 1e300, "l1": 1e300}) for i in range(3)],
+            "unknown variable": {"c1": {"l0": 1.0}, "nope": {"l0": 1.0}},
+            "unknown label": {"c1": {"zz": 3.0}},
+            "unknown labels": {"c2": {"l1": 0.5, "zz": 0.1, "aa": 0.2, "l0": 1.0}},
+            "zero mass": {"c0": {"l1": 1.0}, "z": {"b": 1.0}},
+            "zero mass multi": {"z": {"b": 0.5, "c": 0.5}},
+            "overflow": {f"c{i}": {"l0": 1e300, "l1": 1e300} for i in range(3)},
         }[case]
         want = outcome(_oracle_posterior, net, evidence)
         assert isinstance(want, tuple) and want[0] is DataError
@@ -551,17 +566,19 @@ class TestFusionOracle:
     ])
     def test_every_tick_of_a_session(self, monkeypatch, operator, dfa):
         """Each tick's posterior equals the oracle's on the same evidence and
-        on the evidence the checked, every-label fuzzify gave."""
+        on the evidence an every-label fuzzify would give, and the evidence
+        comes in the order constraint, behaviour, performance, effort."""
         calls = []
 
         def checked(net, evidence):
             post = posterior(net, evidence)
-            dense = [
-                SoftEvidence(ev.variable, {l: ev.likelihood.get(l, 0.0)
-                                           for l in net.children[ev.variable][0]})
-                if ev.variable in net.partitions else ev
-                for ev in evidence
-            ]
+            dense = {
+                variable: ({l: likelihood.get(l, 0.0) for l in net.children[variable][0]}
+                           if variable in net.partitions else likelihood)
+                for variable, likelihood in evidence.items()
+            }
+            assert list(evidence) in (["constraint", "behaviour", "performance", "effort"],
+                                      ["behaviour", "performance", "effort"])
             assert same_bits(post, _oracle_posterior(net, evidence))
             assert same_bits(post, _oracle_posterior(net, dense))
             calls.append(len(evidence))
@@ -587,28 +604,28 @@ class TestFuzzifyNonzero:
                    [math.nextafter(e, -math.inf) for e in edges],
                    [math.nextafter(e, math.inf) for e in edges]]
         for x in xs.tolist():
-            ev = fuzzify(x, part)
+            lik = fuzzify(x, part)
             want = _oracle_fuzzify(x, part)
-            assert ev == SoftEvidence(want.variable,
-                                      {l: w for l, w in want.likelihood.items() if w != 0.0})
-            assert list(ev.likelihood) == [l for l in part.labels if l in ev.likelihood]
-            assert all(type(w) is float and w > 0.0 for w in ev.likelihood.values())
-            assert len(ev.likelihood) in (1, 2) and sum(ev.likelihood.values()) == 1.0
+            assert type(lik) is dict
+            assert lik == {l: w for l, w in want.items() if w != 0.0}
+            assert list(lik) == [l for l in part.labels if l in lik]
+            assert all(type(w) is float and w > 0.0 for w in lik.values())
+            assert len(lik) in (1, 2) and sum(lik.values()) == 1.0
 
     def test_overlap_weight_rounding_to_an_end(self):
         # (x - lo) / (hi - lo) underflows to 0 here, and rounds to 1 there
         part = FuzzyPartition("v", ("a", "b"), (0.0, 10.0), ((0.0, 4.0),))
-        assert fuzzify(5e-324, part).likelihood == {"a": 1.0}
+        assert fuzzify(5e-324, part) == {"a": 1.0}
         assert part.membership(5e-324) == {"a": 1.0, "b": 0.0}
         lo, hi = -2.434454589115478, -0.7838273344621424
         part = FuzzyPartition("v", ("a", "b"), (-5.0, 5.0), ((lo, hi),))
         x = math.nextafter(hi, -math.inf)
-        assert fuzzify(x, part).likelihood == {"b": 1.0}
+        assert fuzzify(x, part) == {"b": 1.0}
         assert part.membership(x) == {"a": 0.0, "b": 1.0}
 
     def test_reading_checks_kept(self):
         with pytest.warns(UserWarning, match="outside domain"):
-            assert fuzzify(-3.0, THREE_BAND).likelihood == {"low": 1.0}
+            assert fuzzify(-3.0, THREE_BAND) == {"low": 1.0}
         with pytest.raises(DataError, match="reading nan is not finite"):
             fuzzify(float("nan"), THREE_BAND)
 
@@ -619,7 +636,7 @@ class TestFuzzifyNonzero:
 
 def test_fuse_state_holds_floats(rng):
     net = random_net(rng, (3,))
-    evidence = [SoftEvidence("c0", {"l0": 0.4, "l2": 0.6})]
+    evidence = {"c0": {"l0": 0.4, "l2": 0.6}}
     state = fuse(net, 4, evidence)
     assert all(type(p) is float for p in state.posterior)
     assert state.posterior == tuple(_oracle_posterior(net, evidence).tolist())
