@@ -10,7 +10,10 @@ normalized); the posterior is exact:
     post(k)  proportional to  prior(k) * prod_children sum_l lik(l) * cpt[k, l]
 
 Children without evidence drop out (their labels marginalize to 1), and a
-label that evidence leaves out has likelihood 0. `fuzzify` gives one
+label that evidence leaves out has likelihood 0. Every sum and product is
+taken in Python floats in a fixed order (children in the evidence's order,
+labels in table order, levels 1..5), never by a BLAS kernel, so a posterior
+is the same bits on every CPU and numpy build. `fuzzify` gives one
 child's likelihood from a reading: only the labels with nonzero weight, one
 label on a plateau of the partition, two inside an overlap.
 
@@ -54,6 +57,8 @@ class FuzzyPartition:
     def __post_init__(self):
         labels = tuple(self.labels)
         overlaps = tuple((float(lo), float(hi)) for lo, hi in self.overlaps)
+        if len(self.domain) != 2:
+            raise ConfigError(f"partition {self.variable}: domain must be [low, high]")
         lo_dom, hi_dom = float(self.domain[0]), float(self.domain[1])
         if len(set(labels)) != len(labels) or not labels:
             raise ConfigError(f"partition {self.variable}: labels must be unique and non-empty")
@@ -128,7 +133,7 @@ class MwlNetwork:
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (N_LEVELS,):
             raise ConfigError(f"prior must have {N_LEVELS} entries")
-        if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
+        if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise ConfigError("prior must be a distribution (non-negative, sums to 1)")
         children = {}
         for name, (labels, cpt) in self.children.items():
@@ -140,13 +145,13 @@ class MwlNetwork:
                 raise ConfigError(
                     f"child {name}: table must be {N_LEVELS}x{len(labels)}, got {cpt.shape}"
                 )
-            if np.any(cpt < 0) or np.any(np.abs(cpt.sum(axis=1) - 1.0) > 1e-9):
+            if not (np.all(cpt >= 0) and np.all(np.abs(cpt.sum(axis=1) - 1.0) <= 1e-9)):
                 raise ConfigError(f"child {name}: every row must be a distribution")
             children[name] = (labels, cpt)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "children", children)
         # what posterior reads per piece of evidence, as Python floats: the
-        # prior, and for each child every label's table column
+        # prior, and for each child every label's table column, in table order
         object.__setattr__(self, "_prior", prior.tolist())
         object.__setattr__(self, "_columns", {
             name: {label: cpt[:, i].tolist() for i, label in enumerate(labels)}
@@ -155,6 +160,8 @@ class MwlNetwork:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MwlNetwork":
+        """The network a parsed JSON document describes; a document of any
+        other shape, or with an unusable value, is a ConfigError."""
         try:
             children = {
                 name: (tuple(spec["labels"]), np.asarray(spec["cpt"], dtype=float))
@@ -170,11 +177,13 @@ class MwlNetwork:
                 for var, spec in raw.get("partitions", {}).items()
             }
             prior = np.asarray(raw["prior"], dtype=float)
+            return cls(prior=prior, children=children, partitions=partitions)
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        # a list where an object belongs, a number past the floats, an
+        # unhashable label
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"workload network config: {exc}") from exc
-        return cls(prior=prior, children=children, partitions=partitions)
 
     @classmethod
     def load(cls, path: str | Path) -> "MwlNetwork":
@@ -189,8 +198,12 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
     """Exact posterior over the five levels given evidence {variable: {label:
     weight}}, as a tuple of five floats, level 1 first.
 
-    The children's terms multiply in the mapping's order. Invariant under
-    that order and under positive scaling of any likelihood. Raises
+    The children's terms multiply in the mapping's order. A child's term
+    sum_l lik(l) * cpt[k, l] adds the labels in table order, left to right,
+    in Python floats; a label the evidence leaves out, or weighs 0, adds
+    +0.0 and is skipped. The five products are then summed left to right.
+    Up to rounding, the posterior is invariant under the children's order
+    and under positive scaling of any likelihood. Raises
     DataError for an unknown variable or label, a weight that is not a
     finite number >= 0, evidence with zero mass under the model (an empty or
     all-zero likelihood has none), or so much mass that it overflows.
@@ -209,15 +222,23 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
                     f"evidence for {variable!r}: likelihood {weight!r} is not a finite number >= 0"
                 )
         if len(likelihood) == 1:
-            # the other terms of cpt @ lik are +0.0, so this is the same bits
+            # the other terms of the sum are +0.0, so this is the same bits
             ((label, weight),) = likelihood.items()
             weight = float(weight)
             c1, c2, c3, c4, c5 = columns[label]
             c1, c2, c3, c4, c5 = c1 * weight, c2 * weight, c3 * weight, c4 * weight, c5 * weight
         else:
-            labels, cpt = net.children[variable]
-            lik = np.array([likelihood.get(label, 0.0) for label in labels], dtype=float)
-            c1, c2, c3, c4, c5 = cpt.dot(lik).tolist()
+            # in table order, left to right; a label left out adds +0.0
+            c1 = c2 = c3 = c4 = c5 = 0.0
+            for label, (d1, d2, d3, d4, d5) in columns.items():
+                weight = likelihood.get(label)
+                if weight:
+                    weight = float(weight)
+                    c1 += d1 * weight
+                    c2 += d2 * weight
+                    c3 += d3 * weight
+                    c4 += d4 * weight
+                    c5 += d5 * weight
         p1, p2, p3, p4, p5 = p1 * c1, p2 * c2, p3 * c3, p4 * c4, p5 * c5
     # left to right, the order in which numpy sums five entries
     total = p1 + p2 + p3 + p4 + p5

@@ -29,6 +29,7 @@ import json
 import os
 import stat
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from numbers import Integral
 from operator import itemgetter
@@ -41,13 +42,23 @@ DATA = Path(__file__).parent / "data"
 
 
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# The C encoder that _RECORD_ENCODER.encode builds anew for every call, built
+# once. It keeps no circular-reference markers: they would outlive a record
+# that raises, and flag the next record made at the same address.
+_ITERENCODE = c_make_encoder and c_make_encoder(
+    None, _RECORD_ENCODER.default, encode_basestring_ascii, None,
+    _RECORD_ENCODER.key_separator, _RECORD_ENCODER.item_separator, True, False, False)
 _SCAN_ONCE = json.JSONDecoder().scan_once
 
 
 def dumps_record(record: dict[str, Any]) -> str:
     """One record as a JSON line: sorted keys, no spaces, NaN and infinity
-    rejected (ValueError)."""
-    return _RECORD_ENCODER.encode(record)
+    rejected (ValueError), a record that holds itself too (RecursionError)."""
+    return "".join(_ITERENCODE(record, 0))
+
+
+if _ITERENCODE is None:  # a Python without the json C accelerator
+    dumps_record = _RECORD_ENCODER.encode  # noqa: F811
 
 
 def _keep_contents(path, flags):

@@ -405,7 +405,7 @@ class World:
                 ot[task] = self.ot_flags[task]
             else:
                 at[task] = 0
-        return TaskTick(t=t, at=at, ot=ot)
+        return TaskTick(t, at, ot)
 
     # -- observables --------------------------------------------------------
 
@@ -423,7 +423,7 @@ class World:
         if key != self._entropy_key:
             self._entropy = spatial_entropy([(v.x, v.y) for v in active])
             self._entropy_key = key
-        return ConstraintFrame(t=int(t), n1=len(active), n2=pending_msgs, entropy=self._entropy)
+        return ConstraintFrame(int(t), len(active), pending_msgs, self._entropy)
 
     def windowed_performance(self, t: float) -> float:
         """Blend of recent neutralization speed and message answering.

@@ -109,7 +109,7 @@ def read_demand_csv(path: str | Path) -> dict:
         second = int(t)
         if second != t:
             raise DataError(f"stream 'demand' ({path}): t_s {t_s} is not a whole second")
-        return ConstraintFrame(t=second, n1=int(n1), n2=int(n2), entropy=float(entropy))
+        return ConstraintFrame(second, int(n1), int(n2), float(entropy))
 
     frames = {}
     for frame in read_csv(path, "demand", ("t_s", "n1", "n2", "entropy"), parse):

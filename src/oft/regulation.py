@@ -20,7 +20,6 @@ regulation event, classified by this decision tree:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
@@ -46,28 +45,36 @@ PERFORMANCE_ORIENTED = frozenset(
 COST_ORIENTED = frozenset({RegulationKind.COBR, RegulationKind.PRBR})
 
 
-@dataclass(frozen=True)
-class TaskTick:
-    """One second of activity: at[task] in {0,1}; ot only for active tasks."""
+_OT_NOT_ACTIVE = "tick t={}: ot must be reported for exactly the active tasks"
 
+
+class _TaskTick(NamedTuple):
     t: int
     at: dict
     ot: dict
 
-    def __post_init__(self):
+
+class TaskTick(_TaskTick):
+    """One second of activity: at[task] in {0,1}; ot only for active tasks.
+
+    A tuple, checked once when made; `_make` and `_replace` skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, at: dict, ot: dict):
         active = set()
-        for task, value in self.at.items():
+        for task, value in at.items():
             if value == 1:
                 active.add(task)
             elif value != 0:
-                raise DataError(f"tick t={self.t}: at values must be 0 or 1")
-        for value in self.ot.values():
+                raise DataError(f"tick t={t}: at values must be 0 or 1")
+        for value in ot.values():
             if value not in (0, 1):
-                raise DataError(f"tick t={self.t}: ot values must be 0 or 1")
-        if self.ot.keys() != active:
-            raise DataError(
-                f"tick t={self.t}: ot must be reported for exactly the active tasks"
-            )
+                raise DataError(f"tick t={t}: ot values must be 0 or 1")
+        if ot.keys() != active:
+            raise DataError(_OT_NOT_ACTIVE.format(t))
+        return tuple.__new__(cls, (t, at, ot))
 
 
 class ActivitySnapshot(NamedTuple):
@@ -98,7 +105,7 @@ def snapshot(tick: TaskTick, prev: Optional[ActivitySnapshot], perf: float) -> A
     cps = sum(tick.ot.values())
     dcps = cps - prev.cps if prev is not None else 0
     dnps = nps - prev.nps if prev is not None else 0
-    return ActivitySnapshot(t=tick.t, nps=nps, cps=cps, dcps=dcps, dnps=dnps, perf=perf)
+    return ActivitySnapshot(tick.t, nps, cps, dcps, dnps, perf)
 
 
 def classify_regulation(curr: ActivitySnapshot, prev: ActivitySnapshot) -> Optional[RegulationKind]:
@@ -145,7 +152,7 @@ class ActivityTracker:
         event = None
         if self.prev is not None and snap.dcps != 0:
             kind = classify_regulation(snap, self.prev)
-            event = RegulationEvent(t=snap.t, kind=kind)
+            event = RegulationEvent(snap.t, kind)
             self.events.append(event)
         self._sum_nps += snap.nps
         self._sum_cps += snap.cps
@@ -168,9 +175,11 @@ def read_ticks_jsonl(path: str | Path):
     `t` must be a JSON integer, `at` and `ot` JSON objects whose values are
     the JSON integers 0 or 1, and `perf` a JSON number; nothing is coerced
     (not `true`, `1.0` or `"0.5"`). The tick holds the decoded `at` and
-    `ot` dicts themselves.
+    `ot` dicts themselves. Each value is checked once, here; `ot` must then
+    name exactly the active tasks, with TaskTick's message.
     """
     where = f"stream 'ticks' ({path})"
+    make_tick = TaskTick._make
     for rec in load_jsonl(path):
         try:
             t, at, ot = rec["t"], rec["at"], rec["ot"]
@@ -180,10 +189,18 @@ def read_ticks_jsonl(path: str | Path):
             raise DataError(f"{where}: bad record {rec!r}: t is not an integer")
         if type(at) is not dict or type(ot) is not dict:
             raise DataError(f"{where}: bad record {rec!r}: at and ot must be JSON objects")
-        for value in (*at.values(), *ot.values()):
+        active = set()
+        for task, value in at.items():
             if type(value) is not int or not 0 <= value <= 1:
                 raise DataError(f"{where}: bad record {rec!r}: at and ot values must be 0 or 1")
-        tick = TaskTick(t=t, at=at, ot=ot)
+            if value:
+                active.add(task)
+        for value in ot.values():
+            if type(value) is not int or not 0 <= value <= 1:
+                raise DataError(f"{where}: bad record {rec!r}: at and ot values must be 0 or 1")
+        if ot.keys() != active:
+            raise DataError(_OT_NOT_ACTIVE.format(t))
+        tick = make_tick((t, at, ot))
         perf = rec.get("perf")
         if type(perf) not in (int, float):
             raise DataError(f"{where}: bad record {rec!r}: perf is not a number")

@@ -33,22 +33,29 @@ MESSAGE_BUDGET_S = 120.0
 T_REF_S = 180.0
 
 
-@dataclass(frozen=True)
-class ConstraintFrame:
-    """One second of task-demand numbers."""
-
+class _ConstraintFrame(NamedTuple):
     t: int
     n1: int
     n2: int
     entropy: float
 
-    def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise DataError(f"constraint frame t={self.t}: counts must be >= 0")
-        if not math.isfinite(self.entropy):
-            raise DataError(f"constraint frame t={self.t}: entropy must be finite")
-        if self.entropy < 0:
-            raise DataError(f"constraint frame t={self.t}: entropy must be >= 0")
+
+class ConstraintFrame(_ConstraintFrame):
+    """One second of task-demand numbers.
+
+    A tuple, checked once when made; `_make` and `_replace` skip the check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: int, n1: int, n2: int, entropy: float):
+        if n1 < 0 or n2 < 0:
+            raise DataError(f"constraint frame t={t}: counts must be >= 0")
+        if not math.isfinite(entropy):
+            raise DataError(f"constraint frame t={t}: entropy must be finite")
+        if entropy < 0:
+            raise DataError(f"constraint frame t={t}: entropy must be >= 0")
+        return tuple.__new__(cls, (t, n1, n2, entropy))
 
 
 class DiscretizedConstraints(NamedTuple):

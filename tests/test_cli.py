@@ -659,14 +659,15 @@ def write_fixed_recording(folder, duration=300):
     return str(beats), str(pupil), str(ticks), str(demand)
 
 
-# written by the checked every-label evidence, the numpy posterior and the
-# csv.DictReader input path; the manifests of the two reference runs record
+# written by the fixed-order posterior (labels summed left to right in
+# Python floats, as numpy's OpenBLAS did only on CPUs without FMA) and the
+# csv.reader input path; the manifests of the two reference runs record
 # their --reference
 MONITOR_SHA256 = {
-    ("session", False): "9be56fbfcd9ffe515037128eddec00804bdd8a2b7d303152e9486472177a0f90",
-    ("session", True): "a1888eea0f45103baa0de9ecf509ea64e6ec547f1b25229dab0c5aa688f3a385",
-    ("reference", False): "84edd795ac6c5cb7131910c5503ab6f84c72b3d1da040ff0f653faf10faae61a",
-    ("reference", True): "af43f1393cdbcfa37c29e0159b9071beaadf1fbfc473916a4a0cd7e8009ebe6d",
+    ("session", False): "3d5cf08d2c5b905721ecc04dbe411b74c9c4d0c4d2501de00577e12ec18b3cfb",
+    ("session", True): "79014601849d2a50a88f86cad3394a268d9b7d8efedaccfe7329e9fe727a5d4d",
+    ("reference", False): "309a8be6434a2d47f7275496a4c403c3a93ba5a81c766c47460b4545e6f14998",
+    ("reference", True): "591e43073e18c6bc2725d9e7bb66aff3ef8f9944096e0f7503ee9c03eeba2c21",
 }
 SIMULATE_SHA256 = {
     (2, "off"): "271c16968b111dfa78c6910d65f0b8f4be900b2ab66413939247eb844cbd36f1",
@@ -716,6 +717,28 @@ class TestFusionDigests:
         blob = b"".join((out / n).read_bytes()
                         for n in ("mwl.jsonl", "events.jsonl", "report.json", "manifest.json"))
         assert hashlib.sha256(blob).hexdigest() == MONITOR_SHA256[(normalization, with_demand)]
+
+    def test_monitor_outputs_on_two_blas_kernels(self, tmp_path):
+        """`oft monitor` writes the same bytes with OpenBLAS's kernel for this
+        CPU as with its Sandybridge kernel, which has no fused multiply-add.
+        With a numpy not built on OpenBLAS, OPENBLAS_CORETYPE does nothing
+        and this test proves nothing."""
+        beats, pupil, ticks, demand = write_fixed_recording(tmp_path)
+        out = tmp_path / "mon"
+        argv = ["monitor", "--beats", beats, "--pupil", pupil, "--ticks", ticks,
+                "--demand", demand, "--out-dir", str(out)]
+        code = "import sys; from oft.cli import main; raise SystemExit(main(sys.argv[1:]))"
+        blobs = []
+        for coretype in (None, "Sandybridge"):
+            env = src_env()
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                           capture_output=True)
+            blobs.append(b"".join((out / n).read_bytes()
+                                  for n in ("mwl.jsonl", "events.jsonl", "report.json")))
+        assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("seed,dfa", list(SIMULATE_SHA256))
     def test_simulate_log(self, tmp_path, seed, dfa):
@@ -1916,8 +1939,8 @@ def quiet_main(argv):
 
 
 class TestInputFileFuzz:
-    """Mutated settings, allocation model, classifier model, trace and
-    roster files end in a documented exit code."""
+    """Mutated settings, fusion network, allocation model, classifier model,
+    trace and roster files end in a documented exit code."""
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutation=json_mutations())
@@ -1932,6 +1955,31 @@ class TestInputFileFuzz:
                          ["physio", "--beats", beats, "--pupil", pupil, "--normalization",
                           "reference", "--out", folder / "frames.csv"]):
                 assert quiet_main(["--config", config, *argv]) in (0, 2, 3, 4), argv[0]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mutation=json_mutations())
+    # partitions as a list, a prior past the floats, an empty domain, a list
+    # as a label
+    @example(mutation=("value", (("partitions",), [1, 2])))
+    @example(mutation=("value", (("prior", 0), 10**400)))
+    @example(mutation=("value", (("partitions", "effort", "domain"), "")))
+    @example(mutation=("value", (("children", "effort", "labels", 0), [1, 2])))
+    def test_fusion_network_file(self, fuzz_inputs, mutation):
+        beats, pupil_rows, ticks = fuzz_inputs
+        net = json.loads((DATA / "mwl_net.json").read_text())
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            paths = {name: folder / name for name in
+                     ("net.json", "settings.json", "pupil.csv", "ticks.jsonl")}
+            paths["net.json"].write_text(mutated_json_text(net, *mutation))
+            paths["settings.json"].write_text(json.dumps({"fusion_net": str(paths["net.json"])}))
+            paths["pupil.csv"].write_text(mutated_text("pupil", None, None, pupil_rows, None))
+            paths["ticks.jsonl"].write_text(mutated_text("ticks", None, None, None, ticks))
+            for argv in (["simulate", "--duration", "20", "--log", folder / "run.jsonl"],
+                         ["monitor", "--beats", beats, "--pupil", paths["pupil.csv"],
+                          "--ticks", paths["ticks.jsonl"], "--out-dir", folder / "out"]):
+                assert quiet_main(["--config", paths["settings.json"], *argv]) in (0, 2, 3, 4), \
+                    argv[0]
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(mutation=json_mutations())

@@ -23,8 +23,8 @@ from oft.fusion import (
     mwl_level,
     posterior,
 )
-from oft.regulation import ActivitySnapshot, RegulationEvent, RegulationKind
-from oft.taskload import DiscretizedConstraints
+from oft.regulation import ActivitySnapshot, RegulationEvent, RegulationKind, TaskTick
+from oft.taskload import ConstraintFrame, DiscretizedConstraints
 
 
 def posterior_by_joint_enumeration(prior, tables, likelihoods):
@@ -43,13 +43,21 @@ def posterior_by_joint_enumeration(prior, tables, likelihoods):
     return out / out.sum()
 
 
-def posterior_by_matmul(net, evidence):
-    """The dense reference, every variable's likelihood as cpt @ lik; None
-    when the evidence has zero mass."""
+def dense_term(cpt, lik):
+    """sum_l cpt[k, l] * lik[l] for every level, the labels added left to
+    right: numpy sums a row of fewer than 8 entries in order, where a BLAS
+    `cpt @ lik` may fuse the multiply-adds, whose bits depend on the CPU."""
+    assert cpt.shape[1] < 8
+    return (cpt * lik).sum(axis=1)
+
+
+def posterior_by_dense_sum(net, evidence):
+    """The dense reference, every variable's likelihood as a term over all
+    of its labels; None when the evidence has zero mass."""
     post = net.prior.copy()
     for variable, likelihood in evidence.items():
         labels, cpt = net.children[variable]
-        post = post * (cpt @ np.array([likelihood.get(label, 0.0) for label in labels]))
+        post = post * dense_term(cpt, np.array([likelihood.get(label, 0.0) for label in labels]))
     total = post.sum()
     return post / total if total > 0.0 else None
 
@@ -260,7 +268,7 @@ class TestPosterior:
         with pytest.raises(DataError, match="overflow"):
             posterior(net, evidence)
 
-    def test_matches_matmul_reference_bit_for_bit(self, rng):
+    def test_matches_dense_reference_bit_for_bit(self, rng):
         for _ in range(300):
             counts = tuple(int(n) for n in rng.integers(1, 6, size=int(rng.integers(1, 5))))
             net = random_net(rng, counts, zero_share=0.2)  # so 0 * weight terms occur
@@ -275,7 +283,7 @@ class TestPosterior:
                 else:
                     picked = [l for l in labels if kind == 2 or rng.random() < 0.6] or [labels[0]]
                     evidence[name] = {l: float(rng.random() + 1e-3) for l in picked}
-            want = posterior_by_matmul(net, evidence)
+            want = posterior_by_dense_sum(net, evidence)
             if want is None:
                 with pytest.raises(DataError, match="zero probability"):
                     posterior(net, evidence)
@@ -404,6 +412,22 @@ class TestNetworkValidation:
         with pytest.raises(ConfigError):
             MwlNetwork(prior=np.full(5, 0.2), children={"c": (("a",), np.ones((4, 1)))})
 
+    def test_nan_entries_rejected(self):
+        # a NaN compares false both ways, so it used to pass both checks
+        prior = np.full(5, 0.2)
+        prior[2] = math.nan
+        with pytest.raises(ConfigError, match="prior"):
+            MwlNetwork(prior=prior, children={})
+        cpt = np.full((5, 2), 0.5)
+        cpt[1, 0] = math.nan
+        with pytest.raises(ConfigError, match="distribution"):
+            MwlNetwork(prior=np.full(5, 0.2), children={"c": (("a", "b"), cpt)})
+
+    @pytest.mark.parametrize("domain", [(), (0.0,), (0.0, 1.0, 2.0)])
+    def test_partition_domain_is_two_numbers(self, domain):
+        with pytest.raises(ConfigError, match="domain"):
+            FuzzyPartition("v", ("a",), domain, ())
+
 
 def test_fuse_packages_state(rng):
     net = random_net(rng, (2,))
@@ -419,6 +443,8 @@ def test_fuse_packages_state(rng):
     (RegulationEvent, {"t": 3, "kind": RegulationKind.COBR}),
     (DiscretizedConstraints, {"n1_level": "low", "n2_level": "high", "entropy_level": "medium"}),
     (MwlState, {"t": 3, "posterior": (0.1, 0.2, 0.4, 0.2, 0.1), "level": 3}),
+    (TaskTick, {"t": 3, "at": {"a": 1, "b": 0}, "ot": {"a": 0}}),
+    (ConstraintFrame, {"t": 3, "n1": 4, "n2": 0, "entropy": 0.5}),
 ])
 def test_per_second_value_types(cls, fields):
     assert cls._fields == tuple(fields)
@@ -434,7 +460,8 @@ def test_per_second_value_types(cls, fields):
 # the fusion oracle: posterior, mwl_level and fuzzify as they were before the
 # per-net column tables and the nonzero-label evidence, kept as the
 # reference; only the evidence form changed, from a list of per-variable
-# objects to a mapping
+# objects to a mapping, and the dense term, from BLAS `cpt @ lik` to a
+# left-to-right sum (dense_term)
 
 
 def _oracle_posterior(net, evidence):
@@ -449,12 +476,12 @@ def _oracle_posterior(net, evidence):
                 f"evidence for {variable!r} names unknown labels {sorted(unknown)}"
             )
         if len(likelihood) == 1:
-            # the other terms of cpt @ lik are +0.0, so this is the same bits
+            # the other terms of the sum are +0.0, so this is the same bits
             ((label, weight),) = likelihood.items()
             post = post * (cpt[:, labels.index(label)] * weight)
         else:
             lik = np.array([likelihood.get(label, 0.0) for label in labels])
-            post = post * (cpt @ lik)
+            post = post * dense_term(cpt, lik)
     total = post.sum()
     if total <= 0.0:
         raise DataError("evidence has zero probability under the model")

@@ -11,12 +11,15 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oft
+from conftest import src_env
 from oft import fusion, pipeline, regulation
 from oft.cli import main
 from oft.errors import DataError
@@ -285,6 +288,29 @@ def test_non_finite_floats_and_numpy_ints_still_raise(record):
         elif type(value) is int:
             with pytest.raises(TypeError, match="int64"):
                 dumps_record({**record, key: np.int64(value)})
+
+
+def test_a_raising_record_leaves_the_encoder_clean():
+    # the encoder is built once; a record that raises must not mark the
+    # address of its dict for the records after it
+    for _ in range(100):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps_record({**STATE, "posterior": [math.nan] * 5})
+        assert dumps_record(dict(STATE)) == as_documented(STATE)
+    looped = dict(STATE)
+    looped["self"] = looped
+    with pytest.raises(RecursionError):
+        dumps_record(looped)
+
+
+def test_record_writer_without_the_c_encoder():
+    code = ("import json.encoder; json.encoder.c_make_encoder = None\n"
+            "from oft import jsonl\n"
+            "assert jsonl.dumps_record == jsonl._RECORD_ENCODER.encode\n"
+            f"print(jsonl.dumps_record({STATE!r}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env(), check=True)
+    assert out.stdout == as_documented(STATE) + "\n"
 
 
 # ---------------------------------------------------------------------------
