@@ -223,13 +223,14 @@ def _cmd_classify_predict(args) -> int:
 
 
 def _cmd_classify_cv(args) -> int:
+    test_subjects = (None if args.test_subjects is None
+                     else _ids(args.test_subjects, "--test-subjects", "subject"))
     frames = read_dataset_csv(args.data)
     if not args.raw_labels:
         frames = [
             type(f)(subject=f.subject, features=f.features, label=int(binarize(f.label)))
             for f in frames
         ]
-    test_subjects = args.test_subjects.split(",") if args.test_subjects else None
     report = cross_validate(
         frames, args.scheme, _model_spec(args), seed=args.seed, test_subjects=test_subjects
     )
@@ -283,16 +284,17 @@ def _alloc_model(args):
     return default_bike_model()
 
 
-def _situations(text: str) -> list:
+def _ids(text: str, flag: str, noun: str = "situation") -> list:
+    """The comma-separated ids of a flag, blank items dropped; none is an error."""
     ids = [s.strip() for s in text.split(",") if s.strip()]
     if not ids:
-        raise ConfigError("--situations must name at least one situation")
+        raise ConfigError(f"{flag} must name at least one {noun}")
     return ids
 
 
 def _cmd_dfa_check(args) -> int:
     model = _alloc_model(args)
-    sids = _situations(args.situations)
+    sids = _ids(args.situations, "--situations")
     min_config = model.min_config(sids)
     pot = model.pot(sids)
     report = check_feasible(min_config, pot)
@@ -318,12 +320,14 @@ def _cmd_dfa_solve(args) -> int:
     if not args.steps and not args.situations:
         raise ConfigError("dfa solve needs --situations or --steps")
     if args.steps:
-        steps = [_situations(chunk) for chunk in args.steps.split(";") if chunk.strip()]
+        steps = [_ids(chunk, "--steps") for chunk in args.steps.split(";") if chunk.strip()]
+        if not steps:
+            raise ConfigError("--steps must name at least one step")
         solutions = model.solve_sequence(steps, args.criterion)
         for i, sol in enumerate(solutions, start=1):
             print(f"step {i}: {' '.join(sol.couples)} (cost {sol.cost:g})")
         return 0
-    sol = model.solve(_situations(args.situations), args.criterion)
+    sol = model.solve(_ids(args.situations, "--situations"), args.criterion)
     print(f"solution: {' '.join(sol.couples)} (cost {sol.cost:g})")
     return 0
 
@@ -384,8 +388,23 @@ def _cmd_endtoend(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that `--flag=--` gives the flag the value '--'.
+
+    argparse (Python 3.11) drops that '--' and stores [] for the flag,
+    past its type and choices. Subcommand parsers are of this class too.
+    """
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oft",
         description="operator functional-state monitoring and adaptive assistance",
     )

@@ -445,10 +445,13 @@ def cross_validate(
     that subject's frames and scores the other 25%; predictions are pooled
     over subjects. "leave-subjects-out" holds out whole subjects (given
     explicitly, or a seeded random quarter of them) and trains a single
-    model on the rest.
+    model on the rest. Test subjects given to "per-subject-75-25" are a
+    ConfigError.
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
+    if scheme == "per-subject-75-25" and test_subjects is not None:
+        raise ConfigError("cross_validate: the 'per-subject-75-25' scheme takes no test subjects")
     if not is_seed(seed):
         raise ConfigError(f"cross_validate: seed must be an integer >= 0, got {seed!r}")
     if not frames:

@@ -209,37 +209,44 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
     all-zero likelihood has none), or so much mass that it overflows.
     """
     p1, p2, p3, p4, p5 = net._prior
-    for variable, likelihood in evidence.items():
-        columns = net._columns.get(variable)
-        if columns is None:
-            raise DataError(f"evidence for unknown variable {variable!r}")
-        if not likelihood.keys() <= columns.keys():
-            unknown = sorted(likelihood.keys() - columns.keys())
-            raise DataError(f"evidence for {variable!r} names unknown labels {unknown}")
-        for weight in likelihood.values():
-            if not 0.0 <= weight < math.inf:
-                raise DataError(
-                    f"evidence for {variable!r}: likelihood {weight!r} is not a finite number >= 0"
-                )
-        if len(likelihood) == 1:
-            # the other terms of the sum are +0.0, so this is the same bits
-            ((label, weight),) = likelihood.items()
-            weight = float(weight)
-            c1, c2, c3, c4, c5 = columns[label]
-            c1, c2, c3, c4, c5 = c1 * weight, c2 * weight, c3 * weight, c4 * weight, c5 * weight
-        else:
-            # in table order, left to right; a label left out adds +0.0
-            c1 = c2 = c3 = c4 = c5 = 0.0
-            for label, (d1, d2, d3, d4, d5) in columns.items():
-                weight = likelihood.get(label)
-                if weight:
-                    weight = float(weight)
-                    c1 += d1 * weight
-                    c2 += d2 * weight
-                    c3 += d3 * weight
-                    c4 += d4 * weight
-                    c5 += d5 * weight
-        p1, p2, p3, p4, p5 = p1 * c1, p2 * c2, p3 * c3, p4 * c4, p5 * c5
+    try:
+        for variable, likelihood in evidence.items():
+            columns = net._columns.get(variable)
+            if columns is None:
+                raise DataError(f"evidence for unknown variable {variable!r}")
+            if not likelihood.keys() <= columns.keys():
+                unknown = sorted(likelihood.keys() - columns.keys())
+                raise DataError(f"evidence for {variable!r} names unknown labels {unknown}")
+            for weight in likelihood.values():
+                if not 0.0 <= weight < math.inf:
+                    raise DataError(f"evidence for {variable!r}: likelihood {weight!r} "
+                                    "is not a finite number >= 0")
+            if len(likelihood) == 1:
+                # the other terms of the sum are +0.0, so this is the same bits
+                ((label, weight),) = likelihood.items()
+                weight = float(weight)
+                c1, c2, c3, c4, c5 = columns[label]
+                c1, c2, c3, c4, c5 = c1 * weight, c2 * weight, c3 * weight, c4 * weight, c5 * weight
+            else:
+                # in table order, left to right; a label left out adds +0.0
+                c1 = c2 = c3 = c4 = c5 = 0.0
+                for label, (d1, d2, d3, d4, d5) in columns.items():
+                    weight = likelihood.get(label)
+                    if weight:
+                        weight = float(weight)
+                        c1 += d1 * weight
+                        c2 += d2 * weight
+                        c3 += d3 * weight
+                        c4 += d4 * weight
+                        c5 += d5 * weight
+            p1, p2, p3, p4, p5 = p1 * c1, p2 * c2, p3 * c3, p4 * c4, p5 * c5
+    except OverflowError:  # float() of an integer past the floats, which passes the check
+        from decimal import Decimal
+
+        raise DataError(
+            f"evidence for {variable!r}: likelihood {Decimal(int(weight)):.3e} "
+            "is past the float range"
+        ) from None
     # left to right, the order in which numpy sums five entries
     total = p1 + p2 + p3 + p4 + p5
     if total <= 0.0:

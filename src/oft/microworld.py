@@ -49,8 +49,7 @@ from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
 from .jsonl import is_finite_number, is_seed
-from .regulation import (COST_ORIENTED, PERFORMANCE_ORIENTED, ActivitySnapshot, ActivityTracker,
-                         RegulationEvent, TaskTick)
+from .regulation import ActivitySnapshot, ActivityTracker, RegulationEvent, TaskTick
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
                        spatial_entropy, task_difficulty)
 
@@ -516,6 +515,8 @@ CONSTRAINT_EVIDENCE = {td: {f"td{td}": 1.0} for td in (1, 2, 3)}
 
 
 class MonitorStep(NamedTuple):
+    """One second of `Monitor.step`, which takes that second's pupil z."""
+
     snapshot: ActivitySnapshot
     event: Optional[RegulationEvent]
     behaviour: str  # "cost_oriented", "performance_oriented" or "none"
@@ -527,14 +528,15 @@ class MonitorStep(NamedTuple):
 class Monitor:
     """One second of operator monitoring, the same live and on replay.
 
-    Each step folds the activity tick into the regulation tracker, holds
-    the last pupil z over seconds without one (0.0 before the first),
-    averages it over EFFORT_SMOOTH_S seconds, and labels the behaviour by
-    the regulation events of the last BEHAVIOUR_WINDOW_S seconds: cost
-    oriented if any of them sheds compliance, else performance oriented if
-    any raises it. The evidence maps constraint (only when the second has a
-    demand frame), behaviour, performance and effort, in that order, to
-    their likelihoods; fusing it is left to the caller.
+    Each step folds the second's activity tick into the regulation tracker,
+    holds the second's pupil z (None if it has none) over seconds without
+    one (0.0 before the first), averages it over EFFORT_SMOOTH_S seconds,
+    and labels the behaviour by the regulation events of the last
+    BEHAVIOUR_WINDOW_S seconds: cost oriented if any of them shed compliance
+    (COBR, PRBR), else performance oriented if any raised it. The evidence
+    maps constraint (only when the second has a demand frame), behaviour,
+    performance and effort, in that order, to their likelihoods; fusing it
+    is left to the caller.
     """
 
     def __init__(self, net: MwlNetwork):
@@ -546,21 +548,20 @@ class Monitor:
         self._recent_z: deque = deque(maxlen=EFFORT_SMOOTH_S)
         self._last_z = 0.0
         # events come in time order (the tracker rejects out-of-order
-        # ticks), so the newest event of each orientation decides the label
+        # ticks), so the newest event of each orientation (the sign of its
+        # dcps) decides the label
         self._last_cost_t = float("-inf")
         self._last_perf_t = float("-inf")
 
-    def step(self, tick: TaskTick, perf: float,
-             frame: Optional[physio.FeatureFrame],
+    def step(self, tick: TaskTick, perf: float, pupil_z: Optional[float],
              demand: Optional[ConstraintFrame]) -> MonitorStep:
         snap, event = self.tracker.ingest(tick, perf)
-        if event is not None:
-            if event.kind in COST_ORIENTED:
-                self._last_cost_t = event.t
-            elif event.kind in PERFORMANCE_ORIENTED:
-                self._last_perf_t = event.t
-        if frame is not None and frame.pupil_z is not None:
-            self._last_z = frame.pupil_z
+        if snap.dcps < 0:
+            self._last_cost_t = snap.t
+        elif snap.dcps > 0:
+            self._last_perf_t = snap.t
+        if pupil_z is not None:
+            self._last_z = pupil_z
         self._recent_z.append(self._last_z)
         z_smooth = sum(self._recent_z) / len(self._recent_z)
 
@@ -648,7 +649,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
         perf = world.windowed_performance(float(t))
         demand = world.demand(float(t))
         frame = frames[t]
-        step = monitor.step(task_tick, perf, frame, demand)
+        step = monitor.step(task_tick, perf, frame.pupil_z, demand)
         if step.event is not None:
             records.append({"record": "regulation", "t": t, "kind": step.event.kind.name})
         post = posterior(net, step.evidence)

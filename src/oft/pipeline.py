@@ -143,11 +143,11 @@ def monitor_offline(
 ) -> MonitorResult:
     """Fuse recorded streams into per-second workload states.
 
-    Physiology is framed per second first; each activity tick then pulls
-    the frame at its own second and goes through the same monitor step as
-    the simulator (`microworld.Monitor`). Ticks must be contiguous
-    integers. Demand counts are optional; a second without them leaves the
-    difficulty channel out of the fusion. Normalization is one of
+    Physiology is framed per second first; each activity tick then goes
+    through the same monitor step as the simulator (`microworld.Monitor`)
+    with the pupil z of its own second's frame, or None past the frames.
+    Ticks must be contiguous integers. Demand counts are optional; a second
+    without them leaves the difficulty channel out of the fusion. Normalization is one of
     MONITOR_NORMALIZATIONS.
     """
     if normalization not in MONITOR_NORMALIZATIONS:
@@ -161,16 +161,17 @@ def monitor_offline(
     framed = physio.per_second_frames(
         beats, pupil, normalization=normalization, reference=reference
     )
-    by_second = {f.t: f for f in framed.frames}
+    frames = framed.frames  # frames[t] is second t, from 0
     demand = demand or {}
     states: list[MwlState] = []
     overlap = 0
     for tick, perf in ticks:
-        frame = by_second.get(tick.t)
-        if frame is not None:
-            overlap += 1
-        step = monitor.step(tick, perf, frame, demand.get(tick.t))
-        states.append(fuse(net, tick.t, step.evidence))
+        t = tick.t
+        framed_second = 0 <= t < len(frames)
+        overlap += framed_second
+        step = monitor.step(tick, perf, frames[t].pupil_z if framed_second else None,
+                            demand.get(t))
+        states.append(fuse(net, t, step.evidence))
 
     if not states:
         raise DataError("stream 'ticks': no activity ticks")

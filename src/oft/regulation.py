@@ -16,6 +16,11 @@ regulation event, classified by this decision tree:
     dcps(t) < 0 and dnps(t-1) > 0               -> COBR  (cost-based)
     dcps(t) < 0 and dnps(t-1) <= 0              -> PRBR  (priority-based)
     dcps(t) == 0                                -> no event
+
+The first second has no deltas, and so no event. `ActivityTracker.ingest`
+is the one fold of a tick: it checks the tick's perf and that the tick
+follows the previous one, builds the second's `ActivitySnapshot`,
+classifies the event by the tree above and adds to the compliance sums.
 """
 
 from __future__ import annotations
@@ -36,13 +41,6 @@ class RegulationKind(Enum):
     COBR = "COBR"
     PRBR = "PRBR"
     OTHER_PERFORMANCE = "OTHER_PERFORMANCE"
-
-
-#: Kinds that raise compliance (cps went up) vs kinds that shed it.
-PERFORMANCE_ORIENTED = frozenset(
-    {RegulationKind.PBR, RegulationKind.CBR, RegulationKind.OTHER_PERFORMANCE}
-)
-COST_ORIENTED = frozenset({RegulationKind.COBR, RegulationKind.PRBR})
 
 
 _OT_NOT_ACTIVE = "tick t={}: ot must be reported for exactly the active tasks"
@@ -93,53 +91,10 @@ class RegulationEvent(NamedTuple):
     kind: RegulationKind
 
 
-def snapshot(tick: TaskTick, prev: Optional[ActivitySnapshot], perf: float) -> ActivitySnapshot:
-    """Fold one tick into a snapshot. prev=None only for the first second."""
-    if not (0.0 <= perf <= 1.0):
-        raise DataError(f"tick t={tick.t}: perf must be in [0,1], got {perf}")
-    if prev is not None and tick.t != prev.t + 1:
-        raise SequencingError(
-            f"tick t={tick.t} does not follow snapshot t={prev.t}"
-        )
-    nps = sum(tick.at.values())
-    cps = sum(tick.ot.values())
-    dcps = cps - prev.cps if prev is not None else 0
-    dnps = nps - prev.nps if prev is not None else 0
-    return ActivitySnapshot(tick.t, nps, cps, dcps, dnps, perf)
-
-
-def classify_regulation(curr: ActivitySnapshot, prev: ActivitySnapshot) -> Optional[RegulationKind]:
-    """Classify the regulation event at curr.t, if any.
-
-    prev must be the snapshot at curr.t - 1; its dcps/dnps fields are the
-    deltas of the PREVIOUS second, which the tree consults.
-    """
-    if prev is None:
-        raise SequencingError("classification needs the previous snapshot")
-    if curr.t != prev.t + 1:
-        raise SequencingError(
-            f"snapshot t={curr.t} does not follow snapshot t={prev.t}"
-        )
-    if curr.dcps == 0:
-        return None
-    if curr.dcps > 0:
-        if curr.perf < PERF_THRESHOLD:
-            return RegulationKind.PBR
-        if prev.dcps < 0:
-            return RegulationKind.CBR
-        return RegulationKind.OTHER_PERFORMANCE
-    # dcps < 0: compliance was shed; look at how the demand was moving
-    if prev.dnps > 0:
-        return RegulationKind.COBR
-    return RegulationKind.PRBR
-
-
 class ActivityTracker:
-    """Single-writer fold of a tick stream into snapshots and events.
-
-    Feed ticks in order via ingest(); the tracker keeps the rolling
-    snapshot, classifies events, and accumulates the compliance sums.
-    """
+    """Single-writer fold of a tick stream into snapshots, events and the
+    compliance sums: feed ticks in order via ingest(), the one fold of a
+    tick. The tree reads the deltas of the previous snapshot, `prev`."""
 
     def __init__(self):
         self.prev: Optional[ActivitySnapshot] = None
@@ -148,15 +103,35 @@ class ActivityTracker:
         self._sum_cps = 0
 
     def ingest(self, tick: TaskTick, perf: float):
-        snap = snapshot(tick, self.prev, perf)
-        event = None
-        if self.prev is not None and snap.dcps != 0:
-            kind = classify_regulation(snap, self.prev)
-            event = RegulationEvent(snap.t, kind)
-            self.events.append(event)
-        self._sum_nps += snap.nps
-        self._sum_cps += snap.cps
-        self.prev = snap
+        """Fold one tick; returns (snapshot, event or None)."""
+        t = tick.t
+        if not (0.0 <= perf <= 1.0):
+            raise DataError(f"tick t={t}: perf must be in [0,1], got {perf}")
+        nps = sum(tick.at.values())
+        cps = sum(tick.ot.values())
+        prev = self.prev
+        if prev is None:  # the first second has no deltas, and so no event
+            prev = ActivitySnapshot(t - 1, nps, cps, 0, 0, perf)
+        elif t != prev.t + 1:
+            raise SequencingError(f"tick t={t} does not follow snapshot t={prev.t}")
+        self._sum_nps += nps
+        self._sum_cps += cps
+        dcps = cps - prev.cps
+        self.prev = snap = ActivitySnapshot(t, nps, cps, dcps, nps - prev.nps, perf)
+        if dcps > 0 and perf < PERF_THRESHOLD:
+            kind = RegulationKind.PBR
+        elif dcps > 0 and prev.dcps < 0:
+            kind = RegulationKind.CBR
+        elif dcps > 0:
+            kind = RegulationKind.OTHER_PERFORMANCE
+        elif dcps < 0 and prev.dnps > 0:
+            kind = RegulationKind.COBR
+        elif dcps < 0:
+            kind = RegulationKind.PRBR
+        else:
+            return snap, None
+        event = RegulationEvent(t, kind)
+        self.events.append(event)
         return snap, event
 
     def compliance_rate(self) -> float:

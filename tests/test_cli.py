@@ -481,6 +481,17 @@ class TestClassifyCommands:
         assert report["accuracy"] >= 0.9
         assert report["n_train"] + report["n_test"] == 120
 
+    def test_cv_test_subjects_drop_blank_items(self, tmp_path):
+        data = write_dataset(tmp_path / "data.csv")
+        reports = []
+        for subjects in ("s1,s3", "s1,,s3,", " s3 , s1 "):
+            report = tmp_path / "cv.json"
+            assert main(["classify", "cv", "--data", data, "--scheme", "leave-subjects-out",
+                         f"--test-subjects={subjects}", "--report", str(report)]) == 0
+            reports.append(report.read_text())
+        assert reports[0] == reports[1] == reports[2]
+        assert "held out ['s1', 's3']" in json.loads(reports[0])["scheme"]
+
     def test_raw_labels_kept_when_asked(self, tmp_path):
         data = write_dataset(tmp_path / "data.csv")
         model_path = tmp_path / "model.json"
@@ -850,6 +861,16 @@ class TestDfaCommands:
         assert main(["dfa", "solve", "--steps", "S1;S1,S4", "--criterion", "energy"]) == 0
         out = capsys.readouterr().out
         assert "step 1:" in out and "step 2:" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["check", "--situations= , "], "--situations must name at least one situation"),
+        (["solve", "--steps=;;", "--criterion", "energy"], "--steps must name at least one step"),
+        (["solve", "--steps=S1; , ;S4", "--criterion", "energy"],
+         "--steps must name at least one situation"),
+    ], ids=["situations", "steps", "one step"])
+    def test_ids_left_blank_exit_2(self, capsys, argv, message):
+        assert main(["dfa", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_custom_model_file(self, tmp_path, capsys):
         model = {
@@ -1315,6 +1336,39 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--test-subjects", "s1"], "the 'per-subject-75-25' scheme takes no test subjects"),
+        (["--scheme", "leave-subjects-out", "--test-subjects="],
+         "--test-subjects must name at least one subject"),
+        (["--scheme", "leave-subjects-out", "--test-subjects= , ,"],
+         "--test-subjects must name at least one subject"),
+    ], ids=["with per-subject-75-25", "empty", "blanks only"])
+    def test_classify_cv_test_subjects(self, tmp_path, capsys, extra, message):
+        report = tmp_path / "cv.json"
+        argv = ["classify", "cv", "--data", write_dataset(tmp_path / "data.csv"),
+                "--report", str(report), *extra]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["simulate", "--duration=--", "--log", "run.jsonl"], 2, "invalid int value: '--'"),
+        (["classify", "cv", "--data", "data.csv", "--scheme=--"], 2, "invalid choice: '--'"),
+        (["classify", "cv", "--data=--"], 3, "No such file or directory: '--'"),
+        (["dfa", "check", "--situations=--"], 3, "unknown situation(s): --"),
+    ], ids=["duration", "scheme", "data", "situations"])
+    def test_double_dash_is_a_value(self, tmp_path, monkeypatch, capsys, argv, code, message):
+        """`--flag=--` gives the flag the text '--', checked like any other value."""
+        monkeypatch.chdir(tmp_path)
+        write_dataset(tmp_path / "data.csv")
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse's own exit
+            got = exc.code
+        assert got == code
+        assert message in capsys.readouterr().err
 
     def test_monitor(self, tmp_path, capsys):
         out = tmp_path / "mon"
@@ -2034,3 +2088,52 @@ class TestInputFileFuzz:
             argv = (["code", "--trace", path, "--out", out] if stream == "trace"
                     else ["transitions", "--roster", path, "--out", out])
             assert quiet_main(["cocom", *argv]) in (0, 2, 3, 4)
+
+
+# free text for the id flags: real and unknown ids, separators, blanks,
+# dashes and non-ASCII characters
+FUZZ_ID_PIECES = ("S1", "S4", "S7", "S99", "s1", "s2", "s4", "x", ",", ";", " ", "\t", "-",
+                  "--seed", "=", "é", "\x00")
+free_text = st.one_of(st.lists(st.sampled_from(FUZZ_ID_PIECES), max_size=8).map("".join),
+                      st.text(max_size=12))
+
+
+class TestFreeTextFuzz:
+    """Any text given to --situations, --steps or --test-subjects ends in a
+    documented exit code. Each is passed as --flag=TEXT, so that argparse
+    never reads the text as an option."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return quiet_main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            return exc.code
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=free_text, command=st.sampled_from(["check", "solve", "steps"]))
+    @example(text=",", command="check")
+    @example(text=";;", command="steps")
+    @example(text=" , ;S1", command="steps")
+    @example(text="--", command="check")  # argparse alone would store [] for it
+    def test_allocation_ids(self, text, command):
+        argv = {
+            "check": ["dfa", "check", f"--situations={text}"],
+            "solve": ["dfa", "solve", f"--situations={text}", "--criterion", "energy"],
+            "steps": ["dfa", "solve", f"--steps={text}", "--criterion", "rider_load"],
+        }[command]
+        assert self.exit_code(argv) in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=free_text, scheme=st.sampled_from(["leave-subjects-out", "per-subject-75-25"]))
+    @example(text="", scheme="leave-subjects-out")
+    @example(text="s1,,", scheme="leave-subjects-out")
+    @example(text="s1,s2,s3,s4", scheme="leave-subjects-out")
+    @example(text="--", scheme="leave-subjects-out")
+    def test_test_subjects(self, fuzz_dataset, text, scheme):
+        argv = ["classify", "cv", "--data", fuzz_dataset, "--scheme", scheme, "--k", "1",
+                f"--test-subjects={text}"]
+        code = self.exit_code(argv)
+        assert code in (0, 2, 3, 4)
+        if scheme == "per-subject-75-25":
+            assert code == 2

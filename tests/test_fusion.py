@@ -245,6 +245,19 @@ class TestPosterior:
         with pytest.raises(DataError, match="not a finite number"):
             posterior(net, {"c0": {"l0": 0.5, "l1": bad}})
 
+    @pytest.mark.parametrize("weights,shown", [
+        ({"good": 10**400}, "1.000e+400"),
+        ({"good": 10**400, "poor": 0.5}, "1.000e+400"),
+        ({"degraded": 0.5, "poor": 7 * 10**5000}, "7.000e+5000"),  # past repr's digit limit
+    ], ids=["single label", "two labels", "past the digit limit"])
+    def test_integer_weight_past_the_floats_rejected(self, weights, shown):
+        # such an integer passes the range check; reading it as a float overflows
+        with pytest.raises(DataError) as info:
+            posterior(MwlNetwork.default(), {"constraint": {"td1": 1.0}, "performance": weights})
+        assert str(info.value) == (
+            f"evidence for 'performance': likelihood {shown} is past the float range"
+        )
+
     @pytest.mark.parametrize("weights", [
         {"l1": 3}, {"l1": np.float64(0.3)}, {"l1": np.float32(0.3)}, {"l1": True},
         {"l0": 1, "l1": 2}, {"l0": np.float32(0.25), "l1": np.float64(0.5)},

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from oft import microworld
-from oft.errors import ConfigError
+from oft.errors import ConfigError, DataError
 from oft.fusion import MwlNetwork
 from oft.microworld import (
     BASE_SERVICE_S,
+    BEHAVIOUR_WINDOW_S,
     EFFORT_SMOOTH_S,
     MAX_DURATION_S,
     PERF_WINDOW_S,
@@ -389,12 +390,57 @@ class TestGenerators:
         monitor = Monitor(MwlNetwork.default())
         held = [0.4, 1.6, 1.6, 0.4, 0.4, 0.4, 0.4]
         for t, frame in enumerate(frames[:4] + [None] * 3):
-            step = monitor.step(TaskTick(t=t, at={}, ot={}), 0.8, frame, None)
+            pupil_z = None if frame is None else frame.pupil_z
+            step = monitor.step(TaskTick(t=t, at={}, ot={}), 0.8, pupil_z, None)
             window = held[max(0, t + 1 - EFFORT_SMOOTH_S):t + 1]
             assert step.pupil_z == pytest.approx(sum(window) / len(window))
         # before the first pupil sample the held z is 0.0
-        first = Monitor(MwlNetwork.default()).step(TaskTick(t=0, at={}, ot={}), 0.8, frames[2], None)
+        first = Monitor(MwlNetwork.default()).step(TaskTick(t=0, at={}, ot={}), 0.8,
+                                                   frames[2].pupil_z, None)
         assert first.pupil_z == 0.0
+
+
+#: The README's behaviour label: cost oriented if a regulation event of
+#: the window shed compliance, else performance oriented if one raised it.
+COST_KINDS = {RegulationKind.COBR, RegulationKind.PRBR}
+
+
+def readme_behaviour(events, t):
+    recent = [kind for et, kind in events if t - BEHAVIOUR_WINDOW_S <= et <= t]
+    if any(kind in COST_KINDS for kind in recent):
+        return "cost_oriented"
+    return "performance_oriented" if recent else "none"
+
+
+class TestMonitorBehaviour:
+    def test_behaviour_follows_the_event_kinds_of_the_window(self, rng):
+        seen = set()
+        for _ in range(40):
+            length = int(rng.integers(20, 160))
+            # tasks change state rarely, so every label shows up
+            states = [0, 0, 0]
+            monitor, tracker = Monitor(MwlNetwork.default()), ActivityTracker()
+            for t in range(length):
+                for i in range(3):
+                    if rng.random() < 0.04:
+                        states[i] = int(rng.integers(0, 3))  # 0 inactive, 1 unmet, 2 met
+                at = {f"T{i}": int(s > 0) for i, s in enumerate(states)}
+                ot = {f"T{i}": s - 1 for i, s in enumerate(states) if s > 0}
+                tick, perf = TaskTick(t=t, at=at, ot=ot), float(rng.random())
+                tracker.ingest(tick, perf)
+                step = monitor.step(tick, perf, None, None)
+                want = readme_behaviour([(e.t, e.kind) for e in tracker.events], t)
+                assert step.behaviour == want, (t, tracker.events)
+                seen.add(want)
+        assert seen == {"cost_oriented", "performance_oriented", "none"}
+
+    def test_ticks_before_the_first_frame_overlap_nothing(self):
+        rng = np.random.default_rng(1)
+        beats = RRSeries(*generate_beats(lambda t: 0.3, 60.0, rng))
+        pupil = PupilSeries(*generate_pupil(lambda t: 0.3, 60.0, rng))
+        ticks = [(TaskTick(t=t, at={}, ot={}), 1.0) for t in range(-50, 0)]
+        with pytest.raises(DataError, match="overlap"):
+            monitor_offline(beats, pupil, ticks)
 
 
 class TestRunScenario:

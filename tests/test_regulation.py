@@ -12,9 +12,7 @@ from oft.regulation import (
     ActivityTracker,
     RegulationKind,
     TaskTick,
-    classify_regulation,
     read_ticks_jsonl,
-    snapshot,
     write_events_jsonl,
 )
 
@@ -140,22 +138,13 @@ class TestValidation:
 
     def test_perf_out_of_range(self):
         with pytest.raises(DataError):
-            snapshot(tick_from_states(0, (1,)), None, 1.5)
+            ActivityTracker().ingest(tick_from_states(0, (1,)), 1.5)
 
     def test_tick_gap_detected(self):
         tracker = ActivityTracker()
         tracker.ingest(tick_from_states(0, (1,)), 1.0)
         with pytest.raises(SequencingError):
             tracker.ingest(tick_from_states(2, (1,)), 1.0)
-
-    def test_classify_needs_adjacent_snapshots(self):
-        s0 = snapshot(tick_from_states(0, (0,)), None, 1.0)
-        s1 = snapshot(tick_from_states(1, (1,)), s0, 1.0)
-        far = snapshot(tick_from_states(5, (1,)), None, 1.0)
-        with pytest.raises(SequencingError):
-            classify_regulation(s1, far)
-        with pytest.raises(SequencingError):
-            classify_regulation(s1, None)
 
 
 def test_events_jsonl_round_trip(tmp_path):
