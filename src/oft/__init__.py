@@ -9,27 +9,53 @@ and a deterministic surveillance microworld to exercise the whole loop.
 
 The top level re-exports only the names of the README quickstart; import
 everything else from its submodule (`oft.pipeline`, `oft.cocom`, ...).
+
+`import oft` loads no submodule. Each re-exported name, and each submodule
+reached as an attribute (`oft.physio`), loads its home module on first use
+(PEP 562), so a caller pays only for the layers it touches:
+`oft.MwlNetwork.default()` and `oft.default_bike_model()` load `fusion` (with
+numpy), `dfaplan`, `errors` and `jsonl`, and not the simulator or the
+physiology modules.
 """
 
 from __future__ import annotations
 
+import sys
+
 __version__ = "0.1.0"
 
-from .physio import PupilSeries, RRSeries, per_second_frames
-from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
-from .dfaplan import default_bike_model
-from .microworld import ScenarioConfig, run_scenario
+# home submodule of each re-exported name
+_HOMES = {
+    "RRSeries": "physio",
+    "PupilSeries": "physio",
+    "per_second_frames": "physio",
+    "MwlNetwork": "fusion",
+    "fuzzify": "fusion",
+    "posterior": "fusion",
+    "mwl_level": "fusion",
+    "default_bike_model": "dfaplan",
+    "ScenarioConfig": "microworld",
+    "run_scenario": "microworld",
+}
+__all__ = ["__version__", *_HOMES]
 
-__all__ = [
-    "__version__",
-    "RRSeries",
-    "PupilSeries",
-    "per_second_frames",
-    "MwlNetwork",
-    "fuzzify",
-    "posterior",
-    "mwl_level",
-    "default_bike_model",
-    "ScenarioConfig",
-    "run_scenario",
-]
+_SUBMODULES = (
+    "adapt", "cli", "cocom", "dfaplan", "effortclass", "errors", "fusion", "jsonl",
+    "microworld", "physio", "pipeline", "regulation", "taskload",
+)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name, name if name in _SUBMODULES else None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # __import__, not importlib.import_module, so that -X importtime reports it
+    __import__(f"{__name__}.{home}")
+    module = sys.modules[f"{__name__}.{home}"]
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES, *_SUBMODULES})

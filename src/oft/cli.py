@@ -189,9 +189,17 @@ def _cmd_monitor(args) -> int:
 
 
 def _model_spec(args) -> dict:
+    """The classifier of `--kind`, with its defaults for the flags not given;
+    a flag of the other kind is an error."""
+    unused = ("trees",) if args.kind == "knn" else ("k", "metric")
+    given = [f"--{name}" for name in unused if getattr(args, name) is not None]
+    if given:
+        raise ConfigError(f"--kind {args.kind} takes no {' or '.join(given)}")
     if args.kind == "knn":
-        return {"kind": "knn", "k": args.k, "metric": args.metric}
-    return {"kind": "rf", "trees": args.trees, "seed": args.seed}
+        return {"kind": "knn", "k": 5 if args.k is None else args.k,
+                "metric": "euclidean" if args.metric is None else args.metric}
+    return {"kind": "rf", "trees": RF_TREES if args.trees is None else args.trees,
+            "seed": args.seed}
 
 
 def _dataset_arrays(frames, raw_labels: bool):
@@ -203,9 +211,10 @@ def _dataset_arrays(frames, raw_labels: bool):
 
 
 def _cmd_classify_train(args) -> int:
+    spec = _model_spec(args)
     frames = read_dataset_csv(args.data)
     X, y = _dataset_arrays(frames, args.raw_labels)
-    model = fit_model(_model_spec(args), X, y)
+    model = fit_model(spec, X, y)
     save_model(model, args.model_out)
     print(f"trained {args.kind} on {len(frames)} rows -> {args.model_out}")
     return 0
@@ -223,6 +232,7 @@ def _cmd_classify_predict(args) -> int:
 
 
 def _cmd_classify_cv(args) -> int:
+    spec = _model_spec(args)
     test_subjects = (None if args.test_subjects is None
                      else _ids(args.test_subjects, "--test-subjects", "subject"))
     frames = read_dataset_csv(args.data)
@@ -232,7 +242,7 @@ def _cmd_classify_cv(args) -> int:
             for f in frames
         ]
     report = cross_validate(
-        frames, args.scheme, _model_spec(args), seed=args.seed, test_subjects=test_subjects
+        frames, args.scheme, spec, seed=args.seed, test_subjects=test_subjects
     )
     payload = {
         "scheme": report.split,
@@ -240,7 +250,7 @@ def _cmd_classify_cv(args) -> int:
         "per_class": {str(k): round(v, 6) for k, v in report.per_class.items()},
         "n_train": report.n_train,
         "n_test": report.n_test,
-        "model": _model_spec(args),
+        "model": spec,
     }
     if args.report:
         dump_json(payload, args.report)
@@ -316,10 +326,12 @@ def _cmd_dfa_check(args) -> int:
 
 
 def _cmd_dfa_solve(args) -> int:
-    model = _alloc_model(args)
-    if not args.steps and not args.situations:
+    if args.steps is None and args.situations is None:
         raise ConfigError("dfa solve needs --situations or --steps")
-    if args.steps:
+    if args.steps is not None and args.situations is not None:
+        raise ConfigError("dfa solve takes --situations or --steps, not both")
+    model = _alloc_model(args)
+    if args.steps is not None:
         steps = [_ids(chunk, "--steps") for chunk in args.steps.split(";") if chunk.strip()]
         if not steps:
             raise ConfigError("--steps must name at least one step")
@@ -442,9 +454,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def _classifier_args(q):
         q.add_argument("--kind", default="knn", choices=KINDS)
-        q.add_argument("--k", type=int, default=5, help="neighbours (knn)")
-        q.add_argument("--metric", default="euclidean", choices=METRICS)
-        q.add_argument("--trees", type=int, default=RF_TREES, help="trees (rf)")
+        # None marks a flag not given, which another --kind must not get
+        q.add_argument("--k", type=int, help="neighbours (knn; default 5)")
+        q.add_argument("--metric", choices=METRICS, help="distance (knn; default euclidean)")
+        q.add_argument("--trees", type=int, help=f"trees (rf; default {RF_TREES})")
         q.add_argument("--seed", type=int, default=0)
         q.add_argument(
             "--raw-labels",

@@ -867,7 +867,10 @@ class TestDfaCommands:
         (["solve", "--steps=;;", "--criterion", "energy"], "--steps must name at least one step"),
         (["solve", "--steps=S1; , ;S4", "--criterion", "energy"],
          "--steps must name at least one situation"),
-    ], ids=["situations", "steps", "one step"])
+        (["solve", "--situations=", "--criterion", "energy"],
+         "--situations must name at least one situation"),
+        (["solve", "--steps=", "--criterion", "energy"], "--steps must name at least one step"),
+    ], ids=["situations", "steps", "one step", "empty solve situations", "empty steps"])
     def test_ids_left_blank_exit_2(self, capsys, argv, message):
         assert main(["dfa", *argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -1352,6 +1355,44 @@ class TestArgumentErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
         assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    @pytest.mark.parametrize("extra,message", [
+        (["--kind", "rf", "--k", "3"], "--kind rf takes no --k"),
+        (["--kind", "rf", "--metric", "manhattan"], "--kind rf takes no --metric"),
+        (["--kind", "rf", "--k", "3", "--metric", "manhattan"],
+         "--kind rf takes no --k or --metric"),
+        (["--kind", "knn", "--trees", "5"], "--kind knn takes no --trees"),
+        (["--trees", "5"], "--kind knn takes no --trees"),
+    ], ids=["rf k", "rf metric", "rf k and metric", "knn trees", "default kind trees"])
+    def test_classifier_flag_of_the_other_kind(self, tmp_path, capsys, command, extra, message):
+        out = tmp_path / "out.json"
+        argv = ["classify", command, "--data", tmp_path / "missing.csv",
+                "--model-out" if command == "train" else "--report", out, *extra]
+        assert main([str(a) for a in argv]) == 2  # before the data file is read
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,model", [
+        ([], {"kind": "knn", "k": 5, "metric": "euclidean"}),
+        (["--kind", "knn", "--k", "3", "--metric", "manhattan"],
+         {"kind": "knn", "k": 3, "metric": "manhattan"}),
+        (["--kind", "rf", "--trees", "3"], {"kind": "rf", "trees": 3, "seed": 0}),
+        (["--kind", "rf", "--seed", "4"], {"kind": "rf", "trees": 23, "seed": 4}),
+    ], ids=["knn defaults", "knn flags", "rf trees", "rf defaults"])
+    def test_classifier_flags_of_the_chosen_kind(self, tmp_path, extra, model):
+        report = tmp_path / "cv.json"
+        argv = ["classify", "cv", "--data", write_dataset(tmp_path / "data.csv", n_per=12),
+                "--report", report, *extra]
+        assert main([str(a) for a in argv]) == 0
+        assert json.loads(report.read_text())["model"] == model
+
+    def test_dfa_solve_situations_with_steps(self, capsys):
+        argv = ["dfa", "solve", "--situations", "S2,S7,S8", "--steps", "S1",
+                "--criterion", "energy"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: dfa solve takes --situations or --steps, not both\n"
 
     @pytest.mark.parametrize("argv,code,message", [
         (["simulate", "--duration=--", "--log", "run.jsonl"], 2, "invalid int value: '--'"),
@@ -1852,7 +1893,7 @@ class TestClassifyFuzz:
             model.write_text(mutated_model_text(
                 fuzz_model, mutation_kind if target == "model" else None, args))
             labels = ["--raw-labels"] if raw else []
-            learner = ["--kind", kind, "--trees", "3", *labels]
+            learner = ["--kind", kind, *(["--trees", "3"] if kind == "rf" else []), *labels]
             runs = [["classify", "predict", "--model", str(model), "--data", str(data),
                      "--out", str(out)]]
             if target == "dataset":
@@ -2100,8 +2141,9 @@ free_text = st.one_of(st.lists(st.sampled_from(FUZZ_ID_PIECES), max_size=8).map(
 
 class TestFreeTextFuzz:
     """Any text given to --situations, --steps or --test-subjects ends in a
-    documented exit code. Each is passed as --flag=TEXT, so that argparse
-    never reads the text as an option."""
+    documented exit code, and a flag the chosen mode would not use exits 2.
+    Each text is passed as --flag=TEXT, so that argparse never reads it as
+    an option."""
 
     @staticmethod
     def exit_code(argv):
@@ -2123,6 +2165,28 @@ class TestFreeTextFuzz:
             "steps": ["dfa", "solve", f"--steps={text}", "--criterion", "rider_load"],
         }[command]
         assert self.exit_code(argv) in (0, 2, 3, 4)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(situations=free_text, steps=free_text)
+    def test_situations_with_steps(self, situations, steps):
+        argv = ["dfa", "solve", f"--situations={situations}", f"--steps={steps}",
+                "--criterion", "energy"]
+        assert self.exit_code(argv) == 2
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(command=st.sampled_from(["train", "cv"]), kind=st.sampled_from([None, "knn", "rf"]),
+           flags=st.sets(st.sampled_from(["--k", "--metric", "--trees"])))
+    def test_classifier_flags(self, fuzz_dataset, command, kind, flags):
+        """A classifier flag exits 2 exactly when the chosen kind (knn by
+        default) does not use it."""
+        values = {"--k": "3", "--metric": "manhattan", "--trees": "3"}
+        used = {"--trees"} if kind == "rf" else {"--k", "--metric"}
+        with tempfile.TemporaryDirectory() as folder:
+            argv = ["classify", command, "--data", fuzz_dataset,
+                    "--model-out" if command == "train" else "--report", Path(folder) / "out",
+                    *(["--kind", kind] if kind else []),
+                    *(arg for flag in sorted(flags) for arg in (flag, values[flag]))]
+            assert self.exit_code(argv) == (0 if flags <= used else 2)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(text=free_text, scheme=st.sampled_from(["leave-subjects-out", "per-subject-75-25"]))

@@ -14,7 +14,7 @@ import pytest
 
 from oft import effortclass, microworld, physio, pipeline
 from oft.adapt import DEFAULT_RULES, STAGES
-from oft.cli import _build_parser
+from oft.cli import _build_parser, _model_spec
 from oft.microworld import (
     MACHINE_ITEMS_PER_S,
     SERVICE_FACTOR,
@@ -110,8 +110,10 @@ class TestCliOffersLibraryLists:
 
     @pytest.mark.parametrize("argv", [["train", "--model-out", "m.json"], ["cv"]])
     def test_classify_tree_default(self, argv):
-        args = _build_parser().parse_args(["classify", *argv, "--data", "d.csv"])
-        assert args.trees == effortclass.RF_TREES
+        # the parser leaves --trees unset, so that --kind knn can reject it;
+        # the forest's default tree count is the library's
+        args = _build_parser().parse_args(["classify", *argv, "--data", "d.csv", "--kind", "rf"])
+        assert args.trees is None and _model_spec(args)["trees"] == effortclass.RF_TREES
 
     @pytest.mark.parametrize("command", ["simulate", "endtoend"])
     def test_scenario(self, command):

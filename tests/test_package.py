@@ -1,0 +1,77 @@
+"""The top-level package loads each layer on first use (PEP 562)."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import oft
+from conftest import src_env
+
+# what the benchmark's set-up (import, default network, default allocation
+# model) must leave unloaded
+SKIPPED_BY_SETUP = ("oft.microworld", "oft.physio", "oft.adapt", "oft.regulation",
+                    "oft.taskload", "oft.pipeline", "oft.effortclass", "oft.cocom")
+
+
+def fresh(code):
+    """The JSON printed by `code` run in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + code],
+                          capture_output=True, text=True, timeout=60, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_setup_loads_only_fusion_and_allocation():
+    loaded = fresh(
+        "def oft_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'oft')\n"
+        "import oft\n"
+        "bare = oft_modules()\n"
+        "oft.MwlNetwork.default(); oft.default_bike_model()\n"
+        "print(json.dumps([bare, oft_modules()]))\n"
+    )
+    assert loaded[0] == ["oft"]
+    assert loaded[1] == ["oft", "oft.dfaplan", "oft.errors", "oft.fusion", "oft.jsonl"]
+    assert not set(SKIPPED_BY_SETUP) & set(loaded[1])
+
+
+def test_each_name_is_its_submodules_object():
+    for name in oft.__all__:
+        if name == "__version__":
+            continue
+        # call the loader directly: an earlier access may have bound the name already
+        value = oft.__getattr__(name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("oft.") and getattr(home, name) is value, name
+        assert getattr(oft, name) is value, name
+
+
+def test_star_import_and_dir_list_every_name():
+    names = fresh("from oft import *\nprint(json.dumps(sorted(dir())))\n")
+    assert set(oft.__all__) <= set(names)
+    listed = fresh("import oft\nprint(json.dumps(dir(oft)))\n")
+    assert set(oft.__all__) <= set(listed)
+    modules = {path.stem for path in Path(oft.__file__).parent.glob("*.py")} - {"__init__"}
+    assert modules <= set(listed)
+    assert set(dir(oft)) >= set(listed)
+
+
+def test_submodule_as_attribute():
+    got = fresh(
+        "import oft\n"
+        "physio = oft.physio\n"
+        "print(json.dumps([physio.__name__, oft.per_second_frames is physio.per_second_frames,"
+        " oft.pipeline.__name__]))\n"
+    )
+    assert got == ["oft.physio", True, "oft.pipeline"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'oft' has no attribute 'no_such_name'"):
+        oft.no_such_name
+    assert not hasattr(oft, "bandpass")  # a submodule's name is not re-exported
+    with pytest.raises(ImportError):
+        exec("from oft import no_such_name", {})
