@@ -12,7 +12,7 @@ bad input data, 4 when an allocation problem is infeasible.
 
 A settings JSON (via --config or the OFT_CONFIG environment variable) may
 supply defaults: {"fusion_net": path, "pupil_reference": [mean_mm, sd_mm],
-"hold_s": seconds}.
+"hold_s": seconds}. Any other key is an error.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, physio
 from .cocom import read_roster_csv, read_trace_csv, transitions, write_coded_csv, code_mode
 from .dfaplan import check_feasible, default_bike_model, load_model as load_alloc_model
@@ -32,9 +30,11 @@ from .effortclass import (
     METRICS,
     RF_TREES,
     SCHEMES,
+    LabelledFrame,
     binarize,
     cross_validate,
     fit_model,
+    frames_xy,
     load_model,
     read_dataset_csv,
     save_model,
@@ -55,6 +55,10 @@ from .pipeline import (
 from .regulation import read_ticks_jsonl
 
 
+#: The keys a settings file may hold; any other is a typo, not a default.
+SETTINGS_KEYS = ("fusion_net", "pupil_reference", "hold_s")
+
+
 def _settings_path(args):
     return args.config or os.environ.get("OFT_CONFIG")
 
@@ -66,6 +70,10 @@ def _settings(args) -> dict:
     raw = load_json(path, "settings file")
     if not isinstance(raw, dict):
         raise ConfigError(f"settings file {path}: expected a JSON object")
+    unknown = sorted(raw.keys() - SETTINGS_KEYS)
+    if unknown:
+        raise ConfigError(f"settings file {path}: unknown key {', '.join(map(repr, unknown))}; "
+                          f"the keys are {', '.join(SETTINGS_KEYS)}")
     if "fusion_net" in raw and not isinstance(raw["fusion_net"], str):
         raise ConfigError(f"settings file {path}: fusion_net must be a path string")
     if "hold_s" in raw and not (is_finite_number(raw["hold_s"]) and raw["hold_s"] >= 0):
@@ -190,8 +198,11 @@ def _cmd_monitor(args) -> int:
 
 def _model_spec(args) -> dict:
     """The classifier of `--kind`, with its defaults for the flags not given;
-    a flag of the other kind is an error."""
+    a flag the run does not use is an error. kNN training draws nothing, so
+    `train --kind knn` takes no --seed; cv splits with it."""
     unused = ("trees",) if args.kind == "knn" else ("k", "metric")
+    if args.kind == "knn" and args.classify_command == "train":
+        unused += ("seed",)
     given = [f"--{name}" for name in unused if getattr(args, name) is not None]
     if given:
         raise ConfigError(f"--kind {args.kind} takes no {' or '.join(given)}")
@@ -199,22 +210,26 @@ def _model_spec(args) -> dict:
         return {"kind": "knn", "k": 5 if args.k is None else args.k,
                 "metric": "euclidean" if args.metric is None else args.metric}
     return {"kind": "rf", "trees": RF_TREES if args.trees is None else args.trees,
-            "seed": args.seed}
+            "seed": _seed(args)}
 
 
-def _dataset_arrays(frames, raw_labels: bool):
-    X = np.asarray([f.features for f in frames], dtype=float)
-    y = np.asarray([f.label for f in frames], dtype=int)
-    if not raw_labels:
-        y = binarize(y)
-    return X, y
+def _seed(args) -> int:
+    return 0 if args.seed is None else args.seed
+
+
+def _labelled_frames(args) -> list:
+    """The --data frames, labels folded to low/high unless --raw-labels."""
+    frames = read_dataset_csv(args.data)
+    if args.raw_labels:
+        return frames
+    labels = binarize([f.label for f in frames]).tolist()
+    return [LabelledFrame(f.subject, f.features, label) for f, label in zip(frames, labels)]
 
 
 def _cmd_classify_train(args) -> int:
     spec = _model_spec(args)
-    frames = read_dataset_csv(args.data)
-    X, y = _dataset_arrays(frames, args.raw_labels)
-    model = fit_model(spec, X, y)
+    frames = _labelled_frames(args)
+    model = fit_model(spec, *frames_xy(frames))
     save_model(model, args.model_out)
     print(f"trained {args.kind} on {len(frames)} rows -> {args.model_out}")
     return 0
@@ -223,8 +238,7 @@ def _cmd_classify_train(args) -> int:
 def _cmd_classify_predict(args) -> int:
     model = load_model(args.model)
     frames = read_dataset_csv(args.data)
-    X = np.asarray([f.features for f in frames], dtype=float)
-    labels = model.predict(X)
+    labels = model.predict(frames_xy(frames)[0])
     rows = ((i, frame.subject, int(label)) for i, (frame, label) in enumerate(zip(frames, labels)))
     write_csv(args.out, ("row", "subject", "label"), rows)
     print(f"predicted {len(frames)} rows -> {args.out}")
@@ -235,14 +249,8 @@ def _cmd_classify_cv(args) -> int:
     spec = _model_spec(args)
     test_subjects = (None if args.test_subjects is None
                      else _ids(args.test_subjects, "--test-subjects", "subject"))
-    frames = read_dataset_csv(args.data)
-    if not args.raw_labels:
-        frames = [
-            type(f)(subject=f.subject, features=f.features, label=int(binarize(f.label)))
-            for f in frames
-        ]
     report = cross_validate(
-        frames, args.scheme, spec, seed=args.seed, test_subjects=test_subjects
+        _labelled_frames(args), args.scheme, spec, seed=_seed(args), test_subjects=test_subjects
     )
     payload = {
         "scheme": report.split,
@@ -458,7 +466,8 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--k", type=int, help="neighbours (knn; default 5)")
         q.add_argument("--metric", choices=METRICS, help="distance (knn; default euclidean)")
         q.add_argument("--trees", type=int, help=f"trees (rf; default {RF_TREES})")
-        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--seed", type=int,
+                       help="split seed (cv) and forest seed (rf); default 0")
         q.add_argument(
             "--raw-labels",
             action="store_true",

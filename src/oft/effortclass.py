@@ -390,6 +390,14 @@ def read_dataset_csv(path: str | Path) -> list[LabelledFrame]:
     return frames
 
 
+def frames_xy(frames: Sequence[LabelledFrame]) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix and the label vector of the frames, in their order."""
+    return (
+        np.array([f.features for f in frames], dtype=float),
+        np.array([f.label for f in frames], dtype=int),
+    )
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -461,12 +469,6 @@ def cross_validate(
         by_subject.setdefault(f.subject, []).append(f)
     rng = np.random.default_rng(seed)
 
-    def xy(rows):
-        return (
-            np.array([r.features for r in rows], dtype=float),
-            np.array([r.label for r in rows], dtype=int),
-        )
-
     if scheme == "per-subject-75-25":
         y_true, y_pred, n_train = [], [], 0
         for subject in sorted(by_subject):
@@ -481,8 +483,8 @@ def cross_validate(
             test_idx = set(order[:n_test].tolist())
             train = [rows[i] for i in range(n) if i not in test_idx]
             test = [rows[i] for i in range(n) if i in test_idx]
-            X_tr, y_tr = xy(train)
-            X_te, y_te = xy(test)
+            X_tr, y_tr = frames_xy(train)
+            X_te, y_te = frames_xy(test)
             model = fit_model(model_spec, X_tr, y_tr)
             y_true.extend(y_te.tolist())
             y_pred.extend(model.predict(X_te).tolist())
@@ -506,8 +508,8 @@ def cross_validate(
             raise DataError("cross_validate: held-out set must be a proper non-empty subset")
     train = [f for s in subjects if s not in held for f in by_subject[s]]
     test = [f for s in held for f in by_subject[s]]
-    X_tr, y_tr = xy(train)
-    X_te, y_te = xy(test)
+    X_tr, y_tr = frames_xy(train)
+    X_te, y_te = frames_xy(test)
     model = fit_model(model_spec, X_tr, y_tr)
     split = f"leave-subjects-out, held out {held}, seed={seed}"
     return _accuracy_report(y_te, model.predict(X_te), split, len(train))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from numbers import Integral
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -48,7 +49,7 @@ from . import physio
 from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
-from .jsonl import is_finite_number, is_seed
+from .jsonl import is_finite_number
 from .regulation import ActivitySnapshot, ActivityTracker, RegulationEvent, TaskTick
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
                        spatial_entropy, task_difficulty)
@@ -118,13 +119,21 @@ class ScenarioConfig:
     hold_s: float = 5.0
 
     def __post_init__(self):
+        for name in ("duration_s", "phase_split_s", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
+                raise ConfigError(f"scenario: {name} must be an integer, got {value!r}")
+            # stored as a Python int: the run log cannot encode an np.int64
+            object.__setattr__(self, name, int(value))
+        if type(self.dfa) is not bool:
+            raise ConfigError(f"scenario: dfa must be True or False, got {self.dfa!r}")
         if self.duration_s < 1 or not 0 < self.phase_split_s <= self.duration_s:
             raise ConfigError("scenario: need 0 < phase_split_s <= duration_s")
         if self.duration_s > MAX_DURATION_S:
             raise ConfigError(f"scenario: duration_s must be at most {MAX_DURATION_S} (one day)")
         if not (is_finite_number(self.hold_s) and self.hold_s >= 0):
             raise ConfigError(f"scenario: hold_s must be a finite number >= 0, got {self.hold_s!r}")
-        if not is_seed(self.seed):
+        if self.seed < 0:
             raise ConfigError(f"scenario: seed must be an integer >= 0, got {self.seed!r}")
 
 
@@ -184,6 +193,12 @@ def operator_script(name: str, duration_s: int = 1200, phase_split_s: int = 600)
     )
 
 
+def scripted_load(config: ScenarioConfig) -> list:
+    """The session's per-second latent load, as Python floats."""
+    load = operator_script(config.operator, config.duration_s, config.phase_split_s).load
+    return [load(float(t)) for t in range(config.duration_s)]
+
+
 # ---------------------------------------------------------------------------
 # world objects
 
@@ -205,16 +220,6 @@ class Vehicle:
     detect_t: Optional[float] = None
     inspect_t: Optional[float] = None
     neutralize_t: Optional[float] = None
-
-    @property
-    def state(self) -> str:
-        if self.neutralize_t is not None:
-            return "neutralized"
-        if self.inspect_t is not None:
-            return "inspected"
-        if self.detect_t is not None:
-            return "detected"
-        return "hidden"
 
 
 @dataclass
@@ -639,12 +644,10 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
         "isa_period_s": ISA_PERIOD_S,
     }]
     levels = np.zeros(config.duration_s, dtype=int)
-    latent = np.zeros(config.duration_s, dtype=float)
+    loads = scripted_load(config)
     isa: list[tuple] = []
 
-    for t in range(config.duration_s):
-        load = script.load(float(t))
-        latent[t] = load
+    for t, load in enumerate(loads):
         task_tick = world.tick(t, directives)
         perf = world.windowed_performance(float(t))
         demand = world.demand(float(t))
@@ -713,7 +716,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
         config=config,
         records=records,
         levels=levels,
-        latent=latent,
+        latent=np.array(loads),
         isa=isa,
         compliance=compliance,
         summary=summary,

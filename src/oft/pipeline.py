@@ -27,7 +27,7 @@ from .errors import ConfigError, DataError
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
 from .jsonl import dump_json, dump_jsonl, read_csv
-from .microworld import Monitor, RunResult, ScenarioConfig, operator_script, run_scenario
+from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario, scripted_load
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
 
@@ -227,12 +227,6 @@ def write_run_log(result: RunResult, path: str | Path) -> None:
     dump_jsonl(result.records, path)
 
 
-def _scripted_load(config: ScenarioConfig) -> np.ndarray:
-    """The per-second latent load run_scenario(config).latent will hold."""
-    script = operator_script(config.operator, config.duration_s, config.phase_split_s)
-    return np.array([script.load(float(t)) for t in range(config.duration_s)])
-
-
 def endtoend_report(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> dict:
     """Run the microworld and score how well the fused level tracks load.
 
@@ -241,9 +235,9 @@ def endtoend_report(config: ScenarioConfig, net: Optional[MwlNetwork] = None) ->
     DataError when a series is constant and the correlation is undefined;
     a constant scripted load fails before the session is simulated.
     """
-    latent = _scripted_load(config)
-    # where spearman(levels, latent) would raise it: the levels are finite
-    if len(latent) >= 3 and np.all(np.isfinite(latent)) and np.ptp(latent) == 0:
+    latent = scripted_load(config)
+    # where spearman(levels, latent) would raise it: both are finite
+    if len(latent) >= 3 and min(latent) == max(latent):
         raise DataError(_NO_RANK_VARIATION)
     result = run_scenario(config, net=net)
     rho_latent = spearman(result.levels, result.latent)

@@ -43,9 +43,6 @@ class RegulationKind(Enum):
     OTHER_PERFORMANCE = "OTHER_PERFORMANCE"
 
 
-_OT_NOT_ACTIVE = "tick t={}: ot must be reported for exactly the active tasks"
-
-
 class _TaskTick(NamedTuple):
     t: int
     at: dict
@@ -53,7 +50,8 @@ class _TaskTick(NamedTuple):
 
 
 class TaskTick(_TaskTick):
-    """One second of activity: at[task] in {0,1}; ot only for active tasks.
+    """One second of activity: every at and ot value is the int 0 or 1 (not
+    True or 1.0), and ot names exactly the active tasks, those at 1.
 
     A tuple, checked once when made; `_make` and `_replace` skip the check.
     """
@@ -63,15 +61,15 @@ class TaskTick(_TaskTick):
     def __new__(cls, t: int, at: dict, ot: dict):
         active = set()
         for task, value in at.items():
-            if value == 1:
+            if type(value) is not int or not 0 <= value <= 1:
+                raise DataError(f"tick t={t}: at values must be the integers 0 or 1")
+            if value:
                 active.add(task)
-            elif value != 0:
-                raise DataError(f"tick t={t}: at values must be 0 or 1")
         for value in ot.values():
-            if value not in (0, 1):
-                raise DataError(f"tick t={t}: ot values must be 0 or 1")
+            if type(value) is not int or not 0 <= value <= 1:
+                raise DataError(f"tick t={t}: ot values must be the integers 0 or 1")
         if ot.keys() != active:
-            raise DataError(_OT_NOT_ACTIVE.format(t))
+            raise DataError(f"tick t={t}: ot must be reported for exactly the active tasks")
         return tuple.__new__(cls, (t, at, ot))
 
 
@@ -147,14 +145,12 @@ class ActivityTracker:
 def read_ticks_jsonl(path: str | Path):
     """Tick stream: {"t", "at": {...}, "ot": {...}, "perf"} per line.
 
-    `t` must be a JSON integer, `at` and `ot` JSON objects whose values are
-    the JSON integers 0 or 1, and `perf` a JSON number; nothing is coerced
-    (not `true`, `1.0` or `"0.5"`). The tick holds the decoded `at` and
-    `ot` dicts themselves. Each value is checked once, here; `ot` must then
-    name exactly the active tasks, with TaskTick's message.
+    `t` must be a JSON integer, `at` and `ot` JSON objects, and `perf` a
+    JSON number; nothing is coerced (not `true`, `1.0` or `"0.5"`). Each
+    tick is made by TaskTick, from the decoded `at` and `ot` dicts
+    themselves, and its DataError gains the file and the record.
     """
     where = f"stream 'ticks' ({path})"
-    make_tick = TaskTick._make
     for rec in load_jsonl(path):
         try:
             t, at, ot = rec["t"], rec["at"], rec["ot"]
@@ -164,18 +160,10 @@ def read_ticks_jsonl(path: str | Path):
             raise DataError(f"{where}: bad record {rec!r}: t is not an integer")
         if type(at) is not dict or type(ot) is not dict:
             raise DataError(f"{where}: bad record {rec!r}: at and ot must be JSON objects")
-        active = set()
-        for task, value in at.items():
-            if type(value) is not int or not 0 <= value <= 1:
-                raise DataError(f"{where}: bad record {rec!r}: at and ot values must be 0 or 1")
-            if value:
-                active.add(task)
-        for value in ot.values():
-            if type(value) is not int or not 0 <= value <= 1:
-                raise DataError(f"{where}: bad record {rec!r}: at and ot values must be 0 or 1")
-        if ot.keys() != active:
-            raise DataError(_OT_NOT_ACTIVE.format(t))
-        tick = make_tick((t, at, ot))
+        try:
+            tick = TaskTick(t, at, ot)
+        except DataError as exc:
+            raise DataError(f"{where}: bad record {rec!r}: {exc}") from exc
         perf = rec.get("perf")
         if type(perf) not in (int, float):
             raise DataError(f"{where}: bad record {rec!r}: perf is not a number")

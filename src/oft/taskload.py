@@ -95,12 +95,16 @@ def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
     The unit square is split into ENTROPY_GRID cells; entropy is taken over
     the fraction of targets per occupied cell. No targets, or all targets in
     one cell, gives 0. Positions outside the square are clamped to the
-    border cell and a warning is emitted.
+    border cell and a warning is emitted; a NaN position is a DataError.
+    The terms are summed in Python floats over the occupied cells in cell
+    order, so the result does not depend on numpy's CPU-dispatched `log`.
     """
     rows, cols = ENTROPY_GRID
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         return 0.0
+    if np.isnan(pts).any():
+        raise DataError("spatial_entropy: a target position is NaN")
     xs, ys = pts[:, 0], pts[:, 1]
     outside = (xs < 0) | (xs > 1) | (ys < 0) | (ys > 1)
     if np.any(outside):
@@ -110,10 +114,13 @@ def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
         )
     col = np.clip(np.clip(xs, 0, 1) * cols, 0, cols - 1e-9).astype(int)
     row = np.clip(np.clip(ys, 0, 1) * rows, 0, rows - 1e-9).astype(int)
-    cells = row * cols + col
-    _, counts = np.unique(cells, return_counts=True)
-    p = counts / counts.sum()
-    return float(-np.sum(p * np.log(p))) + 0.0  # avoid -0.0 for single-cell layouts
+    n = len(pts)
+    total = 0.0
+    for count in np.bincount(row * cols + col).tolist():
+        if count:
+            p = count / n
+            total += p * math.log(p)
+    return -total + 0.0  # avoid -0.0 for single-cell layouts
 
 
 # ---------------------------------------------------------------------------

@@ -352,11 +352,11 @@ class TestMonitorCommand:
         ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1}}', "'ot': {'a': 1}}",
          "perf is not a number"),
         ('{"t": 1, "at": {"a": true}, "ot": {"a": 1}, "perf": 0.5}', "'at': {'a': True}",
-         "at and ot values must be 0 or 1"),
+         "tick t=1: at values must be the integers 0 or 1"),
         ('{"t": 1, "at": {"a": 1}, "ot": {"a": 1.0}, "perf": 0.5}', "'ot': {'a': 1.0}",
-         "at and ot values must be 0 or 1"),
+         "tick t=1: ot values must be the integers 0 or 1"),
         ('{"t": 1, "at": {"a": 2}, "ot": {"a": 1}, "perf": 0.5}', "'at': {'a': 2}",
-         "at and ot values must be 0 or 1"),
+         "tick t=1: at values must be the integers 0 or 1"),
     ], ids=["fractional t", "string t", "boolean t", "list at", "list ot", "string perf",
             "boolean perf", "padded string perf", "null perf", "missing perf", "boolean at",
             "float ot", "at of 2"])
@@ -1043,6 +1043,21 @@ class TestSettings:
         assert code == 2
         assert "settings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,named", [
+        ({"fusion-net": "/x.json"}, "'fusion-net'"),
+        ({"hold_s": 2.0, "holds": 9, "Fusion_net": "/x.json"}, "'Fusion_net', 'holds'"),
+    ], ids=["hyphen", "two typos"])
+    def test_unknown_key_exits_2_and_names_it(self, tmp_path, capsys, doc, named):
+        # a typo would otherwise run on the defaults it meant to replace
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(doc))
+        log = tmp_path / "run.jsonl"
+        code = main(["--config", str(settings), "simulate", "--duration", "60",
+                     "--log", str(log)])
+        assert code == 2
+        assert f"settings file {settings}: unknown key {named}" in capsys.readouterr().err
+        assert not log.exists()
+
     def test_pupil_reference_shape_checked(self, tmp_path, monkeypatch):
         settings = tmp_path / "settings.json"
         settings.write_text(json.dumps({"pupil_reference": [3.45]}))
@@ -1371,6 +1386,17 @@ class TestArgumentErrors:
                 "--model-out" if command == "train" else "--report", out, *extra]
         assert main([str(a) for a in argv]) == 2  # before the data file is read
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["0", "4", "-1"])
+    @pytest.mark.parametrize("kind", [[], ["--kind", "knn"]], ids=["default kind", "knn"])
+    def test_knn_training_takes_no_seed(self, tmp_path, capsys, kind, seed):
+        # kNN training draws nothing; cv splits with the seed, so it takes one
+        out = tmp_path / "model.json"
+        argv = ["classify", "train", "--data", tmp_path / "missing.csv", "--model-out", out,
+                *kind, "--seed", seed]
+        assert main([str(a) for a in argv]) == 2  # before the data file is read
+        assert capsys.readouterr().err == "error: --kind knn takes no --seed\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("extra,model", [
@@ -2175,12 +2201,17 @@ class TestFreeTextFuzz:
 
     @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(command=st.sampled_from(["train", "cv"]), kind=st.sampled_from([None, "knn", "rf"]),
-           flags=st.sets(st.sampled_from(["--k", "--metric", "--trees"])))
+           flags=st.sets(st.sampled_from(["--k", "--metric", "--trees", "--seed"])))
+    @example(command="train", kind="knn", flags={"--seed"})
+    @example(command="cv", kind=None, flags={"--seed"})
     def test_classifier_flags(self, fuzz_dataset, command, kind, flags):
-        """A classifier flag exits 2 exactly when the chosen kind (knn by
-        default) does not use it."""
-        values = {"--k": "3", "--metric": "manhattan", "--trees": "3"}
-        used = {"--trees"} if kind == "rf" else {"--k", "--metric"}
+        """A classifier flag exits 2 exactly when the run does not use it:
+        the chosen kind (knn by default) does not, or, for --seed, kNN
+        training, which draws nothing."""
+        values = {"--k": "3", "--metric": "manhattan", "--trees": "3", "--seed": "2"}
+        used = {"--trees", "--seed"} if kind == "rf" else {"--k", "--metric"}
+        if command == "cv":
+            used.add("--seed")
         with tempfile.TemporaryDirectory() as folder:
             argv = ["classify", command, "--data", fuzz_dataset,
                     "--model-out" if command == "train" else "--report", Path(folder) / "out",

@@ -17,7 +17,6 @@ from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_s
 from conftest import src_env
 from oft.pipeline import (
     _average_ranks,
-    _scripted_load,
     endtoend_report,
     file_sha256,
     monitor_offline,
@@ -341,7 +340,10 @@ class TestEndToEnd:
     @pytest.mark.parametrize("operator", ["diligent", "prioritizer", "degrading-overload", "flat"])
     def test_scripted_load_is_the_run_latent(self, operator):
         cfg = replace(self.CFG, operator=operator)
-        assert np.array_equal(_scripted_load(cfg), run_scenario(cfg).latent)
+        load = microworld.scripted_load(cfg)
+        assert np.array_equal(load, run_scenario(cfg).latent)
+        # round() of an np.float64 would round through numpy, not Python
+        assert {type(v) for v in load} == {float}
 
     def test_needs_enough_self_ratings(self):
         cfg = ScenarioConfig(duration_s=100, phase_split_s=50)

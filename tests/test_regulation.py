@@ -171,13 +171,17 @@ def test_ticks_jsonl_reader(tmp_path):
 
 
 def tick_check_by_comprehensions(t, at, ot):
-    """TaskTick validation as three comprehension scans: the error message
-    it raises, or None when the tick is accepted."""
-    active = {k for k, v in at.items() if v == 1}
-    if any(v not in (0, 1) for v in at.values()):
-        return f"tick t={t}: at values must be 0 or 1"
-    if any(v not in (0, 1) for v in ot.values()):
-        return f"tick t={t}: ot values must be 0 or 1"
+    """The tick contract as three comprehension scans: the error message
+    TaskTick raises, or None when the tick is accepted. A value is the int 0
+    or 1, never True or 1.0."""
+    def binary(v):
+        return type(v) is int and v in (0, 1)
+
+    active = {k for k, v in at.items() if binary(v) and v == 1}
+    if not all(binary(v) for v in at.values()):
+        return f"tick t={t}: at values must be the integers 0 or 1"
+    if not all(binary(v) for v in ot.values()):
+        return f"tick t={t}: ot values must be the integers 0 or 1"
     if set(ot) != active:
         return f"tick t={t}: ot must be reported for exactly the active tasks"
     return None
@@ -207,7 +211,8 @@ def ot_variants(at):
 
 class TestTickValidationOracle:
     """One loop over at and one over ot accept and reject what the three
-    scans did, with the same message."""
+    scans do, with the same message, in a tick made in the library or read
+    from a file."""
 
     def test_every_value_pair(self):
         checked = rejected = 0
@@ -235,18 +240,14 @@ class TestTickValidationOracle:
         else:
             ot["c"] = value
         want = tick_check_by_comprehensions(0, at, ot)
+        rec = {"t": 0, "at": at, "ot": ot, "perf": 1.0}
         path = tmp_path / "ticks.jsonl"
-        path.write_text(json.dumps({"t": 0, "at": at, "ot": ot, "perf": 1.0}) + "\n")
-        if type(value) is not int:
-            # the reader takes only the JSON integers 0 and 1, not what
-            # TaskTick would coerce (true, 1.0) or reject itself
-            with pytest.raises(DataError, match=re.escape(f"ticks' ({path}): bad record")
-                               + ".*at and ot values must be 0 or 1"):
-                list(read_ticks_jsonl(path))
-        elif want is None:
+        path.write_text(json.dumps(rec) + "\n")
+        if want is None:
             (tick, perf), = read_ticks_jsonl(path)
             assert (tick.at, tick.ot, perf) == (at, ot, 1.0)
         else:
+            # the reader adds its file and record to TaskTick's message
             with pytest.raises(DataError) as info:
                 list(read_ticks_jsonl(path))
-            assert str(info.value) == want
+            assert str(info.value) == f"stream 'ticks' ({path}): bad record {rec!r}: {want}"

@@ -1,6 +1,7 @@
 """Demand discretization, spatial entropy, difficulty grading, performance index."""
 
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from oft.errors import DataError
 from oft.taskload import (
+    ENTROPY_GRID,
     ConstraintFrame,
     DiscretizedConstraints,
     discretize,
@@ -70,6 +72,32 @@ class TestSpatialEntropy:
             pts = rng.random((50, 2))
             h = spatial_entropy(pts)
             assert 0.0 <= h <= math.log(64.0) + 1e-12
+
+    @pytest.mark.parametrize("point", [(float("nan"), 0.5), (0.5, float("nan"))])
+    def test_nan_position_rejected(self, point):
+        with pytest.raises(DataError, match="NaN"):
+            spatial_entropy([(0.2, 0.2), point])
+
+    def test_equals_a_python_sum_bit_for_bit(self, rng):
+        """The sum of p * log(p) over the occupied cells in cell order, in
+        Python floats: no term goes through numpy's vectorised log."""
+        rows, cols = ENTROPY_GRID
+
+        def reference(points):
+            counts = Counter(min(int(y * rows), rows - 1) * cols + min(int(x * cols), cols - 1)
+                             for x, y in points)
+            total = 0.0
+            for cell in sorted(counts):
+                p = counts[cell] / len(points)
+                total += p * math.log(p)
+            return -total + 0.0
+
+        for _ in range(300):
+            n = int(rng.integers(1, 120))
+            # a spread layout occupies up to 64 cells; a clustered one a few
+            scale = rng.choice([1.0, 0.3, 0.05])
+            pts = (rng.random((n, 2)) * scale).tolist()
+            assert spatial_entropy(pts).hex() == reference(pts).hex()
 
     def test_outside_positions_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
