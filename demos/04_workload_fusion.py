@@ -17,7 +17,7 @@ net = MwlNetwork.default()
 # fuzzify a few raw readings against the bundled performance partition
 part = net.partitions["performance"]
 for reading in (0.95, 0.60, 0.45, 0.20):
-    weights = {k: round(v, 2) for k, v in part.membership(reading).items() if v > 0}
+    weights = {k: round(v, 2) for k, v in fuzzify(reading, part).items()}
     print(f"performance {reading:.2f} -> {weights}")
 print()
 

@@ -42,12 +42,7 @@ class ControlMode(Enum):
     STRATEGIC = 3
 
 
-MODE_ORDER = (
-    ControlMode.SCRAMBLED,
-    ControlMode.OPPORTUNISTIC,
-    ControlMode.TACTICAL,
-    ControlMode.STRATEGIC,
-)
+MODE_ORDER = tuple(ControlMode)
 
 
 @dataclass(frozen=True)
@@ -112,18 +107,11 @@ class TransitionMatrix:
         Diagonal entries are stays, not transitions. With no transitions at
         all the share is vacuously 1.0.
         """
-        moved = 0
-        adjacent = 0
-        for i in range(4):
-            for j in range(4):
-                if i == j:
-                    continue
-                moved += self.counts[i, j]
-                if abs(i - j) == 1:
-                    adjacent += self.counts[i, j]
+        counts = self.counts
+        moved = int(counts.sum() - np.trace(counts))
         if moved == 0:
             return 1.0
-        return adjacent / moved
+        return int(np.trace(counts, 1) + np.trace(counts, -1)) / moved
 
 
 def transitions(pairs: Iterable[tuple[ControlMode, ControlMode]]) -> TransitionMatrix:

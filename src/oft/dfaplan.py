@@ -31,6 +31,11 @@ Constraint kinds: "binary" (a couple forced out via allowed=false),
 couple drags prerequisites in), and "antecedence" (a couple is admissible
 only after its antecedents were allocated in an earlier step of a scenario
 sequence).
+
+An AllocationModel is frozen. Building one validates it and indexes, once,
+what every query reads: the couple ids in declaration order, each couple's
+one-of group and conditional prerequisites, and the constraints the solver
+gets (the declared ones plus one "exclusive" per one-of group).
 """
 
 from __future__ import annotations
@@ -155,8 +160,20 @@ class ConstraintSpec:
         return f"antecedence: {self.couple} after " + " and ".join(self.after)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocationModel:
+    """A validated allocation model, frozen once built.
+
+    Building it checks every couple, situation, one-of group, constraint
+    and cost table, and indexes what the queries read: `couple_ids` in
+    declaration order, each couple's one-of group, each couple's
+    conditional prerequisites in declaration order, and the solver's
+    constraints (the declared ones, then one "exclusive" per one-of group,
+    in group order). A function name may not contain "-": the solver finds
+    a couple's resource after the first dash of its id, so a couple F-1-H
+    would escape a capacity limit on H.
+    """
+
     functions: tuple
     resources: tuple
     couples: tuple  # of Couple, in declaration order
@@ -166,29 +183,32 @@ class AllocationModel:
     costs: dict = field(default_factory=dict)  # criterion -> {couple id: cost}
 
     def __post_init__(self):
-        ids = [c.id for c in self.couples]
+        ids = tuple(c.id for c in self.couples)
         if len(set(ids)) != len(ids):
             raise ConfigError("model: duplicate couples")
         known = set(ids)
         for c in self.couples:
             if c.function not in self.functions or c.resource not in self.resources:
                 raise ConfigError(f"model: couple {c.id} uses undeclared function or resource")
+            if "-" in c.function:
+                raise ConfigError(f"model: function name {c.function!r} must not contain '-'")
         for sid, statuses in self.situations.items():
             for cid, status in statuses.items():
                 if cid not in known:
                     raise ConfigError(f"situation {sid}: unknown couple {cid}")
                 if status not in (EXPECTED, OPTIONAL, IMPOSSIBLE):
                     raise ConfigError(f"situation {sid}: bad status {status!r} for {cid}")
-        seen_in_group = set()
+        group_of = {}
         for group in self.xor_groups:
             if len(group) < 2:
                 raise ConfigError("model: one-of groups need at least 2 couples")
             for cid in group:
                 if cid not in known:
                     raise ConfigError(f"one-of group: unknown couple {cid}")
-                if cid in seen_in_group:
+                if cid in group_of:
                     raise ConfigError(f"one-of groups must be disjoint, {cid} repeats")
-                seen_in_group.add(cid)
+                group_of[cid] = tuple(group)
+        prerequisites = {}
         for con in self.constraints:
             for cid in (*con.couples, con.couple, *con.requires, *con.after):
                 if cid is not None and cid not in known:
@@ -196,6 +216,8 @@ class AllocationModel:
             if con.kind == "capacity":
                 if con.resource not in self.resources or con.max_functions is None:
                     raise ConfigError(f"constraint {con}: bad capacity spec")
+            elif con.kind == "conditional":
+                prerequisites[con.couple] = (*prerequisites.get(con.couple, ()), *con.requires)
         for criterion, table in self.costs.items():
             for cid, value in table.items():
                 if cid not in known:
@@ -205,65 +227,45 @@ class AllocationModel:
             # so that no sum of some of the costs, in any order, overflows
             if not math.isfinite(sum(abs(value) for value in table.values())):
                 raise ConfigError(f"costs[{criterion}]: the costs add up past the largest float")
+        object.__setattr__(self, "couple_ids", ids)
+        object.__setattr__(self, "_group_of", group_of)
+        object.__setattr__(self, "_prerequisites", prerequisites)
+        object.__setattr__(self, "_solver_constraints", (
+            *self.constraints,
+            *(ConstraintSpec(kind="exclusive", couples=tuple(group)) for group in self.xor_groups),
+        ))
 
-    # -- helpers ----------------------------------------------------------
-
-    @property
-    def couple_ids(self) -> tuple:
-        return tuple(c.id for c in self.couples)
-
-    def status(self, situation_id: str, couple_id: str) -> str:
-        return self.situations[situation_id].get(couple_id, IMPOSSIBLE)
-
-    def _check_situations(self, situation_ids: Sequence[str]) -> tuple:
+    def _check_situations(self, situation_ids: Sequence[str]) -> list:
+        """(situation id, status table) for each named situation."""
         sids = tuple(situation_ids)
         unknown = [s for s in sids if s not in self.situations]
         if unknown:
             raise DataError(f"unknown situation(s): {', '.join(unknown)}")
-        return sids
-
-    def group_of(self, couple_id: str) -> Optional[tuple]:
-        for group in self.xor_groups:
-            if couple_id in group:
-                return tuple(group)
-        return None
+        return [(s, self.situations[s]) for s in sids]
 
     # -- core operations ---------------------------------------------------
 
     def min_config(self, situation_ids: Sequence[str]) -> tuple:
         """Requirements from couples expected in any member situation."""
-        sids = self._check_situations(situation_ids)
-        expected = [
-            cid
-            for cid in self.couple_ids
-            if any(self.status(s, cid) == EXPECTED for s in sids)
-        ]
-        requirements = []
-        grouped = set()
-        for cid in expected:
-            group = self.group_of(cid)
-            if group is None:
-                requirements.append(Requirement(couples=(cid,)))
-            elif group not in grouped:
-                grouped.add(group)
-                requirements.append(Requirement(couples=group))
-        return tuple(requirements)
+        tables = self._check_situations(situation_ids)
+        requirements = {}  # a one-of group enters once, at its first expected couple
+        for cid in self.couple_ids:
+            if any(table.get(cid) == EXPECTED for _, table in tables):
+                group = self._group_of.get(cid, (cid,))
+                requirements.setdefault(group, Requirement(couples=group))
+        return tuple(requirements.values())
 
     def pot(self, situation_ids: Sequence[str]) -> PotResult:
         """Couples not impossible anywhere, plus who eliminated the rest."""
-        sids = self._check_situations(situation_ids)
-        conditions = {}
-        for con in self.constraints:
-            if con.kind == "conditional":
-                conditions.setdefault(con.couple, []).extend(con.requires)
+        tables = self._check_situations(situation_ids)
         entries = []
         eliminated = {}
         for cid in self.couple_ids:
-            ruled_out = tuple(s for s in sids if self.status(s, cid) == IMPOSSIBLE)
+            ruled_out = tuple(s for s, table in tables if table.get(cid, IMPOSSIBLE) == IMPOSSIBLE)
             if ruled_out:
                 eliminated[cid] = ruled_out
             else:
-                entries.append(PotEntry(couple=cid, conditions=tuple(conditions.get(cid, ()))))
+                entries.append(PotEntry(couple=cid, conditions=self._prerequisites.get(cid, ())))
         return PotResult(entries=tuple(entries), eliminated=eliminated)
 
     def check(self, situation_ids: Sequence[str]) -> FeasibilityReport:
@@ -279,13 +281,10 @@ class AllocationModel:
             raise ConfigError(
                 f"unknown cost criterion {criterion!r}; model defines {sorted(self.costs)}"
             )
-        constraints = list(self.constraints)
-        for group in self.xor_groups:
-            constraints.append(ConstraintSpec(kind="exclusive", couples=tuple(group)))
         return optimize(
             self.min_config(situation_ids),
             self.pot(situation_ids),
-            tuple(constraints),
+            self._solver_constraints,
             self.costs[criterion],
             history=history,
         )

@@ -469,9 +469,10 @@ def cross_validate(
         by_subject.setdefault(f.subject, []).append(f)
     rng = np.random.default_rng(seed)
 
+    subjects = sorted(by_subject)
+    splits = []  # (train frames, test frames)
     if scheme == "per-subject-75-25":
-        y_true, y_pred, n_train = [], [], 0
-        for subject in sorted(by_subject):
+        for subject in subjects:
             rows = by_subject[subject]
             n = len(rows)
             n_test = max(1, round(0.25 * n))
@@ -479,40 +480,36 @@ def cross_validate(
                 raise DataError(
                     f"cross_validate: subject {subject!r} has too few frames ({n}) to split"
                 )
-            order = rng.permutation(n)
-            test_idx = set(order[:n_test].tolist())
-            train = [rows[i] for i in range(n) if i not in test_idx]
-            test = [rows[i] for i in range(n) if i in test_idx]
-            X_tr, y_tr = frames_xy(train)
-            X_te, y_te = frames_xy(test)
-            model = fit_model(model_spec, X_tr, y_tr)
-            y_true.extend(y_te.tolist())
-            y_pred.extend(model.predict(X_te).tolist())
-            n_train += len(train)
-        split = f"per-subject 75/25, {len(by_subject)} subject(s), seed={seed}"
-        return _accuracy_report(y_true, y_pred, split, n_train)
-
-    # leave-subjects-out
-    subjects = sorted(by_subject)
-    if test_subjects is None:
-        n_held = max(1, round(0.25 * len(subjects)))
-        if n_held >= len(subjects):
-            raise DataError("cross_validate: not enough subjects to hold any out")
-        held = sorted(rng.choice(subjects, size=n_held, replace=False).tolist())
+            test_idx = set(rng.permutation(n)[:n_test].tolist())
+            splits.append(([rows[i] for i in range(n) if i not in test_idx],
+                           [rows[i] for i in range(n) if i in test_idx]))
+        split = f"per-subject 75/25, {len(subjects)} subject(s), seed={seed}"
     else:
-        held = sorted(set(test_subjects))
-        unknown = set(held) - set(subjects)
-        if unknown:
-            raise DataError(f"cross_validate: unknown test subjects {sorted(unknown)}")
-        if not held or len(held) >= len(subjects):
-            raise DataError("cross_validate: held-out set must be a proper non-empty subset")
-    train = [f for s in subjects if s not in held for f in by_subject[s]]
-    test = [f for s in held for f in by_subject[s]]
-    X_tr, y_tr = frames_xy(train)
-    X_te, y_te = frames_xy(test)
-    model = fit_model(model_spec, X_tr, y_tr)
-    split = f"leave-subjects-out, held out {held}, seed={seed}"
-    return _accuracy_report(y_te, model.predict(X_te), split, len(train))
+        if test_subjects is None:
+            n_held = max(1, round(0.25 * len(subjects)))
+            if n_held >= len(subjects):
+                raise DataError("cross_validate: not enough subjects to hold any out")
+            held = sorted(rng.choice(subjects, size=n_held, replace=False).tolist())
+        else:
+            held = sorted(set(test_subjects))
+            unknown = set(held) - set(subjects)
+            if unknown:
+                raise DataError(f"cross_validate: unknown test subjects {sorted(unknown)}")
+            if not held or len(held) >= len(subjects):
+                raise DataError("cross_validate: held-out set must be a proper non-empty subset")
+        splits.append(([f for s in subjects if s not in held for f in by_subject[s]],
+                       [f for s in held for f in by_subject[s]]))
+        split = f"leave-subjects-out, held out {held}, seed={seed}"
+
+    # fitting draws nothing from rng, so every split is drawn before any fit
+    y_true, y_pred, n_train = [], [], 0
+    for train, test in splits:
+        X_tr, y_tr = frames_xy(train)
+        X_te, y_te = frames_xy(test)
+        y_true += y_te.tolist()
+        y_pred += fit_model(model_spec, X_tr, y_tr).predict(X_te).tolist()
+        n_train += len(train)
+    return _accuracy_report(y_true, y_pred, split, n_train)
 
 
 # ---------------------------------------------------------------------------

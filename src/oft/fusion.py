@@ -81,18 +81,10 @@ class FuzzyPartition:
         object.__setattr__(self, "domain", (lo_dom, hi_dom))
         object.__setattr__(self, "overlaps", overlaps)
 
-    def membership(self, x: float) -> dict:
-        """Label weights for a reading, every label listed; a finite reading
-        outside the domain is clamped to it with a warning, a non-finite one
-        is a DataError."""
-        weights = dict.fromkeys(self.labels, 0.0)
-        weights.update(fuzzify(x, self))
-        return weights
-
 
 def fuzzify(x: float, partition: FuzzyPartition) -> dict:
-    """The labels of `partition.membership(x)` with nonzero weight, in label
-    order: one variable's likelihood, ready for `posterior`.
+    """The labels of `partition` with nonzero weight at `x`, in label order:
+    one variable's likelihood, ready for `posterior`.
 
     The weights are positive and finite and sum to 1 up to rounding: inside
     an overlap `up` lies in [0, 1], because the overlap is narrower than the

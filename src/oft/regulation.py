@@ -50,8 +50,9 @@ class _TaskTick(NamedTuple):
 
 
 class TaskTick(_TaskTick):
-    """One second of activity: every at and ot value is the int 0 or 1 (not
-    True or 1.0), and ot names exactly the active tasks, those at 1.
+    """One second of activity: t is an int (not True or 1.0), every at and ot
+    value is the int 0 or 1, and ot names exactly the active tasks, those
+    at 1.
 
     A tuple, checked once when made; `_make` and `_replace` skip the check.
     """
@@ -59,6 +60,8 @@ class TaskTick(_TaskTick):
     __slots__ = ()
 
     def __new__(cls, t: int, at: dict, ot: dict):
+        if type(t) is not int:
+            raise DataError(f"tick t={t!r}: t is not an integer")
         active = set()
         for task, value in at.items():
             if type(value) is not int or not 0 <= value <= 1:
@@ -145,10 +148,10 @@ class ActivityTracker:
 def read_ticks_jsonl(path: str | Path):
     """Tick stream: {"t", "at": {...}, "ot": {...}, "perf"} per line.
 
-    `t` must be a JSON integer, `at` and `ot` JSON objects, and `perf` a
-    JSON number; nothing is coerced (not `true`, `1.0` or `"0.5"`). Each
-    tick is made by TaskTick, from the decoded `at` and `ot` dicts
-    themselves, and its DataError gains the file and the record.
+    `at` and `ot` must be JSON objects and `perf` a JSON number; nothing is
+    coerced (not `true`, `1.0` or `"0.5"`). Each tick is made by TaskTick
+    from the decoded values themselves; TaskTick checks `t` and every `at`
+    and `ot` value, and its DataError gains the file and the record.
     """
     where = f"stream 'ticks' ({path})"
     for rec in load_jsonl(path):
@@ -156,8 +159,6 @@ def read_ticks_jsonl(path: str | Path):
             t, at, ot = rec["t"], rec["at"], rec["ot"]
         except (KeyError, TypeError) as exc:
             raise DataError(f"{where}: bad record {rec!r}") from exc
-        if type(t) is not int:
-            raise DataError(f"{where}: bad record {rec!r}: t is not an integer")
         if type(at) is not dict or type(ot) is not dict:
             raise DataError(f"{where}: bad record {rec!r}: at and ot must be JSON objects")
         try:

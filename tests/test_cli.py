@@ -832,6 +832,25 @@ class TestDfaCommands:
         assert "F1-H" in out and "F4-H" in out
         assert "feasible: yes" in out
 
+    def test_check_prints_the_prerequisites_of_two_conditionals(self, tmp_path, capsys):
+        model = {
+            "functions": ["A", "B"],
+            "resources": ["H", "M"],
+            "couples": ["A-H", "A-M", "B-H"],
+            "situations": {"S1": {"expected": ["A-H"], "optional": ["A-M", "B-H"]}},
+            "constraints": [
+                {"kind": "conditional", "couple": "B-H", "requires": ["A-M"]},
+                {"kind": "conditional", "couple": "B-H", "requires": ["A-H"]},
+            ],
+            "costs": {"w": {"A-H": 1.0, "A-M": 2.0, "B-H": 0.5}},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["dfa", "check", "--model", str(path), "--situations", "S1"]) == 0
+        assert capsys.readouterr().out == (
+            "min config:\n  A-H\npot:\n  A-H\n  A-M\n  B-H if A-M and A-H\nfeasible: yes\n"
+        )
+
     def test_check_infeasible_exits_4(self, capsys):
         assert main(["dfa", "check", "--situations", "S2,S7,S8"]) == 4
         out = capsys.readouterr().out

@@ -139,7 +139,7 @@ class TestTransitions:
 
     def test_diagonal_only_is_vacuously_adjacent(self):
         tm = transitions([(m, m) for m in MODE_ORDER])
-        assert tm.adjacency_fraction == 1.0
+        assert type(tm.adjacency_fraction) is float and tm.adjacency_fraction == 1.0
 
     def test_single_step_transition(self):
         tm = transitions([(ControlMode.SCRAMBLED, ControlMode.OPPORTUNISTIC)])
@@ -148,6 +148,22 @@ class TestTransitions:
     def test_long_jump_transition(self):
         tm = transitions([(ControlMode.SCRAMBLED, ControlMode.STRATEGIC)])
         assert tm.adjacency_fraction == 0.0
+
+    def test_adjacency_fraction_is_the_double_loop_share(self, rng):
+        for _ in range(300):
+            counts = rng.integers(0, 6, size=(4, 4)) * (rng.random((4, 4)) < 0.6)
+            moved = adjacent = 0
+            for i in range(4):
+                for j in range(4):
+                    if i != j:
+                        moved += int(counts[i, j])
+                        adjacent += int(counts[i, j]) * (abs(i - j) == 1)
+            got = TransitionMatrix(counts).adjacency_fraction
+            assert type(got) is float
+            assert got == (adjacent / moved if moved else 1.0)
+
+    def test_mode_order_is_the_ordinal_order(self):
+        assert [m.value for m in MODE_ORDER] == [0, 1, 2, 3]
 
     def test_matrix_validation(self):
         with pytest.raises(DataError):

@@ -7,6 +7,7 @@ references below share no code with the implementation; they work directly
 off the model's raw fields and try every subset of the pot.
 """
 
+import dataclasses
 import itertools
 import json
 import time
@@ -619,6 +620,59 @@ class TestAntecedence:
         assert "B-H" in sol.couples
         with pytest.raises(InfeasibleError):
             m.solve(["S2"], "w", history=frozenset())
+
+
+class TestBuiltModel:
+    """What a model indexes when it is built, and that it stays as built."""
+
+    def test_fields_are_frozen(self):
+        m = tiny_model()
+        for name in ("couples", "constraints", "xor_groups", "costs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, name, ())
+
+    def test_couple_ids_keep_declaration_order(self):
+        m = tiny_model(couples=(Couple("B", "H"), Couple("A", "M"), Couple("A", "H")))
+        assert m.couple_ids == ("B-H", "A-M", "A-H")
+        assert m.pot(["S1"]).couples == ("B-H", "A-H")
+
+    def test_pot_lists_prerequisites_of_two_conditionals_in_declaration_order(self):
+        m = tiny_model(
+            situations={"S1": {"A-H": EXPECTED, "A-M": OPTIONAL, "B-H": OPTIONAL}},
+            constraints=(
+                ConstraintSpec(kind="conditional", couple="B-H", requires=("A-M",)),
+                ConstraintSpec(kind="binary", couple="A-M", allowed=True),
+                ConstraintSpec(kind="conditional", couple="B-H", requires=("A-H",)),
+            ),
+        )
+        entries = {e.couple: e for e in m.pot(["S1"]).entries}
+        assert entries["B-H"].conditions == ("A-M", "A-H")
+        assert str(entries["B-H"]) == "B-H if A-M and A-H"
+        assert entries["A-H"].conditions == ()
+
+    def test_dashed_function_name_rejected(self):
+        # the solver reads a couple's resource after the first dash of its
+        # id, so F-1-H would escape the capacity limit on H
+        with pytest.raises(ConfigError, match="'F-1'.*must not contain '-'"):
+            AllocationModel(
+                functions=("F-1", "F2"),
+                resources=("H",),
+                couples=(Couple("F-1", "H"), Couple("F2", "H")),
+                situations={"S1": {"F-1-H": EXPECTED, "F2-H": EXPECTED}},
+                constraints=(ConstraintSpec(kind="capacity", resource="H", max_functions=1),),
+                costs={"w": {"F-1-H": 1.0, "F2-H": 1.0}},
+            )
+        undashed = AllocationModel(
+            functions=("F1", "F2"),
+            resources=("H",),
+            couples=(Couple("F1", "H"), Couple("F2", "H")),
+            situations={"S1": {"F1-H": EXPECTED, "F2-H": EXPECTED}},
+            constraints=(ConstraintSpec(kind="capacity", resource="H", max_functions=1),),
+            costs={"w": {"F1-H": 1.0, "F2-H": 1.0}},
+        )
+        with pytest.raises(InfeasibleError) as err:
+            undashed.solve(["S1"], "w")
+        assert err.value.report["core"] == ["F1-H", "F2-H", "capacity: H <= 1 function(s)"]
 
 
 class TestModelValidation:

@@ -86,28 +86,29 @@ THREE_BAND = FuzzyPartition(
 
 class TestFuzzyPartition:
     def test_plateau_memberships(self):
-        assert THREE_BAND.membership(1.0) == {"low": 1.0, "mid": 0.0, "high": 0.0}
-        assert THREE_BAND.membership(5.0) == {"low": 0.0, "mid": 1.0, "high": 0.0}
-        assert THREE_BAND.membership(9.0) == {"low": 0.0, "mid": 0.0, "high": 1.0}
+        assert fuzzify(1.0, THREE_BAND) == {"low": 1.0}
+        assert fuzzify(5.0, THREE_BAND) == {"mid": 1.0}
+        assert fuzzify(9.0, THREE_BAND) == {"high": 1.0}
 
     def test_crossfade_midpoint(self):
-        w = THREE_BAND.membership(3.0)
+        w = fuzzify(3.0, THREE_BAND)
         assert w["low"] == pytest.approx(0.5)
         assert w["mid"] == pytest.approx(0.5)
 
     def test_crossfade_is_linear(self):
-        w = THREE_BAND.membership(6.5)
+        w = fuzzify(6.5, THREE_BAND)
+        assert list(w) == ["mid", "high"]
         assert w["mid"] == pytest.approx(0.75)
         assert w["high"] == pytest.approx(0.25)
 
     def test_overlap_edges(self):
-        assert THREE_BAND.membership(2.0)["low"] == 1.0
-        assert THREE_BAND.membership(4.0)["mid"] == 1.0
+        assert fuzzify(2.0, THREE_BAND) == {"low": 1.0}
+        assert fuzzify(4.0, THREE_BAND) == {"mid": 1.0}
 
     def test_clamping_warns(self):
         with pytest.warns(UserWarning, match="outside domain"):
-            w = THREE_BAND.membership(12.0)
-        assert w["high"] == 1.0
+            w = fuzzify(12.0, THREE_BAND)
+        assert w == {"high": 1.0}
 
     def test_partition_of_unity(self, rng):
         for _ in range(40):
@@ -119,7 +120,7 @@ class TestFuzzyPartition:
                 overlaps=((cuts[0], cuts[1]), (cuts[2], cuts[3])),
             )
             for x in rng.uniform(0.0, 10.0, 25):
-                assert sum(part.membership(float(x)).values()) == pytest.approx(1.0, abs=1e-12)
+                assert sum(fuzzify(float(x), part).values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_count_validated(self):
         with pytest.raises(ConfigError):
@@ -129,7 +130,7 @@ class TestFuzzyPartition:
         with pytest.raises(ConfigError):
             FuzzyPartition("v", ("a", "b", "c"), (0.0, 1.0), ((0.2, 0.6), (0.5, 0.9)))
 
-    def test_fuzzify_wraps_membership(self):
+    def test_fuzzify_lists_nonzero_labels_in_order(self):
         lik = fuzzify(3.0, THREE_BAND)
         assert type(lik) is dict and list(lik) == ["low", "mid"]
         assert lik["low"] == pytest.approx(0.5)
@@ -388,7 +389,7 @@ class TestDefaultNetwork:
         net = MwlNetwork.default()
         assert set(net.partitions) == {"performance", "effort"}
         for part in net.partitions.values():
-            total = sum(part.membership(sum(part.domain) / 2).values())
+            total = sum(fuzzify(sum(part.domain) / 2, part).values())
             assert total == pytest.approx(1.0)
 
     def test_non_finite_readings_rejected_by_every_partition(self):
@@ -399,8 +400,8 @@ class TestDefaultNetwork:
                     fuzzify(x, part)
             # finite readings outside the domain are still clamped
             with pytest.warns(UserWarning, match="outside domain"):
-                w = part.membership(part.domain[1] + 1.0)
-            assert w[part.labels[-1]] == 1.0
+                w = fuzzify(part.domain[1] + 1.0, part)
+            assert w == {part.labels[-1]: 1.0}
 
     def test_load_rejects_bad_file(self, tmp_path):
         bad = tmp_path / "net.json"
@@ -515,8 +516,22 @@ def _oracle_mwl_level(post):
 
 
 def _oracle_fuzzify(x, partition):
-    """Every label listed, zeros included."""
-    return partition.membership(x)
+    """Every label's membership, zeros included, from the partition's domain
+    and overlaps alone: x is clamped to the domain; label i rises linearly
+    across overlap i - 1 and falls linearly across overlap i."""
+    lo_dom, hi_dom = partition.domain
+    x = min(max(x, lo_dom), hi_dom)
+
+    def rise(lo, hi):
+        return 0.0 if x <= lo else 1.0 if x >= hi else (x - lo) / (hi - lo)
+
+    overlaps = partition.overlaps
+    weights = {}
+    for i, label in enumerate(partition.labels):
+        up = 1.0 if i == 0 else rise(*overlaps[i - 1])
+        down = 1.0 if i == len(overlaps) else 1.0 - rise(*overlaps[i])
+        weights[label] = min(up, down)
+    return weights
 
 
 def same_bits(got, want):
@@ -659,12 +674,12 @@ class TestFuzzifyNonzero:
         # (x - lo) / (hi - lo) underflows to 0 here, and rounds to 1 there
         part = FuzzyPartition("v", ("a", "b"), (0.0, 10.0), ((0.0, 4.0),))
         assert fuzzify(5e-324, part) == {"a": 1.0}
-        assert part.membership(5e-324) == {"a": 1.0, "b": 0.0}
+        assert _oracle_fuzzify(5e-324, part) == {"a": 1.0, "b": 0.0}
         lo, hi = -2.434454589115478, -0.7838273344621424
         part = FuzzyPartition("v", ("a", "b"), (-5.0, 5.0), ((lo, hi),))
         x = math.nextafter(hi, -math.inf)
         assert fuzzify(x, part) == {"b": 1.0}
-        assert part.membership(x) == {"a": 0.0, "b": 1.0}
+        assert _oracle_fuzzify(x, part) == {"a": 0.0, "b": 1.0}
 
     def test_reading_checks_kept(self):
         with pytest.warns(UserWarning, match="outside domain"):

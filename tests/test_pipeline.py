@@ -169,6 +169,14 @@ def idle_ticks(n, start=0, perf=1.0):
 
 
 class TestMonitorOffline:
+    @pytest.mark.parametrize("t", [1.0, True, "1"], ids=repr)
+    def test_non_integer_tick_second_is_a_data_error(self, t):
+        # the ticks are made as the monitor reads them, past any caller check
+        beats, pupil = calm_streams()
+        ticks = ((TaskTick(t=s, at={"watch": 0}, ot={}), 1.0) for s in (0, t, 2))
+        with pytest.raises(DataError, match="t is not an integer"):
+            monitor_offline(beats, pupil, ticks)
+
     def test_calm_session_reads_low(self):
         beats, pupil = calm_streams()
         result = monitor_offline(beats, pupil, idle_ticks(240))

@@ -130,6 +130,11 @@ class TestValidation:
         with pytest.raises(DataError):
             TaskTick(t=0, at={"a": 1}, ot={})
 
+    @pytest.mark.parametrize("t", [1.0, True, "1"], ids=repr)
+    def test_t_must_be_an_int(self, t):
+        with pytest.raises(DataError, match="t is not an integer"):
+            TaskTick(t=t, at={"a": 1}, ot={"a": 1})
+
     def test_binary_values_only(self):
         with pytest.raises(DataError):
             TaskTick(t=0, at={"a": 2}, ot={"a": 1})
