@@ -13,8 +13,8 @@ everything else from its submodule (`oft.pipeline`, `oft.cocom`, ...).
 `import oft` loads no submodule. Each re-exported name, and each submodule
 reached as an attribute (`oft.physio`), loads its home module on first use
 (PEP 562), so a caller pays only for the layers it touches:
-`oft.MwlNetwork.default()` and `oft.default_bike_model()` load `fusion` (with
-numpy), `dfaplan`, `errors` and `jsonl`, and not the simulator or the
+`oft.MwlNetwork.default()` and `oft.default_bike_model()` load `fusion`,
+`dfaplan`, `errors` and `jsonl`, and neither numpy nor the simulator or the
 physiology modules.
 """
 

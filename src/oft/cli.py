@@ -8,7 +8,9 @@ transition counts), dfa (function-allocation checks and solving), simulate
 fused level against the scripted load and the periodic self-ratings).
 
 Exit codes: 0 on success, 2 for configuration or argument problems, 3 for
-bad input data, 4 when an allocation problem is infeasible.
+bad input data, 4 when an allocation problem is infeasible. A warning
+prints as one stderr line, `warning: <message>`, and leaves the exit code
+as it is.
 
 A settings JSON (via --config or the OFT_CONFIG environment variable) may
 supply defaults: {"fusion_net": path, "pupil_reference": [mean_mm, sd_mm],
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, physio
@@ -548,7 +551,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return int(args.func(args) or 0)
+        with warnings.catch_warnings():
+            # one plain line per warning, without the source path and line
+            # Python adds, so stderr does not change when the code does
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return int(args.func(args) or 0)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

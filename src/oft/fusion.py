@@ -3,9 +3,10 @@ small naive-fusion network over a five-level workload variable.
 
 The network has one root (workload level 1..5) and independent child
 indicators, each a labelled discrete variable with a conditional table
-P(label | level). Evidence is a mapping {variable: {label: weight}}, one
-soft likelihood per child (non-negative weights, not necessarily
-normalized); the posterior is exact:
+P(label | level). The prior is a tuple of five floats, each table a tuple
+of five rows of floats: no numpy. Evidence is a mapping {variable: {label:
+weight}}, one soft likelihood per child (non-negative weights, not
+necessarily normalized); the posterior is exact:
 
     post(k)  proportional to  prior(k) * prod_children sum_l lik(l) * cpt[k, l]
 
@@ -29,9 +30,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import ConfigError, DataError
 from .jsonl import DATA, dump_jsonl, load_json
@@ -113,67 +113,69 @@ def fuzzify(x: float, partition: FuzzyPartition) -> dict:
     return {labels[-1]: 1.0}
 
 
+def _distribution(values, size: int, what: str) -> tuple:
+    """`values`, a list of `size` entries read with float(), each >= 0 and
+    summing to 1 within 1e-9. A string ("10000") or a mapping iterates, but
+    is no list."""
+    row = () if isinstance(values, (str, bytes, Mapping)) else tuple(map(float, values))
+    total = 0.0
+    for p in row:  # numpy's order for < 8 entries; sum() compensates from Python 3.12
+        total += p
+    if len(row) != size or not (all(p >= 0.0 for p in row) and abs(total - 1.0) <= 1e-9):
+        raise ConfigError(f"{what} must be a distribution of {size} entries (>= 0, sum 1)")
+    return row
+
+
 @dataclass(frozen=True)
 class MwlNetwork:
-    """Five-level workload root with independent labelled child indicators."""
+    """Five-level workload root with independent labelled child indicators.
 
-    prior: np.ndarray
-    children: dict  # name -> (labels tuple, cpt ndarray of shape (5, len(labels)))
-    partitions: dict = field(default_factory=dict)  # variable -> FuzzyPartition
+    `prior` is a tuple of five floats, level 1 first; a child's table is a
+    tuple of five row tuples of floats, row k being P(label | level k + 1).
+    `children` and `partitions` are read-only views of copies.
+    """
+
+    prior: tuple
+    children: Mapping  # name -> (labels tuple, table)
+    partitions: Mapping = field(default_factory=dict)  # variable -> FuzzyPartition
 
     def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=float)
-        if prior.shape != (N_LEVELS,):
-            raise ConfigError(f"prior must have {N_LEVELS} entries")
-        if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9):  # NaN fails too
-            raise ConfigError("prior must be a distribution (non-negative, sums to 1)")
-        children = {}
-        for name, (labels, cpt) in self.children.items():
-            labels = tuple(labels)
-            cpt = np.asarray(cpt, dtype=float)
-            if len(set(labels)) != len(labels) or not labels:
-                raise ConfigError(f"child {name}: labels must be unique and non-empty")
-            if cpt.shape != (N_LEVELS, len(labels)):
-                raise ConfigError(
-                    f"child {name}: table must be {N_LEVELS}x{len(labels)}, got {cpt.shape}"
-                )
-            if not (np.all(cpt >= 0) and np.all(np.abs(cpt.sum(axis=1) - 1.0) <= 1e-9)):
-                raise ConfigError(f"child {name}: every row must be a distribution")
-            children[name] = (labels, cpt)
+        try:
+            prior = _distribution(self.prior, N_LEVELS, "prior")
+            children = {}
+            for name, (labels, table) in self.children.items():
+                labels = tuple(labels)
+                if len(set(labels)) != len(labels) or not labels:
+                    raise ConfigError(f"child {name}: labels must be unique and non-empty")
+                rows = tuple(_distribution(row, len(labels), f"child {name}: row") for row in table)
+                if len(rows) != N_LEVELS:
+                    raise ConfigError(f"child {name}: table must have {N_LEVELS} rows")
+                children[name] = (labels, rows)
+            partitions = dict(self.partitions)
+        except ConfigError:
+            raise
+        # a list where a number belongs, a number past the floats, an unhashable label
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise ConfigError(f"workload network: {exc}") from exc
         object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "children", children)
-        # what posterior reads per piece of evidence, as Python floats: the
-        # prior, and for each child every label's table column, in table order
-        object.__setattr__(self, "_prior", prior.tolist())
-        object.__setattr__(self, "_columns", {
-            name: {label: cpt[:, i].tolist() for i, label in enumerate(labels)}
-            for name, (labels, cpt) in children.items()
-        })
+        object.__setattr__(self, "children", MappingProxyType(children))
+        object.__setattr__(self, "partitions", MappingProxyType(partitions))
+        object.__setattr__(self, "_columns", {  # what posterior reads: each label's column
+            name: dict(zip(labels, zip(*rows))) for name, (labels, rows) in children.items()})
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MwlNetwork":
         """The network a parsed JSON document describes; a document of any
         other shape, or with an unusable value, is a ConfigError."""
         try:
-            children = {
-                name: (tuple(spec["labels"]), np.asarray(spec["cpt"], dtype=float))
-                for name, spec in raw["children"].items()
-            }
-            partitions = {
-                var: FuzzyPartition(
-                    variable=var,
-                    labels=tuple(spec["labels"]),
-                    domain=tuple(spec["domain"]),
-                    overlaps=tuple(tuple(o) for o in spec["overlaps"]),
-                )
-                for var, spec in raw.get("partitions", {}).items()
-            }
-            prior = np.asarray(raw["prior"], dtype=float)
-            return cls(prior=prior, children=children, partitions=partitions)
+            children = {name: (s["labels"], s["cpt"]) for name, s in raw["children"].items()}
+            partitions = {var: FuzzyPartition(var, tuple(spec["labels"]), tuple(spec["domain"]),
+                                              tuple(map(tuple, spec["overlaps"])))
+                          for var, spec in raw.get("partitions", {}).items()}
+            return cls(prior=raw["prior"], children=children, partitions=partitions)
         except ConfigError:
             raise
-        # a list where an object belongs, a number past the floats, an
-        # unhashable label
+        # a list where an object belongs, a number past the floats
         except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise ConfigError(f"workload network config: {exc}") from exc
 
@@ -200,7 +202,7 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
     finite number >= 0, evidence with zero mass under the model (an empty or
     all-zero likelihood has none), or so much mass that it overflows.
     """
-    p1, p2, p3, p4, p5 = net._prior
+    p1, p2, p3, p4, p5 = net.prior
     try:
         for variable, likelihood in evidence.items():
             columns = net._columns.get(variable)
@@ -235,10 +237,8 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
     except OverflowError:  # float() of an integer past the floats, which passes the check
         from decimal import Decimal
 
-        raise DataError(
-            f"evidence for {variable!r}: likelihood {Decimal(int(weight)):.3e} "
-            "is past the float range"
-        ) from None
+        raise DataError(f"evidence for {variable!r}: likelihood {Decimal(int(weight)):.3e} "
+                        "is past the float range") from None
     # left to right, the order in which numpy sums five entries
     total = p1 + p2 + p3 + p4 + p5
     if total <= 0.0:

@@ -274,6 +274,19 @@ class TestMonitorCommand:
         assert "SDNN is" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_clamped_pupil_z_warns_in_plain_lines(self, tmp_path, capsys):
+        # a reference far below the stream puts every second's z past the effort domain
+        beats, pupil = write_streams(tmp_path)
+        assert main(["monitor", "--beats", beats, "--pupil", pupil,
+                     "--ticks", write_ticks(tmp_path / "ticks.jsonl"),
+                     "--out-dir", str(tmp_path / "mon"),
+                     "--normalization", "reference", "--reference", "2.0", "0.01"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 240
+        for line in lines:
+            value = line.removeprefix("warning: partition effort: ").split(" ", 1)
+            assert value[1] == "outside domain, clamped" and float(value[0]) > 0
+
     def test_demand_stream_and_determinism(self, tmp_path):
         beats, pupil = write_streams(tmp_path)
         ticks = write_ticks(tmp_path / "ticks.jsonl")
@@ -875,6 +888,25 @@ class TestDfaCommands:
         err = capsys.readouterr().err
         assert "infeasible:" in err
         assert "core:" in err
+
+    def test_solve_without_history_warns_in_one_fixed_line(self, tmp_path, capsys):
+        model = {
+            "functions": ["A", "B"],
+            "resources": ["H", "M"],
+            "couples": ["A-H", "A-M", "B-H"],
+            "constraints": [{"kind": "antecedence", "couple": "B-H", "after": ["A-H"]}],
+            "situations": {"S2": {"expected": ["A-M", "B-H"]}},
+            "costs": {"w": {"A-H": 1.0, "A-M": 2.0, "B-H": 0.5}},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        for _ in range(2):  # the warning is not shown once per process only
+            assert main(["dfa", "solve", "--model", str(path), "--situations", "S2",
+                         "--criterion", "w"]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "warning: ignoring antecedence constraint on B-H: no scenario history\n")
+            assert captured.out == "solution: A-M B-H (cost 2.5)\n"
 
     def test_steps_sequence(self, capsys):
         assert main(["dfa", "solve", "--steps", "S1;S1,S4", "--criterion", "energy"]) == 0

@@ -428,8 +428,10 @@ class TestReferenceEquivalence:
             block = random_pot_model(rng, 10, tag=str(len(blocks)))
             offset = 10 * len(blocks)
             pot = block.pot(["S1"]).couples
+            costs = dict(block.costs["w"])
             for i, cid in enumerate(pot):
-                block.costs["w"][cid] += 2.0 ** -(offset + i + 1)
+                costs[cid] += 2.0 ** -(offset + i + 1)
+            block = dataclasses.replace(block, costs={"w": costs})
             best = ref_solve(block, ["S1"], "w")
             if best is not None:
                 blocks.append(block)
@@ -588,6 +590,49 @@ class TestConstraints:
         # smaller tuple (without extras it is still lexicographically larger)
         sol = m.solve(["S1"], "w")
         assert sol.couples == ("A-H",)
+
+
+class TestModelOwnsItsTables:
+    """A built model keeps copies of its situation and cost tables, viewed
+    read-only, so nothing done to a dict after the build reaches a query."""
+
+    def test_changing_the_dicts_passed_in_changes_nothing(self):
+        situations = {"S1": {"A-H": EXPECTED, "B-H": OPTIONAL}, "S2": {"A-M": EXPECTED}}
+        costs = {"w": {"A-H": 1.0, "A-M": 2.0, "B-H": -0.5}}
+        m = tiny_model(situations=situations, costs=costs)
+        want = (m.min_config(["S1"]), m.pot(["S1", "S2"]), m.solve(["S1"], "w"))
+        costs["w"]["A-H"] = float("nan")
+        costs["w"]["B-H"] = 5.0
+        costs["x"] = {"A-H": float("nan")}
+        situations["S1"]["A-M"] = "bogus"
+        situations["S1"]["B-H"] = IMPOSSIBLE
+        situations["S3"] = {"A-M": EXPECTED}
+        assert (m.min_config(["S1"]), m.pot(["S1", "S2"]), m.solve(["S1"], "w")) == want
+        assert m.solve(["S1"], "w").cost == 0.5
+        assert set(m.costs) == {"w"} and set(m.situations) == {"S1", "S2"}
+
+    def test_writing_through_the_fields_is_refused(self):
+        m = default_bike_model()
+        want = m.solve(["S1"], "rider_load")
+        for table, key in ((m.costs, "rider_load"), (m.situations, "S1")):
+            with pytest.raises(TypeError):
+                table[key]["F1-H"] = "bogus"
+            with pytest.raises(TypeError):
+                table[key] = {}
+            with pytest.raises(TypeError):
+                del table[key]
+        assert m.solve(["S1"], "rider_load") == want
+
+    def test_a_rebuild_from_the_fields_is_validated(self):
+        m = default_bike_model()
+        costs = {c: dict(t) for c, t in m.costs.items()}
+        assert dataclasses.replace(m, costs=costs) == m
+        costs["rider_load"]["F1-H"] = float("nan")
+        with pytest.raises(ConfigError, match="finite"):
+            dataclasses.replace(m, costs=costs)
+        situations = {s: {**t, "F1-H": "bogus"} for s, t in m.situations.items()}
+        with pytest.raises(ConfigError, match="bad status"):
+            dataclasses.replace(m, situations=situations)
 
 
 class TestAntecedence:

@@ -32,6 +32,7 @@ def posterior_by_joint_enumeration(prior, tables, likelihoods):
     tuples. tables/likelihoods are parallel lists; likelihood entries are
     dense vectors over the child's labels."""
     n_levels = len(prior)
+    tables = [np.asarray(t) for t in tables]
     out = np.zeros(n_levels)
     ranges = [range(t.shape[1]) for t in tables]
     for k in range(n_levels):
@@ -47,6 +48,7 @@ def dense_term(cpt, lik):
     """sum_l cpt[k, l] * lik[l] for every level, the labels added left to
     right: numpy sums a row of fewer than 8 entries in order, where a BLAS
     `cpt @ lik` may fuse the multiply-adds, whose bits depend on the CPU."""
+    cpt = np.asarray(cpt)
     assert cpt.shape[1] < 8
     return (cpt * lik).sum(axis=1)
 
@@ -54,7 +56,7 @@ def dense_term(cpt, lik):
 def posterior_by_dense_sum(net, evidence):
     """The dense reference, every variable's likelihood as a term over all
     of its labels; None when the evidence has zero mass."""
-    post = net.prior.copy()
+    post = np.asarray(net.prior)
     for variable, likelihood in evidence.items():
         labels, cpt = net.children[variable]
         post = post * dense_term(cpt, np.array([likelihood.get(label, 0.0) for label in labels]))
@@ -443,6 +445,158 @@ class TestNetworkValidation:
             FuzzyPartition("v", ("a",), domain, ())
 
 
+# ---------------------------------------------------------------------------
+# the network's checks against the numpy checks they replaced
+
+
+def numpy_checks_accept(prior, children):
+    """Whether MwlNetwork accepted a prior and tables when it read them with
+    np.asarray(dtype=float): shape, every entry >= 0, every sum within 1e-9
+    of 1 (numpy adds fewer than 8 entries left to right)."""
+    try:
+        with np.errstate(all="ignore"):
+            prior = np.asarray(prior, dtype=float)
+            ok = prior.shape == (5,) and np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9
+            for labels, cpt in children.values():
+                cpt = np.asarray(cpt, dtype=float)
+                ok = ok and cpt.shape == (5, len(labels)) and np.all(cpt >= 0) and np.all(
+                    np.abs(cpt.sum(axis=1) - 1.0) <= 1e-9)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return bool(ok)
+
+
+# what can stand in for a table or prior entry, besides a numeric string:
+# ints and bools read as numbers, the rest fail float() or a check
+ODD_ENTRIES = [math.nan, -0.25, -1e-300, 0, 1, True, False, None, [0.5], [[0.5]], 10**400,
+               math.inf, "abc", ""]
+
+
+@st.composite
+def network_inputs(draw):
+    """A prior and tables near the edge of both checks: rows summing to
+    1 + k * 1e-10, odd or negative entries, rows or entries missing or extra."""
+
+    def row(n):
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        row = [w / sum(weights) for w in weights]
+        row[draw(st.integers(0, n - 1))] += draw(st.integers(-15, 15)) * 1e-10
+        return row
+
+    def spoil(rows):
+        kind = draw(st.sampled_from(["none", "none", "entry", "string", "shift", "drop", "add",
+                                     "nest"]))
+        if kind == "shift":  # the sum stays, an entry may fall below 0
+            r = rows[draw(st.integers(0, len(rows) - 1))]
+            shift = draw(st.sampled_from([0.5, 1e-12, 2.0]))
+            r[0] += shift
+            r[-1] -= shift
+        elif kind in ("entry", "string"):
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            value = rows[i][j]
+            rows[i][j] = draw(st.sampled_from(ODD_ENTRIES)) if kind == "entry" else str(value)
+        elif kind == "drop":
+            rows[draw(st.integers(0, len(rows) - 1))].pop()
+        elif kind == "add":
+            rows[draw(st.integers(0, len(rows) - 1))].append(0.0)
+        elif kind == "nest":
+            rows = [rows]
+        return rows
+
+    n_levels = draw(st.sampled_from([5, 5, 5, 4, 6]))
+    prior = spoil([row(n_levels)])
+    prior = prior[0] if len(prior) == 1 else prior
+    children = {}
+    for c in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 7))
+        children[f"c{c}"] = (tuple(f"l{j}" for j in range(n)),
+                             spoil([row(n) for _ in range(draw(st.sampled_from([5, 5, 4, 6])))]))
+    return prior, children
+
+
+class TestNetworkChecksMatchNumpy:
+    @settings(max_examples=400, deadline=None)
+    @given(network_inputs())
+    def test_same_verdict_and_columns(self, inputs):
+        prior, children = inputs
+        want = numpy_checks_accept(prior, children)
+        try:
+            net = MwlNetwork(prior=prior, children=children)
+        except ConfigError:
+            assert not want
+            return
+        assert want
+        rebuilt = MwlNetwork(prior=net.prior, children=net.children)
+        for name, (labels, table) in children.items():
+            cpt = np.asarray(table, dtype=float)
+            for i, label in enumerate(labels):
+                bits = [p.hex() for p in cpt[:, i].tolist()]
+                assert [p.hex() for p in net._columns[name][label]] == bits
+                assert [p.hex() for p in rebuilt._columns[name][label]] == bits
+
+    # added left to right, the first sums to within 1e-9 of 1 and the second
+    # does not; their exact sums (math.fsum, or the builtin sum, which
+    # compensates from Python 3.12) fall on the other side of the tolerance
+    @pytest.mark.parametrize("prior", [[0.1, 0.3, 0.2, 0.1, 0.29999999899999996],
+                                       [0.2, 0.4, 0.3, 0.1, 9.99999860695766e-10]])
+    def test_a_sum_on_the_tolerance_edge_gets_numpy_s_verdict(self, prior):
+        accept = numpy_checks_accept(prior, {})
+        assert accept != (abs(math.fsum(prior) - 1.0) <= 1e-9)
+        if accept:
+            assert MwlNetwork(prior=prior, children={}).prior == tuple(prior)
+        else:
+            with pytest.raises(ConfigError):
+                MwlNetwork(prior=prior, children={})
+
+    @pytest.mark.parametrize("prior", ["10000", "0.2", {"0.2": 1, "0.3": 1}, 1.0, None,
+                                       [[0.2]] * 5])
+    def test_a_prior_that_is_no_list_is_a_config_error(self, prior):
+        assert not numpy_checks_accept(prior, {})
+        with pytest.raises(ConfigError):
+            MwlNetwork(prior=prior, children={})
+
+    @pytest.mark.parametrize("children", [
+        [("a", np.ones((5, 1)))], {"c": "ab"}, {"c": (("a",), "11111")},
+        {"c": (("a",), [{"1": 0}] * 5)}, {"c": ((["a"],), np.ones((5, 1)))}, {"c": (("a",),)},
+    ])
+    def test_children_that_cannot_be_read_are_a_config_error(self, children):
+        with pytest.raises(ConfigError):
+            MwlNetwork(prior=np.full(5, 0.2), children=children)
+
+
+class TestNetworkOwnsItsTables:
+    def test_changing_what_it_was_built_from_changes_nothing(self):
+        net = MwlNetwork.default()
+        labels, table = net.children["performance"]
+        prior, cpt = list(net.prior), np.asarray(table)
+        children = {"performance": (labels, cpt)}
+        partitions = dict(net.partitions)
+        built = MwlNetwork(prior=prior, children=children, partitions=partitions)
+
+        def query():
+            return posterior(built, {"performance": fuzzify(0.45, built.partitions["performance"])})
+
+        want = query()
+        prior[0], cpt[:, 0] = math.nan, math.nan
+        children["effort"] = net.children["effort"]
+        partitions["performance"] = partitions["effort"]
+        assert query() == want
+        assert built.prior == net.prior and set(built.children) == {"performance"}
+        assert built.children["performance"][1] == table
+        assert built.partitions == net.partitions
+
+    def test_fields_are_read_only(self):
+        net = MwlNetwork.default()
+        with pytest.raises(TypeError):
+            net.children["behaviour"] = net.children["constraint"]
+        with pytest.raises(TypeError):
+            net.partitions["performance"] = net.partitions["effort"]
+        with pytest.raises(TypeError):
+            net.prior[0] = 1.0
+        assert net == MwlNetwork.default()
+
+
 def test_fuse_packages_state(rng):
     net = random_net(rng, (2,))
     state = fuse(net, 17, {"c0": {"l0": 0.4, "l1": 0.6}})
@@ -479,11 +633,12 @@ def test_per_second_value_types(cls, fields):
 
 
 def _oracle_posterior(net, evidence):
-    post = net.prior.copy()
+    post = np.asarray(net.prior)
     for variable, likelihood in evidence.items():
         if variable not in net.children:
             raise DataError(f"evidence for unknown variable {variable!r}")
         labels, cpt = net.children[variable]
+        cpt = np.asarray(cpt)
         unknown = set(likelihood) - set(labels)
         if unknown:
             raise DataError(

@@ -9,6 +9,7 @@ import pytest
 
 import oft
 from conftest import src_env
+from setup_without_numpy import quickstart
 
 # what the benchmark's set-up (import, default network, default allocation
 # model) must leave unloaded
@@ -31,11 +32,20 @@ def test_setup_loads_only_fusion_and_allocation():
         "import oft\n"
         "bare = oft_modules()\n"
         "oft.MwlNetwork.default(); oft.default_bike_model()\n"
-        "print(json.dumps([bare, oft_modules()]))\n"
+        "print(json.dumps([bare, oft_modules(), 'numpy' in sys.modules]))\n"
     )
     assert loaded[0] == ["oft"]
     assert loaded[1] == ["oft", "oft.dfaplan", "oft.errors", "oft.fusion", "oft.jsonl"]
     assert not set(SKIPPED_BY_SETUP) & set(loaded[1])
+    assert loaded[2] is False  # numpy's import alone took most of the set-up time
+
+
+def test_setup_and_quickstart_queries_run_with_numpy_blocked():
+    script = Path(__file__).with_name("setup_without_numpy.py")
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=60, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == quickstart()
 
 
 def test_each_name_is_its_submodules_object():
