@@ -55,13 +55,11 @@ class FuzzyPartition:
     overlaps: tuple
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        labels = _labels(self.labels, f"partition {self.variable}")
         overlaps = tuple((float(lo), float(hi)) for lo, hi in self.overlaps)
         if len(self.domain) != 2:
             raise ConfigError(f"partition {self.variable}: domain must be [low, high]")
         lo_dom, hi_dom = float(self.domain[0]), float(self.domain[1])
-        if len(set(labels)) != len(labels) or not labels:
-            raise ConfigError(f"partition {self.variable}: labels must be unique and non-empty")
         if len(overlaps) != len(labels) - 1:
             raise ConfigError(
                 f"partition {self.variable}: need {len(labels) - 1} overlaps, got {len(overlaps)}"
@@ -113,6 +111,15 @@ def fuzzify(x: float, partition: FuzzyPartition) -> dict:
     return {labels[-1]: 1.0}
 
 
+def _labels(values, what: str) -> tuple:
+    """`values`, a list of unique labels, at least one. A string ("abc") or a
+    mapping iterates, but is no list."""
+    labels = () if isinstance(values, (str, bytes, Mapping)) else tuple(values)
+    if not labels or len(set(labels)) != len(labels):
+        raise ConfigError(f"{what}: labels must be a non-empty list of unique labels")
+    return labels
+
+
 def _distribution(values, size: int, what: str) -> tuple:
     """`values`, a list of `size` entries read with float(), each >= 0 and
     summing to 1 within 1e-9. A string ("10000") or a mapping iterates, but
@@ -132,7 +139,8 @@ class MwlNetwork:
 
     `prior` is a tuple of five floats, level 1 first; a child's table is a
     tuple of five row tuples of floats, row k being P(label | level k + 1).
-    `children` and `partitions` are read-only views of copies.
+    `children` and `partitions` are read-only views of copies. A partition
+    named after a child gives labels of that child.
     """
 
     prior: tuple
@@ -144,14 +152,18 @@ class MwlNetwork:
             prior = _distribution(self.prior, N_LEVELS, "prior")
             children = {}
             for name, (labels, table) in self.children.items():
-                labels = tuple(labels)
-                if len(set(labels)) != len(labels) or not labels:
-                    raise ConfigError(f"child {name}: labels must be unique and non-empty")
+                labels = _labels(labels, f"child {name}")
                 rows = tuple(_distribution(row, len(labels), f"child {name}: row") for row in table)
                 if len(rows) != N_LEVELS:
                     raise ConfigError(f"child {name}: table must have {N_LEVELS} rows")
                 children[name] = (labels, rows)
             partitions = dict(self.partitions)
+            for var, partition in partitions.items():
+                if var in children:
+                    unknown = [label for label in partition.labels if label not in children[var][0]]
+                    if unknown:
+                        raise ConfigError(
+                            f"partition {var}: labels {unknown} are not labels of child {var}")
         except ConfigError:
             raise
         # a list where a number belongs, a number past the floats, an unhashable label
@@ -169,7 +181,7 @@ class MwlNetwork:
         other shape, or with an unusable value, is a ConfigError."""
         try:
             children = {name: (s["labels"], s["cpt"]) for name, s in raw["children"].items()}
-            partitions = {var: FuzzyPartition(var, tuple(spec["labels"]), tuple(spec["domain"]),
+            partitions = {var: FuzzyPartition(var, spec["labels"], tuple(spec["domain"]),
                                               tuple(map(tuple, spec["overlaps"])))
                           for var, spec in raw.get("partitions", {}).items()}
             return cls(prior=raw["prior"], children=children, partitions=partitions)

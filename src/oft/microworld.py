@@ -8,6 +8,13 @@ inspected -> neutralized. The operator is a single server working
 earliest-deadline-first on six task kinds, with a scripted latent load that
 slows service and, for some scripts, makes jobs slip entirely.
 
+A job carries its task, its deadline and the one scene item it works on:
+the Message for ReadMessage and DrawZone, the Vehicle for DetectVehicle,
+InspectLock and Neutralize, and none for ManageEmptyZone, the drone
+transfer to a new zone, which nothing reads back. Completing a job stamps
+its item and queues the task that follows. Ids number the jobs in the order
+they were queued, and only break ties between equal deadlines.
+
 Every run is reproducible: all randomness flows from numpy Generators
 derived from the scenario seed, and the log writer sorts keys, so the same
 seed gives byte-identical logs.
@@ -135,6 +142,7 @@ class ScenarioConfig:
             raise ConfigError(f"scenario: hold_s must be a finite number >= 0, got {self.hold_s!r}")
         if self.seed < 0:
             raise ConfigError(f"scenario: seed must be an integer >= 0, got {self.seed!r}")
+        operator_script(self.operator)  # an unknown operator is refused here, not at run time
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,6 @@ def scripted_load(config: ScenarioConfig) -> list:
 
 @dataclass
 class Message:
-    id: int
     arrive_t: float
     read_t: Optional[float] = None
     zone_t: Optional[float] = None
@@ -213,8 +220,6 @@ class Message:
 
 @dataclass
 class Vehicle:
-    id: int
-    spawn_t: float
     x: float
     y: float
     detect_t: Optional[float] = None
@@ -223,37 +228,26 @@ class Vehicle:
 
 
 @dataclass
-class Zone:
-    id: int
-    created_t: float
-    has_drone: bool = False
-
-
-@dataclass
 class Job:
     id: int
     task: str
-    created_t: float
     deadline_t: float
+    item: Optional[Message | Vehicle] = None  # see the module docstring
     remaining_s: Optional[float] = None  # set when first picked up
     slipped: bool = False
-    message: Optional[Message] = None
-    vehicle: Optional[Vehicle] = None
-    zone: Optional[Zone] = None
 
 
 class World:
     """Scene state plus the operator queue. One tick is one second."""
 
-    def __init__(self, config: ScenarioConfig, script: OperatorScript,
+    def __init__(self, config: ScenarioConfig,
                  rng_spawn: np.random.Generator, rng_operator: np.random.Generator):
         self.config = config
-        self.script = script
+        self.script = operator_script(config.operator, config.duration_s, config.phase_split_s)
         self.rng_spawn = rng_spawn
         self.rng_operator = rng_operator
         self.messages: list[Message] = []
         self.vehicles: list[Vehicle] = []
-        self.zones: list[Zone] = []
         self.queue: list[Job] = []
         self.ot_flags = {task: 1 for task in TASKS}
         self.miss_counts = {task: 0 for task in TASKS}
@@ -269,22 +263,17 @@ class World:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _new_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
     def arrival_rate(self, t: float) -> float:
         if t < self.config.phase_split_s:
             return CALM_RATE_PER_S
         return BUSY_RATE_PER_S
 
-    def add_job(self, task: str, t: float, deadline_t: float, *,
-                message: Optional[Message] = None, vehicle: Optional[Vehicle] = None,
-                zone: Optional[Zone] = None) -> Job:
+    def add_job(self, task: str, t: float, deadline_t: float,
+                item: Optional[Message | Vehicle] = None) -> Job:
         if task not in TASKS:
             raise ConfigError(f"unknown task {task!r}")
-        job = Job(id=self._new_id(), task=task, created_t=t, deadline_t=deadline_t,
-                  message=message, vehicle=vehicle, zone=zone)
+        self._next_id += 1
+        job = Job(self._next_id, task, deadline_t, item)
         load = self.script.load(t)
         if self.rng_operator.random() < self.script.slip_probability(load):
             job.slipped = True
@@ -304,33 +293,30 @@ class World:
         self.queue = kept
 
     def _shed(self, t: float):
+        """Abandon the jobs past the shed threshold: first by SHED_ORDER,
+        then in queue order within a task."""
         threshold = self.script.shed_threshold
         if threshold is None or len(self.queue) <= threshold:
             return
-        for task in SHED_ORDER:
-            if len(self.queue) <= threshold:
-                break
-            keep, dropped = [], 0
-            for job in self.queue:
-                if job.task == task and len(self.queue) - dropped > threshold:
-                    self.ot_flags[task] = 0
-                    self.miss_counts[task] += 1
-                    dropped += 1
-                else:
-                    keep.append(job)
-            self.queue = keep
+        excess = len(self.queue) - threshold
+        shed = sorted(self.queue, key=lambda job: SHED_ORDER.index(job.task))[:excess]
+        for job in shed:
+            self.ot_flags[job.task] = 0
+            self.miss_counts[job.task] += 1
+        gone = {job.id for job in shed}
+        self.queue = [job for job in self.queue if job.id not in gone]
 
     def _spawn(self, t: float):
         rate = self.arrival_rate(t)
         for _ in range(int(self.rng_spawn.poisson(rate))):
-            msg = Message(id=self._new_id(), arrive_t=t)
+            msg = Message(t)
             self.messages.append(msg)
-            self.add_job("ReadMessage", t, t + TASK_BUDGET_S["ReadMessage"], message=msg)
+            self.add_job("ReadMessage", t, t + TASK_BUDGET_S["ReadMessage"], msg)
         for _ in range(int(self.rng_spawn.poisson(rate))):
             x, y = self.rng_spawn.random(2)
-            veh = Vehicle(id=self._new_id(), spawn_t=t, x=float(x), y=float(y))
+            veh = Vehicle(float(x), float(y))
             self.vehicles.append(veh)
-            self.add_job("DetectVehicle", t, t + TASK_BUDGET_S["DetectVehicle"], vehicle=veh)
+            self.add_job("DetectVehicle", t, t + TASK_BUDGET_S["DetectVehicle"], veh)
 
     def _machine_pass(self, t: float, directives: frozenset, completed: set):
         for directive, task in _TAKEOVERS:
@@ -369,27 +355,23 @@ class World:
                 self._complete(job, t, completed)
 
     def _complete(self, job: Job, t: float, completed: set):
-        self.ot_flags[job.task] = 1
-        completed.add(job.task)
-        if job.task == "ReadMessage" and job.message is not None:
-            job.message.read_t = t
-            self.add_job("DrawZone", t, job.message.arrive_t + MESSAGE_BUDGET_S,
-                         message=job.message)
-        elif job.task == "DrawZone" and job.message is not None:
-            job.message.zone_t = t
-            zone = Zone(id=self._new_id(), created_t=t)
-            self.zones.append(zone)
-            self.add_job("ManageEmptyZone", t, t + TASK_BUDGET_S["ManageEmptyZone"], zone=zone)
-        elif job.task == "ManageEmptyZone" and job.zone is not None:
-            job.zone.has_drone = True
-        elif job.task == "DetectVehicle" and job.vehicle is not None:
-            job.vehicle.detect_t = t
-            self.add_job("InspectLock", t, t + TASK_BUDGET_S["InspectLock"], vehicle=job.vehicle)
-        elif job.task == "InspectLock" and job.vehicle is not None:
-            job.vehicle.inspect_t = t
-            self.add_job("Neutralize", t, t + TASK_BUDGET_S["Neutralize"], vehicle=job.vehicle)
-        elif job.task == "Neutralize" and job.vehicle is not None:
-            job.vehicle.neutralize_t = t
+        task, item = job.task, job.item
+        self.ot_flags[task] = 1
+        completed.add(task)
+        if task == "ReadMessage":
+            item.read_t = t
+            self.add_job("DrawZone", t, item.arrive_t + MESSAGE_BUDGET_S, item)
+        elif task == "DrawZone":
+            item.zone_t = t
+            self.add_job("ManageEmptyZone", t, t + TASK_BUDGET_S["ManageEmptyZone"])
+        elif task == "DetectVehicle":
+            item.detect_t = t
+            self.add_job("InspectLock", t, t + TASK_BUDGET_S["InspectLock"], item)
+        elif task == "InspectLock":
+            item.inspect_t = t
+            self.add_job("Neutralize", t, t + TASK_BUDGET_S["Neutralize"], item)
+        elif task == "Neutralize":
+            item.neutralize_t = t
 
     def tick(self, t: int, directives: frozenset = frozenset()) -> TaskTick:
         """Advance one second; returns the activity tick for regulation."""
@@ -596,7 +578,6 @@ class Monitor:
 
 @dataclass
 class RunResult:
-    config: ScenarioConfig
     records: list  # chronological JSONL-ready dicts
     levels: np.ndarray  # per-second fused level
     latent: np.ndarray  # per-second scripted load
@@ -614,15 +595,14 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
     if net is None:
         net = MwlNetwork.default()
     monitor = Monitor(net)
-    script = operator_script(config.operator, config.duration_s, config.phase_split_s)
     ss = np.random.SeedSequence(config.seed)
     child = ss.spawn(3)
-    world = World(config, script,
+    world = World(config,
                   rng_spawn=np.random.default_rng(child[0]),
                   rng_operator=np.random.default_rng(child[1]))
     rng_physio = np.random.default_rng(child[2])
-    beat_times, beat_intervals = generate_beats(script.load, config.duration_s, rng_physio)
-    pupil_ts, pupil_values = generate_pupil(script.load, config.duration_s, rng_physio)
+    beat_times, beat_intervals = generate_beats(world.script.load, config.duration_s, rng_physio)
+    pupil_ts, pupil_values = generate_pupil(world.script.load, config.duration_s, rng_physio)
     frames = physio.per_second_frames(
         physio.RRSeries(beat_times, beat_intervals),
         physio.PupilSeries(pupil_ts, pupil_values),
@@ -713,7 +693,6 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
     }
     records.append(summary)
     return RunResult(
-        config=config,
         records=records,
         levels=levels,
         latent=np.array(loads),

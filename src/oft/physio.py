@@ -374,12 +374,15 @@ def read_beats_csv(path: str | Path) -> RRSeries:
     return RRSeries(ts, rr)
 
 
+# the values of a pupil row's valid flag; any other is a bad row
+_VALID_FLAGS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
+
+
 def read_pupil_csv(path: str | Path) -> PupilSeries:
     """Read a pupil CSV with header t_s,pupil_mm,valid."""
     rows = read_csv(
         path, "pupil", ("t_s", "pupil_mm", "valid"),
-        lambda t_s, pupil_mm, valid: (float(t_s), float(pupil_mm),
-                                      valid.strip() in ("1", "true", "True")),
+        lambda t_s, pupil_mm, valid: (float(t_s), float(pupil_mm), _VALID_FLAGS[valid.strip()]),
     )
     ts, mm, ok = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
     return PupilSeries(ts, mm, ok)

@@ -19,6 +19,18 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def job_item(task):
+    """A fresh scene item for a hand-fed microworld job of `task`: a message,
+    a vehicle, or None for a drone transfer."""
+    from oft.microworld import Message, Vehicle
+
+    if task in ("ReadMessage", "DrawZone"):
+        return Message(arrive_t=0.0)
+    if task == "ManageEmptyZone":
+        return None
+    return Vehicle(x=0.5, y=0.5)
+
+
 def make_beats(rr_ms, t0=0.0):
     """Build an RRSeries from a list of intervals, deriving beat times cumulatively."""
     rr = np.asarray(rr_ms, dtype=float)

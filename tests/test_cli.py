@@ -181,6 +181,15 @@ class TestPhysioCommand:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["yes", "2", ""])
+    def test_pupil_valid_flag_outside_its_values_exits_3(self, tmp_path, capsys, flag):
+        beats, pupil = write_streams(tmp_path)
+        overwrite_rows(pupil, "valid", flag, rows=slice(100, 101))
+        out = tmp_path / "frames.csv"
+        assert main(["physio", "--beats", beats, "--pupil", pupil, "--out", str(out)]) == 3
+        assert f"bad row {{'t_s': '25.0', 'pupil_mm': " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_pupil_diameter_is_cleansed_away(self, tmp_path):
         beats, pupil = write_streams(tmp_path)
         overwrite_rows(pupil, "pupil_mm", "nan")
@@ -466,6 +475,25 @@ class TestMonitorCommand:
                      "--log", str(tmp_path / "run.jsonl")])
         assert code == 2
         assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,name,labels", [
+        ("children", "effort", "lmh"),
+        ("partitions", "effort", "lmh"),
+        ("partitions", "performance", ["poor", "bad", "good"]),
+    ])
+    def test_net_with_bad_labels_exits_2(self, tmp_path, capsys, section, name, labels):
+        net = json.loads((DATA / "mwl_net.json").read_text())
+        net[section][name]["labels"] = labels
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": str(net_path)}))
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        code = main(["--config", str(settings), "monitor", "--beats", beats, "--pupil", pupil,
+                     "--ticks", ticks, "--out-dir", str(tmp_path / "mon")])
+        assert code == 2
+        assert f"{name}: labels" in capsys.readouterr().err
 
 
 class TestClassifyCommands:

@@ -5,6 +5,7 @@ networks by nested loops, which is tractable because the children are tiny.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from oft.fusion import (
     mwl_level,
     posterior,
 )
+from oft.jsonl import DATA
 from oft.regulation import ActivitySnapshot, RegulationEvent, RegulationKind, TaskTick
 from oft.taskload import ConstraintFrame, DiscretizedConstraints
 
@@ -443,6 +445,39 @@ class TestNetworkValidation:
     def test_partition_domain_is_two_numbers(self, domain):
         with pytest.raises(ConfigError, match="domain"):
             FuzzyPartition("v", ("a",), domain, ())
+
+
+# a label list written as a JSON string, and a partition label its child lacks
+BAD_LABELS = {
+    "child string": (("children", "effort"), "lmh", "child effort: labels must be a non-empty list"),
+    "partition string": (("partitions", "effort"), "lmh",
+                         "partition effort: labels must be a non-empty list"),
+    "partition mismatch": (("partitions", "performance"), ["poor", "bad", "good"],
+                           r"partition performance: labels \['bad'\] are not labels of child"),
+}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("case", BAD_LABELS)
+    def test_from_dict_refuses(self, case):
+        (section, name), labels, message = BAD_LABELS[case]
+        raw = json.loads((DATA / "mwl_net.json").read_text())
+        raw[section][name]["labels"] = labels
+        with pytest.raises(ConfigError, match=message):
+            MwlNetwork.from_dict(raw)
+
+    @pytest.mark.parametrize("case", BAD_LABELS)
+    def test_constructor_refuses(self, case):
+        (section, name), labels, message = BAD_LABELS[case]
+        net = MwlNetwork.default()
+        children, partitions = dict(net.children), dict(net.partitions)
+        with pytest.raises(ConfigError, match=message):
+            if section == "children":
+                children[name] = (labels, children[name][1])
+            else:
+                old = partitions[name]
+                partitions[name] = FuzzyPartition(name, labels, old.domain, old.overlaps)
+            MwlNetwork(prior=net.prior, children=children, partitions=partitions)
 
 
 # ---------------------------------------------------------------------------

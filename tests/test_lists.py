@@ -23,12 +23,12 @@ from oft.microworld import (
     World,
     operator_script,
 )
+from conftest import job_item
 
 
 def quiet_world():
     cfg = ScenarioConfig(duration_s=600, phase_split_s=300, operator="diligent")
-    world = World(cfg, operator_script("diligent", 600, 300),
-                  rng_spawn=np.random.default_rng(0), rng_operator=np.random.default_rng(1))
+    world = World(cfg, rng_spawn=np.random.default_rng(0), rng_operator=np.random.default_rng(1))
     world.arrival_rate = lambda t: 0.0
     return world
 
@@ -70,7 +70,8 @@ class TestAidsByStage:
     def test_a_takeover_takes_its_tasks_jobs(self, rule):
         world = quiet_world()
         for _ in range(MACHINE_ITEMS_PER_S + 1):
-            world.add_job(rule.task, 0.0, 60.0).slipped = True  # the operator never serves them
+            # the operator never serves them
+            world.add_job(rule.task, 0.0, 60.0, job_item(rule.task)).slipped = True
         world.tick(0, frozenset({rule.directive}))
         assert world.machine_done[rule.task] == MACHINE_ITEMS_PER_S
         assert sum(world.machine_done.values()) == MACHINE_ITEMS_PER_S

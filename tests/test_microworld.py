@@ -2,9 +2,12 @@
 
 import re
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oft import microworld
 from oft.errors import ConfigError, DataError
@@ -17,13 +20,13 @@ from oft.microworld import (
     PERF_WINDOW_S,
     PUPIL_REF_MM,
     PUPIL_REF_SD,
+    SHED_ORDER,
     TASKS,
     Message,
     Monitor,
     ScenarioConfig,
     Vehicle,
     World,
-    Zone,
     compare_compliance,
     generate_beats,
     generate_pupil,
@@ -35,6 +38,7 @@ from oft.jsonl import load_jsonl
 from oft.pipeline import monitor_offline, write_run_log
 from oft.regulation import ActivityTracker, RegulationKind, TaskTick
 from oft.taskload import MESSAGE_BUDGET_S, T_REF_S, performance_index, spatial_entropy
+from conftest import job_item
 
 
 class QuietWorld(World):
@@ -46,9 +50,8 @@ class QuietWorld(World):
 
 def quiet_world(operator="diligent"):
     """A world with no arrivals, for hand-fed job scenarios."""
-    cfg = ScenarioConfig(duration_s=600, phase_split_s=300)
-    script = operator_script(operator, cfg.duration_s, cfg.phase_split_s)
-    return QuietWorld(cfg, script,
+    cfg = ScenarioConfig(duration_s=600, phase_split_s=300, operator=operator)
+    return QuietWorld(cfg,
                       rng_spawn=np.random.default_rng(1),
                       rng_operator=np.random.default_rng(2))
 
@@ -109,6 +112,10 @@ class TestScenarioConfig:
         write_run_log(run_scenario(cfg), tmp_path / "run.jsonl")
         assert next(load_jsonl(tmp_path / "run.jsonl"))["seed"] == 3
 
+    def test_unknown_operator_is_refused_when_built(self):
+        with pytest.raises(ConfigError, match=re.escape("unknown operator script 'bogus'; choose from")):
+            ScenarioConfig(operator="bogus")
+
     def test_one_day_is_the_longest_session(self):
         # only constructed: running it would simulate a whole day
         assert ScenarioConfig(duration_s=MAX_DURATION_S).duration_s == 86_400
@@ -165,28 +172,24 @@ class TestWorldMechanics:
 
     def test_message_chain_spawns_follow_ups(self):
         world = quiet_world()
-        from oft.microworld import Message
-
-        msg = Message(id=world._new_id(), arrive_t=0.0)
+        msg = Message(arrive_t=0.0)
         world.messages.append(msg)
-        world.add_job("ReadMessage", 0.0, 120.0, message=msg)
-        for t in range(12):
-            world.tick(t)
+        world.add_job("ReadMessage", 0.0, 120.0, msg)
+        ticks = [world.tick(t) for t in range(12)]
         assert msg.read_t is not None
         assert msg.zone_t is not None
         assert msg.zone_t >= msg.read_t
-        assert len(world.zones) == 1
+        # the new zone's drone transfer was queued and done
+        assert any(tick.at["ManageEmptyZone"] for tick in ticks)
+        assert world.queue == []
         # zoning inherits the original message deadline
-        assert world.zones[0].has_drone
         assert world.miss_counts["DrawZone"] == 0
 
     def test_vehicle_chain_reaches_neutralized(self):
         world = quiet_world()
-        from oft.microworld import Vehicle
-
-        veh = Vehicle(id=world._new_id(), spawn_t=0.0, x=0.3, y=0.7)
+        veh = Vehicle(x=0.3, y=0.7)
         world.vehicles.append(veh)
-        world.add_job("DetectVehicle", 0.0, 90.0, vehicle=veh)
+        world.add_job("DetectVehicle", 0.0, 90.0, veh)
         for t in range(16):
             world.tick(t)
         # still hidden after the first second, neutralized by the last
@@ -194,8 +197,8 @@ class TestWorldMechanics:
 
     def test_earliest_deadline_first(self):
         world = quiet_world()
-        late = world.add_job("InspectLock", 0.0, 500.0)
-        soon = world.add_job("Neutralize", 0.0, 50.0)
+        late = world.add_job("InspectLock", 0.0, 500.0, job_item("InspectLock"))
+        soon = world.add_job("Neutralize", 0.0, 50.0, job_item("Neutralize"))
         for t in range(10):
             world.tick(t)
             if soon not in world.queue:
@@ -216,19 +219,15 @@ class TestWorldMechanics:
 
     def test_machine_pass_handles_two_per_second(self):
         world = quiet_world()
-        from oft.microworld import Zone
-
         for _ in range(5):
-            zone = Zone(id=world._new_id(), created_t=0.0)
-            world.zones.append(zone)
-            world.add_job("ManageEmptyZone", 0.0, 60.0, zone=zone)
+            world.add_job("ManageEmptyZone", 0.0, 60.0)
         aids = frozenset({"auto_transfer_drones"})
         world.tick(0, aids)
         assert world.machine_done["ManageEmptyZone"] >= 2
         world.tick(1, aids)
         world.tick(2, aids)
         assert world.machine_done["ManageEmptyZone"] == 5
-        assert all(z.has_drone for z in world.zones)
+        assert world.queue == []
 
     def test_service_multiplier_table(self):
         world = quiet_world()
@@ -248,13 +247,11 @@ class TestWorldMechanics:
 
     def test_demand_counts_and_entropy(self):
         world = quiet_world()
-        from oft.microworld import Message, Vehicle
-
-        world.messages.append(Message(id=1, arrive_t=0.0))
-        world.messages.append(Message(id=2, arrive_t=0.0, read_t=5.0))
+        world.messages.append(Message(arrive_t=0.0))
+        world.messages.append(Message(arrive_t=0.0, read_t=5.0))
         coords = [(0.2, 0.2), (0.8, 0.8)]
-        for i, (x, y) in enumerate(coords):
-            world.vehicles.append(Vehicle(id=10 + i, spawn_t=0.0, x=x, y=y))
+        for x, y in coords:
+            world.vehicles.append(Vehicle(x=x, y=y))
         frame = world.demand(10.0)
         assert frame.n1 == 2
         assert frame.n2 == 1  # the read message no longer needs an answer
@@ -266,23 +263,20 @@ class TestWorldMechanics:
 
     def test_windowed_performance(self):
         world = quiet_world()
-        from oft.microworld import Message, Vehicle
-
         assert world.windowed_performance(50.0) == pytest.approx(1.0)
-        world.vehicles.append(Vehicle(id=1, spawn_t=0.0, x=0.5, y=0.5,
-                                      detect_t=10.0, neutralize_t=20.0))
+        world.vehicles.append(Vehicle(x=0.5, y=0.5, detect_t=10.0, neutralize_t=20.0))
         high = world.windowed_performance(100.0)
         assert high > 0.9
         # an open vehicle past the reference time drags the window down
-        world.vehicles.append(Vehicle(id=2, spawn_t=0.0, x=0.1, y=0.1, detect_t=20.0))
+        world.vehicles.append(Vehicle(x=0.1, y=0.1, detect_t=20.0))
         low = world.windowed_performance(250.0)
         assert low < high
         # a message that blew its budget counts against the window...
-        world.messages.append(Message(id=3, arrive_t=100.0))
+        world.messages.append(Message(arrive_t=100.0))
         missed = world.windowed_performance(250.0)
         assert missed < low
         # ...and answering a later one in time pulls it partway back
-        world.messages.append(Message(id=4, arrive_t=200.0, zone_t=240.0))
+        world.messages.append(Message(arrive_t=200.0, zone_t=240.0))
         assert missed < world.windowed_performance(250.0) < low
 
 
@@ -324,10 +318,52 @@ class TestShedding:
         assert RegulationKind.COBR not in events
 
 
+def shed_per_task(queue, threshold, ot_flags, miss_counts):
+    """The shedding pass as first written, rebuilding the queue once per
+    task of SHED_ORDER; returns the kept queue."""
+    if len(queue) <= threshold:
+        return queue
+    for task in SHED_ORDER:
+        if len(queue) <= threshold:
+            break
+        keep, dropped = [], 0
+        for job in queue:
+            if job.task == task and len(queue) - dropped > threshold:
+                ot_flags[task] = 0
+                miss_counts[task] += 1
+                dropped += 1
+            else:
+                keep.append(job)
+        queue = keep
+    return queue
+
+
+class TestOnePassShed:
+    """The one-pass shed keeps and abandons the jobs the per-task loop did."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(jobs=st.lists(st.tuples(st.sampled_from(TASKS), st.booleans()), max_size=14),
+           threshold=st.integers(0, 6), order=st.randoms(use_true_random=False),
+           ot=st.lists(st.sampled_from([0, 1]), min_size=len(TASKS), max_size=len(TASKS)))
+    def test_same_jobs_kept_as_the_per_task_loop(self, jobs, threshold, order, ot):
+        world = quiet_world(operator="prioritizer")
+        world.script = replace(world.script, shed_threshold=threshold)
+        world.ot_flags = dict(zip(TASKS, ot))
+        for task, slipped in jobs:
+            world.add_job(task, 0.0, 1000.0).slipped = slipped
+        order.shuffle(world.queue)
+        ot_flags, miss_counts = dict(world.ot_flags), dict(world.miss_counts)
+        kept = shed_per_task(list(world.queue), threshold, ot_flags, miss_counts)
+        world._shed(0.0)
+        assert [job.id for job in world.queue] == [job.id for job in kept]
+        assert world.ot_flags == ot_flags
+        assert world.miss_counts == miss_counts
+
+
 class TestSpawning:
     def test_arrival_rate_switches_at_split(self):
         cfg = ScenarioConfig(duration_s=600, phase_split_s=300)
-        world = World(cfg, operator_script("diligent", cfg.duration_s, cfg.phase_split_s),
+        world = World(cfg,
                       rng_spawn=np.random.default_rng(1),
                       rng_operator=np.random.default_rng(2))
         assert world.arrival_rate(0.0) == pytest.approx(1.0 / 60.0)
@@ -336,8 +372,7 @@ class TestSpawning:
 
     def test_poisson_streams_fill_the_scene(self):
         cfg = ScenarioConfig(duration_s=1200, phase_split_s=600)
-        script = operator_script("diligent", cfg.duration_s, cfg.phase_split_s)
-        world = World(cfg, script,
+        world = World(cfg,
                       rng_spawn=np.random.default_rng(42),
                       rng_operator=np.random.default_rng(43))
         for t in range(cfg.duration_s):
@@ -516,8 +551,6 @@ class TestRunScenario:
 
     def test_different_seeds_differ(self):
         base = ScenarioConfig(duration_s=200, phase_split_s=100)
-        from dataclasses import replace
-
         a = run_scenario(replace(base, seed=1))
         b = run_scenario(replace(base, seed=2))
         assert a.records != b.records
@@ -680,19 +713,11 @@ def crowded_world(cls, seed, jobs):
     """A degrading-overload world with steady arrivals, fed `jobs` as
     (task, deadline_t, slipped) at t=0."""
     cfg = ScenarioConfig(duration_s=600, phase_split_s=300, operator="degrading-overload")
-    world = cls(cfg, operator_script(cfg.operator, cfg.duration_s, cfg.phase_split_s),
-                rng_spawn=np.random.default_rng(seed),
+    world = cls(cfg, rng_spawn=np.random.default_rng(seed),
                 rng_operator=np.random.default_rng(seed + 1))
     world.arrival_rate = lambda t: 0.2
     for task, deadline, slipped in jobs:
-        subject = {}
-        if task in ("ReadMessage", "DrawZone"):
-            subject["message"] = Message(id=world._new_id(), arrive_t=0.0)
-        elif task == "ManageEmptyZone":
-            subject["zone"] = Zone(id=world._new_id(), created_t=0.0)
-        else:
-            subject["vehicle"] = Vehicle(id=world._new_id(), spawn_t=0.0, x=0.5, y=0.5)
-        world.add_job(task, 0.0, deadline, **subject).slipped = slipped
+        world.add_job(task, 0.0, deadline, job_item(task)).slipped = slipped
     return world
 
 

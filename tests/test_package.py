@@ -1,5 +1,7 @@
-"""The top-level package loads each layer on first use (PEP 562)."""
+"""The top-level package loads each layer on first use (PEP 562), and no
+module imports a name it never uses."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -15,6 +17,11 @@ from setup_without_numpy import quickstart
 # model) must leave unloaded
 SKIPPED_BY_SETUP = ("oft.microworld", "oft.physio", "oft.adapt", "oft.regulation",
                     "oft.taskload", "oft.pipeline", "oft.effortclass", "oft.cocom")
+
+
+# imported and never read on purpose: bench/spans.py rebinds these names in
+# pipeline to time their layers (ROADMAP item 1)
+UNUSED_ON_PURPOSE = {"pipeline.py": {"fuzzify", "task_difficulty"}}
 
 
 def fresh(code):
@@ -85,3 +92,21 @@ def test_unknown_attribute_raises_attribute_error():
     assert not hasattr(oft, "bandpass")  # a submodule's name is not re-exported
     with pytest.raises(ImportError):
         exec("from oft import no_such_name", {})
+
+
+def unused_imports(path):
+    """The names a module imports and never reads, __future__ features aside."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = {path.name: unused for path in sorted(Path(oft.__file__).parent.glob("*.py"))
+             if (unused := unused_imports(path))}
+    assert found == UNUSED_ON_PURPOSE

@@ -16,6 +16,7 @@ from oft.physio import (
     cleanse_pupil,
     normalize,
     per_second_frames,
+    read_pupil_csv,
     sdnn,
 )
 
@@ -77,6 +78,12 @@ class TestCleansePupil:
         p = make_pupil([3.0, 3.1, 3.2], valid=[True, False, True])
         out = cleanse_pupil(p)
         assert list(out.diameters_mm) == [3.0, 3.2]
+
+    def test_valid_flag_values(self, tmp_path):
+        path = tmp_path / "pupil.csv"
+        flags = ["1", "true", "True", "0", "false", "False"]
+        path.write_text("t_s,pupil_mm,valid\n" + "".join(f"{t},3.0,{f}\n" for t, f in enumerate(flags)))
+        assert list(read_pupil_csv(path).valid) == [True] * 3 + [False] * 3
 
     def test_idempotent(self, rng):
         mm = rng.uniform(0.5, 9.5, 200)
