@@ -44,17 +44,27 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError, InfeasibleError
-from .jsonl import DATA, load_json
+from .jsonl import DATA, config_errors, load_json
 
 EXPECTED, OPTIONAL, IMPOSSIBLE = "expected", "optional", "impossible"
 
-CONSTRAINT_KINDS = ("binary", "disjunctive", "exclusive", "capacity", "conditional", "antecedence")
+# the fields each constraint kind reads besides `kind`; it leaves the others
+# at their defaults
+CONSTRAINT_FIELDS = {
+    "binary": ("couple", "allowed"),
+    "disjunctive": ("couples",),
+    "exclusive": ("couples",),
+    "capacity": ("resource", "max_functions"),
+    "conditional": ("couple", "requires"),
+    "antecedence": ("couple", "after"),
+}
+CONSTRAINT_KINDS = tuple(CONSTRAINT_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -127,6 +137,11 @@ class Solution:
 
 @dataclass(frozen=True)
 class ConstraintSpec:
+    """One declared constraint: its kind and the fields that kind reads
+    (CONSTRAINT_FIELDS). Lists of couple ids are kept as tuples. A missing
+    or non-string couple id, or a field its kind does not read, is a
+    ConfigError."""
+
     kind: str
     couples: tuple = ()
     couple: Optional[str] = None
@@ -137,15 +152,29 @@ class ConstraintSpec:
     allowed: bool = True
 
     def __post_init__(self):
-        if self.kind not in CONSTRAINT_KINDS:
+        if not (isinstance(self.kind, str) and self.kind in CONSTRAINT_FIELDS):
             raise ConfigError(
                 f"unknown constraint kind {self.kind!r}; known kinds are {', '.join(CONSTRAINT_KINDS)}"
             )
+        what = f"{self.kind} constraint"
+        reads = CONSTRAINT_FIELDS[self.kind]
+        with config_errors(what):
+            for name in ("couples", "requires", "after"):  # JSON lists of couple ids
+                ids = getattr(self, name)
+                if isinstance(ids, (str, bytes, Mapping)) or not all(isinstance(c, str) for c in ids):
+                    raise ConfigError(f"{what}: {name} must be a list of couple ids")
+                object.__setattr__(self, name, tuple(ids))
+            unread = [f.name for f in fields(self)[1:]
+                      if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ConfigError(f"{what}: takes no {', '.join(unread)}")
+        if "couple" in reads and not isinstance(self.couple, str):
+            raise ConfigError(f"{what}: couple must be a couple id, got {self.couple!r}")
         if not isinstance(self.allowed, bool):
-            raise ConfigError(f"{self.kind} constraint: allowed must be true or false, got {self.allowed!r}")
+            raise ConfigError(f"{what}: allowed must be true or false, got {self.allowed!r}")
         n = self.max_functions
         if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0):
-            raise ConfigError(f"{self.kind} constraint: max_functions must be a non-negative integer, got {n!r}")
+            raise ConfigError(f"{what}: max_functions must be a non-negative integer, got {n!r}")
 
     def __str__(self):
         if self.kind == "binary":
@@ -173,7 +202,8 @@ class AllocationModel:
     constraints (the declared ones, then one "exclusive" per one-of group,
     in group order). A function name may not contain "-": the solver finds
     a couple's resource after the first dash of its id, so a couple F-1-H
-    would escape a capacity limit on H.
+    would escape a capacity limit on H. A check that fails, or an argument
+    of another shape, is a ConfigError.
 
     `situations` and `costs` are read-only views of copies of the dicts
     given, inner tables included, so changing those dicts after the build
@@ -189,52 +219,53 @@ class AllocationModel:
     costs: Mapping = field(default_factory=dict)  # criterion -> {couple id: cost}
 
     def __post_init__(self):
-        situations = {sid: dict(statuses) for sid, statuses in self.situations.items()}
-        costs = {criterion: dict(table) for criterion, table in self.costs.items()}
-        ids = tuple(c.id for c in self.couples)
-        if len(set(ids)) != len(ids):
-            raise ConfigError("model: duplicate couples")
-        known = set(ids)
-        for c in self.couples:
-            if c.function not in self.functions or c.resource not in self.resources:
-                raise ConfigError(f"model: couple {c.id} uses undeclared function or resource")
-            if "-" in c.function:
-                raise ConfigError(f"model: function name {c.function!r} must not contain '-'")
-        for sid, statuses in situations.items():
-            for cid, status in statuses.items():
-                if cid not in known:
-                    raise ConfigError(f"situation {sid}: unknown couple {cid}")
-                if status not in (EXPECTED, OPTIONAL, IMPOSSIBLE):
-                    raise ConfigError(f"situation {sid}: bad status {status!r} for {cid}")
-        group_of = {}
-        for group in self.xor_groups:
-            if len(group) < 2:
-                raise ConfigError("model: one-of groups need at least 2 couples")
-            for cid in group:
-                if cid not in known:
-                    raise ConfigError(f"one-of group: unknown couple {cid}")
-                if cid in group_of:
-                    raise ConfigError(f"one-of groups must be disjoint, {cid} repeats")
-                group_of[cid] = tuple(group)
-        prerequisites = {}
-        for con in self.constraints:
-            for cid in (*con.couples, con.couple, *con.requires, *con.after):
-                if cid is not None and cid not in known:
-                    raise ConfigError(f"constraint {con}: unknown couple {cid}")
-            if con.kind == "capacity":
-                if con.resource not in self.resources or con.max_functions is None:
-                    raise ConfigError(f"constraint {con}: bad capacity spec")
-            elif con.kind == "conditional":
-                prerequisites[con.couple] = (*prerequisites.get(con.couple, ()), *con.requires)
-        for criterion, table in costs.items():
-            for cid, value in table.items():
-                if cid not in known:
-                    raise ConfigError(f"costs[{criterion}]: unknown couple {cid}")
-                if not math.isfinite(value):
-                    raise ConfigError(f"costs[{criterion}]: cost of {cid} must be finite")
-            # so that no sum of some of the costs, in any order, overflows
-            if not math.isfinite(sum(abs(value) for value in table.values())):
-                raise ConfigError(f"costs[{criterion}]: the costs add up past the largest float")
+        with config_errors("allocation model"):
+            situations = {sid: dict(statuses) for sid, statuses in self.situations.items()}
+            costs = {criterion: dict(table) for criterion, table in self.costs.items()}
+            ids = tuple(c.id for c in self.couples)
+            if len(set(ids)) != len(ids):
+                raise ConfigError("model: duplicate couples")
+            known = set(ids)
+            for c in self.couples:
+                if c.function not in self.functions or c.resource not in self.resources:
+                    raise ConfigError(f"model: couple {c.id} uses undeclared function or resource")
+                if "-" in c.function:
+                    raise ConfigError(f"model: function name {c.function!r} must not contain '-'")
+            for sid, statuses in situations.items():
+                for cid, status in statuses.items():
+                    if cid not in known:
+                        raise ConfigError(f"situation {sid}: unknown couple {cid}")
+                    if status not in (EXPECTED, OPTIONAL, IMPOSSIBLE):
+                        raise ConfigError(f"situation {sid}: bad status {status!r} for {cid}")
+            group_of = {}
+            for group in self.xor_groups:
+                if len(group) < 2:
+                    raise ConfigError("model: one-of groups need at least 2 couples")
+                for cid in group:
+                    if cid not in known:
+                        raise ConfigError(f"one-of group: unknown couple {cid}")
+                    if cid in group_of:
+                        raise ConfigError(f"one-of groups must be disjoint, {cid} repeats")
+                    group_of[cid] = tuple(group)
+            prerequisites = {}
+            for con in self.constraints:
+                for cid in (*con.couples, con.couple, *con.requires, *con.after):
+                    if cid is not None and cid not in known:
+                        raise ConfigError(f"constraint {con}: unknown couple {cid}")
+                if con.kind == "capacity":
+                    if con.resource not in self.resources or con.max_functions is None:
+                        raise ConfigError(f"constraint {con}: bad capacity spec")
+                elif con.kind == "conditional":
+                    prerequisites[con.couple] = (*prerequisites.get(con.couple, ()), *con.requires)
+            for criterion, table in costs.items():
+                for cid, value in table.items():
+                    if cid not in known:
+                        raise ConfigError(f"costs[{criterion}]: unknown couple {cid}")
+                    if not math.isfinite(value):
+                        raise ConfigError(f"costs[{criterion}]: cost of {cid} must be finite")
+                # so that no sum of some of the costs, in any order, overflows
+                if not math.isfinite(sum(abs(value) for value in table.values())):
+                    raise ConfigError(f"costs[{criterion}]: the costs add up past the largest float")
         # the queries read the copies, the fields are read-only views of them
         # (read through the views, a solve of the bundled model took 4% longer)
         object.__setattr__(self, "_situations", situations)
@@ -655,7 +686,7 @@ def load_model(path: str | Path) -> AllocationModel:
 
 
 def model_from_dict(raw: Mapping) -> AllocationModel:
-    try:
+    with config_errors("allocation model"):
         couples = []
         for cid in raw["couples"]:
             function, _, resource = cid.partition("-")
@@ -672,40 +703,18 @@ def model_from_dict(raw: Mapping) -> AllocationModel:
                     raise ConfigError(f"situation {sid}: {cid} both expected and optional")
                 statuses[cid] = OPTIONAL
             situations[sid] = statuses
-        constraints = []
-        for c in raw.get("constraints", []):
-            constraints.append(
-                ConstraintSpec(
-                    kind=c["kind"],
-                    couples=tuple(c.get("couples", ())),
-                    couple=c.get("couple"),
-                    requires=tuple(c.get("requires", ())),
-                    after=tuple(c.get("after", ())),
-                    resource=c.get("resource"),
-                    max_functions=c.get("max_functions"),
-                    allowed=c.get("allowed", True),
-                )
-            )
-        model = AllocationModel(
+        return AllocationModel(
             functions=tuple(raw["functions"]),
             resources=tuple(raw["resources"]),
             couples=tuple(couples),
             situations=situations,
             xor_groups=tuple(tuple(g) for g in raw.get("xor_groups", [])),
-            constraints=tuple(constraints),
+            constraints=tuple(ConstraintSpec(**c) for c in raw.get("constraints", [])),
             costs={
                 criterion: {cid: float(v) for cid, v in table.items()}
                 for criterion, table in raw.get("costs", {}).items()
             },
         )
-    except ConfigError:
-        raise
-    except KeyError as exc:
-        raise ConfigError(f"allocation model: missing key {exc}") from exc
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        # a field of the wrong JSON type, or a cost beyond the floats
-        raise ConfigError(f"allocation model: {exc}") from exc
-    return model
 
 
 def default_bike_model() -> AllocationModel:

@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
-from .jsonl import dump_json, is_finite_number, is_seed, load_json, read_csv
+from .jsonl import config_errors, dump_json, is_finite_number, is_seed, load_json, read_csv
 
 METRICS = ("euclidean", "squared_euclidean", "manhattan", "chebyshev")
 #: The model kinds fit_model builds.
@@ -533,7 +533,7 @@ def model_to_dict(model) -> dict:
 def model_from_dict(raw: Mapping):
     """A model from its file form; k, n_features and the labels must be JSON
     integers (not booleans), the labels inside the 64-bit range."""
-    try:
+    with config_errors("model file"):
         if raw["kind"] == "knn":
             k, labels = raw["k"], raw["labels"]
             if not _is_int(k):
@@ -549,11 +549,7 @@ def model_from_dict(raw: Mapping):
             model = ForestModel(trees=list(raw["trees"]), n_features=n_features)
             _check_forest(model)
             return model
-    except ConfigError:
-        raise
-    except (KeyError, OverflowError, TypeError, ValueError, DataError) as exc:
-        raise ConfigError(f"model file: {exc}") from exc
-    raise ConfigError(f"model file: unknown kind {raw.get('kind')!r}")
+        raise ConfigError(f"model file: unknown kind {raw['kind']!r}")
 
 
 def _is_int(value) -> bool:

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .jsonl import DATA, dump_jsonl, load_json
+from .jsonl import DATA, config_errors, dump_jsonl, load_json
 
 N_LEVELS = 5
 
@@ -46,7 +46,8 @@ class FuzzyPartition:
     Labels are listed in ascending order of the variable. Between adjacent
     labels sits an overlap interval [lo, hi] where membership crossfades
     linearly; outside the overlaps exactly one label holds with weight 1.
-    Memberships therefore always sum to 1 on the domain.
+    Memberships therefore always sum to 1 on the domain. Arguments of any
+    other shape are a ConfigError.
     """
 
     variable: str
@@ -55,28 +56,27 @@ class FuzzyPartition:
     overlaps: tuple
 
     def __post_init__(self):
-        labels = _labels(self.labels, f"partition {self.variable}")
-        overlaps = tuple((float(lo), float(hi)) for lo, hi in self.overlaps)
-        if len(self.domain) != 2:
-            raise ConfigError(f"partition {self.variable}: domain must be [low, high]")
-        lo_dom, hi_dom = float(self.domain[0]), float(self.domain[1])
-        if len(overlaps) != len(labels) - 1:
-            raise ConfigError(
-                f"partition {self.variable}: need {len(labels) - 1} overlaps, got {len(overlaps)}"
-            )
-        if lo_dom >= hi_dom:
-            raise ConfigError(f"partition {self.variable}: empty domain")
-        cursor = lo_dom
-        for lo, hi in overlaps:
-            if not (cursor <= lo < hi <= hi_dom):
-                raise ConfigError(
-                    f"partition {self.variable}: overlaps must be increasing and inside the domain"
-                )
-            if hi - lo == math.inf:
-                raise ConfigError(f"partition {self.variable}: overlap ({lo}, {hi}) is too wide")
-            cursor = hi
+        what = f"partition {self.variable}"
+        with config_errors(what):
+            labels = _labels(self.labels, what)
+            overlaps = tuple((float(lo), float(hi)) for lo, hi in map(_list, _list(self.overlaps)))
+            domain = tuple(map(float, _list(self.domain)))
+            if len(domain) != 2:
+                raise ConfigError(f"{what}: domain must be [low, high]")
+            if len(overlaps) != len(labels) - 1:
+                raise ConfigError(f"{what}: need {len(labels) - 1} overlaps, got {len(overlaps)}")
+            lo_dom, hi_dom = domain
+            if not lo_dom < hi_dom:  # NaN too
+                raise ConfigError(f"{what}: empty domain")
+            cursor = lo_dom
+            for lo, hi in overlaps:
+                if not (cursor <= lo < hi <= hi_dom):
+                    raise ConfigError(f"{what}: overlaps must be increasing and inside the domain")
+                if hi - lo == math.inf:
+                    raise ConfigError(f"{what}: overlap ({lo}, {hi}) is too wide")
+                cursor = hi
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "domain", (lo_dom, hi_dom))
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "overlaps", overlaps)
 
 
@@ -111,10 +111,15 @@ def fuzzify(x: float, partition: FuzzyPartition) -> dict:
     return {labels[-1]: 1.0}
 
 
+def _list(values) -> tuple:
+    """`values` as a tuple; a string ("abc") or a mapping iterates, but is no
+    list, and gives ()."""
+    return () if isinstance(values, (str, bytes, Mapping)) else tuple(values)
+
+
 def _labels(values, what: str) -> tuple:
-    """`values`, a list of unique labels, at least one. A string ("abc") or a
-    mapping iterates, but is no list."""
-    labels = () if isinstance(values, (str, bytes, Mapping)) else tuple(values)
+    """`values`, a list of unique labels, at least one."""
+    labels = _list(values)
     if not labels or len(set(labels)) != len(labels):
         raise ConfigError(f"{what}: labels must be a non-empty list of unique labels")
     return labels
@@ -122,9 +127,8 @@ def _labels(values, what: str) -> tuple:
 
 def _distribution(values, size: int, what: str) -> tuple:
     """`values`, a list of `size` entries read with float(), each >= 0 and
-    summing to 1 within 1e-9. A string ("10000") or a mapping iterates, but
-    is no list."""
-    row = () if isinstance(values, (str, bytes, Mapping)) else tuple(map(float, values))
+    summing to 1 within 1e-9."""
+    row = tuple(map(float, _list(values)))
     total = 0.0
     for p in row:  # numpy's order for < 8 entries; sum() compensates from Python 3.12
         total += p
@@ -148,7 +152,7 @@ class MwlNetwork:
     partitions: Mapping = field(default_factory=dict)  # variable -> FuzzyPartition
 
     def __post_init__(self):
-        try:
+        with config_errors("workload network"):
             prior = _distribution(self.prior, N_LEVELS, "prior")
             children = {}
             for name, (labels, table) in self.children.items():
@@ -164,11 +168,6 @@ class MwlNetwork:
                     if unknown:
                         raise ConfigError(
                             f"partition {var}: labels {unknown} are not labels of child {var}")
-        except ConfigError:
-            raise
-        # a list where a number belongs, a number past the floats, an unhashable label
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ConfigError(f"workload network: {exc}") from exc
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "children", MappingProxyType(children))
         object.__setattr__(self, "partitions", MappingProxyType(partitions))
@@ -178,18 +177,13 @@ class MwlNetwork:
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MwlNetwork":
         """The network a parsed JSON document describes; a document of any
-        other shape, or with an unusable value, is a ConfigError."""
-        try:
+        other shape, with an unusable value, or with a partition key other
+        than labels, domain and overlaps, is a ConfigError."""
+        with config_errors("workload network config"):
             children = {name: (s["labels"], s["cpt"]) for name, s in raw["children"].items()}
-            partitions = {var: FuzzyPartition(var, spec["labels"], tuple(spec["domain"]),
-                                              tuple(map(tuple, spec["overlaps"])))
+            partitions = {var: FuzzyPartition(var, **spec)
                           for var, spec in raw.get("partitions", {}).items()}
             return cls(prior=raw["prior"], children=children, partitions=partitions)
-        except ConfigError:
-            raise
-        # a list where an object belongs, a number past the floats
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise ConfigError(f"workload network config: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "MwlNetwork":

@@ -20,6 +20,10 @@ load_jsonl, which raise DataError, naming the file, when it cannot be read,
 lacks a column, or holds a malformed row or line. Config and model files
 are read through load_json, which raises ConfigError when the file cannot
 be opened or is not UTF-8 JSON. The bundled defaults live under DATA.
+
+This module also owns the one rule that turns a malformed document or
+argument into a ConfigError (exit 2): `config_errors`, around the code that
+reads the document's objects, or checks a model's arguments.
 """
 
 from __future__ import annotations
@@ -118,6 +122,23 @@ def load_json(path: str | Path, what: str) -> Any:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise ConfigError(f"{what} {path}: {exc}") from exc
+
+
+@contextmanager
+def config_errors(what: str):
+    """Inside the block, a KeyError becomes ConfigError("<what>: missing key
+    'x'"), and a TypeError, ValueError, AttributeError, OverflowError or
+    DataError becomes ConfigError("<what>: <message>"): a list where an
+    object belongs, a number past the floats, an unhashable label. A
+    ConfigError, itself a ValueError, passes through unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError, DataError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def load_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:

@@ -237,13 +237,8 @@ def _norm_stats(per_sec, method, window, reference):
         pool = [v for t, v in per_sec.items() if lo <= t < hi]
     else:  # session
         pool = list(per_sec.values())
-    if len(pool) < 2:
-        raise InsufficientDataError("pupil normalization: need at least 2 per-second means")
-    arr = np.asarray(pool, dtype=float)
-    scale = float(np.std(arr, ddof=1))
-    if scale == 0.0:
-        raise DegenerateInputError("pupil normalization: zero variance in baseline")
-    return float(np.mean(arr)), scale
+    baseline = normalize(pool)
+    return baseline.center, baseline.scale
 
 
 def _full_span_sdnn(rr: np.ndarray, counts: np.ndarray, span: int) -> dict:

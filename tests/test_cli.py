@@ -23,6 +23,7 @@ from oft.cli import main
 from oft.effortclass import ForestModel, load_model
 from oft.jsonl import DATA, dump_jsonl, load_jsonl
 from oft.microworld import generate_beats, generate_pupil
+from test_dfaplan import BAD_CONSTRAINTS, EXAMPLES
 
 
 def write_streams(dirpath, duration=240, load=0.2, seed=5):
@@ -494,6 +495,23 @@ class TestMonitorCommand:
                      "--ticks", ticks, "--out-dir", str(tmp_path / "mon")])
         assert code == 2
         assert f"{name}: labels" in capsys.readouterr().err
+
+
+    def test_net_with_an_unknown_partition_key_exits_2(self, tmp_path, capsys):
+        net = json.loads((DATA / "mwl_net.json").read_text())
+        net["partitions"]["effort"]["domian"] = [-6.0, 6.0]
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": str(net_path)}))
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        code = main(["--config", str(settings), "monitor", "--beats", beats, "--pupil", pupil,
+                     "--ticks", ticks, "--out-dir", str(tmp_path / "mon")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workload network config: ") and "'domian'" in err
+        assert not (tmp_path / "mon").exists()
 
 
 class TestClassifyCommands:
@@ -1011,6 +1029,16 @@ class TestDfaCommands:
         captured = capsys.readouterr()
         assert field in captured.err
         assert "solution" not in captured.out
+
+    @pytest.mark.parametrize("command", [["check"], ["solve", "--criterion", "rider_load"]])
+    @pytest.mark.parametrize("case", BAD_CONSTRAINTS)
+    def test_malformed_constraint_exits_2(self, tmp_path, capsys, command, case):
+        model = json.loads((EXAMPLES / "bike.json").read_text())
+        model["constraints"], message = BAD_CONSTRAINTS[case]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["dfa", *command, "--model", str(path), "--situations", "S1,S4,S6"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", [["check"], ["solve", "--criterion", "rider_load"]])
     @pytest.mark.parametrize("case,message", [
@@ -2190,6 +2218,8 @@ class TestInputFileFuzz:
     @example(mutation=("value", (("costs",), [1, 2])))
     @example(mutation=("value", (("couples", 0), -1)))
     @example(mutation=("value", (("costs", "rider_load", "F1-H"), 10**400)))
+    # a null prerequisite
+    @example(mutation=("value", (("constraints", 0, "requires", 0), None)))
     def test_allocation_model_file(self, mutation):
         model = json.loads((DATA / "bike.json").read_text())
         with tempfile.TemporaryDirectory() as folder:

@@ -810,6 +810,76 @@ class TestModelValidation:
             assert ConstraintSpec(kind="capacity", resource="H", max_functions=limit).max_functions == limit
 
 
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+
+# constraints of examples/bike.json, each with one fault: a null or missing
+# couple id, or a field its kind does not read; the last one is at fault
+BIKE_CONDITIONAL = {"kind": "conditional", "couple": "F1-M", "requires": ["F1-H"]}
+BAD_CONSTRAINTS = {
+    "null prerequisite": (
+        [{"kind": "conditional", "couple": "F1-M", "requires": [None]}],
+        "conditional constraint: requires must be a list of couple ids"),
+    "null disjunct": (
+        [BIKE_CONDITIONAL, {"kind": "disjunctive", "couples": [None]}],
+        "disjunctive constraint: couples must be a list of couple ids"),
+    "binary without a couple": (
+        [BIKE_CONDITIONAL, {"kind": "binary", "allowed": False}],
+        "binary constraint: couple must be a couple id, got None"),
+    "null exclusive member": (
+        [BIKE_CONDITIONAL, {"kind": "exclusive", "couples": ["F2-H", None]}],
+        "exclusive constraint: couples must be a list of couple ids"),
+    "prerequisites as a string": (
+        [{"kind": "conditional", "couple": "F1-M", "requires": "F1-H"}],
+        "conditional constraint: requires must be a list of couple ids"),
+    "a field of another kind": (
+        [{"kind": "conditional", "couple": "F1-M", "requires": ["F1-H"], "after": ["F4-H"]}],
+        "conditional constraint: takes no after"),
+}
+
+
+class TestConstraintFields:
+    @pytest.mark.parametrize("case", BAD_CONSTRAINTS)
+    def test_constructor_refuses(self, case):
+        constraints, message = BAD_CONSTRAINTS[case]
+        with pytest.raises(ConfigError) as info:
+            ConstraintSpec(**constraints[-1])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("case", BAD_CONSTRAINTS)
+    def test_model_file_refuses(self, case):
+        raw = json.loads((EXAMPLES / "bike.json").read_text())
+        raw["constraints"], message = BAD_CONSTRAINTS[case]
+        with pytest.raises(ConfigError) as info:
+            model_from_dict(raw)
+        assert str(info.value) == message
+
+    def test_model_file_refuses_a_key_no_constraint_has(self):
+        raw = json.loads((EXAMPLES / "bike.json").read_text())
+        raw["constraints"] = [{"kind": "conditional", "couple": "F1-M", "require": ["F1-H"]}]
+        with pytest.raises(ConfigError, match="allocation model: .*'require'"):
+            model_from_dict(raw)
+
+    @pytest.mark.parametrize("fields", [
+        {"kind": "binary", "couple": "A-H", "allowed": False},
+        {"kind": "disjunctive", "couples": ["A-H", "B-H"]},
+        {"kind": "exclusive", "couples": ["A-H", "B-H"]},
+        {"kind": "capacity", "resource": "H", "max_functions": 1},
+        {"kind": "conditional", "couple": "A-H", "requires": ["B-H"]},
+        {"kind": "antecedence", "couple": "A-H", "after": ["B-H"]},
+    ])
+    def test_each_kind_takes_the_fields_it_reads(self, fields):
+        spec = ConstraintSpec(**fields)
+        assert {key: getattr(spec, key) for key in fields} == {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in fields.items()}
+
+    def test_a_field_at_its_default_is_not_set(self):
+        assert (ConstraintSpec(kind="exclusive", couples=["A-H"], requires=[], allowed=True)
+                == ConstraintSpec(kind="exclusive", couples=("A-H",)))
+        with pytest.raises(ConfigError, match="binary constraint: takes no couples, requires"):
+            ConstraintSpec(kind="binary", couple="A-H", couples=["A-H"], requires=["B-H"])
+
+
 class TestModelFiles:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -441,10 +441,36 @@ class TestNetworkValidation:
         with pytest.raises(ConfigError, match="distribution"):
             MwlNetwork(prior=np.full(5, 0.2), children={"c": (("a", "b"), cpt)})
 
-    @pytest.mark.parametrize("domain", [(), (0.0,), (0.0, 1.0, 2.0)])
+    @pytest.mark.parametrize("domain", [(), (0.0,), (0.0, 1.0, 2.0), "01", {0: 0.0, 1: 1.0},
+                                        (math.nan, 1.0)])
     def test_partition_domain_is_two_numbers(self, domain):
         with pytest.raises(ConfigError, match="domain"):
             FuzzyPartition("v", ("a",), domain, ())
+
+    # arguments that Python's own errors used to report
+    @pytest.mark.parametrize("labels,domain,overlaps,message", [
+        ([[1], [2]], (0.0, 1.0), ((0.4, 0.6),), "unhashable type: 'list'"),
+        (("a", "b"), (0.0, 1.0), ((0.4,),), "not enough values to unpack"),
+        (("a", "b"), None, ((0.4, 0.6),), "'NoneType' object is not iterable"),
+        (("a", "b"), (0.0, 1.0), (("0.4x", 0.6),), "could not convert string to float"),
+        (("a", "b"), (0.0, 10**400), ((0.4, 0.6),), "int too large to convert to float"),
+    ])
+    def test_partition_arguments_refused_with_config_error(self, labels, domain, overlaps,
+                                                            message):
+        with pytest.raises(ConfigError, match=f"^partition v: {message}"):
+            FuzzyPartition("v", labels, domain, overlaps)
+
+    def test_a_partition_key_it_does_not_read_is_refused(self):
+        raw = json.loads((DATA / "mwl_net.json").read_text())
+        raw["partitions"]["effort"]["comment"] = "z-scored pupil"
+        with pytest.raises(ConfigError, match="workload network config: .*'comment'"):
+            MwlNetwork.from_dict(raw)
+
+    def test_a_missing_key_is_named(self):
+        raw = json.loads((DATA / "mwl_net.json").read_text())
+        del raw["children"]["effort"]["cpt"]
+        with pytest.raises(ConfigError, match="^workload network config: missing key 'cpt'$"):
+            MwlNetwork.from_dict(raw)
 
 
 # a label list written as a JSON string, and a partition label its child lacks

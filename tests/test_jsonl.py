@@ -17,14 +17,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oft
 from conftest import src_env
-from oft import fusion, pipeline, regulation
+from oft import dfaplan, effortclass, fusion, pipeline, regulation
 from oft.cli import main
-from oft.errors import DataError
-from oft.jsonl import dump_json, dump_jsonl, dumps_record, load_jsonl, read_csv, write_csv
-from test_cli import FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, write_fixed_recording
+from oft.errors import ConfigError, DataError
+from oft.jsonl import (DATA, config_errors, dump_json, dump_jsonl, dumps_record, load_jsonl,
+                       read_csv, write_csv)
+from test_cli import (FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, json_slots,
+                      write_fixed_recording)
 
 
 def _dictreader_read_csv(path, stream, columns, parse):
@@ -471,3 +475,128 @@ def test_write_open_finder_sees_each_form():
     ])
     lines = [line for line, _ in _write_opens(ast.parse(source))]
     assert sorted(lines) == [1, 2, 5, 6, 7, 9, 10, 11]
+
+
+# ---------------------------------------------------------------------------
+# the one rule that turns a malformed document or argument into a ConfigError
+
+
+@pytest.mark.parametrize("raised,message", [
+    (KeyError("x"), "doc: missing key 'x'"),
+    (TypeError("unhashable type: 'list'"), "doc: unhashable type: 'list'"),
+    (ValueError("not enough values to unpack"), "doc: not enough values to unpack"),
+    (AttributeError("'list' object has no attribute 'items'"),
+     "doc: 'list' object has no attribute 'items'"),
+    (OverflowError("int too large to convert to float"), "doc: int too large to convert to float"),
+    (DataError("knn: points must be finite"), "doc: knn: points must be finite"),
+])
+def test_config_errors_refuses_with_a_config_error(raised, message):
+    with pytest.raises(ConfigError) as info:
+        with config_errors("doc"):
+            raise raised
+    assert str(info.value) == message and info.value.__cause__ is raised
+
+
+def test_config_errors_lets_a_config_error_through_unchanged():
+    refusal = ConfigError("partition effort: empty domain")
+    with pytest.raises(ConfigError) as info:
+        with config_errors("doc"):
+            raise refusal
+    assert info.value is refusal
+
+
+def test_config_errors_lets_other_errors_through():
+    with pytest.raises(RecursionError):
+        with config_errors("doc"):
+            raise RecursionError("too deep")
+
+
+# JSON values, with the ids and labels of the bundled files among the strings
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([10**400, "F1-H", "F1-M", "H", "S1", "low", "expected"])
+                | st.text(max_size=3))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+def either(valid):
+    """A valid argument, or any JSON value in its place."""
+    return st.just(valid) | json_values
+
+
+def loads_or_refuses(build, *args, **kwargs):
+    """`build` returns, or raises ConfigError; any other error fails the test."""
+    try:
+        build(*args, **kwargs)
+    except ConfigError:
+        pass
+
+
+BIKE = dfaplan.default_bike_model()
+DOCUMENTS = {
+    "network": (fusion.MwlNetwork.from_dict, json.loads((DATA / "mwl_net.json").read_text())),
+    "allocation": (dfaplan.model_from_dict, json.loads((DATA / "bike.json").read_text())),
+    "knn": (effortclass.model_from_dict, {
+        "kind": "knn", "k": 1, "metric": "euclidean", "points": [[0.0, 1.0], [1.0, 0.0]],
+        "labels": [0, 1]}),
+    "rf": (effortclass.model_from_dict, {"kind": "rf", "n_features": 2, "trees": [
+        {"feature": 0, "threshold": 0.5, "left": {"label": 0}, "right": {"label": 1}}]}),
+}
+
+
+class TestArgumentsAndDocumentsRefuseWithConfigError:
+    """JSON values in place of each argument of the model types, and of any
+    value of the bundled documents, build the object or raise ConfigError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(variable=either("effort"), labels=either(["low", "high"]), domain=either([0.0, 1.0]),
+           overlaps=either([[0.4, 0.6]]))
+    @example(variable="v", labels=[[1], [2]], domain=[0.0, 1.0], overlaps=[[0.4, 0.6]])
+    @example(variable="v", labels=["low", "high"], domain=[0.0, 1.0], overlaps=[[0.4]])
+    @example(variable="v", labels=["low", "high"], domain=None, overlaps=[[0.4, 0.6]])
+    def test_fuzzy_partition(self, variable, labels, domain, overlaps):
+        loads_or_refuses(fusion.FuzzyPartition, variable, labels, domain, overlaps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(functions=either(BIKE.functions), resources=either(BIKE.resources),
+           couples=either(BIKE.couples),
+           situations=either(BIKE.situations) | st.dictionaries(
+               st.sampled_from(["S1", "S2"]),
+               json_values | st.dictionaries(st.sampled_from(BIKE.couple_ids), json_values)),
+           xor_groups=either(((BIKE.couple_ids[2], BIKE.couple_ids[3]),)),
+           constraints=either(BIKE.constraints), costs=either(BIKE.costs))
+    @example(functions=5, resources=BIKE.resources, couples=BIKE.couples,
+             situations=BIKE.situations, xor_groups=(), constraints=(), costs={})
+    @example(functions=BIKE.functions, resources=BIKE.resources, couples=(1,),
+             situations=BIKE.situations, xor_groups=(), constraints=(), costs={})
+    @example(functions=BIKE.functions, resources=BIKE.resources, couples=BIKE.couples,
+             situations={"S": 5}, xor_groups=(), constraints=(), costs={})
+    @example(functions=BIKE.functions, resources=BIKE.resources, couples=BIKE.couples,
+             situations=BIKE.situations, xor_groups=(), constraints=(), costs={"w": {"F1-H": "1"}})
+    def test_allocation_model(self, functions, resources, couples, situations, xor_groups,
+                              constraints, costs):
+        loads_or_refuses(dfaplan.AllocationModel, functions, resources, couples, situations,
+                         xor_groups, constraints, costs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(dfaplan.CONSTRAINT_KINDS) | json_values,
+           fields=st.dictionaries(
+               st.sampled_from(["couples", "couple", "requires", "after", "resource",
+                                "max_functions", "allowed"]),
+               json_values | st.lists(st.sampled_from(BIKE.couple_ids), max_size=2),
+               max_size=4))
+    def test_constraint_spec(self, kind, fields):
+        loads_or_refuses(dfaplan.ConstraintSpec, kind, **fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(document=st.sampled_from(sorted(DOCUMENTS)), slot=st.integers(0, 10**6),
+           value=json_values)
+    def test_document(self, document, slot, value):
+        from_dict, raw = DOCUMENTS[document]
+        holder, slots = json_slots(json.loads(json.dumps(raw)))
+        parent, key = slots[slot % len(slots)]  # the root slot replaces the whole document
+        parent[key] = value
+        loads_or_refuses(from_dict, holder[0])

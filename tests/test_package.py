@@ -1,5 +1,6 @@
-"""The top-level package loads each layer on first use (PEP 562), and no
-module imports a name it never uses."""
+"""The top-level package loads each layer on first use (PEP 562), no
+module imports a name it never uses, and only `jsonl` holds the rule that
+turns a malformed document into a ConfigError."""
 
 import ast
 import json
@@ -110,3 +111,38 @@ def test_no_module_imports_a_name_it_never_uses():
     found = {path.name: unused for path in sorted(Path(oft.__file__).parent.glob("*.py"))
              if (unused := unused_imports(path))}
     assert found == UNUSED_ON_PURPOSE
+
+
+def config_error_reraises(tree):
+    """The lines of the `except ConfigError:` handlers (a tuple naming it
+    too) whose body only re-raises: the first rung of a copy of the rule in
+    `jsonl.config_errors`."""
+    def names_config_error(node):
+        if isinstance(node, ast.Tuple):
+            return any(map(names_config_error, node.elts))
+        return (isinstance(node, ast.Name) and node.id == "ConfigError"
+                or isinstance(node, ast.Attribute) and node.attr == "ConfigError")
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and names_config_error(node.type)
+            and all(isinstance(stmt, ast.Raise) and stmt.exc is None for stmt in node.body)]
+
+
+def test_only_jsonl_keeps_the_refusal_rule():
+    found = {path.name: lines for path in sorted(Path(oft.__file__).parent.glob("*.py"))
+             if (lines := config_error_reraises(ast.parse(path.read_text())))}
+    assert set(found) == {"jsonl.py"} and len(found["jsonl.py"]) == 1
+
+
+def test_refusal_rule_finder_sees_each_form():
+    source = "\n".join([
+        "try: f()\nexcept ConfigError: raise",
+        "try: f()\nexcept errors.ConfigError:\n    raise",
+        "try: f()\nexcept (ConfigError, KeyError): raise",
+        "try: f()\nexcept ConfigError as exc: print(exc)",
+        "try: f()\nexcept ValueError: raise",
+        "try: f()\nexcept: raise",
+        "try: f()\nexcept ConfigError: raise Other()",
+    ])
+    assert config_error_reraises(ast.parse(source)) == [2, 4, 7]

@@ -273,6 +273,26 @@ class TestPerSecondFrames:
         assert out.meta["pupil_center_mm"] == pytest.approx(3.2)
 
 
+    @pytest.mark.parametrize("normalization,window,seconds", [
+        ("session", None, slice(None)),
+        ("window", (10.0, 40.0), slice(10, 40)),
+    ])
+    def test_baseline_is_normalize_of_the_pool(self, rng, normalization, window, seconds):
+        # one sample a second, so each second's mean is its sample
+        mm = 3.4 + 0.1 * rng.standard_normal(60)
+        out = per_second_frames(make_beats([800.0] * 80), make_pupil(mm, hz=1.0),
+                                normalization=normalization, window=window)
+        baseline = normalize(mm[seconds])
+        assert out.meta["pupil_center_mm"] == baseline.center  # bit for bit
+        assert out.meta["pupil_scale_mm"] == baseline.scale
+
+    @pytest.mark.parametrize("mm,error", [([3.4], InsufficientDataError),
+                                          ([3.4, 3.4, 3.4], DegenerateInputError)])
+    def test_baseline_errors_keep_their_classes(self, mm, error):
+        with pytest.raises(error):
+            per_second_frames(make_beats([800.0] * 5), make_pupil(mm, hz=1.0))
+
+
 class TestVectorisedSdnn:
     """Full-span windows are framed in one pass; each must equal `sdnn` on it."""
 
