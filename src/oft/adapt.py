@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, SequencingError
-from .jsonl import is_finite_number
+from .jsonl import is_finite_number, is_integer
 
 STAGES = ("gathering", "analysis", "decision", "action")
 
@@ -47,7 +47,7 @@ DEFAULT_RULES = (
 
 def assistance_for_level(level: int) -> tuple:
     """Directives that should be on at a workload level, in rule order."""
-    if not 1 <= level <= 5:
+    if not (is_integer(level) and 1 <= level <= 5):
         raise ConfigError(f"workload level must be 1..5, got {level}")
     return tuple(r.directive for r in DEFAULT_RULES if r.trigger_level <= level)
 
@@ -78,7 +78,7 @@ class AdaptationEngine:
         return frozenset(self._active)
 
     def step(self, t: float, level: int) -> list:
-        if not 1 <= level <= 5:
+        if not (is_integer(level) and 1 <= level <= 5):
             raise ConfigError(f"workload level must be 1..5, got {level}")
         if self._last_t is not None and t <= self._last_t:
             raise SequencingError(f"time went backwards: {t} after {self._last_t}")

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .jsonl import read_csv, write_csv
+from .jsonl import numeric_array, read_csv, write_csv
 
 BAND = (2000.0, 3000.0)
 SCRAMBLED_FLOOR = 1950.0
@@ -54,8 +54,8 @@ class TankTrace:
     period: str = ""
 
     def __post_init__(self):
-        a = np.asarray(self.tank_a, dtype=float)
-        b = np.asarray(self.tank_b, dtype=float)
+        a = numeric_array(self.tank_a, "tank trace: tank_a")
+        b = numeric_array(self.tank_b, "tank trace: tank_b")
         if a.ndim != 1 or a.shape != b.shape:
             raise DataError("tank trace: the two level series must be 1-d and equal length")
         if len(a) == 0:

@@ -42,7 +42,6 @@ one "exclusive" per one-of group).
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -50,7 +49,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, DataError, InfeasibleError
-from .jsonl import DATA, config_errors, load_json
+from .jsonl import DATA, config_errors, is_finite_number, is_integer, load_json, number
 
 EXPECTED, OPTIONAL, IMPOSSIBLE = "expected", "optional", "impossible"
 
@@ -173,7 +172,7 @@ class ConstraintSpec:
         if not isinstance(self.allowed, bool):
             raise ConfigError(f"{what}: allowed must be true or false, got {self.allowed!r}")
         n = self.max_functions
-        if n is not None and (isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0):
+        if n is not None and not (is_integer(n) and n >= 0):
             raise ConfigError(f"{what}: max_functions must be a non-negative integer, got {n!r}")
 
     def __str__(self):
@@ -261,8 +260,8 @@ class AllocationModel:
                 for cid, value in table.items():
                     if cid not in known:
                         raise ConfigError(f"costs[{criterion}]: unknown couple {cid}")
-                    if not math.isfinite(value):
-                        raise ConfigError(f"costs[{criterion}]: cost of {cid} must be finite")
+                    if not is_finite_number(value):
+                        raise ConfigError(f"costs[{criterion}]: cost of {cid} must be a finite number")
                 # so that no sum of some of the costs, in any order, overflows
                 if not math.isfinite(sum(abs(value) for value in table.values())):
                     raise ConfigError(f"costs[{criterion}]: the costs add up past the largest float")
@@ -711,7 +710,7 @@ def model_from_dict(raw: Mapping) -> AllocationModel:
             xor_groups=tuple(tuple(g) for g in raw.get("xor_groups", [])),
             constraints=tuple(ConstraintSpec(**c) for c in raw.get("constraints", [])),
             costs={
-                criterion: {cid: float(v) for cid, v in table.items()}
+                criterion: {cid: number(v) for cid, v in table.items()}
                 for criterion, table in raw.get("costs", {}).items()
             },
         )

@@ -22,7 +22,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateInputError
-from .jsonl import config_errors, dump_json, is_finite_number, is_seed, load_json, read_csv
+from .jsonl import (config_errors, dump_json, is_finite_number, is_integer, load_json, number,
+                    numeric_array, read_csv)
 
 METRICS = ("euclidean", "squared_euclidean", "manhattan", "chebyshev")
 #: The model kinds fit_model builds.
@@ -61,13 +62,13 @@ class KnnModel:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.points = numeric_array(self.points, "knn: points")
+        self.labels = numeric_array(self.labels, "knn: labels", int)
         if self.points.ndim != 2 or len(self.points) != len(self.labels):
             raise DataError("knn: points must be 2-d with one label per row")
         if not np.all(np.isfinite(self.points)):
             raise DataError("knn: points must be finite")
-        if not 1 <= self.k <= len(self.points):
+        if not (is_integer(self.k) and 1 <= self.k <= len(self.points)):
             raise ConfigError(f"knn: k must be in 1..{len(self.points)}, got {self.k}")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; choose one of {METRICS}")
@@ -320,15 +321,15 @@ def rf_train(X, y, n_trees: int = RF_TREES, seed: int = 0) -> ForestModel:
     seed, one child stream per tree, so retraining reproduces the forest
     exactly.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    X = numeric_array(X, "rf: X")
+    y = numeric_array(y, "rf: y", int)
     if X.ndim != 2 or len(X) != len(y):
         raise DataError("rf: X must be 2-d with one label per row")
     if not np.all(np.isfinite(X)):
         raise DataError("rf: X must be finite")
-    if n_trees < 1:
+    if not (is_integer(n_trees) and n_trees >= 1):
         raise ConfigError(f"rf: need at least 1 tree, got {n_trees}")
-    if not is_seed(seed):
+    if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"rf: seed must be an integer >= 0, got {seed!r}")
     classes = np.unique(y)
     if len(classes) < 2:
@@ -418,9 +419,9 @@ def fit_model(spec: Mapping, X, y):
     "metric"} or {"kind": "rf", "trees", "seed"}."""
     kind = spec.get("kind")
     if kind == "knn":
-        return KnnModel(X, y, k=int(spec.get("k", 1)), metric=spec.get("metric", "euclidean"))
+        return KnnModel(X, y, k=spec.get("k", 1), metric=spec.get("metric", "euclidean"))
     if kind == "rf":
-        return rf_train(X, y, n_trees=int(spec.get("trees", RF_TREES)), seed=int(spec.get("seed", 0)))
+        return rf_train(X, y, n_trees=spec.get("trees", RF_TREES), seed=spec.get("seed", 0))
     raise ConfigError(f"model spec: unknown kind {kind!r}; choose one of {KINDS}")
 
 
@@ -460,7 +461,7 @@ def cross_validate(
         raise ConfigError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
     if scheme == "per-subject-75-25" and test_subjects is not None:
         raise ConfigError("cross_validate: the 'per-subject-75-25' scheme takes no test subjects")
-    if not is_seed(seed):
+    if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"cross_validate: seed must be an integer >= 0, got {seed!r}")
     if not frames:
         raise DataError("cross_validate: no frames")
@@ -532,19 +533,20 @@ def model_to_dict(model) -> dict:
 
 def model_from_dict(raw: Mapping):
     """A model from its file form; k, n_features and the labels must be JSON
-    integers (not booleans), the labels inside the 64-bit range."""
+    integers (not booleans), the labels inside the 64-bit range, and the
+    points rows of JSON numbers."""
     with config_errors("model file"):
         if raw["kind"] == "knn":
             k, labels = raw["k"], raw["labels"]
-            if not _is_int(k):
+            if not is_integer(k):
                 raise ConfigError(f"model file: knn k {k!r} is not an int")
             if not (isinstance(labels, list) and all(map(_is_label, labels))):
                 raise ConfigError("model file: knn labels must be a list of 64-bit ints")
-            return KnnModel(points=np.asarray(raw["points"], dtype=float), labels=labels,
-                            k=k, metric=raw["metric"])
+            points = [[number(v) for v in row] for row in raw["points"]]
+            return KnnModel(points=points, labels=labels, k=k, metric=raw["metric"])
         if raw["kind"] == "rf":
             n_features = raw["n_features"]
-            if not _is_int(n_features):
+            if not is_integer(n_features):
                 raise ConfigError(f"model file: rf n_features {n_features!r} is not an int")
             model = ForestModel(trees=list(raw["trees"]), n_features=n_features)
             _check_forest(model)
@@ -552,12 +554,8 @@ def model_from_dict(raw: Mapping):
         raise ConfigError(f"model file: unknown kind {raw['kind']!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_label(value) -> bool:
-    return _is_int(value) and -2**63 <= value < 2**63
+    return is_integer(value) and -2**63 <= value < 2**63
 
 
 def _check_forest(model: ForestModel) -> None:
@@ -574,7 +572,7 @@ def _check_forest(model: ForestModel) -> None:
                 raise ConfigError(f"model file: leaf label {node['label']!r} is not a 64-bit int")
             continue
         feature, threshold = node.get("feature"), node.get("threshold")
-        if not (_is_int(feature) and 0 <= feature < model.n_features
+        if not (is_integer(feature) and 0 <= feature < model.n_features
                 and is_finite_number(threshold) and {"left", "right"} <= node.keys()):
             raise ConfigError(
                 f"model file: a split needs a feature in 0..{model.n_features - 1}, a finite "

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .jsonl import DATA, config_errors, dump_jsonl, load_json
+from .jsonl import DATA, config_errors, dump_jsonl, load_json, number
 
 N_LEVELS = 5
 
@@ -59,8 +59,8 @@ class FuzzyPartition:
         what = f"partition {self.variable}"
         with config_errors(what):
             labels = _labels(self.labels, what)
-            overlaps = tuple((float(lo), float(hi)) for lo, hi in map(_list, _list(self.overlaps)))
-            domain = tuple(map(float, _list(self.domain)))
+            overlaps = tuple((number(lo), number(hi)) for lo, hi in map(_list, _list(self.overlaps)))
+            domain = tuple(map(number, _list(self.domain)))
             if len(domain) != 2:
                 raise ConfigError(f"{what}: domain must be [low, high]")
             if len(overlaps) != len(labels) - 1:
@@ -126,9 +126,8 @@ def _labels(values, what: str) -> tuple:
 
 
 def _distribution(values, size: int, what: str) -> tuple:
-    """`values`, a list of `size` entries read with float(), each >= 0 and
-    summing to 1 within 1e-9."""
-    row = tuple(map(float, _list(values)))
+    """`values`, a list of `size` numbers, each >= 0 and summing to 1 within 1e-9."""
+    row = tuple(map(number, _list(values)))
     total = 0.0
     for p in row:  # numpy's order for < 8 entries; sum() compensates from Python 3.12
         total += p

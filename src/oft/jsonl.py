@@ -23,7 +23,9 @@ be opened or is not UTF-8 JSON. The bundled defaults live under DATA.
 
 This module also owns the one rule that turns a malformed document or
 argument into a ConfigError (exit 2): `config_errors`, around the code that
-reads the document's objects, or checks a model's arguments.
+reads the document's objects, or checks a model's arguments. And the one
+rule that reads a number, an int or a float and never a bool or a string:
+`number`, `is_integer`, and `numeric_array` for an array argument.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import stat
 from contextlib import contextmanager
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import isfinite
-from numbers import Integral
+from numbers import Integral, Real
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -110,9 +112,32 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def is_seed(value) -> bool:
-    """True for an integer >= 0 (booleans excluded): a seed numpy's SeedSequence takes."""
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 0
+def number(value) -> float:
+    """An int or a float (numpy's too) as a float; any other type is a TypeError."""
+    if type(value) in (float, int) or isinstance(value, Real) and not isinstance(value, bool):
+        return float(value)
+    raise TypeError(f"{value!r} is not a number")
+
+
+def is_integer(value) -> bool:
+    """True for an integer (a numpy one too) that is not a bool."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def numeric_array(values, what: str, dtype: type = float):
+    """`values` as a numpy array of `dtype`, float or int, copied only when
+    its own dtype differs. An array of strings, objects or booleans, or of
+    floats where `dtype` is int, is a DataError naming `what`."""
+    import numpy as np  # here: loading this module loads no numpy
+
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:  # a ragged nesting
+        raise DataError(f"{what}: {exc}") from exc
+    if array.dtype.kind == "b" or array.size and not np.can_cast(array.dtype, dtype, "safe"):
+        kind = "integers" if dtype is int else "numbers"
+        raise DataError(f"{what} must be {kind}, got an array of {array.dtype}")
+    return array.astype(dtype, copy=False)
 
 
 def load_json(path: str | Path, what: str) -> Any:

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from numbers import Integral
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -56,7 +55,7 @@ from . import physio
 from .adapt import DEFAULT_RULES, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
-from .jsonl import is_finite_number
+from .jsonl import is_finite_number, is_integer
 from .regulation import ActivitySnapshot, ActivityTracker, RegulationEvent, TaskTick
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
                        spatial_entropy, task_difficulty)
@@ -128,7 +127,7 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("duration_s", "phase_split_s", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ConfigError(f"scenario: {name} must be an integer, got {value!r}")
             # stored as a Python int: the run log cannot encode an np.int64
             object.__setattr__(self, name, int(value))

@@ -28,7 +28,7 @@ from .errors import (
     DegenerateInputError,
     InsufficientDataError,
 )
-from .jsonl import dump_jsonl, read_csv, write_csv
+from .jsonl import dump_jsonl, numeric_array, read_csv, write_csv
 
 PUPIL_MIN_MM = 2.0
 PUPIL_MAX_MM = 8.0
@@ -52,8 +52,8 @@ class RRSeries:
     intervals_ms: np.ndarray
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        rr = np.asarray(self.intervals_ms, dtype=float)
+        ts = numeric_array(self.timestamps, "beats: timestamps")
+        rr = numeric_array(self.intervals_ms, "beats: RR intervals")
         if ts.shape != rr.shape or ts.ndim != 1:
             raise DataError("beats: timestamps and intervals must be 1-d and equal length")
         if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(rr))):
@@ -78,8 +78,8 @@ class PupilSeries:
     valid: np.ndarray = None
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=float)
-        mm = np.asarray(self.diameters_mm, dtype=float)
+        ts = numeric_array(self.timestamps, "pupil: timestamps")
+        mm = numeric_array(self.diameters_mm, "pupil: diameters")
         ok = (
             np.ones(len(ts), dtype=bool)
             if self.valid is None

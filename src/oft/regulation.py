@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import DataError, SequencingError
-from .jsonl import dump_jsonl, load_jsonl
+from .jsonl import dump_jsonl, load_jsonl, number
 
 PERF_THRESHOLD = 0.5
 
@@ -165,13 +165,10 @@ def read_ticks_jsonl(path: str | Path):
             tick = TaskTick(t, at, ot)
         except DataError as exc:
             raise DataError(f"{where}: bad record {rec!r}: {exc}") from exc
-        perf = rec.get("perf")
-        if type(perf) not in (int, float):
-            raise DataError(f"{where}: bad record {rec!r}: perf is not a number")
         try:
-            perf = float(perf)
-        except OverflowError as exc:  # an integer past the float range
-            raise DataError(f"{where}: bad record {rec!r}") from exc
+            perf = number(rec.get("perf"))
+        except (TypeError, OverflowError) as exc:  # an integer past the float range too
+            raise DataError(f"{where}: bad record {rec!r}: perf is not a number") from exc
         yield tick, perf
 
 

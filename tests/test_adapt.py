@@ -114,6 +114,13 @@ class TestEngine:
         with pytest.raises(ConfigError):
             eng.step(0.0, 0)
 
+    @pytest.mark.parametrize("level", [4.5, True, "4", None])
+    def test_level_is_an_integer(self, level):
+        with pytest.raises(ConfigError, match="workload level must be 1..5"):
+            AdaptationEngine().step(0.0, level)
+        with pytest.raises(ConfigError, match="workload level must be 1..5"):
+            assistance_for_level(level)
+
     def test_negative_hold_rejected(self):
         with pytest.raises(ConfigError):
             AdaptationEngine(hold_s=-1.0)

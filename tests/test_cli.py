@@ -1368,6 +1368,95 @@ class TestJsonInputs:
         assert not (tmp_path / "run.jsonl").exists() and not (tmp_path / "pred.csv").exists()
 
 
+def _set_prior(net, value):
+    net["prior"] = [value, 0.0, 0.0, 0.0, 0.0]
+
+
+def _set_cpt_entry(net, value):
+    net["children"]["effort"]["cpt"][0] = [value, 0.0, 0.0]
+
+
+def _set_domain(net, value):
+    net["partitions"]["performance"]["domain"] = [0.0, value]
+
+
+def _set_overlap(net, value):
+    net["partitions"]["performance"]["overlaps"][1] = [0.65, value]
+
+
+def _set_cost(model, value):
+    model["costs"]["rider_load"]["F1-H"] = value
+
+
+def _set_max_functions(model, value):
+    model["constraints"].append({"kind": "capacity", "resource": "H", "max_functions": value})
+
+
+def _set_point(model, value):
+    model["points"][0][1] = value
+
+
+class TestNumbersInFiles:
+    """A numeric string or a boolean where a network or model file holds a
+    number exits 2 with one line; read as the number 1, each of these
+    documents is valid."""
+
+    def fusion_net(self, tmp_path, path):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": str(path)}))
+        return ["--config", settings, "simulate", "--duration", "60",
+                "--log", tmp_path / "run.jsonl"]
+
+    def dfa_model(self, tmp_path, path):
+        return ["dfa", "solve", "--model", path, "--situations", "S1,S4,S6",
+                "--criterion", "rider_load"]
+
+    def classify_model(self, tmp_path, path):
+        return ["classify", "predict", "--model", path,
+                "--data", write_dataset(tmp_path / "data.csv"), "--out", tmp_path / "pred.csv"]
+
+    def document(self, case):
+        if case == "classify_model":
+            return {"kind": "knn", "k": 1, "metric": "euclidean",
+                    "points": [[0.0, 1.0], [1.0, 0.0]], "labels": [0, 1]}
+        return json.loads((DATA / ("mwl_net.json" if case == "fusion_net" else "bike.json"))
+                          .read_text())
+
+    @pytest.mark.parametrize("value", ["1", True], ids=["string", "true"])
+    @pytest.mark.parametrize("case,edit,message", [
+        ("fusion_net", _set_prior, "is not a number"),
+        ("fusion_net", _set_cpt_entry, "is not a number"),
+        ("fusion_net", _set_domain, "is not a number"),
+        ("fusion_net", _set_overlap, "is not a number"),
+        ("dfa_model", _set_cost, "is not a number"),
+        ("dfa_model", _set_max_functions, "max_functions must be a non-negative integer"),
+        ("classify_model", _set_point, "is not a number"),
+    ], ids=["prior", "cpt", "domain", "overlaps", "cost", "max_functions", "points"])
+    def test_exits_2(self, tmp_path, capsys, case, edit, message, value):
+        doc = self.document(case)
+        edit(doc, value)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = getattr(self, case)(tmp_path, path)
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert not (tmp_path / "run.jsonl").exists() and not (tmp_path / "pred.csv").exists()
+
+    @pytest.mark.parametrize("case,edit", [
+        ("fusion_net", _set_prior), ("fusion_net", _set_cpt_entry), ("fusion_net", _set_domain),
+        ("fusion_net", _set_overlap), ("dfa_model", _set_cost), ("classify_model", _set_point),
+    ], ids=["prior", "cpt", "domain", "overlaps", "cost", "points"])
+    def test_the_same_documents_with_the_number_load(self, tmp_path, capsys, case, edit):
+        doc = self.document(case)
+        edit(doc, 1.0)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = getattr(self, case)(tmp_path, path)
+        assert main([str(a) for a in argv]) == 0
+
+
 def _streams(tmp_path):
     beats, pupil = write_streams(tmp_path)
     return ["--beats", beats, "--pupil", pupil]

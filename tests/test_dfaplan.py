@@ -754,6 +754,9 @@ class TestModelValidation:
     def test_costs_must_be_finite(self):
         with pytest.raises(ConfigError):
             tiny_model(costs={"w": {"A-H": float("nan"), "A-M": 0.0, "B-H": 0.0}})
+        for cost in (True, "1", None):
+            with pytest.raises(ConfigError, match="cost of A-H must be a finite number"):
+                tiny_model(costs={"w": {"A-H": cost, "A-M": 0.0, "B-H": 0.0}})
 
     def test_pot_past_twenty_couples_solves(self):
         functions = tuple(f"F{i}" for i in range(1, 8))

@@ -103,6 +103,8 @@ class TestKnn:
             KnnModel([[0.0]], [1], k=2)
         with pytest.raises(ConfigError):
             KnnModel([[0.0], [1.0]], [1, 2], k=0)
+        with pytest.raises(ConfigError, match="k must be in 1..2, got 1"):
+            KnnModel([[0.0], [1.0]], [1, 2], k="1")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_points_rejected(self, bad):
@@ -189,6 +191,8 @@ class TestForest:
     def test_tree_count_validated(self):
         with pytest.raises(ConfigError):
             rf_train([[0.0], [1.0]], [0, 1], n_trees=0)
+        with pytest.raises(ConfigError, match="need at least 1 tree, got 2.5"):
+            rf_train([[0.0], [1.0]], [0, 1], n_trees=2.5)
 
     @pytest.mark.parametrize("seed", [-1, 0.5, True, None])
     def test_seed_validated(self, seed):
@@ -584,6 +588,15 @@ class TestCrossValidate:
     def test_bad_model_kind(self, rng):
         with pytest.raises(ConfigError):
             fit_model({"kind": "svm"}, np.zeros((2, 2)), np.array([0, 1]))
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "knn", "k": 2.7}, {"kind": "knn", "k": "3"}, {"kind": "knn", "k": True},
+        {"kind": "rf", "trees": "3"}, {"kind": "rf", "seed": 1.9},
+    ], ids=["k 2.7", "k '3'", "k True", "trees '3'", "seed 1.9"])
+    def test_spec_numbers_are_integers_not_truncated(self, spec):
+        X, y = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 0, 1, 1])
+        with pytest.raises(ConfigError):
+            fit_model(spec, X, y)
 
 
 class TestBinarize:

@@ -452,7 +452,7 @@ class TestNetworkValidation:
         ([[1], [2]], (0.0, 1.0), ((0.4, 0.6),), "unhashable type: 'list'"),
         (("a", "b"), (0.0, 1.0), ((0.4,),), "not enough values to unpack"),
         (("a", "b"), None, ((0.4, 0.6),), "'NoneType' object is not iterable"),
-        (("a", "b"), (0.0, 1.0), (("0.4x", 0.6),), "could not convert string to float"),
+        (("a", "b"), (0.0, 1.0), (("0.4x", 0.6),), "'0.4x' is not a number"),
         (("a", "b"), (0.0, 10**400), ((0.4, 0.6),), "int too large to convert to float"),
     ])
     def test_partition_arguments_refused_with_config_error(self, labels, domain, overlaps,
@@ -510,10 +510,20 @@ class TestLabels:
 # the network's checks against the numpy checks they replaced
 
 
+def holds_a_string_or_bool(value):
+    """Whether a string or a bool stands anywhere in nested lists."""
+    if isinstance(value, (list, tuple)):
+        return any(map(holds_a_string_or_bool, value))
+    return isinstance(value, (str, bool))
+
+
 def numpy_checks_accept(prior, children):
     """Whether MwlNetwork accepted a prior and tables when it read them with
     np.asarray(dtype=float): shape, every entry >= 0, every sum within 1e-9
-    of 1 (numpy adds fewer than 8 entries left to right)."""
+    of 1 (numpy adds fewer than 8 entries left to right). Unlike numpy, it
+    refuses a numeric string or a bool where a number belongs."""
+    if holds_a_string_or_bool([prior, *(cpt for _, cpt in children.values())]):
+        return False
     try:
         with np.errstate(all="ignore"):
             prior = np.asarray(prior, dtype=float)
@@ -528,7 +538,7 @@ def numpy_checks_accept(prior, children):
 
 
 # what can stand in for a table or prior entry, besides a numeric string:
-# ints and bools read as numbers, the rest fail float() or a check
+# ints read as numbers; bools, like strings, are refused; the rest fail a check
 ODD_ENTRIES = [math.nan, -0.25, -1e-300, 0, 1, True, False, None, [0.5], [[0.5]], 10**400,
                math.inf, "abc", ""]
 

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 import oft
 from conftest import src_env
-from oft import dfaplan, effortclass, fusion, pipeline, regulation
+from oft import cocom, dfaplan, effortclass, fusion, physio, pipeline, regulation
 from oft.cli import main
 from oft.errors import ConfigError, DataError
-from oft.jsonl import (DATA, config_errors, dump_json, dump_jsonl, dumps_record, load_jsonl,
-                       read_csv, write_csv)
+from oft.jsonl import (DATA, config_errors, dump_json, dump_jsonl, dumps_record, is_integer,
+                       load_jsonl, number, numeric_array, read_csv, write_csv)
 from test_cli import (FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, json_slots,
                       write_fixed_recording)
 
@@ -600,3 +600,76 @@ class TestArgumentsAndDocumentsRefuseWithConfigError:
         parent, key = slots[slot % len(slots)]  # the root slot replaces the whole document
         parent[key] = value
         loads_or_refuses(from_dict, holder[0])
+
+
+# ---------------------------------------------------------------------------
+# the one rule that reads a number: ints and floats, numpy's too, nothing else
+
+numpy_scalars = (st.builds(np.float64, st.floats()) | st.builds(np.float32, st.floats(width=32))
+                 | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+                 | st.builds(np.uint8, st.integers(0, 255)) | st.sampled_from(
+                     [np.bool_(True), np.bool_(False)]))
+number_candidates = (json_values | numpy_scalars
+                     | st.sampled_from([-10**400, 2**1024, "0.5", "1", "-6", "nan", "1e400", " 2"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=number_candidates)
+@example(value=True)
+@example(value=np.bool_(False))
+@example(value=10**400)
+@example(value="0.5")
+def test_number_reads_ints_and_floats_only(value):
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+    assert is_integer(value) is integer
+    if not (integer or isinstance(value, (float, np.floating))):
+        with pytest.raises(TypeError, match="is not a number$"):
+            number(value)
+        return
+    try:
+        want = float(value)
+    except OverflowError:  # an integer past the float range
+        with pytest.raises(OverflowError):
+            number(value)
+        return
+    got = number(value)
+    assert type(got) is float and got.hex() == want.hex()
+
+
+BAD_ARRAYS = {"a string": ["a"], "a numeric string": ["1.5"], "a bool": [True], "a null": [None]}
+# each array argument of the five constructors, with what its DataError names
+ARRAY_ARGUMENTS = {
+    "beats: timestamps": lambda bad: physio.RRSeries(bad, [800.0]),
+    "beats: RR intervals": lambda bad: physio.RRSeries([0.0], bad),
+    "pupil: timestamps": lambda bad: physio.PupilSeries(bad, [3.0]),
+    "pupil: diameters": lambda bad: physio.PupilSeries([0.0], bad),
+    "tank trace: tank_a": lambda bad: cocom.TankTrace(bad, [2500.0]),
+    "tank trace: tank_b": lambda bad: cocom.TankTrace([2500.0], bad),
+    "knn: points": lambda bad: effortclass.KnnModel([bad], [0]),
+    "knn: labels": lambda bad: effortclass.KnnModel([[0.0]], bad),
+    "rf: X": lambda bad: effortclass.rf_train([bad], [0]),
+    "rf: y": lambda bad: effortclass.rf_train([[0.0]], bad),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARRAYS)
+@pytest.mark.parametrize("what", ARRAY_ARGUMENTS)
+def test_array_arguments_that_hold_no_numbers_are_a_data_error(what, case):
+    with pytest.raises(DataError, match=f"^{what} must be"):
+        ARRAY_ARGUMENTS[what](BAD_ARRAYS[case])
+
+
+@pytest.mark.parametrize("what", ["knn: labels", "rf: y"])
+def test_float_labels_are_refused_not_cut(what):
+    with pytest.raises(DataError, match=f"^{what} must be integers, got an array of float64"):
+        ARRAY_ARGUMENTS[what]([1.7])
+
+
+def test_numeric_array_copies_only_to_change_the_dtype():
+    floats, ints = np.array([0.5, 2.0]), np.array([1, 2])
+    assert numeric_array(floats, "x") is floats
+    assert numeric_array(ints, "x", int) is ints
+    assert numeric_array(ints, "x").tolist() == [1.0, 2.0]
+    assert numeric_array(np.float32([0.5]), "x").dtype == np.float64
+    with pytest.raises(DataError, match="^x: setting an array element with a sequence"):
+        numeric_array([[1.0, 2.0], [3.0]], "x")

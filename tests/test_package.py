@@ -1,6 +1,7 @@
 """The top-level package loads each layer on first use (PEP 562), no
 module imports a name it never uses, and only `jsonl` holds the rule that
-turns a malformed document into a ConfigError."""
+turns a malformed document into a ConfigError and the rule that reads a
+number."""
 
 import ast
 import json
@@ -146,3 +147,36 @@ def test_refusal_rule_finder_sees_each_form():
         "try: f()\nexcept ConfigError: raise Other()",
     ])
     assert config_error_reraises(ast.parse(source)) == [2, 4, 7]
+
+
+def number_type_tests(tree):
+    """The lines that import `numbers` or name Integral or Real: the makings
+    of a copy of `jsonl.number` or `jsonl.is_integer`."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                or isinstance(node, ast.Name) and node.id in ("Integral", "Real")
+                or isinstance(node, ast.Attribute) and node.attr in ("Integral", "Real")):
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+def test_only_jsonl_keeps_the_number_rule():
+    found = {path.name for path in sorted(Path(oft.__file__).parent.glob("*.py"))
+             if number_type_tests(ast.parse(path.read_text()))}
+    assert found == {"jsonl.py"}
+
+
+def test_number_rule_finder_sees_each_form():
+    source = "\n".join([
+        "import numbers",
+        "import os, numbers as n",
+        "from numbers import Integral",
+        "isinstance(x, numbers.Real)",
+        "isinstance(x, Real)",
+        "import numpy",
+        "isinstance(x, (int, float))",
+        "from .jsonl import is_integer",
+    ])
+    assert number_type_tests(ast.parse(source)) == [1, 2, 3, 4, 5]
