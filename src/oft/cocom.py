@@ -87,7 +87,7 @@ class TransitionMatrix:
     counts: np.ndarray  # 4x4, MODE_ORDER both ways
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=int)
+        counts = numeric_array(self.counts, "transition matrix: counts", int)
         if counts.shape != (4, 4) or np.any(counts < 0):
             raise DataError("transition matrix must be 4x4 with non-negative counts")
         object.__setattr__(self, "counts", counts)

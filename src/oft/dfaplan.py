@@ -23,7 +23,8 @@ that sorted order, so results are deterministic and equal, to the bit, to
 what trying every subset of the pot would give. When nothing is admissible,
 the unsatisfiable core is found by deletion: each requirement, then each
 constraint, in declaration order, is dropped for good if the rest still
-conflicts.
+conflicts. Every trial re-runs the one compiled search with the dropped
+items switched off, so the core is the one a new search per trial gives.
 
 Constraint kinds: "binary" (a couple forced out via allowed=false),
 "disjunctive" (at least one of a set), "exclusive" (at most one of a set),
@@ -391,9 +392,10 @@ def optimize(
         active.append(con)
     hist = None if history is None else frozenset(history)
 
-    best = _Search(min_config, pot.couples, active, hist, costs).run()
+    search = _Search(min_config, pot.couples, active, hist, costs)
+    best = search.run()
     if best is None:
-        core = _unsat_core(min_config, pot, active, hist)
+        core = _unsat_core(search, [*min_config, *active])
         raise InfeasibleError(
             "no allocation satisfies the requirements and constraints",
             report={"core": [str(item) for item in core]},
@@ -414,7 +416,8 @@ class _Search:
     "conditional" couple gets a prerequisite list. A forbidden "binary"
     couple, a conditional one whose prerequisite is outside the pot, and an
     "antecedence" couple whose antecedents are not all in the history are
-    forced out.
+    forced out. Each group, forced-out couple and prerequisite keeps its
+    item, so that a run can switch items off for the unsatisfiable core.
 
     Every decision propagates to a fixpoint: a group at its upper limit
     pushes its free members out, a group that needs all its live members
@@ -435,82 +438,103 @@ class _Search:
     sorted ids, as the exhaustive definition does.
     """
 
-    def __init__(self, min_config, pot_couples, constraints, history, costs=None):
+    def __init__(self, min_config, pot_couples, constraints, history, costs):
         self.ids = ids = tuple(sorted(pot_couples))
         index = {c: i for i, c in enumerate(ids)}
-        self.forced_out = []
-        self.requires = [[] for _ in ids]
-        groups = [([index[c] for c in req.couples if c in index], 1, 1) for req in min_config]
-        for con in constraints:
+        # items are numbered: the requirements, then the constraints
+        self.groups = groups = [([index[c] for c in req.couples if c in index], 1, 1, item)
+                                for item, req in enumerate(min_config)]
+        self.forced_out = []  # (couple index, item)
+        self.edges = []  # (couple index, prerequisite index, item)
+        for item, con in enumerate(constraints, len(groups)):
             kind = con.kind
             if kind == "binary":
                 if not con.allowed and con.couple in index:
-                    self.forced_out.append(index[con.couple])
+                    self.forced_out.append((index[con.couple], item))
             elif kind == "disjunctive":
-                groups.append(([index[c] for c in con.couples if c in index], 1, math.inf))
+                groups.append(([index[c] for c in con.couples if c in index], 1, math.inf, item))
             elif kind == "exclusive":
-                groups.append(([index[c] for c in con.couples if c in index], 0, 1))
+                groups.append(([index[c] for c in con.couples if c in index], 0, 1, item))
             elif kind == "capacity":
                 # couple ids are FUNCTION-RESOURCE with a dash-free function part
                 on_resource = [i for i, c in enumerate(ids) if c.split("-", 1)[1] == con.resource]
-                groups.append((on_resource, 0, con.max_functions))
+                groups.append((on_resource, 0, con.max_functions, item))
             elif kind == "conditional":
                 if con.couple in index:
                     i = index[con.couple]
                     for r in con.requires:
                         if r in index:
-                            self.requires[i].append(index[r])
+                            self.edges.append((i, index[r], item))
                         else:
-                            self.forced_out.append(i)
+                            self.forced_out.append((i, item))
             elif kind == "antecedence":
                 if (
                     history is not None
                     and con.couple in index
                     and not all(a in history for a in con.after)
                 ):
-                    self.forced_out.append(index[con.couple])
-        self.members = [m for m, _, _ in groups]
-        self.lo = [lo for _, lo, _ in groups]
-        self.hi = [hi for _, _, hi in groups]
+                    self.forced_out.append((index[con.couple], item))
+        self.members = [m for m, _, _, _ in groups]
         self.member_of = [[] for _ in ids]
         for g, members in enumerate(self.members):
             for i in members:
                 self.member_of[i].append(g)
-        self.required_by = [[] for _ in ids]
-        for i, prerequisites in enumerate(self.requires):
-            for j in prerequisites:
-                self.required_by[j].append(i)
 
         self.costs = costs
-        self.weight = weight = [0.0 if costs is None else costs.get(c, 0.0) for c in ids]
+        self.weight = weight = [costs.get(c, 0.0) for c in ids]
         self.slack = _rounding_slack(weight)
         # Disjoint groups that admit at most one couple: the cost bound counts
         # only the cheapest free member of each, and other couples' negative
         # costs.
         self.single_pick = []  # (members by rising cost, whether one must be picked)
         picked_once = set()
-        for members, lo, hi in groups:
+        for members, lo, hi, _ in groups:
             if hi < 2 and members and picked_once.isdisjoint(members):
                 picked_once.update(members)
                 self.single_pick.append((sorted(set(members), key=weight.__getitem__), lo >= 1))
         self.loose = [0.0 if i in picked_once else min(w, 0.0) for i, w in enumerate(weight)]
 
-        self.val = [_FREE] * len(ids)
-        self.n_in = [0] * len(groups)
+    def _reset(self, off) -> Optional[list]:
+        """Clear the per-run state and switch off the items numbered in `off`:
+        their groups admit any count, their couples are not forced out and
+        their prerequisite edges are left out. Returns the decisions forced
+        before any branching, or None on a contradiction."""
+        self.val = [_FREE] * len(self.ids)
+        self.n_in = [0] * len(self.groups)
         self.n_live = [len(m) for m in self.members]
         self.trail = []
         self.partial = 0.0  # cost of the chosen couples
         self.neg = sum(self.loose)  # negative cost still free outside single-pick groups
         self.chosen = 0  # bit i stands for ids[i]
+        self.requires, self.required_by = [[] for _ in self.ids], [[] for _ in self.ids]
+        for i, j, item in self.edges:
+            if item not in off:
+                self.requires[i].append(j)
+                self.required_by[j].append(i)
+        self.lo, self.hi = [], []
+        queue = [(i, 0) for i, item in self.forced_out if item not in off]
+        for members, lo, hi, item in self.groups:
+            if item in off:
+                lo, hi = 0, math.inf
+            elif len(members) < lo:
+                return None
+            if hi < 1:
+                queue += [(j, 0) for j in members]
+            if len(members) - 1 < lo:
+                queue += [(j, 1) for j in members]
+            self.lo.append(lo)
+            self.hi.append(hi)
+        return queue
 
-    def run(self) -> Optional[tuple]:
+    def run(self, off=None) -> Optional[tuple]:
         """The best (cost, sorted couple ids), or None when infeasible.
 
-        Without costs the search stops at the first admissible subset.
+        With `off`, a set of item numbers, those items are switched off and
+        the search stops at the first admissible subset.
         """
+        queue = self._reset(off or ())
         ids, val, costs, weight = self.ids, self.val, self.costs, self.weight
         n = len(ids)
-        queue = self._root_queue()
         if queue is None or not self._propagate(queue):
             return None
 
@@ -524,7 +548,7 @@ class _Search:
             expand = False
             if k == n:
                 key = tuple(ids[i] for i in range(n) if val[i] == 1)
-                if costs is None:
+                if off is not None:
                     return (0.0, key)
                 cost = sum(costs.get(c, 0.0) for c in key)
                 if best is None or (cost, key) < best:
@@ -561,18 +585,6 @@ class _Search:
                 for g in member_of[i]:
                     n_live[g] += 1
             val[i] = _FREE
-
-    def _root_queue(self) -> Optional[list]:
-        """The decisions forced before any branching; None on a contradiction."""
-        queue = [(i, 0) for i in self.forced_out]
-        for members, lo, hi in zip(self.members, self.lo, self.hi):
-            if len(members) < lo or hi < 0:
-                return None
-            if hi < 1:
-                queue += [(j, 0) for j in members]
-            if len(members) - 1 < lo:
-                queue += [(j, 1) for j in members]
-        return queue
 
     def _propagate(self, queue: list) -> bool:
         """Apply the queued decisions and everything they imply; False on a
@@ -659,21 +671,18 @@ def _rounding_slack(weights) -> float:
     return (len(weights) + 1) * magnitude * 2.0**-50
 
 
-def _unsat_core(min_config, pot, constraints, history) -> list:
-    """Greedy minimal subset of requirements and constraints that still conflicts.
+def _unsat_core(search: _Search, items: list) -> list:
+    """Greedy minimal subset of the search's items (its requirements, then
+    its constraints) that still conflicts.
 
-    Each requirement, then each constraint, in the given order, is dropped
-    for good when what is left has no admissible subset of the pot.
+    Each item, in that order, is switched off for good when the search with
+    what is left finds no admissible subset of the pot.
     """
-    items = [("req", r) for r in min_config] + [("con", c) for c in constraints]
-    keep = list(items)
-    for item in items:
-        trial = [it for it in keep if it is not item]
-        reqs = [r for tag, r in trial if tag == "req"]
-        cons = [c for tag, c in trial if tag == "con"]
-        if _Search(reqs, pot.couples, cons, history).run() is None:
-            keep = trial
-    return [obj for _, obj in keep]
+    off = set()
+    for item in range(len(items)):
+        if search.run(off | {item}) is None:
+            off.add(item)
+    return [obj for item, obj in enumerate(items) if item not in off]
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,10 @@ class KnnModel:
             raise ConfigError(f"unknown metric {self.metric!r}; choose one of {METRICS}")
 
     def predict_one(self, x) -> int:
-        return int(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        return int(self.predict(numeric_array(x, "knn: probe").reshape(1, -1))[0])
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(numeric_array(X, "knn: probes"))
         if not np.all(np.isfinite(X)):
             raise DataError("knn: probes must be finite")
         return np.array([knn_predict(self, x) for x in X], dtype=int)
@@ -92,7 +92,7 @@ def knn_predict(model: KnnModel, x) -> int:
     a DataError only when the k-th nearest one does, because only then
     does the vote depend on it.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = numeric_array(x, "knn: probe").reshape(-1)
     if x.shape[0] != model.points.shape[1]:
         raise DataError(
             f"knn: probe has {x.shape[0]} features, model expects {model.points.shape[1]}"
@@ -294,11 +294,11 @@ class ForestModel:
     n_features: int
 
     def predict_one(self, x) -> int:
-        return int(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
+        return int(self.predict(numeric_array(x, "forest: probe").reshape(1, -1))[0])
 
     def predict(self, X) -> np.ndarray:
         """Majority vote of the trees per row, the lowest label on a tie."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = np.atleast_2d(numeric_array(X, "forest: probes"))
         if X.shape[-1] != self.n_features:
             raise DataError(
                 f"forest: probe has {X.shape[-1]} features, model expects {self.n_features}"

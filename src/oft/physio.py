@@ -15,6 +15,7 @@ z-scored series has sample mean 0 and sample std 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,11 +81,7 @@ class PupilSeries:
     def __post_init__(self):
         ts = numeric_array(self.timestamps, "pupil: timestamps")
         mm = numeric_array(self.diameters_mm, "pupil: diameters")
-        ok = (
-            np.ones(len(ts), dtype=bool)
-            if self.valid is None
-            else np.asarray(self.valid, dtype=bool)
-        )
+        ok = np.ones(len(ts), dtype=bool) if self.valid is None else _valid_flags(self.valid)
         if not (ts.shape == mm.shape == ok.shape) or ts.ndim != 1:
             raise DataError("pupil: timestamps, diameters and flags must be 1-d and equal length")
         if not np.all(np.isfinite(ts)):
@@ -97,6 +94,20 @@ class PupilSeries:
 
     def __len__(self):
         return len(self.diameters_mm)
+
+
+def _valid_flags(valid) -> np.ndarray:
+    """Validity flags from a closed set, as the CSV reader takes them:
+    booleans, or the integers 0 and 1 (numpy's too)."""
+    try:
+        ok = np.asarray(valid)
+    except ValueError as exc:  # a ragged nesting
+        raise DataError(f"pupil: valid flags: {exc}") from exc
+    kind = ok.dtype.kind
+    if kind == "b" or not ok.size or kind in "iu" and np.all((ok == 0) | (ok == 1)):
+        return ok.astype(bool, copy=False)
+    first = ok.ravel()[:3].tolist()
+    raise DataError(f"pupil: valid flags must be booleans or 0 and 1, got {first}")
 
 
 @dataclass(frozen=True)
@@ -179,7 +190,10 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
     Order-2 Butterworth applied forward and backward (second-order
     sections), so the passband is preserved without phase shift and DC is
     removed. Non-uniform timestamps are rejected rather than silently
-    resampled.
+    resampled. The design and the filtering are those of scipy.signal's
+    `butter(2, [low_hz, high_hz], "bandpass", fs=fs, output="sos")` and
+    `sosfiltfilt`, written with numpy and Python floats; the results agree
+    to rounding.
     """
     t = np.asarray(timestamps, dtype=float)
     x = np.asarray(values, dtype=float)
@@ -195,21 +209,73 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
         raise DataError(
             "bandpass: non-uniform sampling detected; resample to a fixed rate first"
         )
-    # scipy is imported here, so that importing the package does not load it
-    from scipy.signal import butter, sosfiltfilt
-
     fs = 1.0 / dt0
     if not (0.0 < low_hz < high_hz < fs / 2.0):
         raise ValueError(
             f"bandpass: need 0 < low < high < fs/2, got low={low_hz}, high={high_hz}, fs={fs:g}"
         )
-    sos = butter(2, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
-    padlen = 3 * (2 * sos.shape[0] + 1)
+    sos = _butter_bandpass(low_hz, high_hz, fs)
+    padlen = 3 * (2 * len(sos) + 1)
     if len(x) <= padlen:
         raise InsufficientDataError(
             f"bandpass: need more than {padlen} samples for edge padding, got {len(x)}"
         )
-    return sosfiltfilt(sos, x)
+    # odd extension at both ends, then forward and backward passes that
+    # start from the steady state of a step to the first value
+    ext = np.concatenate((2 * x[0] - x[padlen:0:-1], x, 2 * x[-1] - x[-2:-padlen - 2:-1]))
+    zi = _step_states(sos)
+    y = _sosfilt(sos, ext.tolist(), zi, float(ext[0]))
+    y = _sosfilt(sos, y[::-1], zi, y[-1])
+    return np.array(y[::-1][padlen:-padlen])
+
+
+def _butter_bandpass(low_hz: float, high_hz: float, fs: float) -> list:
+    """Second-order sections (b0, b1, b2, a1, a2) of the order-2 Butterworth
+    band-pass, by the bilinear transform, in the order and with the zero
+    pairing that scipy.signal.zpk2sos gives them."""
+    # the band edges prewarped, with the sample rate normalised to 2
+    lo, hi = (4.0 * math.tan(math.pi * (2.0 * f / fs) / 2.0) for f in (low_hz, high_hz))
+    bw, wo = hi - lo, math.sqrt(lo * hi)
+    # the analog low-pass prototype's upper pole, moved to its two band-pass
+    # poles; the other two are their conjugates
+    p = -cmath.exp(-0.25j * math.pi) * bw / 2.0
+    root = cmath.sqrt(p * p - wo * wo)
+    poles = [(4.0 + s) / (4.0 - s) for s in (p + root, p - root)]
+    # the four zeros are 1, 1, -1 and -1; the gain is the bilinear
+    # transform's, bw^2 * 16 over the product of (4 - pole) for the four poles
+    gain = bw * bw * 16.0 / (abs(4.0 - p - root) * abs(4.0 - p + root)) ** 2
+    # the pole pair nearest the unit circle goes last, with the two zeros
+    # nearest to it
+    last, first = sorted(poles, key=lambda z: abs(1.0 - abs(z)))
+    near = 1.0 if abs(last - 1.0) <= abs(last + 1.0) else -1.0
+    return [
+        (gain, 2.0 * near * gain, gain, -2.0 * first.real, abs(first) ** 2),
+        (1.0, -2.0 * near, 1.0, -2.0 * last.real, abs(last) ** 2),
+    ]
+
+
+def _step_states(sos: list) -> list:
+    """Each section's state after a unit step has settled (sosfilt_zi)."""
+    states, scale = [], 1.0
+    for b0, b1, b2, a1, a2 in sos:
+        z0 = (b1 - a1 * b0 + b2 - a2 * b0) / (1.0 + a1 + a2)
+        states.append((scale * z0, scale * (b2 - a2 * b0 - a2 * z0)))
+        scale *= (b0 + b1 + b2) / (1.0 + a1 + a2)
+    return states
+
+
+def _sosfilt(sos: list, x: list, states: list, x0: float) -> list:
+    """x through the sections in direct form II transposed, each section
+    starting from its state times x0."""
+    y = list(x)
+    for (b0, b1, b2, a1, a2), (s0, s1) in zip(sos, states):
+        s0, s1 = s0 * x0, s1 * x0
+        for n, v in enumerate(y):
+            out = b0 * v + s0
+            s0 = b1 * v - a1 * out + s1
+            s1 = b2 * v - a2 * out
+            y[n] = out
+    return y
 
 
 def _norm_stats(per_sec, method, window, reference):
@@ -380,7 +446,7 @@ def read_pupil_csv(path: str | Path) -> PupilSeries:
         lambda t_s, pupil_mm, valid: (float(t_s), float(pupil_mm), _VALID_FLAGS[valid.strip()]),
     )
     ts, mm, ok = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
-    return PupilSeries(ts, mm, ok)
+    return PupilSeries(ts, mm, ok.astype(bool))
 
 
 def write_frames_csv(result: PhysioFrames, path: str | Path) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oft import dfaplan
 from oft.errors import ConfigError, DataError, InfeasibleError
 from oft.dfaplan import (
     EXPECTED,
@@ -59,7 +60,11 @@ def ref_pot(model, sids):
     ]
 
 
-def ref_constraint_ok(con, chosen):
+def ref_constraint_ok(con, chosen, history=None):
+    """Whether `chosen` keeps `con`; without a history, antecedence is not
+    checked (single-shot solving ignores it)."""
+    if con.kind == "antecedence":
+        return history is None or con.couple not in chosen or all(a in history for a in con.after)
     if con.kind == "binary":
         return con.allowed or con.couple not in chosen
     if con.kind == "disjunctive":
@@ -73,7 +78,7 @@ def ref_constraint_ok(con, chosen):
     raise AssertionError(f"reference does not model {con.kind}")
 
 
-def ref_solve(model, sids, criterion):
+def ref_solve(model, sids, criterion, history=None):
     """Enumerate every subset of the pot; None when nothing is admissible."""
     pot = ref_pot(model, sids)
     reqs = ref_requirements(model, sids)
@@ -86,7 +91,7 @@ def ref_solve(model, sids, criterion):
                 continue
             if not all(len([m for m in g if m in chosen]) <= 1 for g in model.xor_groups):
                 continue
-            if not all(ref_constraint_ok(con, chosen) for con in model.constraints):
+            if not all(ref_constraint_ok(con, chosen, history) for con in model.constraints):
                 continue
             key = tuple(sorted(chosen))
             cost = sum(cost_table.get(c, 0.0) for c in key)
@@ -95,9 +100,10 @@ def ref_solve(model, sids, criterion):
     return best
 
 
-def ref_admissible(pot, reqs, constraints, xor_groups):
+def ref_admissible(pot, reqs, constraints, xor_groups, history=None):
     """Admissibility of every subset of the pot at once: subset s holds
-    pot[i] when bit i of s is set."""
+    pot[i] when bit i of s is set. Antecedence is checked only under a
+    history."""
     subsets = np.arange(1 << len(pot))
     has = {c: (subsets >> i) & 1 for i, c in enumerate(pot)}
 
@@ -121,6 +127,9 @@ def ref_admissible(pot, reqs, constraints, xor_groups):
             ok &= count([c for c in pot if c.split("-", 1)[1] == con.resource]) <= con.max_functions
         elif con.kind == "conditional":
             ok &= (count([con.couple]) == 0) | (count(con.requires) == len(con.requires))
+        elif con.kind == "antecedence":
+            if history is not None and not all(a in history for a in con.after):
+                ok &= count([con.couple]) == 0
         else:
             raise AssertionError(f"reference does not model {con.kind}")
     return ok
@@ -146,13 +155,16 @@ def ref_optimum(model, sids, criterion):
     return best
 
 
-def ref_core(model, sids):
+def ref_core(model, sids, history=None):
     """Deletion core: drop each requirement, then each constraint, then the
     one-of exclusion of each group, for good when the rest is still
-    infeasible. Items are rendered as the solver reports them."""
+    infeasible. Items are rendered as the solver reports them; without a
+    history, antecedence constraints are left out, as the solver leaves
+    them out."""
     pot = ref_pot(model, sids)
+    constraints = [c for c in model.constraints if history is not None or c.kind != "antecedence"]
     items = [("req", r) for r in ref_requirements(model, sids)]
-    items += [("con", c) for c in model.constraints] + [("xor", g) for g in model.xor_groups]
+    items += [("con", c) for c in constraints] + [("xor", g) for g in model.xor_groups]
 
     def feasible(kept):
         return ref_admissible(
@@ -160,6 +172,7 @@ def ref_core(model, sids):
             [x for tag, x in kept if tag == "req"],
             [x for tag, x in kept if tag == "con"],
             [x for tag, x in kept if tag == "xor"],
+            history,
         ).any()
 
     keep = list(items)
@@ -299,6 +312,19 @@ def random_pot_model(rng, pot_size, tag=""):
     )
 
 
+def with_antecedence(model, rng):
+    """The model with one or two antecedence constraints slipped in at
+    random places among its constraints."""
+    cids = [c.id for c in model.couples]
+    constraints = list(model.constraints)
+    for _ in range(int(rng.integers(1, 3))):
+        size = min(len(cids), int(rng.integers(2, 4)))
+        couple, *after = (str(c) for c in rng.choice(cids, size=size, replace=False))
+        spec = ConstraintSpec(kind="antecedence", couple=couple, after=tuple(after))
+        constraints.insert(int(rng.integers(0, len(constraints) + 1)), spec)
+    return dataclasses.replace(model, constraints=tuple(constraints))
+
+
 def merge_models(blocks):
     """One model holding every block; blocks must share no names."""
     return AllocationModel(
@@ -402,6 +428,29 @@ class TestReferenceEquivalence:
             checked += 1
         assert checked == 500
         assert infeasible > 10  # the generator must actually produce conflicts
+
+    def test_solver_matches_brute_force_with_antecedence_under_a_history(self, rng):
+        # an antecedence couple whose antecedents are not all in the history
+        # is forced out, and switching that constraint off in the core's
+        # trials must free it again
+        infeasible = antecedence_in_core = 0
+        for _ in range(300):
+            model = with_antecedence(random_model(rng), rng)
+            sids = [s for s in model.situations if rng.random() < 0.7] or list(model.situations)[:1]
+            history = frozenset(c.id for c in model.couples if rng.random() < 0.5)
+            want = ref_solve(model, sids, "w", history)
+            if want is None:
+                infeasible += 1
+                with pytest.raises(InfeasibleError) as err:
+                    model.solve(sids, "w", history=history)
+                core = err.value.report["core"]
+                assert core == ref_core(model, sids, history)
+                antecedence_in_core += any(item.startswith("antecedence") for item in core)
+            else:
+                sol = model.solve(sids, "w", history=history)
+                assert (sol.cost, sol.couples) == want
+        assert infeasible > 10
+        assert antecedence_in_core > 10
 
     def test_solver_matches_brute_force_on_pots_12_to_18(self, rng):
         infeasible = 0
@@ -583,6 +632,25 @@ class TestConstraints:
         with pytest.raises(InfeasibleError) as err:
             m.solve(["S1"], "w")
         assert sorted(err.value.report["core"]) == ["A-H", "binary: A-H forbidden"]
+
+    def test_core_reruns_the_one_compiled_search(self, monkeypatch):
+        built = []
+
+        class Counted(dfaplan._Search):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dfaplan, "_Search", Counted)
+        m = tiny_model(constraints=(
+            ConstraintSpec(kind="capacity", resource="M", max_functions=1),
+            ConstraintSpec(kind="binary", couple="A-H", allowed=False),
+            ConstraintSpec(kind="disjunctive", couples=("A-M", "B-H")),
+        ))
+        with pytest.raises(InfeasibleError) as err:
+            m.solve(["S1"], "w")
+        assert err.value.report["core"] == ["A-H", "binary: A-H forbidden"]
+        assert len(built) == 1
 
     def test_tie_break_prefers_lexicographic_tuple(self):
         m = tiny_model(costs={"w": {"A-H": 1.0, "A-M": 1.0, "B-H": 0.0}})

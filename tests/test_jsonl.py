@@ -637,7 +637,7 @@ def test_number_reads_ints_and_floats_only(value):
 
 
 BAD_ARRAYS = {"a string": ["a"], "a numeric string": ["1.5"], "a bool": [True], "a null": [None]}
-# each array argument of the five constructors, with what its DataError names
+# each public array argument, with what its DataError names
 ARRAY_ARGUMENTS = {
     "beats: timestamps": lambda bad: physio.RRSeries(bad, [800.0]),
     "beats: RR intervals": lambda bad: physio.RRSeries([0.0], bad),
@@ -649,6 +649,7 @@ ARRAY_ARGUMENTS = {
     "knn: labels": lambda bad: effortclass.KnnModel([[0.0]], bad),
     "rf: X": lambda bad: effortclass.rf_train([bad], [0]),
     "rf: y": lambda bad: effortclass.rf_train([[0.0]], bad),
+    "transition matrix: counts": lambda bad: cocom.TransitionMatrix([bad * 4] * 4),
 }
 
 
@@ -659,10 +660,36 @@ def test_array_arguments_that_hold_no_numbers_are_a_data_error(what, case):
         ARRAY_ARGUMENTS[what](BAD_ARRAYS[case])
 
 
-@pytest.mark.parametrize("what", ["knn: labels", "rf: y"])
+@pytest.mark.parametrize("what", ["knn: labels", "rf: y", "transition matrix: counts"])
 def test_float_labels_are_refused_not_cut(what):
     with pytest.raises(DataError, match=f"^{what} must be integers, got an array of float64"):
         ARRAY_ARGUMENTS[what]([1.7])
+
+
+def _knn():
+    return effortclass.KnnModel([[0.0], [1.0]], [0, 1])
+
+
+def _forest():
+    return effortclass.rf_train([[0.0], [1.0], [0.2], [0.8]], [0, 1, 0, 1], n_trees=3, seed=1)
+
+
+# each classifier entry point that takes a probe, with what its DataError names
+PROBE_ARGUMENTS = {
+    "KnnModel.predict": ("knn: probes", lambda bad: _knn().predict([bad])),
+    "KnnModel.predict_one": ("knn: probe", lambda bad: _knn().predict_one(bad)),
+    "knn_predict": ("knn: probe", lambda bad: effortclass.knn_predict(_knn(), bad)),
+    "ForestModel.predict": ("forest: probes", lambda bad: _forest().predict([bad])),
+    "ForestModel.predict_one": ("forest: probe", lambda bad: _forest().predict_one(bad)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARRAYS)
+@pytest.mark.parametrize("entry", PROBE_ARGUMENTS)
+def test_probes_that_hold_no_numbers_are_a_data_error(entry, case):
+    what, call = PROBE_ARGUMENTS[entry]
+    with pytest.raises(DataError, match=f"^{what} must be numbers"):
+        call(BAD_ARRAYS[case])
 
 
 def test_numeric_array_copies_only_to_change_the_dtype():

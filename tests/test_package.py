@@ -168,6 +168,19 @@ def test_only_jsonl_keeps_the_number_rule():
     assert found == {"jsonl.py"}
 
 
+def test_modules_import_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; scipy is a test-only oracle
+    imported = set()
+    for path in Path(oft.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}
+
+
 def test_number_rule_finder_sees_each_form():
     source = "\n".join([
         "import numbers",

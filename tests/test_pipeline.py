@@ -370,7 +370,7 @@ class TestEndToEnd:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is needed only by physio.bandpass, which imports it on first use
+    # no module imports scipy; it is only the oracle of some tests
     code = (
         "import sys, oft, oft.cli\n"
         "oft.MwlNetwork.default(); oft.default_bike_model()\n"
