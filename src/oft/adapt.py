@@ -25,6 +25,7 @@ from .errors import ConfigError, SequencingError
 from .jsonl import is_finite_number, is_integer
 
 STAGES = ("gathering", "analysis", "decision", "action")
+HOLD_S = 5.0  # the default release hold, seconds
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class AssistanceCommand:
 class AdaptationEngine:
     """Turns a level stream into activation edges, with release hysteresis."""
 
-    def __init__(self, hold_s: float = 5.0):
+    def __init__(self, hold_s: float = HOLD_S):
         if not (is_finite_number(hold_s) and hold_s >= 0):
             raise ConfigError(f"hold_s must be a finite number >= 0, got {hold_s!r}")
         self.hold_s = hold_s

@@ -165,8 +165,9 @@ def _scan_numpy(rows, col, one_hot, total, best):
 def _py_gini(counts, n) -> float:
     """_gini of one row of counts summing to n, in Python floats.
 
-    The squares are summed left to right, as numpy sums fewer than
-    PAIRWISE_CLASSES of them.
+    The squares are summed left to right from 0.0, as numpy sums fewer than
+    PAIRWISE_CLASSES of them: jsonl.float_sum's rule, written out for the
+    tree builder's innermost loop.
     """
     total = 0.0
     for c in counts:
@@ -351,7 +352,7 @@ def rf_train(X, y, n_trees: int = RF_TREES, seed: int = 0) -> ForestModel:
 
 def binarize(labels):
     """Fold 3-level labels onto 2: level 1 -> 0 (low), levels 2,3 -> 1 (high)."""
-    arr = np.asarray(labels, dtype=int)
+    arr = numeric_array(labels, "binarize: labels", int)
     if not np.all(np.isin(arr, (1, 2, 3))):
         raise DataError("binarize: labels must be in {1, 2, 3}")
     out = (arr >= 2).astype(int)

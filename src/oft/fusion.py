@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, DataError
-from .jsonl import DATA, config_errors, dump_jsonl, load_json, number
+from .jsonl import DATA, config_errors, dump_jsonl, float_sum, load_json, number
 
 N_LEVELS = 5
 
@@ -128,9 +128,7 @@ def _labels(values, what: str) -> tuple:
 def _distribution(values, size: int, what: str) -> tuple:
     """`values`, a list of `size` numbers, each >= 0 and summing to 1 within 1e-9."""
     row = tuple(map(number, _list(values)))
-    total = 0.0
-    for p in row:  # numpy's order for < 8 entries; sum() compensates from Python 3.12
-        total += p
+    total = float_sum(row)
     if len(row) != size or not (all(p >= 0.0 for p in row) and abs(total - 1.0) <= 1e-9):
         raise ConfigError(f"{what} must be a distribution of {size} entries (>= 0, sum 1)")
     return row
@@ -198,9 +196,10 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
     weight}}, as a tuple of five floats, level 1 first.
 
     The children's terms multiply in the mapping's order. A child's term
-    sum_l lik(l) * cpt[k, l] adds the labels in table order, left to right,
-    in Python floats; a label the evidence leaves out, or weighs 0, adds
-    +0.0 and is skipped. The five products are then summed left to right.
+    sum_l lik(l) * cpt[k, l] adds the labels in table order, left to right
+    from 0.0 in Python floats (jsonl.float_sum's rule, unrolled over the five
+    levels); a label the evidence leaves out, or weighs 0, adds +0.0 and is
+    skipped. The five products are then summed left to right.
     Up to rounding, the posterior is invariant under the children's order
     and under positive scaling of any likelihood. Raises
     DataError for an unknown variable or label, a weight that is not a

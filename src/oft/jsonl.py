@@ -25,7 +25,9 @@ This module also owns the one rule that turns a malformed document or
 argument into a ConfigError (exit 2): `config_errors`, around the code that
 reads the document's objects, or checks a model's arguments. And the one
 rule that reads a number, an int or a float and never a bool or a string:
-`number`, `is_integer`, and `numeric_array` for an array argument.
+`number`, `is_integer`, and `numeric_array` for an array argument. And the
+one rule that adds floats: `float_sum`, left to right from 0.0, which
+builtin sum() is not from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ import json
 import os
 import stat
 from contextlib import contextmanager
+from functools import reduce
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import isfinite
 from numbers import Integral, Real
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -122,6 +125,13 @@ def number(value) -> float:
 def is_integer(value) -> bool:
     """True for an integer (a numpy one too) that is not a bool."""
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def float_sum(values) -> float:
+    """The sum of `values`, added left to right from 0.0 by float addition.
+    Builtin sum() compensates the rounding of float additions from Python
+    3.12 on, so its bits depend on the Python version; this does not."""
+    return reduce(add, values, 0.0)
 
 
 def numeric_array(values, what: str, dtype: type = float):

@@ -52,10 +52,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import physio
-from .adapt import DEFAULT_RULES, AdaptationEngine
+from .adapt import DEFAULT_RULES, HOLD_S, AdaptationEngine
 from .errors import ConfigError
 from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
-from .jsonl import is_finite_number, is_integer
+from .jsonl import float_sum, is_finite_number, is_integer
 from .regulation import ActivitySnapshot, ActivityTracker, RegulationEvent, TaskTick
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
                        spatial_entropy, task_difficulty)
@@ -122,7 +122,7 @@ class ScenarioConfig:
     seed: int = 0
     operator: str = "diligent"
     dfa: bool = False
-    hold_s: float = 5.0
+    hold_s: float = HOLD_S
 
     def __post_init__(self):
         for name in ("duration_s", "phase_split_s", "seed"):
@@ -522,14 +522,18 @@ class Monitor:
     (COBR, PRBR), else performance oriented if any raised it. The evidence
     maps constraint (only when the second has a demand frame), behaviour,
     performance and effort, in that order, to their likelihoods; fusing it
-    is left to the caller.
+    is left to the caller. The network must take that evidence: a
+    ConfigError says so before the first step, and `require_demand` before
+    the first demand frame.
     """
 
     def __init__(self, net: MwlNetwork):
+        self.net = net
         for var in ("performance", "effort"):
             if var not in net.partitions:
                 raise ConfigError(f"fusion model must carry a partition for {var!r}")
-        self.net = net
+            self._require(var)
+        self._require("behaviour", BEHAVIOUR_EVIDENCE.values())
         self.tracker = ActivityTracker()
         self._recent_z: deque = deque(maxlen=EFFORT_SMOOTH_S)
         self._last_z = 0.0
@@ -538,6 +542,21 @@ class Monitor:
         # dcps) decides the label
         self._last_cost_t = float("-inf")
         self._last_perf_t = float("-inf")
+
+    def _require(self, variable: str, evidence=()) -> None:
+        """ConfigError unless the network has a child `variable` with every
+        label of the `evidence` likelihoods."""
+        if variable not in self.net.children:
+            raise ConfigError(f"fusion model must carry a child {variable!r}")
+        labels, _ = self.net.children[variable]
+        missing = sorted({label for likelihood in evidence for label in likelihood} - set(labels))
+        if missing:
+            raise ConfigError(f"fusion model: child {variable!r} lacks labels {missing}")
+
+    def require_demand(self) -> None:
+        """ConfigError unless the network takes the demand evidence: a
+        `constraint` child with the labels td1..td3."""
+        self._require("constraint", CONSTRAINT_EVIDENCE.values())
 
     def step(self, tick: TaskTick, perf: float, pupil_z: Optional[float],
              demand: Optional[ConstraintFrame]) -> MonitorStep:
@@ -549,7 +568,7 @@ class Monitor:
         if pupil_z is not None:
             self._last_z = pupil_z
         self._recent_z.append(self._last_z)
-        z_smooth = sum(self._recent_z) / len(self._recent_z)
+        z_smooth = float_sum(self._recent_z) / len(self._recent_z)
 
         since = tick.t - BEHAVIOUR_WINDOW_S
         if self._last_cost_t >= since:
@@ -594,6 +613,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
     if net is None:
         net = MwlNetwork.default()
     monitor = Monitor(net)
+    monitor.require_demand()  # every second has a demand frame
     ss = np.random.SeedSequence(config.seed)
     child = ss.spawn(3)
     world = World(config,

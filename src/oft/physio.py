@@ -158,7 +158,8 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
     """
     if span < 2:
         raise ConfigError(f"sdnn: span must be >= 2, got {span}")
-    rr = window.intervals_ms if isinstance(window, RRSeries) else np.asarray(window, dtype=float)
+    rr = window.intervals_ms if isinstance(window, RRSeries) else window
+    rr = numeric_array(rr, "sdnn: RR intervals")
     if np.any(rr <= 0):
         raise DataError("sdnn: RR intervals must be positive")
     tail = rr[-span:]
@@ -174,7 +175,7 @@ def normalize(values) -> NormalizedSeries:
 
     The output has sample mean 0 and sample std 1.
     """
-    x = np.asarray(values, dtype=float)
+    x = numeric_array(values, "z-score: values")
     if len(x) < 2:
         raise InsufficientDataError("z-score: need at least 2 values")
     center = float(np.mean(x))
@@ -195,8 +196,8 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
     `sosfiltfilt`, written with numpy and Python floats; the results agree
     to rounding.
     """
-    t = np.asarray(timestamps, dtype=float)
-    x = np.asarray(values, dtype=float)
+    t = numeric_array(timestamps, "bandpass: timestamps")
+    x = numeric_array(values, "bandpass: values")
     if t.shape != x.shape or t.ndim != 1:
         raise DataError("bandpass: timestamps and values must be 1-d and equal length")
     if len(t) < 3:
@@ -330,7 +331,8 @@ def _pupil_means(clean: PupilSeries, edges: np.ndarray) -> dict:
 
     The seconds with fewer than _PAIRWISE_MIN samples are summed together,
     one sample position at a time, so each is summed left to right from 0.0
-    as np.mean sums it; longer seconds go through np.mean.
+    as np.mean sums it (jsonl.float_sum's rule, over numpy rows); longer
+    seconds go through np.mean.
     """
     bounds = np.searchsorted(clean.timestamps, edges, side="left")
     starts, counts = bounds[:-1], np.diff(bounds)

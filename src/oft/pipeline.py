@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError
 # fuzzify and task_difficulty are used by microworld.Monitor, not here; the
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
-from .jsonl import dump_json, dump_jsonl, read_csv
+from .jsonl import dump_json, dump_jsonl, numeric_array, read_csv
 from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario, scripted_load
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
@@ -56,8 +56,8 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     order, so the coefficient is undefined), when lengths differ, or when
     a value is not finite.
     """
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
+    x = numeric_array(a, "spearman: a")
+    y = numeric_array(b, "spearman: b")
     if x.ndim != 1 or x.shape != y.shape:
         raise DataError("correlation needs two equal-length 1-d series")
     if len(x) < 3:
@@ -158,6 +158,8 @@ def monitor_offline(
     if net is None:
         net = MwlNetwork.default()
     monitor = Monitor(net)
+    if demand is not None:
+        monitor.require_demand()
     framed = physio.per_second_frames(
         beats, pupil, normalization=normalization, reference=reference
     )

@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
+from .jsonl import float_sum, numeric_array
 
 LOW, MEDIUM, HIGH = "low", "medium", "high"
 
@@ -96,11 +97,11 @@ def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
     the fraction of targets per occupied cell. No targets, or all targets in
     one cell, gives 0. Positions outside the square are clamped to the
     border cell and a warning is emitted; a NaN position is a DataError.
-    The terms are summed in Python floats over the occupied cells in cell
+    The terms are added by jsonl.float_sum over the occupied cells in cell
     order, so the result does not depend on numpy's CPU-dispatched `log`.
     """
     rows, cols = ENTROPY_GRID
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+    pts = numeric_array(positions, "spatial_entropy: positions").reshape(-1, 2)
     if len(pts) == 0:
         return 0.0
     if np.isnan(pts).any():
@@ -115,12 +116,8 @@ def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
     col = np.clip(np.clip(xs, 0, 1) * cols, 0, cols - 1e-9).astype(int)
     row = np.clip(np.clip(ys, 0, 1) * rows, 0, rows - 1e-9).astype(int)
     n = len(pts)
-    total = 0.0
-    for count in np.bincount(row * cols + col).tolist():
-        if count:
-            p = count / n
-            total += p * math.log(p)
-    return -total + 0.0  # avoid -0.0 for single-cell layouts
+    shares = [count / n for count in np.bincount(row * cols + col).tolist() if count]
+    return -float_sum(p * math.log(p) for p in shares) + 0.0  # no -0.0 for one cell
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import importlib
+import math
 import os
 from pathlib import Path
 
@@ -17,6 +19,46 @@ def src_env():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def compensated_sum(iterable, /, start=0):
+    """Builtin sum() as CPython 3.12 runs it (gh-100425): ints add exactly
+    until the first float; from there exact Python floats add with Neumaier's
+    compensation, ints in int range add as doubles, and any other item ends
+    the float run with the compensation folded in."""
+    items = iter(iterable)
+    total = start
+    for item in items:
+        total = total + item
+        if type(total) is float:
+            break
+    else:
+        return total
+    c = 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            c += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+            total = t
+        elif type(item) is int and -2 ** 63 <= item < 2 ** 63:
+            total += float(item)
+        else:
+            total = (total + c if c and math.isfinite(c) else total) + item
+            for item in items:
+                total = total + item
+            return total
+    return total + c if c and math.isfinite(c) else total
+
+
+@pytest.fixture
+def sum_as_in_python_3_12(monkeypatch):
+    """Every oft module sees compensated_sum as its builtin sum()."""
+    import oft
+
+    for path in sorted(Path(oft.__file__).parent.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"oft.{path.stem}")
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
 
 
 def job_item(task):

@@ -121,6 +121,11 @@ class TestEngine:
         with pytest.raises(ConfigError, match="workload level must be 1..5"):
             assistance_for_level(level)
 
+    def test_engine_and_scenario_share_one_default_hold(self):
+        from oft.microworld import ScenarioConfig
+
+        assert AdaptationEngine().hold_s == ScenarioConfig().hold_s == adapt.HOLD_S == 5.0
+
     def test_negative_hold_rejected(self):
         with pytest.raises(ConfigError):
             AdaptationEngine(hold_s=-1.0)

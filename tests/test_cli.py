@@ -496,6 +496,47 @@ class TestMonitorCommand:
         assert code == 2
         assert f"{name}: labels" in capsys.readouterr().err
 
+    @staticmethod
+    def settings_with_net(tmp_path, edit):
+        """A settings file naming the bundled network as `edit` leaves it."""
+        net = json.loads((DATA / "mwl_net.json").read_text())
+        edit(net)
+        net_path = tmp_path / "net.json"
+        net_path.write_text(json.dumps(net))
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps({"fusion_net": str(net_path)}))
+        return str(settings)
+
+    def test_net_without_the_behaviour_child_exits_2(self, tmp_path, capsys):
+        settings = self.settings_with_net(tmp_path, lambda net: net["children"].pop("behaviour"))
+        log = tmp_path / "run.jsonl"
+        assert main(["--config", settings, "simulate", "--duration", "60", "--log", str(log)]) == 2
+        assert capsys.readouterr().err == "error: fusion model must carry a child 'behaviour'\n"
+        assert not log.exists()
+
+    def test_net_with_renamed_constraint_labels_exits_2(self, tmp_path, capsys):
+        def rename(net):
+            net["children"]["constraint"]["labels"] = ["low", "medium", "high"]
+
+        settings = self.settings_with_net(tmp_path, rename)
+        log = tmp_path / "run.jsonl"
+        assert main(["--config", settings, "simulate", "--duration", "60", "--log", str(log)]) == 2
+        assert capsys.readouterr().err == (
+            "error: fusion model: child 'constraint' lacks labels ['td1', 'td2', 'td3']\n")
+        assert not log.exists()
+
+    def test_net_without_the_constraint_child_exits_2_only_with_demand(self, tmp_path, capsys):
+        settings = self.settings_with_net(tmp_path, lambda net: net["children"].pop("constraint"))
+        beats, pupil = write_streams(tmp_path)
+        ticks = write_ticks(tmp_path / "ticks.jsonl")
+        demand = tmp_path / "demand.csv"
+        demand.write_text("t_s,n1,n2,entropy\n" + "".join(f"{t},1,0,0.5\n" for t in range(240)))
+        argv = ["--config", settings, "monitor", "--beats", beats, "--pupil", pupil,
+                "--ticks", ticks, "--out-dir", str(tmp_path / "mon")]
+        assert main(argv + ["--demand", str(demand)]) == 2
+        assert capsys.readouterr().err == "error: fusion model must carry a child 'constraint'\n"
+        assert not (tmp_path / "mon").exists()
+        assert main(argv) == 0
 
     def test_net_with_an_unknown_partition_key_exits_2(self, tmp_path, capsys):
         net = json.loads((DATA / "mwl_net.json").read_text())
@@ -841,6 +882,14 @@ class TestFusionDigests:
         assert sha256(report) == ENDTOEND_SHA256
 
 
+@pytest.mark.usefixtures("sum_as_in_python_3_12")
+class TestFusionDigestsUnderCompensatingSum(TestFusionDigests):
+    """The same bytes when builtin sum() adds floats as Python 3.12's does,
+    with Neumaier's compensation: no output rests on sum()."""
+
+    test_monitor_outputs_on_two_blas_kernels = None  # child interpreters, unshadowed
+
+
 class TestCocomCommands:
     def test_code_trace(self, tmp_path, capsys):
         trace = write_trace(tmp_path / "trace.csv")
@@ -868,6 +917,18 @@ class TestCocomCommands:
         assert payload["participants"] == 56
         assert payload["first_period_marginals"] == [4, 3, 26, 23]
         assert payload["second_period_marginals"] == [15, 10, 3, 28]
+
+    @pytest.mark.parametrize("command,stream,header", [
+        ("code", "trace", "t_s,tank_a,tank_b,period"),
+        ("transitions", "roster", "participant,mode_low,mode_high"),
+    ])
+    def test_header_only_input_exits_3(self, tmp_path, capsys, command, stream, header):
+        path = tmp_path / f"{stream}.csv"
+        path.write_text(header + "\n")
+        out = tmp_path / "out.csv"
+        assert main(["cocom", command, f"--{stream}", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: stream '{stream}' ({path}): empty\n"
+        assert not out.exists()
 
     def test_transitions_custom_roster(self, tmp_path):
         roster = tmp_path / "roster.csv"
@@ -1187,6 +1248,14 @@ class TestSettings:
         ticks = write_ticks(tmp_path / "ticks.jsonl")
         assert main(["monitor", "--beats", beats, "--pupil", pupil,
                      "--ticks", ticks, "--out-dir", str(tmp_path / "mon")]) == 0
+
+    def test_settings_must_be_a_json_object(self, tmp_path, capsys):
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps([{"hold_s": 5.0}]))
+        code = main(["--config", str(settings), "simulate", "--duration", "60",
+                     "--log", str(tmp_path / "run.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: settings file {settings}: expected a JSON object\n"
 
     # an int would reach open() as a file descriptor, which can block the
     # test run instead of failing it, so a float stands in for it

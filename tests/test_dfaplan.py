@@ -18,6 +18,7 @@ import pytest
 
 from oft import dfaplan
 from oft.errors import ConfigError, DataError, InfeasibleError
+from oft.jsonl import float_sum
 from oft.dfaplan import (
     EXPECTED,
     IMPOSSIBLE,
@@ -94,7 +95,7 @@ def ref_solve(model, sids, criterion, history=None):
             if not all(ref_constraint_ok(con, chosen, history) for con in model.constraints):
                 continue
             key = tuple(sorted(chosen))
-            cost = sum(cost_table.get(c, 0.0) for c in key)
+            cost = float_sum(cost_table.get(c, 0.0) for c in key)
             if best is None or (cost, key) < best:
                 best = (cost, key)
     return best
@@ -149,7 +150,7 @@ def ref_optimum(model, sids, criterion):
     best = None
     for s in subsets[approx <= approx.min() + 1e-9]:
         key = tuple(sorted(c for i, c in enumerate(pot) if s >> i & 1))
-        cost = sum(table.get(c, 0.0) for c in key)
+        cost = float_sum(table.get(c, 0.0) for c in key)
         if best is None or (cost, key) < best:
             best = (cost, key)
     return best
@@ -491,7 +492,7 @@ class TestReferenceEquivalence:
         sol = model.solve(["S1"], "w")
         elapsed = time.perf_counter() - t0
         assert sol.couples == tuple(sorted(c for _, key in optima for c in key))
-        assert sol.cost == sum(cost for cost, _ in optima)
+        assert sol.cost == float_sum(cost for cost, _ in optima)
         assert elapsed < 1.0
 
         # the same pot with one block made infeasible: the core is that
@@ -658,6 +659,28 @@ class TestConstraints:
         # smaller tuple (without extras it is still lexicographically larger)
         sol = m.solve(["S1"], "w")
         assert sol.couples == ("A-H",)
+
+    @pytest.mark.usefixtures("sum_as_in_python_3_12")
+    def test_cost_is_added_left_to_right_under_a_compensating_sum(self):
+        # A-H, B-H, Z-H costs 0.1 + 0.2 + 0.3 = 0.6000000000000001 left to
+        # right, against 0.3 + 0.3 = 0.6 for C-H, Z-H; a compensated sum
+        # makes both 0.6, and the tie would go to the A-H tuple
+        m = AllocationModel(
+            functions=("A", "B", "C", "Z"),
+            resources=("H",),
+            couples=tuple(Couple(f, "H") for f in "ABCZ"),
+            situations={"S1": {"Z-H": EXPECTED, "A-H": OPTIONAL, "B-H": OPTIONAL,
+                               "C-H": OPTIONAL}},
+            constraints=(
+                ConstraintSpec(kind="disjunctive", couples=("A-H", "C-H")),
+                ConstraintSpec(kind="exclusive", couples=("A-H", "C-H")),
+                ConstraintSpec(kind="conditional", couple="A-H", requires=("B-H",)),
+            ),
+            costs={"w": {"A-H": 0.1, "B-H": 0.2, "C-H": 0.3, "Z-H": 0.3}},
+        )
+        sol = m.solve(["S1"], "w")
+        assert (sol.couples, sol.cost) == (("C-H", "Z-H"), 0.6)
+        assert ref_solve(m, ["S1"], "w") == (0.6, ("C-H", "Z-H"))
 
 
 class TestModelOwnsItsTables:

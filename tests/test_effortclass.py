@@ -188,6 +188,10 @@ class TestForest:
         with pytest.raises(DataError, match="finite"):
             rf_train([[0.0], [bad], [1.0]], [0, 1, 1])
 
+    def test_one_label_per_row(self):
+        with pytest.raises(DataError, match="one label per row"):
+            rf_train([[0.0], [1.0], [2.0]], [0, 1])
+
     def test_tree_count_validated(self):
         with pytest.raises(ConfigError):
             rf_train([[0.0], [1.0]], [0, 1], n_trees=0)
@@ -554,6 +558,15 @@ class TestCrossValidate:
         with pytest.raises(ConfigError):
             cross_validate(separable_frames(rng), "k-fold", {"kind": "knn"})
 
+    def test_no_frames(self):
+        with pytest.raises(DataError, match="no frames"):
+            cross_validate([], "per-subject-75-25", {"kind": "knn"})
+
+    def test_leave_subjects_out_needs_two_subjects(self, rng):
+        frames = [f for f in separable_frames(rng) if f.subject == "s2"]
+        with pytest.raises(DataError, match="not enough subjects to hold any out"):
+            cross_validate(frames, "leave-subjects-out", {"kind": "knn", "k": 1})
+
     @pytest.mark.parametrize("scheme", ["per-subject-75-25", "leave-subjects-out"])
     @pytest.mark.parametrize("seed", [-1, 2.5, False])
     def test_seed_validated(self, rng, scheme, seed):
@@ -615,6 +628,10 @@ class TestBinarize:
 
 
 class TestPersistence:
+    def test_only_the_two_models_serialize(self):
+        with pytest.raises(ConfigError, match="cannot serialize model of type dict"):
+            model_to_dict({"kind": "knn"})
+
     def test_knn_round_trip(self, tmp_path, rng):
         X, y = blob_dataset(rng, n_per=15)
         model = KnnModel(X, y, k=3, metric="manhattan")

@@ -22,11 +22,11 @@ from hypothesis import strategies as st
 
 import oft
 from conftest import src_env
-from oft import cocom, dfaplan, effortclass, fusion, physio, pipeline, regulation
+from oft import cocom, dfaplan, effortclass, fusion, physio, pipeline, regulation, taskload
 from oft.cli import main
 from oft.errors import ConfigError, DataError
-from oft.jsonl import (DATA, config_errors, dump_json, dump_jsonl, dumps_record, is_integer,
-                       load_jsonl, number, numeric_array, read_csv, write_csv)
+from oft.jsonl import (DATA, config_errors, dump_json, dump_jsonl, dumps_record, float_sum,
+                       is_integer, load_jsonl, number, numeric_array, read_csv, write_csv)
 from test_cli import (FULL_SESSION_SHA256, MONITOR_SHA256, SIMULATE_SHA256, json_slots,
                       write_fixed_recording)
 
@@ -86,6 +86,7 @@ FILES = {
     "header only": "t_s,level\n",
     "empty file": "",
     "bad value": "t_s,level\n0,1.5\n1,high\n",
+    "bad long row": "t_s,level\n0,1.5\n1,high,extra\n",
     "parser DataError": "t_s,level\n0,1.5\n1,-2\n",
     "NUL byte": "t_s,level\n0,1\x005\n",
     "text": "name,count\n a ,1\nb,2\n",
@@ -120,6 +121,7 @@ def test_matches_dictreader(tmp_path, name, kind):
     ("missing column", "stream 's' ({path}): expected columns t_s,level"),
     ("empty file", "stream 's' ({path}): expected columns t_s,level"),
     ("header only", []),
+    ("bad long row", "stream 's' ({path}): bad row {{'t_s': '1', 'level': 'high', None: ['extra']}}"),
     ("parser DataError", "negative level -2"),
 ])
 def test_outcomes(tmp_path, name, want):
@@ -636,6 +638,20 @@ def test_number_reads_ints_and_floats_only(value):
     assert type(got) is float and got.hex() == want.hex()
 
 
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**53, 2**53)))
+@example(values=[0.1, 0.2, 0.3])  # 0.6000000000000001, where a compensated sum gives 0.6
+@example(values=[-0.0])
+@example(values=[])
+def test_float_sum_adds_left_to_right_from_zero(values):
+    total = 0.0
+    for value in values:
+        total += value
+    got = float_sum(values)
+    assert type(got) is float and got.hex() == total.hex()
+    assert float_sum(iter(values)).hex() == total.hex()
+
+
 BAD_ARRAYS = {"a string": ["a"], "a numeric string": ["1.5"], "a bool": [True], "a null": [None]}
 # each public array argument, with what its DataError names
 ARRAY_ARGUMENTS = {
@@ -650,6 +666,14 @@ ARRAY_ARGUMENTS = {
     "rf: X": lambda bad: effortclass.rf_train([bad], [0]),
     "rf: y": lambda bad: effortclass.rf_train([[0.0]], bad),
     "transition matrix: counts": lambda bad: cocom.TransitionMatrix([bad * 4] * 4),
+    "binarize: labels": lambda bad: effortclass.binarize(bad),
+    "sdnn: RR intervals": lambda bad: physio.sdnn(bad),
+    "z-score: values": lambda bad: physio.normalize(bad),
+    "bandpass: timestamps": lambda bad: physio.bandpass(bad, [0.0], 0.1, 0.2),
+    "bandpass: values": lambda bad: physio.bandpass([0.0], bad, 0.1, 0.2),
+    "spatial_entropy: positions": lambda bad: taskload.spatial_entropy(bad),
+    "spearman: a": lambda bad: pipeline.spearman(bad, [0.0]),
+    "spearman: b": lambda bad: pipeline.spearman([0.0], bad),
 }
 
 
@@ -660,7 +684,8 @@ def test_array_arguments_that_hold_no_numbers_are_a_data_error(what, case):
         ARRAY_ARGUMENTS[what](BAD_ARRAYS[case])
 
 
-@pytest.mark.parametrize("what", ["knn: labels", "rf: y", "transition matrix: counts"])
+@pytest.mark.parametrize("what", ["knn: labels", "rf: y", "transition matrix: counts",
+                                  "binarize: labels"])
 def test_float_labels_are_refused_not_cut(what):
     with pytest.raises(DataError, match=f"^{what} must be integers, got an array of float64"):
         ARRAY_ARGUMENTS[what]([1.7])

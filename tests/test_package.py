@@ -168,6 +168,51 @@ def test_only_jsonl_keeps_the_number_rule():
     assert found == {"jsonl.py"}
 
 
+def builtin_sums(source):
+    """Each use of builtin `sum` in `source`, a call or a bare name, as its
+    text in source order, but `sum(1 for ...)`: the makings of a float sum
+    that does not go through `jsonl.float_sum`."""
+    def counts_ones(call):
+        (arg,) = call.args if len(call.args) == 1 and not call.keywords else (None,)
+        return (isinstance(arg, ast.GeneratorExp) and isinstance(arg.elt, ast.Constant)
+                and type(arg.elt.value) is int and arg.elt.value == 1)
+
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    uses = [calls.get(id(node), node) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "sum"]
+    return [ast.get_source_segment(source, node)
+            for node in sorted(uses, key=lambda n: (n.lineno, n.col_offset))
+            if not (isinstance(node, ast.Call) and counts_ones(node))]
+
+
+# builtin sum() kept on integers: a tick's 0/1 activity flags, which
+# regulation.TaskTick checks when it is made
+INTEGER_SUMS = {"regulation.py": ["sum(tick.at.values())", "sum(tick.ot.values())"]}
+
+
+def test_floats_are_added_only_by_float_sum():
+    found = {path.name: uses for path in sorted(Path(oft.__file__).parent.glob("*.py"))
+             if (uses := builtin_sums(path.read_text()))}
+    assert found == INTEGER_SUMS
+
+
+def test_sum_finder_sees_each_form():
+    source = "\n".join([
+        "sum(1 for x in xs)",
+        "sum(x for x in xs)",
+        "sum(xs)",
+        "sum(1.0 for x in xs)",
+        "sum(True for x in xs)",
+        "sum(1 for x in xs) + sum(xs, 0.0)",
+        "map(sum, rows)",
+        "np.sum(xs) + xs.sum() + float_sum(xs)",
+    ])
+    assert builtin_sums(source) == [
+        "sum(x for x in xs)", "sum(xs)", "sum(1.0 for x in xs)", "sum(True for x in xs)",
+        "sum(xs, 0.0)", "sum"]
+
+
 def test_modules_import_only_the_standard_library_and_numpy():
     # numpy is the one runtime dependency; scipy is a test-only oracle
     imported = set()

@@ -181,6 +181,15 @@ class TestBandpass:
         with pytest.raises(InsufficientDataError):
             bandpass(t, np.ones_like(t), 0.01, 0.3)
 
+    @pytest.mark.parametrize("t,x,error,message", [
+        ([0.0, 0.1, 0.2], [1.0, 2.0], DataError, "1-d and equal length"),
+        ([0.0, 0.1], [1.0, 2.0], InsufficientDataError, "at least 3 samples"),
+        ([0.3, 0.2, 0.1, 0.0], [1.0, 2.0, 3.0, 4.0], DataError, "strictly increasing"),
+    ])
+    def test_series_refused(self, t, x, error, message):
+        with pytest.raises(error, match=message):
+            bandpass(t, x, 0.01, 0.3)
+
     # scipy is the oracle: same design, same padding and initial states. The
     # two agree to within 1e-9 of the signal's largest magnitude for low
     # edges down to fs/1000 (the largest gap seen in 400 random draws was
@@ -402,6 +411,10 @@ class TestFramesProperty:
 
 
 class TestSeriesValidation:
+    def test_beats_shape_mismatch(self):
+        with pytest.raises(DataError, match="1-d and equal length"):
+            RRSeries(np.array([0.8, 1.6]), np.array([800.0]))
+
     def test_beats_must_increase(self):
         with pytest.raises(DataError):
             RRSeries(np.array([0.8, 0.8]), np.array([800.0, 800.0]))
