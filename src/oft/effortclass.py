@@ -239,7 +239,10 @@ def _build_tree(X, y, classes, rng, n_feats):
             node["label"] = labels[cls[lists[0][0]]]
             continue
 
-        feats = sorted(rng.choice(d, size=n_feats, replace=False).tolist())
+        if n_feats == 1:  # the same single bounded draw as rng.choice, without its overhead
+            feats = [int(rng.integers(d))]
+        else:
+            feats = sorted(rng.choice(d, size=n_feats, replace=False).tolist())
         best, split = math.inf, None  # split: (feature, how many rows go left, their counts)
         for j in feats:
             if small:

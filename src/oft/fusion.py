@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import ConfigError, DataError
 from .jsonl import DATA, config_errors, dump_jsonl, float_sum, load_json, number
@@ -212,20 +212,21 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
             columns = net._columns.get(variable)
             if columns is None:
                 raise DataError(f"evidence for unknown variable {variable!r}")
-            if not likelihood.keys() <= columns.keys():
-                unknown = sorted(likelihood.keys() - columns.keys())
-                raise DataError(f"evidence for {variable!r} names unknown labels {unknown}")
-            for weight in likelihood.values():
-                if not 0.0 <= weight < math.inf:
-                    raise DataError(f"evidence for {variable!r}: likelihood {weight!r} "
-                                    "is not a finite number >= 0")
             if len(likelihood) == 1:
                 # the other terms of the sum are +0.0, so this is the same bits
                 ((label, weight),) = likelihood.items()
+                column = columns.get(label)
+                if column is None or not 0.0 <= weight < math.inf:
+                    _refuse(variable, likelihood, columns)
                 weight = float(weight)
-                c1, c2, c3, c4, c5 = columns[label]
+                c1, c2, c3, c4, c5 = column
                 c1, c2, c3, c4, c5 = c1 * weight, c2 * weight, c3 * weight, c4 * weight, c5 * weight
             else:
+                if not likelihood.keys() <= columns.keys():
+                    _refuse(variable, likelihood, columns)
+                for weight in likelihood.values():
+                    if not 0.0 <= weight < math.inf:
+                        _refuse(variable, likelihood, columns)
                 # in table order, left to right; a label left out adds +0.0
                 c1 = c2 = c3 = c4 = c5 = 0.0
                 for label, (d1, d2, d3, d4, d5) in columns.items():
@@ -250,6 +251,18 @@ def posterior(net: MwlNetwork, evidence: Mapping[str, Mapping[str, float]]) -> t
     if not total < math.inf:  # inf, or NaN from an overflowed term times a zero one
         raise DataError("evidence likelihoods overflow; scale them down")
     return (p1 / total, p2 / total, p3 / total, p4 / total, p5 / total)
+
+
+def _refuse(variable: str, likelihood: Mapping, columns: Mapping) -> NoReturn:
+    """The DataError for one child's evidence that `posterior` cannot take:
+    first an unknown label, then a weight that is not a finite number >= 0."""
+    if not likelihood.keys() <= columns.keys():
+        unknown = sorted(likelihood.keys() - columns.keys())
+        raise DataError(f"evidence for {variable!r} names unknown labels {unknown}")
+    for weight in likelihood.values():
+        if not 0.0 <= weight < math.inf:
+            raise DataError(f"evidence for {variable!r}: likelihood {weight!r} "
+                            "is not a finite number >= 0")
 
 
 def mwl_level(post: Sequence[float]) -> int:

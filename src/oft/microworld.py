@@ -378,8 +378,9 @@ class World:
         completed: set = set()
         self._expire(t)
         self._shed(t)
+        n = len(self.queue)  # expiry and shedding only remove; _spawn appends
         self._spawn(t)
-        seen |= {job.task for job in self.queue}
+        seen.update(job.task for job in self.queue[n:])
         self._machine_pass(t, directives, completed)
         self._serve(t, directives, completed)
         seen |= completed
@@ -390,7 +391,8 @@ class World:
                 ot[task] = self.ot_flags[task]
             else:
                 at[task] = 0
-        return TaskTick(t, at, ot)
+        # 0/1 ints, and ot names exactly the active tasks: TaskTick's check holds
+        return TaskTick._make((t, at, ot))
 
     # -- observables --------------------------------------------------------
 
@@ -408,7 +410,8 @@ class World:
         if key != self._entropy_key:
             self._entropy = spatial_entropy([(v.x, v.y) for v in active])
             self._entropy_key = key
-        return ConstraintFrame(int(t), len(active), pending_msgs, self._entropy)
+        # two counts and an entropy, finite and >= 0: ConstraintFrame's check holds
+        return ConstraintFrame._make((int(t), len(active), pending_msgs, self._entropy))
 
     def windowed_performance(self, t: float) -> float:
         """Blend of recent neutralization speed and message answering.
@@ -479,7 +482,7 @@ def generate_pupil(load: Callable[[float], float], duration_s: float,
     zero) at each sample with probability 0.005."""
     n = int(duration_s * 4.0)
     ts = np.arange(n) / 4.0
-    base = np.asarray([3.0 + 1.5 * load(float(t)) for t in ts])
+    base = np.asarray([3.0 + 1.5 * load(t) for t in ts.tolist()])
     values = base + 0.1 * rng.standard_normal(n)
     blinks = rng.random(n) < 0.005
     values[blinks] = 0.0
@@ -666,23 +669,24 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
                 })
             directives = engine.active
 
-        records.append({
-            "record": "tick",
-            "t": t,
-            "latent": round(load, 6),
-            "nps": step.snapshot.nps,
-            "cps": step.snapshot.cps,
-            "perf": round(perf, 6),
-            "n1": demand.n1,
-            "n2": demand.n2,
+        snap = step.snapshot
+        records.append({  # keys in sorted order: the log writer's sort is one pass
+            "behaviour": step.behaviour,
+            "cps": snap.cps,
             "entropy": round(demand.entropy, 6),
-            "td": step.td,
             "hrv_sdnn_ms": None if frame.hrv_sdnn_ms is None else round(frame.hrv_sdnn_ms, 6),
             "hrv_warmup": frame.warmup,
-            "pupil_z": round(step.pupil_z, 6),
-            "behaviour": step.behaviour,
+            "latent": round(load, 6),
             "level": level,
+            "n1": demand.n1,
+            "n2": demand.n2,
+            "nps": snap.nps,
+            "perf": round(perf, 6),
             "posterior": [round(p, 9) for p in post],
+            "pupil_z": round(step.pupil_z, 6),
+            "record": "tick",
+            "t": t,
+            "td": step.td,
         })
 
         if t > 0 and t % ISA_PERIOD_S == 0:

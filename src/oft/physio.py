@@ -160,6 +160,8 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
         raise ConfigError(f"sdnn: span must be >= 2, got {span}")
     rr = window.intervals_ms if isinstance(window, RRSeries) else window
     rr = numeric_array(rr, "sdnn: RR intervals")
+    if rr.ndim != 1:
+        raise DataError(f"sdnn: RR intervals must be a flat sequence, got {rr.ndim} dimensions")
     if np.any(rr <= 0):
         raise DataError("sdnn: RR intervals must be positive")
     tail = rr[-span:]
@@ -176,6 +178,8 @@ def normalize(values) -> NormalizedSeries:
     The output has sample mean 0 and sample std 1.
     """
     x = numeric_array(values, "z-score: values")
+    if x.ndim != 1:
+        raise DataError(f"z-score: values must be a flat sequence, got {x.ndim} dimensions")
     if len(x) < 2:
         raise InsufficientDataError("z-score: need at least 2 values")
     center = float(np.mean(x))

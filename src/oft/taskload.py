@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DataError
-from .jsonl import float_sum, numeric_array
+from .jsonl import float_sum, number
 
 LOW, MEDIUM, HIGH = "low", "medium", "high"
 
@@ -93,31 +93,46 @@ def discretize(frame: ConstraintFrame) -> DiscretizedConstraints:
 def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:
     """Shannon entropy (nats) of target positions over an occupancy grid.
 
-    The unit square is split into ENTROPY_GRID cells; entropy is taken over
-    the fraction of targets per occupied cell. No targets, or all targets in
-    one cell, gives 0. Positions outside the square are clamped to the
-    border cell and a warning is emitted; a NaN position is a DataError.
-    The terms are added by jsonl.float_sum over the occupied cells in cell
-    order, so the result does not depend on numpy's CPU-dispatched `log`.
+    `positions` is a sequence of (x, y) pairs of numbers, or a numpy array
+    of shape (n, 2). The unit square is split into ENTROPY_GRID cells;
+    entropy is taken over the fraction of targets per occupied cell. No
+    targets, or all targets in one cell, gives 0. Positions outside the
+    square are clamped to the border cell and a warning is emitted; a NaN
+    position is a DataError, and so is anything but a pair of numbers (a
+    flat list of coordinates too). The terms are added by jsonl.float_sum
+    over the occupied cells in cell order, in Python floats.
     """
     rows, cols = ENTROPY_GRID
-    pts = numeric_array(positions, "spatial_entropy: positions").reshape(-1, 2)
-    if len(pts) == 0:
-        return 0.0
-    if np.isnan(pts).any():
-        raise DataError("spatial_entropy: a target position is NaN")
-    xs, ys = pts[:, 0], pts[:, 1]
-    outside = (xs < 0) | (xs > 1) | (ys < 0) | (ys > 1)
-    if np.any(outside):
-        warnings.warn(
-            f"spatial_entropy: {int(outside.sum())} position(s) outside the area, clamped",
-            stacklevel=2,
-        )
-    col = np.clip(np.clip(xs, 0, 1) * cols, 0, cols - 1e-9).astype(int)
-    row = np.clip(np.clip(ys, 0, 1) * rows, 0, rows - 1e-9).astype(int)
-    n = len(pts)
-    shares = [count / n for count in np.bincount(row * cols + col).tolist() if count]
+    if isinstance(positions, np.ndarray):
+        positions = positions.tolist()
+    try:
+        n = len(positions)
+    except TypeError:
+        raise _not_pairs(positions) from None
+    counts: dict = {}
+    outside = 0
+    for point in positions:
+        try:
+            x, y = point
+            x, y = number(x), number(y)
+        except (TypeError, ValueError, OverflowError):  # not a pair, or not of numbers
+            raise _not_pairs(point) from None
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+            if x != x or y != y:
+                raise DataError("spatial_entropy: a target position is NaN")
+            outside += 1
+            x, y = min(max(x, 0.0), 1.0), min(max(y, 0.0), 1.0)
+        cell = min(int(y * rows), rows - 1) * cols + min(int(x * cols), cols - 1)
+        counts[cell] = counts.get(cell, 0) + 1
+    if outside:
+        warnings.warn(f"spatial_entropy: {outside} position(s) outside the area, clamped",
+                      stacklevel=2)
+    shares = [counts[cell] / n for cell in sorted(counts)]
     return -float_sum(p * math.log(p) for p in shares) + 0.0  # no -0.0 for one cell
+
+
+def _not_pairs(got) -> DataError:
+    return DataError(f"spatial_entropy: positions must be (x, y) pairs of numbers, got {got!r}")
 
 
 # ---------------------------------------------------------------------------

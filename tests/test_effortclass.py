@@ -441,6 +441,19 @@ class TestForestOracle:
             probes = np.vstack([X, rng.normal(0.0, 2.0, (30, X.shape[1]))])
             assert np.array_equal(model.predict(probes), _oracle_predict(model.trees, probes))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9, 17])
+    def test_one_feature_draw_is_rng_choice(self, d):
+        """`rf_train` draws a node's lone feature with `integers(d)`: on
+        numpy's Generator that is the draw `choice(d, 1, replace=False)`
+        makes, and it leaves the stream where choice would, so the trees
+        (and the classify pins) do not depend on which of the two is used."""
+        for seed in range(300):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                assert int(fast.integers(d)) == int(slow.choice(d, size=1, replace=False)[0])
+                assert fast.integers(0, 7, size=3).tolist() == slow.integers(0, 7, size=3).tolist()
+            assert fast.random() == slow.random()
+
     @staticmethod
     def random_tree(rng, depth, n_features, labels):
         if depth == 0 or rng.random() < 0.25:

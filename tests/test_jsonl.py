@@ -684,6 +684,14 @@ def test_array_arguments_that_hold_no_numbers_are_a_data_error(what, case):
         ARRAY_ARGUMENTS[what](BAD_ARRAYS[case])
 
 
+@pytest.mark.parametrize("bad", [[[800.0, 810.0], [790.0, 800.0]], 800.0])
+@pytest.mark.parametrize("what", ["sdnn: RR intervals", "z-score: values"])
+def test_flat_array_arguments_refuse_other_shapes(what, bad):
+    """A 2-d window is not pooled into one series, nor a lone number read."""
+    with pytest.raises(DataError, match=f"^{what} must be a flat sequence"):
+        ARRAY_ARGUMENTS[what](bad)
+
+
 @pytest.mark.parametrize("what", ["knn: labels", "rf: y", "transition matrix: counts",
                                   "binarize: labels"])
 def test_float_labels_are_refused_not_cut(what):

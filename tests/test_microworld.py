@@ -37,7 +37,8 @@ from oft.physio import PupilSeries, RRSeries, per_second_frames
 from oft.jsonl import load_jsonl
 from oft.pipeline import monitor_offline, write_run_log
 from oft.regulation import ActivityTracker, RegulationKind, TaskTick
-from oft.taskload import MESSAGE_BUDGET_S, T_REF_S, performance_index, spatial_entropy
+from oft.taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, performance_index,
+                          spatial_entropy)
 from conftest import job_item
 
 
@@ -670,6 +671,35 @@ class TestCachedObservables:
         assert checked == {"demand": cfg.duration_s, "perf": cfg.duration_s}
         entropies = {r["entropy"] for r in result.records if r["record"] == "tick"}
         assert len(entropies) > 10
+
+
+class TestWorldRecords:
+    """World.tick and World.demand build their records unchecked (`_make`);
+    what they build must pass the checked constructors."""
+
+    @pytest.mark.parametrize("dfa", [False, True])
+    @pytest.mark.parametrize("operator", microworld.OPERATORS)
+    def test_every_record_passes_its_check(self, monkeypatch, operator, dfa):
+        tick_at, demand_at = World.tick, World.demand
+        checked = {"tick": 0, "demand": 0}
+
+        def checked_tick(self, t, directives=frozenset()):
+            tick = tick_at(self, t, directives)
+            assert type(tick) is TaskTick and TaskTick(*tick) == tick
+            checked["tick"] += 1
+            return tick
+
+        def checked_demand(self, t):
+            frame = demand_at(self, t)
+            assert type(frame) is ConstraintFrame and ConstraintFrame(*frame) == frame
+            checked["demand"] += 1
+            return frame
+
+        monkeypatch.setattr(World, "tick", checked_tick)
+        monkeypatch.setattr(World, "demand", checked_demand)
+        cfg = ScenarioConfig(duration_s=240, phase_split_s=120, seed=3, operator=operator, dfa=dfa)
+        run_scenario(cfg)
+        assert checked == {"tick": 240, "demand": 240}
 
 
 class ListPickWorld(World):

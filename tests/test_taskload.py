@@ -98,6 +98,12 @@ class TestSpatialEntropy:
             scale = rng.choice([1.0, 0.3, 0.05])
             pts = (rng.random((n, 2)) * scale).tolist()
             assert spatial_entropy(pts).hex() == reference(pts).hex()
+            assert spatial_entropy(np.array(pts)).hex() == reference(pts).hex()
+
+    @pytest.mark.parametrize("flat", [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4]])
+    def test_flat_coordinates_are_not_pairs(self, flat):
+        with pytest.raises(DataError, match=r"^spatial_entropy: positions must be \(x, y\) pairs"):
+            spatial_entropy(flat)
 
     def test_outside_positions_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamped"):
