@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError, SequencingError
+from .errors import ConfigError, DataError, SequencingError
 from .jsonl import is_finite_number, is_integer
 
 STAGES = ("gathering", "analysis", "decision", "action")
@@ -81,6 +81,8 @@ class AdaptationEngine:
     def step(self, t: float, level: int) -> list:
         if not (is_integer(level) and 1 <= level <= 5):
             raise ConfigError(f"workload level must be 1..5, got {level}")
+        if not is_finite_number(t):
+            raise DataError(f"time must be a finite number, got {t!r}")
         if self._last_t is not None and t <= self._last_t:
             raise SequencingError(f"time went backwards: {t} after {self._last_t}")
         self._last_t = t

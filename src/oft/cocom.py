@@ -54,14 +54,12 @@ class TankTrace:
     period: str = ""
 
     def __post_init__(self):
-        a = numeric_array(self.tank_a, "tank trace: tank_a")
-        b = numeric_array(self.tank_b, "tank trace: tank_b")
-        if a.ndim != 1 or a.shape != b.shape:
+        a = numeric_array(self.tank_a, "tank trace: tank_a", ndim=1, finite=True)
+        b = numeric_array(self.tank_b, "tank trace: tank_b", ndim=1, finite=True)
+        if a.shape != b.shape:
             raise DataError("tank trace: the two level series must be 1-d and equal length")
         if len(a) == 0:
             raise DataError("tank trace: empty")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise DataError("tank trace: levels must be finite")
         object.__setattr__(self, "tank_a", a)
         object.__setattr__(self, "tank_b", b)
 

@@ -62,25 +62,20 @@ class KnnModel:
     metric: str = "euclidean"
 
     def __post_init__(self):
-        self.points = numeric_array(self.points, "knn: points")
-        self.labels = numeric_array(self.labels, "knn: labels", int)
-        if self.points.ndim != 2 or len(self.points) != len(self.labels):
+        self.points = numeric_array(self.points, "knn: points", ndim=2, finite=True)
+        self.labels = numeric_array(self.labels, "knn: labels", int, ndim=1)
+        if len(self.points) != len(self.labels):
             raise DataError("knn: points must be 2-d with one label per row")
-        if not np.all(np.isfinite(self.points)):
-            raise DataError("knn: points must be finite")
         if not (is_integer(self.k) and 1 <= self.k <= len(self.points)):
             raise ConfigError(f"knn: k must be in 1..{len(self.points)}, got {self.k}")
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}; choose one of {METRICS}")
 
     def predict_one(self, x) -> int:
-        return int(self.predict(numeric_array(x, "knn: probe").reshape(1, -1))[0])
+        return int(self.predict(numeric_array(x, "knn: probe", ndim=1).reshape(1, -1))[0])
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(numeric_array(X, "knn: probes"))
-        if not np.all(np.isfinite(X)):
-            raise DataError("knn: probes must be finite")
-        return np.array([knn_predict(self, x) for x in X], dtype=int)
+        return np.array([knn_predict(self, x) for x in _probes(X, "knn: probes")], dtype=int)
 
 
 def knn_predict(model: KnnModel, x) -> int:
@@ -92,7 +87,7 @@ def knn_predict(model: KnnModel, x) -> int:
     a DataError only when the k-th nearest one does, because only then
     does the vote depend on it.
     """
-    x = numeric_array(x, "knn: probe").reshape(-1)
+    x = numeric_array(x, "knn: probe", ndim=1, finite=True)
     if x.shape[0] != model.points.shape[1]:
         raise DataError(
             f"knn: probe has {x.shape[0]} features, model expects {model.points.shape[1]}"
@@ -110,6 +105,11 @@ def knn_predict(model: KnnModel, x) -> int:
         return winners[0]
     nearest = int(model.labels[order[0]])
     return nearest if nearest in winners else winners[0]
+
+
+def _probes(X, what: str) -> np.ndarray:
+    """Probe rows as a finite 2-d array; one probe may come as a flat row."""
+    return numeric_array(np.atleast_2d(numeric_array(X, what)), what, ndim=2, finite=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +298,15 @@ class ForestModel:
     n_features: int
 
     def predict_one(self, x) -> int:
-        return int(self.predict(numeric_array(x, "forest: probe").reshape(1, -1))[0])
+        return int(self.predict(numeric_array(x, "forest: probe", ndim=1).reshape(1, -1))[0])
 
     def predict(self, X) -> np.ndarray:
         """Majority vote of the trees per row, the lowest label on a tie."""
-        X = np.atleast_2d(numeric_array(X, "forest: probes"))
-        if X.shape[-1] != self.n_features:
+        X = _probes(X, "forest: probes")
+        if X.shape[1] != self.n_features:
             raise DataError(
-                f"forest: probe has {X.shape[-1]} features, model expects {self.n_features}"
+                f"forest: probe has {X.shape[1]} features, model expects {self.n_features}"
             )
-        if not np.all(np.isfinite(X)):
-            raise DataError("forest: probes must be finite")
         if len(X) == 0:
             return np.empty(0, dtype=int)
         votes = np.array([_tree_predict(tree, X) for tree in self.trees])
@@ -325,12 +323,10 @@ def rf_train(X, y, n_trees: int = RF_TREES, seed: int = 0) -> ForestModel:
     seed, one child stream per tree, so retraining reproduces the forest
     exactly.
     """
-    X = numeric_array(X, "rf: X")
-    y = numeric_array(y, "rf: y", int)
-    if X.ndim != 2 or len(X) != len(y):
+    X = numeric_array(X, "rf: X", ndim=2, finite=True)
+    y = numeric_array(y, "rf: y", int, ndim=1)
+    if len(X) != len(y):
         raise DataError("rf: X must be 2-d with one label per row")
-    if not np.all(np.isfinite(X)):
-        raise DataError("rf: X must be finite")
     if not (is_integer(n_trees) and n_trees >= 1):
         raise ConfigError(f"rf: need at least 1 tree, got {n_trees}")
     if not (is_integer(seed) and seed >= 0):

@@ -25,7 +25,8 @@ This module also owns the one rule that turns a malformed document or
 argument into a ConfigError (exit 2): `config_errors`, around the code that
 reads the document's objects, or checks a model's arguments. And the one
 rule that reads a number, an int or a float and never a bool or a string:
-`number`, `is_integer`, and `numeric_array` for an array argument. And the
+`number`, `is_integer`, and `numeric_array` for an array argument: its
+dtype, its number of dimensions and, if asked, its finiteness. And the
 one rule that adds floats: `float_sum`, left to right from 0.0, which
 builtin sum() is not from Python 3.12 on.
 """
@@ -134,10 +135,12 @@ def float_sum(values) -> float:
     return reduce(add, values, 0.0)
 
 
-def numeric_array(values, what: str, dtype: type = float):
+def numeric_array(values, what: str, dtype: type = float, ndim: int | None = None,
+                  finite: bool = False):
     """`values` as a numpy array of `dtype`, float or int, copied only when
-    its own dtype differs. An array of strings, objects or booleans, or of
-    floats where `dtype` is int, is a DataError naming `what`."""
+    its own dtype differs. A DataError naming `what` refuses strings,
+    objects, booleans, floats where `dtype` is int, any number of dimensions
+    but `ndim` when given, and NaN or an infinity when `finite` is set."""
     import numpy as np  # here: loading this module loads no numpy
 
     try:
@@ -147,7 +150,13 @@ def numeric_array(values, what: str, dtype: type = float):
     if array.dtype.kind == "b" or array.size and not np.can_cast(array.dtype, dtype, "safe"):
         kind = "integers" if dtype is int else "numbers"
         raise DataError(f"{what} must be {kind}, got an array of {array.dtype}")
-    return array.astype(dtype, copy=False)
+    if ndim is not None and array.ndim != ndim:
+        shape = "a flat sequence (1-d)" if ndim == 1 else f"{ndim}-d"
+        raise DataError(f"{what} must be {shape}, got {array.ndim}-d")
+    array = array.astype(dtype, copy=False)
+    if finite and not np.isfinite(array).all():
+        raise DataError(f"{what} must be finite")
+    return array
 
 
 def load_json(path: str | Path, what: str) -> Any:

@@ -53,9 +53,9 @@ import numpy as np
 
 from . import physio
 from .adapt import DEFAULT_RULES, HOLD_S, AdaptationEngine
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .fusion import MwlNetwork, fuzzify, mwl_level, posterior
-from .jsonl import float_sum, is_finite_number, is_integer
+from .jsonl import float_sum, is_finite_number, is_integer, number
 from .regulation import ActivitySnapshot, ActivityTracker, RegulationEvent, TaskTick
 from .taskload import (MESSAGE_BUDGET_S, T_REF_S, ConstraintFrame, discretize, performance_index,
                        spatial_entropy, task_difficulty)
@@ -527,7 +527,7 @@ class Monitor:
     performance and effort, in that order, to their likelihoods; fusing it
     is left to the caller. The network must take that evidence: a
     ConfigError says so before the first step, and `require_demand` before
-    the first demand frame.
+    the first demand frame. A pupil z that is not a number changes nothing.
     """
 
     def __init__(self, net: MwlNetwork):
@@ -563,14 +563,17 @@ class Monitor:
 
     def step(self, tick: TaskTick, perf: float, pupil_z: Optional[float],
              demand: Optional[ConstraintFrame]) -> MonitorStep:
+        try:
+            z = self._last_z if pupil_z is None else number(pupil_z)
+        except (TypeError, OverflowError) as exc:
+            raise DataError(f"tick t={tick.t}: pupil z is not a number, got {pupil_z!r}") from exc
         snap, event = self.tracker.ingest(tick, perf)
         if snap.dcps < 0:
             self._last_cost_t = snap.t
         elif snap.dcps > 0:
             self._last_perf_t = snap.t
-        if pupil_z is not None:
-            self._last_z = pupil_z
-        self._recent_z.append(self._last_z)
+        self._last_z = z
+        self._recent_z.append(z)
         z_smooth = float_sum(self._recent_z) / len(self._recent_z)
 
         since = tick.t - BEHAVIOUR_WINDOW_S

@@ -6,7 +6,8 @@ Beat series are (timestamp_s, rr_ms) pairs with finite, strictly increasing
 timestamps and finite, positive intervals. Pupil series are (timestamp_s,
 mm, valid) samples with finite, non-decreasing timestamps. Cleansing keeps
 valid samples with diameters in [2.0, 8.0] mm inclusive; everything else,
-a NaN diameter included, is dropped, never interpolated.
+a NaN diameter included, is dropped, never interpolated. Array arguments
+are read by `jsonl.numeric_array`: dtype, dimensions and finiteness.
 
 SDNN is the sample (N-1) standard deviation of the last `span` intervals
 (default 100 beats). Z-scores also use the sample standard deviation, so a
@@ -53,12 +54,10 @@ class RRSeries:
     intervals_ms: np.ndarray
 
     def __post_init__(self):
-        ts = numeric_array(self.timestamps, "beats: timestamps")
-        rr = numeric_array(self.intervals_ms, "beats: RR intervals")
-        if ts.shape != rr.shape or ts.ndim != 1:
+        ts = numeric_array(self.timestamps, "beats: timestamps", ndim=1, finite=True)
+        rr = numeric_array(self.intervals_ms, "beats: RR intervals", ndim=1, finite=True)
+        if ts.shape != rr.shape:
             raise DataError("beats: timestamps and intervals must be 1-d and equal length")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(rr))):
-            raise DataError("beats: timestamps and RR intervals must be finite")
         if len(ts) and np.any(np.diff(ts) <= 0):
             raise DataError("beats: timestamps must be strictly increasing")
         if np.any(rr <= 0):
@@ -79,13 +78,11 @@ class PupilSeries:
     valid: np.ndarray = None
 
     def __post_init__(self):
-        ts = numeric_array(self.timestamps, "pupil: timestamps")
+        ts = numeric_array(self.timestamps, "pupil: timestamps", ndim=1, finite=True)
         mm = numeric_array(self.diameters_mm, "pupil: diameters")
         ok = np.ones(len(ts), dtype=bool) if self.valid is None else _valid_flags(self.valid)
-        if not (ts.shape == mm.shape == ok.shape) or ts.ndim != 1:
+        if not ts.shape == mm.shape == ok.shape:
             raise DataError("pupil: timestamps, diameters and flags must be 1-d and equal length")
-        if not np.all(np.isfinite(ts)):
-            raise DataError("pupil: timestamps must be finite")
         if len(ts) and np.any(np.diff(ts) < 0):
             raise DataError("pupil: timestamps must be non-decreasing")
         object.__setattr__(self, "timestamps", ts)
@@ -159,9 +156,7 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
     if span < 2:
         raise ConfigError(f"sdnn: span must be >= 2, got {span}")
     rr = window.intervals_ms if isinstance(window, RRSeries) else window
-    rr = numeric_array(rr, "sdnn: RR intervals")
-    if rr.ndim != 1:
-        raise DataError(f"sdnn: RR intervals must be a flat sequence, got {rr.ndim} dimensions")
+    rr = numeric_array(rr, "sdnn: RR intervals", ndim=1, finite=True)
     if np.any(rr <= 0):
         raise DataError("sdnn: RR intervals must be positive")
     tail = rr[-span:]
@@ -177,9 +172,7 @@ def normalize(values) -> NormalizedSeries:
 
     The output has sample mean 0 and sample std 1.
     """
-    x = numeric_array(values, "z-score: values")
-    if x.ndim != 1:
-        raise DataError(f"z-score: values must be a flat sequence, got {x.ndim} dimensions")
+    x = numeric_array(values, "z-score: values", ndim=1, finite=True)
     if len(x) < 2:
         raise InsufficientDataError("z-score: need at least 2 values")
     center = float(np.mean(x))
@@ -200,9 +193,9 @@ def bandpass(timestamps, values, low_hz: float, high_hz: float) -> np.ndarray:
     `sosfiltfilt`, written with numpy and Python floats; the results agree
     to rounding.
     """
-    t = numeric_array(timestamps, "bandpass: timestamps")
-    x = numeric_array(values, "bandpass: values")
-    if t.shape != x.shape or t.ndim != 1:
+    t = numeric_array(timestamps, "bandpass: timestamps", ndim=1, finite=True)
+    x = numeric_array(values, "bandpass: values", ndim=1, finite=True)
+    if t.shape != x.shape:
         raise DataError("bandpass: timestamps and values must be 1-d and equal length")
     if len(t) < 3:
         raise InsufficientDataError("bandpass: need at least 3 samples")

@@ -56,14 +56,12 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     order, so the coefficient is undefined), when lengths differ, or when
     a value is not finite.
     """
-    x = numeric_array(a, "spearman: a")
-    y = numeric_array(b, "spearman: b")
-    if x.ndim != 1 or x.shape != y.shape:
+    x = numeric_array(a, "spearman: a", ndim=1, finite=True)
+    y = numeric_array(b, "spearman: b", ndim=1, finite=True)
+    if x.shape != y.shape:
         raise DataError("correlation needs two equal-length 1-d series")
     if len(x) < 3:
         raise DataError("correlation needs at least three observations")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise DataError("correlation needs finite values")
     rx = _average_ranks(x)
     ry = _average_ranks(y)
     if np.ptp(rx) == 0 or np.ptp(ry) == 0:

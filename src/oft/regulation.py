@@ -104,8 +104,12 @@ class ActivityTracker:
         self._sum_cps = 0
 
     def ingest(self, tick: TaskTick, perf: float):
-        """Fold one tick; returns (snapshot, event or None)."""
+        """Fold one tick; returns (snapshot, event or None). perf is a number in [0, 1]."""
         t = tick.t
+        try:
+            perf = number(perf)
+        except (TypeError, OverflowError) as exc:  # an integer past the float range too
+            raise DataError(f"tick t={t}: perf is not a number, got {perf!r}") from exc
         if not (0.0 <= perf <= 1.0):
             raise DataError(f"tick t={t}: perf must be in [0,1], got {perf}")
         nps = sum(tick.at.values())

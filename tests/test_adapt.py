@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oft import adapt
-from oft.errors import ConfigError, SequencingError
+from oft.errors import ConfigError, DataError, SequencingError
 from oft.adapt import (
     DEFAULT_RULES,
     STAGES,
@@ -108,6 +108,26 @@ class TestEngine:
             eng.step(0.0, 3)
         with pytest.raises(SequencingError):
             eng.step(-1.0, 3)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), True, "3.0", None],
+                             ids=repr)
+    def test_time_must_be_a_finite_number(self, t):
+        """A refused time changes nothing: NaN once switched every aid on
+        and then hid both time running backwards and every release."""
+        eng, ref = AdaptationEngine(hold_s=5.0), AdaptationEngine(hold_s=5.0)
+        with pytest.raises(DataError, match="^time must be a finite number, got "):
+            eng.step(t, 5)
+        assert eng.active == frozenset()
+        eng.step(0.0, 5)
+        ref.step(0.0, 5)
+        with pytest.raises(DataError, match="^time must be a finite number, got "):
+            eng.step(t, 3)
+        for when, level in [(1.0, 3), (6.0, 3), (7.0, 1)]:
+            assert eng.step(when, level) == ref.step(when, level)
+            assert eng.active == ref.active
+        assert eng.active == frozenset()
+        with pytest.raises(SequencingError):
+            eng.step(6.5, 3)
 
     def test_level_validated(self):
         eng = AdaptationEngine()

@@ -794,11 +794,12 @@ FULL_SESSION_SHA256 = {
     ("degrading-overload", 9): "4c12c57999e6d948dcccff2a082f3c6e91a0c5fb97edd8d4054264d506a27c42",
     ("prioritizer", 5): "32f3ac2b5dbfcc30306f1be9c27a0762a8618a6b878b2f855c6a92acb994c05d",
 }
-# 4800 s sessions, degrading-overload, seed 1, by --dfa: four times the
-# length of every other pinned session
+# long sessions, degrading-overload, seed 1, by --dfa and duration: 4800 s,
+# four times the length of every other pinned session, and 19200 s
 LONG_SESSION_SHA256 = {
-    "off": "55e96c09f1e702d5ca641bcedb733b04088d9f4d4295e6a990f5f9e478cdacc3",
-    "on": "2159bf9057f857742648bf1819905e4428edfabdc209581374f42ee9cefbb811",
+    ("off", 4800): "55e96c09f1e702d5ca641bcedb733b04088d9f4d4295e6a990f5f9e478cdacc3",
+    ("on", 4800): "2159bf9057f857742648bf1819905e4428edfabdc209581374f42ee9cefbb811",
+    ("on", 19200): "15e3d2323bd958b8b9421db4770aeea0ebce3b24e3cbf5e48e81e5aca566362d",
 }
 MACHINE_DONE = {2: {"ManageEmptyZone": 11, "InspectLock": 1},
                 9: {"ManageEmptyZone": 4, "InspectLock": 8}}
@@ -874,12 +875,14 @@ class TestFusionDigests:
         for task, count in MACHINE_DONE.get(seed, {}).items():
             assert summary["machine_done"][task] == count
 
-    @pytest.mark.parametrize("dfa", list(LONG_SESSION_SHA256))
-    def test_long_session_log(self, tmp_path, dfa):
+    @pytest.mark.parametrize("dfa,duration", list(LONG_SESSION_SHA256),
+                             ids=[dfa if duration == 4800 else f"{dfa}-{duration}"
+                                  for dfa, duration in LONG_SESSION_SHA256])
+    def test_long_session_log(self, tmp_path, dfa, duration):
         log = tmp_path / "run.jsonl"
         assert main(["simulate", "--operator", "degrading-overload", "--seed", "1",
-                     "--dfa", dfa, "--duration", "4800", "--log", str(log)]) == 0
-        assert sha256(log) == LONG_SESSION_SHA256[dfa]
+                     "--dfa", dfa, "--duration", str(duration), "--log", str(log)]) == 0
+        assert sha256(log) == LONG_SESSION_SHA256[(dfa, duration)]
 
     @pytest.mark.parametrize("operator,dfa", list(CALM_SESSION_SHA256))
     def test_calm_session_log(self, tmp_path, operator, dfa):

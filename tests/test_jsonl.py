@@ -692,6 +692,70 @@ def test_flat_array_arguments_refuse_other_shapes(what, bad):
         ARRAY_ARGUMENTS[what](bad)
 
 
+# the array arguments whose dimensions numeric_array checks: (how many, and
+# whether NaN and the infinities are refused too)
+ARRAY_RULES = {
+    "beats: timestamps": (1, True),
+    "beats: RR intervals": (1, True),
+    "pupil: timestamps": (1, True),
+    "tank trace: tank_a": (1, True),
+    "tank trace: tank_b": (1, True),
+    "knn: points": (2, True),
+    "knn: labels": (1, False),
+    "rf: X": (2, True),
+    "rf: y": (1, False),
+    "sdnn: RR intervals": (1, True),
+    "z-score: values": (1, True),
+    "bandpass: timestamps": (1, True),
+    "bandpass: values": (1, True),
+    "spearman: a": (1, True),
+    "spearman: b": (1, True),
+}
+SHAPE_WORDS = {1: r"a flat sequence \(1-d\)", 2: "2-d"}
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+# a nested value makes every argument one dimension too deep, a lone
+# number one too shallow: the rows of knn points and rf X are wrapped
+@pytest.mark.parametrize("bad", [[[0]], 0], ids=["deeper", "shallower"])
+@pytest.mark.parametrize("what", ARRAY_RULES)
+def test_array_arguments_of_other_dimensions_are_a_data_error(what, bad):
+    ndim, _ = ARRAY_RULES[what]
+    with pytest.raises(DataError, match=f"^{what} must be {SHAPE_WORDS[ndim]}, got [0-9]-d$"):
+        ARRAY_ARGUMENTS[what](bad)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("what", [what for what, (_, finite) in ARRAY_RULES.items() if finite])
+def test_array_arguments_that_must_be_finite_refuse_nan_and_infinities(what, value):
+    with pytest.raises(DataError, match=f"^{what} must be finite$"):
+        ARRAY_ARGUMENTS[what]([800.0, value, 810.0])
+
+
+def test_pupil_diameters_may_hold_nan_but_not_another_shape():
+    """Cleansing drops a NaN diameter; the diameters' shape is held to the
+    timestamps' by the equal-length rule."""
+    assert len(physio.PupilSeries([0.0, 0.5], [math.nan, 3.0])) == 2
+    with pytest.raises(DataError, match="1-d and equal length"):
+        physio.PupilSeries([0.0], [[3.0]])
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+def test_a_non_finite_value_is_refused_where_it_once_gave_nan(value):
+    """Series long enough for every other check: NaN or an infinity in them
+    gave a NaN result, or a band-pass sample rate of nan."""
+    with pytest.raises(DataError, match="^sdnn: RR intervals must be finite$"):
+        physio.sdnn([800.0, value, 810.0])
+    with pytest.raises(DataError, match="^z-score: values must be finite$"):
+        physio.normalize([1.0, value, 2.0])
+    t = np.arange(0.0, 10.0, 0.1)
+    x = np.sin(t)
+    for what, args in (("bandpass: values", (t, np.where(t == t[40], value, x))),
+                       ("bandpass: timestamps", (np.where(t == t[40], value, t), x))):
+        with pytest.raises(DataError, match=f"^{what} must be finite$"):
+            physio.bandpass(*args, 0.1, 1.0)
+
+
 @pytest.mark.parametrize("what", ["knn: labels", "rf: y", "transition matrix: counts",
                                   "binarize: labels"])
 def test_float_labels_are_refused_not_cut(what):
@@ -723,6 +787,45 @@ def test_probes_that_hold_no_numbers_are_a_data_error(entry, case):
     what, call = PROBE_ARGUMENTS[entry]
     with pytest.raises(DataError, match=f"^{what} must be numbers"):
         call(BAD_ARRAYS[case])
+
+
+# the name the refusal of a non-finite probe gives: predict_one hands its
+# probe to predict as one row
+FINITE_PROBE_NAMES = {
+    "KnnModel.predict": "knn: probes",
+    "KnnModel.predict_one": "knn: probes",
+    "knn_predict": "knn: probe",
+    "ForestModel.predict": "forest: probes",
+    "ForestModel.predict_one": "forest: probes",
+}
+
+
+@pytest.mark.parametrize("entry", PROBE_ARGUMENTS)
+def test_probes_of_other_dimensions_are_a_data_error(entry):
+    """A probe is one flat row, a batch of probes a 2-d array: one level
+    deeper, kNN voted on it and the forest raised IndexError."""
+    what, call = PROBE_ARGUMENTS[entry]
+    shape = "2-d" if what.endswith("probes") else r"a flat sequence \(1-d\)"
+    with pytest.raises(DataError, match=f"^{what} must be {shape}, got [0-9]-d$"):
+        call([[0.0]])
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("entry", PROBE_ARGUMENTS)
+def test_non_finite_probes_are_a_data_error(entry, value):
+    _, call = PROBE_ARGUMENTS[entry]
+    with pytest.raises(DataError, match=f"^{FINITE_PROBE_NAMES[entry]} must be finite$"):
+        call([value])
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_numeric_array_keeps_the_dtype_rule_first(ndim):
+    """A wrong dtype is named before a wrong shape or a NaN."""
+    with pytest.raises(DataError, match="^x must be numbers, got an array of <U3$"):
+        numeric_array([["nan"]], "x", ndim=ndim, finite=True)
+    assert numeric_array([[math.nan]], "x", ndim=2).shape == (1, 1)
+    assert numeric_array([1, 2], "x", int, ndim=1, finite=True).tolist() == [1, 2]
+    assert numeric_array(np.array([], dtype=str), "x", ndim=1, finite=True).dtype == np.float64
 
 
 def test_numeric_array_copies_only_to_change_the_dtype():

@@ -461,6 +461,20 @@ class TestGenerators:
         assert first.pupil_z == 0.0
 
 
+@pytest.mark.parametrize("pupil_z", [True, "1.0", [0.5], 10**400], ids=repr)
+def test_monitor_step_reads_pupil_z_as_a_number(pupil_z):
+    """A bad pupil z is refused before the step folds its tick; perf is read
+    by the tracker's rule."""
+    monitor = Monitor(MwlNetwork.default())
+    tick = TaskTick(t=0, at={}, ot={})
+    with pytest.raises(DataError, match="^tick t=0: pupil z is not a number, got "):
+        monitor.step(tick, 0.8, pupil_z, None)
+    with pytest.raises(DataError, match="^tick t=0: perf is not a number, got "):
+        monitor.step(tick, True, 0.5, None)
+    assert monitor.tracker.prev is None
+    assert monitor.step(tick, 0.8, np.float64(1.5), None).pupil_z == 1.5
+
+
 #: The README's behaviour label: cost oriented if a regulation event of
 #: the window shed compliance, else performance oriented if one raised it.
 COST_KINDS = {RegulationKind.COBR, RegulationKind.PRBR}

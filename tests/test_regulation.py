@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 
+import numpy as np
 import pytest
 
 from oft.errors import DataError, SequencingError
@@ -144,6 +145,18 @@ class TestValidation:
     def test_perf_out_of_range(self):
         with pytest.raises(DataError):
             ActivityTracker().ingest(tick_from_states(0, (1,)), 1.5)
+
+    @pytest.mark.parametrize("perf", [True, "0.5", None, 10**400], ids=repr)
+    def test_perf_must_be_a_number(self, perf):
+        tracker = ActivityTracker()
+        with pytest.raises(DataError, match="^tick t=0: perf is not a number, got "):
+            tracker.ingest(tick_from_states(0, (1,)), perf)
+        assert tracker.prev is None and tracker.compliance_rate() == 1.0
+
+    @pytest.mark.parametrize("perf", [1, np.float64(0.25), np.float32(0.5)], ids=repr)
+    def test_perf_is_read_as_a_float(self, perf):
+        snap, _ = ActivityTracker().ingest(tick_from_states(0, (1,)), perf)
+        assert type(snap.perf) is float and snap.perf == float(perf)
 
     def test_tick_gap_detected(self):
         tracker = ActivityTracker()
