@@ -28,8 +28,9 @@ print()
 # step 2: when and what the adaptation engaged -------------------------------
 
 run = run_scenario(ScenarioConfig(operator="degrading-overload", seed=3, dfa=True))
-switch_ons = [a for a in run.activations if a["active"]]
-print(f"seed 3 issued {len(run.activations)} assistance commands, "
+commands = [r for r in run.records if r["record"] == "assistance"]
+switch_ons = [a for a in commands if a["active"]]
+print(f"seed 3 issued {len(commands)} assistance commands, "
       f"{len(switch_ons)} of them switch-ons:")
 for a in switch_ons:
     print(f"  t={a['t']:4d}s  level {a['level']}  {a['directive']:24s} -> {a['task']}")

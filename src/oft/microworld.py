@@ -19,12 +19,13 @@ Every run is reproducible: all randomness flows from numpy Generators
 derived from the scenario seed, and the log writer sorts keys, so the same
 seed gives byte-identical logs.
 
-Per second the run emits activity counts (which tasks are engaged, which
-were handled per their prescription), demand numbers, a windowed
-performance score, synthetic heart-beat and pupil channels driven by the
-latent load, the fused workload level, and, when adaptation is on, the
-assistance directives switched by that level. A self-rating on a 1..5
-scale is logged every ISA_PERIOD_S seconds for external comparison.
+The closed loop is a `Session`, iterated once: it yields a `Second` per
+simulated second with the activity tick, demand numbers, windowed
+performance, synthetic heart-beat and pupil features driven by the latent
+load, the fused workload level, the assistance directives that level
+switched (when adaptation is on), and a 1..5 self-rating every
+ISA_PERIOD_S seconds for external comparison. `run_scenario` folds the
+seconds into the run log.
 
 The aids act by their stage of automation, read from `adapt.DEFAULT_RULES`:
 an action-stage aid takes up to MACHINE_ITEMS_PER_S of its task's jobs off
@@ -47,7 +48,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -600,6 +601,101 @@ class Monitor:
 # closed-loop run
 
 
+class Second(NamedTuple):
+    """One simulated second of a Session, in the order the loop makes it."""
+
+    t: int
+    load: float  # the scripted latent load
+    tick: TaskTick
+    perf: float  # windowed performance
+    demand: ConstraintFrame
+    frame: physio.FeatureFrame
+    step: MonitorStep
+    posterior: tuple
+    level: int
+    commands: Sequence  # the engine's switching edges; empty with adaptation off
+    rating: Optional[int]  # the self-rating, every ISA_PERIOD_S seconds from t > 0
+
+
+class Session:
+    """One closed-loop session, iterated once: a Second per simulated second.
+
+    Setting up draws the world and the physiology from the seed: `beats`
+    and `pupil` are the generated streams, `frames` their per-second
+    features. Each second ticks the world under the engine's directives,
+    steps the monitor, fuses the evidence and, when adaptation is on, steps
+    the engine, counting its commands in `assistance_commands`. A second
+    pass over the same session is refused by the regulation tracker
+    (SequencingError at t=0). `summary()` is the run log's last record.
+    """
+
+    def __init__(self, config: ScenarioConfig, net: Optional[MwlNetwork] = None):
+        self.config = config
+        self.net = MwlNetwork.default() if net is None else net
+        self.monitor = Monitor(self.net)
+        self.monitor.require_demand()  # every second has a demand frame
+        child = np.random.SeedSequence(config.seed).spawn(3)
+        self.world = World(config,
+                           rng_spawn=np.random.default_rng(child[0]),
+                           rng_operator=np.random.default_rng(child[1]))
+        rng_physio = np.random.default_rng(child[2])
+        load = self.world.script.load
+        self.beats = physio.RRSeries(*generate_beats(load, config.duration_s, rng_physio))
+        self.pupil = physio.PupilSeries(*generate_pupil(load, config.duration_s, rng_physio))
+        self.frames = physio.per_second_frames(
+            self.beats, self.pupil,
+            normalization="reference", reference=(PUPIL_REF_MM, PUPIL_REF_SD),
+        ).frames
+        self.loads = scripted_load(config)
+        self.engine = AdaptationEngine(hold_s=config.hold_s)
+        self.assistance_commands = 0
+
+    def __iter__(self) -> Iterator[Second]:
+        world, monitor, engine, net = self.world, self.monitor, self.engine, self.net
+        frames, dfa, period = self.frames, self.config.dfa, ISA_PERIOD_S
+        directives: frozenset = frozenset()
+        commands: Sequence = ()
+        new = tuple.__new__  # every field is made below as Second declares it: build it unchecked
+        for t, load in enumerate(self.loads):
+            ft = float(t)
+            tick = world.tick(t, directives)
+            perf = world.windowed_performance(ft)
+            demand = world.demand(ft)
+            frame = frames[t]
+            step = monitor.step(tick, perf, frame.pupil_z, demand)
+            post = posterior(net, step.evidence)
+            level = mwl_level(post)
+            if dfa:
+                commands = engine.step(ft, level)
+                self.assistance_commands += len(commands)
+                directives = engine.active
+            rating = min(5, 1 + int(5.0 * load)) if t > 0 and t % period == 0 else None
+            yield new(Second, (t, load, tick, perf, demand, frame, step, post, level, commands, rating))
+
+    def summary(self) -> dict:
+        """The run log's summary record, from the world and the tracker."""
+        world, tracker = self.world, self.monitor.tracker
+        final = world.final_performance()
+        return {
+            "record": "summary",
+            "compliance": round(tracker.compliance_rate(), 6),
+            "p1": round(final.p1, 6),
+            "p2": round(final.p2, 6),
+            "performance": round(final.overall, 6),
+            "messages": len(world.messages),
+            "messages_zoned_in_time": sum(
+                1 for m in world.messages
+                if m.zone_t is not None and m.zone_t - m.arrive_t <= MESSAGE_BUDGET_S
+            ),
+            "vehicles": len(world.vehicles),
+            "neutralized": sum(1 for v in world.vehicles if v.neutralize_t is not None),
+            "misses": dict(world.miss_counts),
+            "machine_done": dict(world.machine_done),
+            "regulation_events": len(tracker.events),
+            "assistance_commands": self.assistance_commands,
+        }
+
+
 @dataclass
 class RunResult:
     records: list  # chronological JSONL-ready dicts
@@ -609,34 +705,10 @@ class RunResult:
     compliance: float
     summary: dict
 
-    @property
-    def activations(self) -> list:
-        return [r for r in self.records if r.get("record") == "assistance"]
-
 
 def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> RunResult:
-    """Run the microworld end to end and fuse workload each second."""
-    if net is None:
-        net = MwlNetwork.default()
-    monitor = Monitor(net)
-    monitor.require_demand()  # every second has a demand frame
-    ss = np.random.SeedSequence(config.seed)
-    child = ss.spawn(3)
-    world = World(config,
-                  rng_spawn=np.random.default_rng(child[0]),
-                  rng_operator=np.random.default_rng(child[1]))
-    rng_physio = np.random.default_rng(child[2])
-    beat_times, beat_intervals = generate_beats(world.script.load, config.duration_s, rng_physio)
-    pupil_ts, pupil_values = generate_pupil(world.script.load, config.duration_s, rng_physio)
-    frames = physio.per_second_frames(
-        physio.RRSeries(beat_times, beat_intervals),
-        physio.PupilSeries(pupil_ts, pupil_values),
-        normalization="reference",
-        reference=(PUPIL_REF_MM, PUPIL_REF_SD),
-    ).frames
-
-    engine = AdaptationEngine(hold_s=config.hold_s)
-    directives: frozenset = frozenset()
+    """Run the microworld end to end: the Session folded into the run log."""
+    session = Session(config, net)
     records: list[dict] = [{
         "record": "config",
         "duration_s": config.duration_s,
@@ -648,35 +720,30 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
         "dfa": config.dfa,
         "isa_period_s": ISA_PERIOD_S,
     }]
-    levels = np.zeros(config.duration_s, dtype=int)
-    loads = scripted_load(config)
+    levels: list[int] = []
     isa: list[tuple] = []
+    append = records.append
+    # the world reuses its entropy and perf floats while they stand still: round each once
+    last_entropy = last_perf = None
 
-    for t, load in enumerate(loads):
-        task_tick = world.tick(t, directives)
-        perf = world.windowed_performance(float(t))
-        demand = world.demand(float(t))
-        frame = frames[t]
-        step = monitor.step(task_tick, perf, frame.pupil_z, demand)
+    for t, load, _tick, perf, demand, frame, step, post, level, commands, rating in session:
+        if demand.entropy is not last_entropy:
+            last_entropy, rounded_entropy = demand.entropy, round(demand.entropy, 6)
+        if perf is not last_perf:
+            last_perf, rounded_perf = perf, round(perf, 6)
         if step.event is not None:
-            records.append({"record": "regulation", "t": t, "kind": step.event.kind.name})
-        post = posterior(net, step.evidence)
-        level = mwl_level(post)
-        levels[t] = level
-
-        if config.dfa:
-            for cmd in engine.step(float(t), level):
-                records.append({
-                    "record": "assistance", "t": t, "directive": cmd.directive,
-                    "task": cmd.task, "active": cmd.active, "level": level,
-                })
-            directives = engine.active
-
+            append({"record": "regulation", "t": t, "kind": step.event.kind.name})
+        levels.append(level)
+        for cmd in commands:
+            append({
+                "record": "assistance", "t": t, "directive": cmd.directive,
+                "task": cmd.task, "active": cmd.active, "level": level,
+            })
         snap = step.snapshot
-        records.append({  # keys in sorted order: the log writer's sort is one pass
+        append({  # keys in sorted order: the log writer's sort is one pass
             "behaviour": step.behaviour,
             "cps": snap.cps,
-            "entropy": round(demand.entropy, 6),
+            "entropy": rounded_entropy,
             "hrv_sdnn_ms": None if frame.hrv_sdnn_ms is None else round(frame.hrv_sdnn_ms, 6),
             "hrv_warmup": frame.warmup,
             "latent": round(load, 6),
@@ -684,48 +751,22 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
             "n1": demand.n1,
             "n2": demand.n2,
             "nps": snap.nps,
-            "perf": round(perf, 6),
+            "perf": rounded_perf,
             "posterior": [round(p, 9) for p in post],
             "pupil_z": round(step.pupil_z, 6),
             "record": "tick",
             "t": t,
             "td": step.td,
         })
-
-        if t > 0 and t % ISA_PERIOD_S == 0:
-            rating = min(5, 1 + int(5.0 * load))
+        if rating is not None:
             isa.append((t, rating, level))
-            records.append({"record": "isa", "t": t, "rating": rating, "level": level})
+            append({"record": "isa", "t": t, "rating": rating, "level": level})
 
-    final = world.final_performance()
-    compliance = monitor.tracker.compliance_rate()
-    summary = {
-        "record": "summary",
-        "compliance": round(compliance, 6),
-        "p1": round(final.p1, 6),
-        "p2": round(final.p2, 6),
-        "performance": round(final.overall, 6),
-        "messages": len(world.messages),
-        "messages_zoned_in_time": sum(
-            1 for m in world.messages
-            if m.zone_t is not None and m.zone_t - m.arrive_t <= MESSAGE_BUDGET_S
-        ),
-        "vehicles": len(world.vehicles),
-        "neutralized": sum(1 for v in world.vehicles if v.neutralize_t is not None),
-        "misses": dict(world.miss_counts),
-        "machine_done": dict(world.machine_done),
-        "regulation_events": len(monitor.tracker.events),
-        "assistance_commands": sum(1 for r in records if r.get("record") == "assistance"),
-    }
-    records.append(summary)
-    return RunResult(
-        records=records,
-        levels=levels,
-        latent=np.array(loads),
-        isa=isa,
-        compliance=compliance,
-        summary=summary,
-    )
+    summary = session.summary()
+    append(summary)
+    return RunResult(records=records, levels=np.array(levels, dtype=int),
+                     latent=np.array(session.loads), isa=isa,
+                     compliance=session.monitor.tracker.compliance_rate(), summary=summary)
 
 
 def compare_compliance(seeds: Sequence[int], base: Optional[ScenarioConfig] = None) -> dict:

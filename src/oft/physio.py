@@ -151,7 +151,8 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
     """Sample standard deviation of the last `span` RR intervals (ms).
 
     `window` may be an RRSeries or a plain interval sequence. Fewer than
-    `span` intervals fall back to all of them; fewer than 2 is an error.
+    `span` intervals fall back to all of them; fewer than 2 is an error,
+    and so are intervals so large that the SDNN overflows.
     """
     if span < 2:
         raise ConfigError(f"sdnn: span must be >= 2, got {span}")
@@ -164,19 +165,28 @@ def sdnn(window, span: int = SDNN_SPAN) -> float:
         raise InsufficientDataError(
             f"sdnn: need at least 2 intervals, got {len(tail)}"
         )
-    return float(np.std(tail, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        value = float(np.std(tail, ddof=1))
+    if not math.isfinite(value):
+        raise DataError(f"sdnn: the RR intervals overflow the SDNN ({value!r} ms)")
+    return value
 
 
 def normalize(values) -> NormalizedSeries:
     """Z-score a value sequence: (x - mean) / sample std.
 
-    The output has sample mean 0 and sample std 1.
+    The output has sample mean 0 and sample std 1. Values so large that
+    the mean or the std overflows are a DataError.
     """
     x = numeric_array(values, "z-score: values", ndim=1, finite=True)
     if len(x) < 2:
         raise InsufficientDataError("z-score: need at least 2 values")
-    center = float(np.mean(x))
-    scale = float(np.std(x, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        center = float(np.mean(x))
+        scale = float(np.std(x, ddof=1))
+    if not (math.isfinite(center) and math.isfinite(scale)):
+        raise DataError(f"normalize: the values overflow the z-score (mean {center!r}, "
+                        f"sample std {scale!r})")
     if scale == 0.0:
         raise DegenerateInputError("z-score: zero variance input")
     return NormalizedSeries((x - center) / scale, center, scale)
@@ -401,7 +411,10 @@ def per_second_frames(
             if n_beats >= span:
                 hrv = full_sdnn[n_beats]
             elif n_beats >= 2:
-                hrv = sdnn(beats.intervals_ms[:n_beats], span=span)
+                try:
+                    hrv = sdnn(beats.intervals_ms[:n_beats], span=span)
+                except DataError:  # RRSeries holds finite positive intervals: the SDNN overflowed
+                    hrv = math.inf
             else:
                 hrv = None
             z = (pupil_sec[t] - center) / scale if t in pupil_sec else None

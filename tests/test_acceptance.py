@@ -384,7 +384,7 @@ def test_criterion_09_assistance_helps(capsys):
           f"< {out['median_off']:.4f} without")
 
     probe = run_scenario(ScenarioConfig(operator="degrading-overload", seed=3, dfa=True))
-    switch_ons = [r for r in probe.activations if r["active"]]
+    switch_ons = [r for r in probe.records if r["record"] == "assistance" and r["active"]]
     check(failures, switch_ons, "no assistance ever switched on in the probe run")
     check(failures, all(r["level"] >= 4 for r in switch_ons),
           "assistance switched on below level 4")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oft import microworld
-from oft.errors import ConfigError, DataError
+from oft.errors import ConfigError, DataError, SequencingError
 from oft.fusion import MwlNetwork
 from oft.microworld import (
     BASE_SERVICE_S,
@@ -18,13 +18,12 @@ from oft.microworld import (
     EFFORT_SMOOTH_S,
     MAX_DURATION_S,
     PERF_WINDOW_S,
-    PUPIL_REF_MM,
-    PUPIL_REF_SD,
     SHED_ORDER,
     TASKS,
     Message,
     Monitor,
     ScenarioConfig,
+    Session,
     Vehicle,
     World,
     compare_compliance,
@@ -574,7 +573,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(duration_s=120, phase_split_s=60, seed=5, dfa=False,
                              operator="degrading-overload")
         result = run_scenario(cfg)
-        assert result.activations == []
+        assert [r for r in result.records if r["record"] == "assistance"] == []
         assert result.summary["assistance_commands"] == 0
 
     def test_net_must_carry_both_partitions(self):
@@ -591,129 +590,74 @@ class TestRunScenario:
         assert result.compliance > 0.9
 
 
-class TestOfflineReplay:
-    """monitor_offline over a session's own streams gives the session's levels."""
+class TestSession:
+    """The per-second stream that run_scenario folds into the run log."""
 
-    @pytest.mark.parametrize("seed,dfa", [(3, False), (7, True)])
-    def test_monitor_offline_matches_the_online_run(self, monkeypatch, seed, dfa):
-        ticks, perfs, demand = [], [], {}
-        tick, windowed, demand_at = World.tick, World.windowed_performance, World.demand
+    @pytest.mark.parametrize("dfa", [False, True])
+    @pytest.mark.parametrize("operator", microworld.OPERATORS)
+    def test_seconds_are_the_run_log(self, operator, dfa):
+        cfg = ScenarioConfig(duration_s=240, phase_split_s=120, seed=3, operator=operator, dfa=dfa)
+        session = Session(cfg)
+        seconds = list(session)
+        records = run_scenario(cfg).records
+        assert len(seconds) == 240
 
-        def record_tick(self, t, directives=frozenset()):
-            ticks.append(tick(self, t, directives))
-            return ticks[-1]
+        def logged(kind, *keys):
+            return [tuple(r[k] for k in keys) for r in records if r["record"] == kind]
 
-        def record_perf(self, t):
-            perfs.append(windowed(self, t))
-            return perfs[-1]
+        assert [(s.t, s.level, [round(p, 9) for p in s.posterior]) for s in seconds] == \
+            logged("tick", "t", "level", "posterior")
+        commands = [(s.t, c.directive, c.task, c.active, s.level)
+                    for s in seconds for c in s.commands]
+        assert commands == logged("assistance", "t", "directive", "task", "active", "level")
+        assert bool(commands) == (dfa and operator == "degrading-overload")
+        assert [(s.t, s.rating, s.level) for s in seconds if s.rating is not None] == \
+            logged("isa", "t", "rating", "level")
+        assert session.summary() == records[-1]
+        # World.tick and World.demand build their records unchecked (`_make`);
+        # what they build must pass the checked constructors
+        for s in seconds:
+            assert type(s.tick) is TaskTick and TaskTick(*s.tick) == s.tick
+            assert type(s.demand) is ConstraintFrame and ConstraintFrame(*s.demand) == s.demand
 
-        def record_demand(self, t):
-            frame = demand_at(self, t)
-            demand[frame.t] = frame
-            return frame
-
-        monkeypatch.setattr(World, "tick", record_tick)
-        monkeypatch.setattr(World, "windowed_performance", record_perf)
-        monkeypatch.setattr(World, "demand", record_demand)
-        cfg = ScenarioConfig(duration_s=400, phase_split_s=200, seed=seed,
-                             operator="degrading-overload", dfa=dfa)
-        online = run_scenario(cfg)
-        monkeypatch.undo()
-
-        # the physio streams come from the third child of the seed
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-        script = operator_script(cfg.operator, cfg.duration_s, cfg.phase_split_s)
-        beats = RRSeries(*generate_beats(script.load, cfg.duration_s, rng))
-        pupil = PupilSeries(*generate_pupil(script.load, cfg.duration_s, rng))
-        offline = monitor_offline(
-            beats, pupil, list(zip(ticks, perfs)), demand=demand,
-            normalization="reference", reference=(PUPIL_REF_MM, PUPIL_REF_SD),
-        )
-
-        logged = [r for r in online.records if r["record"] == "tick"]
-        assert len(offline.states) == len(logged) == cfg.duration_s
-        assert [s.level for s in offline.states] == [r["level"] for r in logged]
-        assert [[round(p, 9) for p in s.posterior] for s in offline.states] == [
-            r["posterior"] for r in logged
-        ]
-        assert len(set(r["level"] for r in logged)) > 1
-        assert offline.compliance == online.compliance
-        assert [(e.t, e.kind.name) for e in offline.events] == [
-            (r["t"], r["kind"]) for r in online.records if r["record"] == "regulation"
-        ]
+    def test_a_second_pass_is_refused(self):
+        session = Session(ScenarioConfig(duration_s=30, phase_split_s=15))
+        assert len(list(session)) == 30
+        with pytest.raises(SequencingError, match="tick t=0 does not follow"):
+            next(iter(session))
 
 
 class TestCachedObservables:
     """demand and windowed_performance reuse their last value while the
-    inputs stand still; every tick must still equal a fresh computation."""
+    inputs stand still; every second must still equal a fresh computation."""
 
     @pytest.mark.parametrize("dfa", [False, True])
-    def test_every_tick_equals_a_direct_computation(self, monkeypatch, dfa):
-        demand_at, windowed = World.demand, World.windowed_performance
-        checked = {"demand": 0, "perf": 0}
-
-        def checked_demand(self, t):
-            frame = demand_at(self, t)
-            active = [(v.x, v.y) for v in self.vehicles if v.neutralize_t is None]
-            assert frame.entropy == spatial_entropy(active)
-            checked["demand"] += 1
-            return frame
-
-        def checked_perf(self, t):
-            got = windowed(self, t)
+    def test_every_tick_equals_a_direct_computation(self, dfa):
+        cfg = ScenarioConfig(seed=4, operator="degrading-overload", dfa=dfa)
+        session = Session(cfg)
+        world = session.world
+        entropies = set()
+        for second in session:  # the world stands as it did when the second was observed
+            t = float(second.t)
+            active = [(v.x, v.y) for v in world.vehicles if v.neutralize_t is None]
+            assert second.demand.entropy == spatial_entropy(active)
+            entropies.add(round(second.demand.entropy, 6))
             lo = t - PERF_WINDOW_S
             neutralizations = [
                 (v.detect_t, v.neutralize_t if v.neutralize_t is not None
                  else v.detect_t + T_REF_S)
-                for v in self.vehicles
+                for v in world.vehicles
                 if v.detect_t is not None and v.detect_t >= lo
                 and (v.neutralize_t is not None or t - v.detect_t >= T_REF_S)
             ]
             messages = [
-                (m.arrive_t, m.zone_t) for m in self.messages
+                (m.arrive_t, m.zone_t) for m in world.messages
                 if m.arrive_t >= lo
                 and (m.zone_t is not None or t > m.arrive_t + MESSAGE_BUDGET_S)
             ]
-            assert got == performance_index(neutralizations, messages).overall
-            checked["perf"] += 1
-            return got
-
-        monkeypatch.setattr(World, "demand", checked_demand)
-        monkeypatch.setattr(World, "windowed_performance", checked_perf)
-        cfg = ScenarioConfig(seed=4, operator="degrading-overload", dfa=dfa)
-        result = run_scenario(cfg)
-        assert checked == {"demand": cfg.duration_s, "perf": cfg.duration_s}
-        entropies = {r["entropy"] for r in result.records if r["record"] == "tick"}
+            assert second.perf == performance_index(neutralizations, messages).overall
+        assert second.t == cfg.duration_s - 1
         assert len(entropies) > 10
-
-
-class TestWorldRecords:
-    """World.tick and World.demand build their records unchecked (`_make`);
-    what they build must pass the checked constructors."""
-
-    @pytest.mark.parametrize("dfa", [False, True])
-    @pytest.mark.parametrize("operator", microworld.OPERATORS)
-    def test_every_record_passes_its_check(self, monkeypatch, operator, dfa):
-        tick_at, demand_at = World.tick, World.demand
-        checked = {"tick": 0, "demand": 0}
-
-        def checked_tick(self, t, directives=frozenset()):
-            tick = tick_at(self, t, directives)
-            assert type(tick) is TaskTick and TaskTick(*tick) == tick
-            checked["tick"] += 1
-            return tick
-
-        def checked_demand(self, t):
-            frame = demand_at(self, t)
-            assert type(frame) is ConstraintFrame and ConstraintFrame(*frame) == frame
-            checked["demand"] += 1
-            return frame
-
-        monkeypatch.setattr(World, "tick", checked_tick)
-        monkeypatch.setattr(World, "demand", checked_demand)
-        cfg = ScenarioConfig(duration_s=240, phase_split_s=120, seed=3, operator=operator, dfa=dfa)
-        run_scenario(cfg)
-        assert checked == {"tick": 240, "demand": 240}
 
 
 class ListPickWorld(World):

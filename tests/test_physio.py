@@ -68,6 +68,11 @@ class TestSdnn:
         with pytest.raises(ValueError):
             sdnn([800.0, 820.0], span=1)
 
+    def test_overflow_is_a_data_error_naming_sdnn(self):
+        # the squared deviations overflow; numpy must not warn on the way
+        with pytest.raises(DataError, match=r"^sdnn: .*\(inf ms\)"):
+            sdnn([1e200, 1e200, 1e199])
+
 
 class TestCleansePupil:
     def test_range_boundaries_inclusive(self):
@@ -125,6 +130,11 @@ class TestNormalize:
     def test_single_value_insufficient(self):
         with pytest.raises(InsufficientDataError):
             normalize([4.2])
+
+    def test_overflow_is_a_data_error_naming_normalize(self):
+        # a finite mean of 0.0 and an overflowed std would give all-zero z-scores
+        with pytest.raises(DataError, match=r"^normalize: .*sample std inf"):
+            normalize([1e308, -1e308, 0.0])
 
 
 class TestBandpass:
@@ -234,6 +244,13 @@ class TestPerSecondFrames:
         assert flags[50] is True
         assert flags[99] is False or flags[100] is False  # boundary second
         assert flags[110] is False
+
+    def test_overflowing_warmup_sdnn_names_the_second(self):
+        # twelve beats, far fewer than the SDNN span, the last two with huge intervals
+        beats = RRSeries(np.arange(12) * 0.8, np.array([800.0] * 10 + [1e200, 1e199]))
+        pupil = make_pupil(np.linspace(3.0, 4.0, 40))
+        with pytest.raises(DataError, match=r"^second \d+: SDNN is inf ms, not a finite number$"):
+            per_second_frames(beats, pupil)
 
     def test_session_z_stats(self, synth_streams):
         beats, pupil = synth_streams

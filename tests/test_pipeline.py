@@ -13,7 +13,7 @@ import scipy.stats
 from oft import __version__, microworld, physio, pipeline
 from oft.errors import ConfigError, DataError
 from oft.jsonl import DATA, load_json
-from oft.microworld import ScenarioConfig, generate_beats, generate_pupil, run_scenario
+from oft.microworld import ScenarioConfig, Session, generate_beats, generate_pupil, run_scenario
 from conftest import src_env
 from oft.pipeline import (
     _average_ranks,
@@ -251,50 +251,33 @@ class TestMonitorOffline:
         assert busy.report["mean_level"] > calm.report["mean_level"]
 
 
-def session_streams(monkeypatch, config):
-    """Run the session, keeping the streams the monitor would read: beats,
-    pupil samples, (tick, perf) per second and demand per second."""
-    kept = {}
-
-    def keep(name, fn):
-        def kept_call(*args, **kwargs):
-            value = fn(*args, **kwargs)
-            kept.setdefault(name, []).append(value)
-            return value
-        return kept_call
-
-    monkeypatch.setattr(microworld, "generate_beats", keep("beats", microworld.generate_beats))
-    monkeypatch.setattr(microworld, "generate_pupil", keep("pupil", microworld.generate_pupil))
-    for method in ("tick", "windowed_performance", "demand"):
-        monkeypatch.setattr(microworld.World, method,
-                            keep(method, getattr(microworld.World, method)))
-    run = run_scenario(config)
-    (beats,), (pupil,) = kept["beats"], kept["pupil"]
-    ticks = list(zip(kept["tick"], kept["windowed_performance"]))
-    demand = {frame.t: frame for frame in kept["demand"]}
-    assert len(ticks) == len(demand) == config.duration_s
-    return run, physio.RRSeries(*beats), physio.PupilSeries(*pupil), ticks, demand
-
-
 @pytest.mark.parametrize("dfa", [False, True])
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("operator", ["degrading-overload", "diligent", "prioritizer"])
-def test_replaying_a_session_gives_its_levels(monkeypatch, operator, seed, dfa):
+def test_replaying_a_session_gives_its_levels(operator, seed, dfa):
     """The README's promise: a simulated session's streams, replayed with
     the simulator's pupil reference, give the levels the session logged."""
     config = ScenarioConfig(operator=operator, seed=seed, dfa=dfa, duration_s=600,
                             phase_split_s=300)
-    run, beats, pupil, ticks, demand = session_streams(monkeypatch, config)
+    run = run_scenario(config)
+    session = Session(config)
+    seconds = list(session)
     replay = monitor_offline(
-        beats, pupil, ticks, demand=demand, normalization="reference",
+        session.beats, session.pupil, [(s.tick, s.perf) for s in seconds],
+        demand={s.demand.t: s.demand for s in seconds}, normalization="reference",
         reference=(microworld.PUPIL_REF_MM, microworld.PUPIL_REF_SD),
     )
     logged = [(r["t"], r["level"], r["posterior"]) for r in run.records
               if r["record"] == "tick"]
+    assert len(logged) == config.duration_s
+    assert len({level for _t, level, _post in logged}) > 1
     assert [(s.t, s.level, [round(p, 9) for p in s.posterior])
             for s in replay.states] == logged
     assert replay.compliance == run.compliance
     assert replay.report["compliance"] == run.summary["compliance"]
+    assert [(e.t, e.kind.name) for e in replay.events] == [
+        (r["t"], r["kind"]) for r in run.records if r["record"] == "regulation"
+    ]
 
 
 class TestRunLog:
