@@ -45,10 +45,11 @@ replaying a session's streams with that reference gives its levels.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -211,15 +212,32 @@ def scripted_load(config: ScenarioConfig) -> list:
 # world objects
 
 
+# field writes to scene items so far, the constructors' included (see SceneItem).
+# Items do not know their world, so every world in the process reads this one
+# count: a write anywhere only makes each world rescan once, which is safe.
+_item_writes = 0
+
+
+class SceneItem:
+    """Base of Message and Vehicle. Every field assignment, a constructor's
+    included, counts in the module's write counter, so a World observable
+    can tell that no item changed since its last scan."""
+
+    def __setattr__(self, name, value):
+        global _item_writes
+        _item_writes += 1
+        object.__setattr__(self, name, value)
+
+
 @dataclass
-class Message:
+class Message(SceneItem):
     arrive_t: float
     read_t: Optional[float] = None
     zone_t: Optional[float] = None
 
 
 @dataclass
-class Vehicle:
+class Vehicle(SceneItem):
     x: float
     y: float
     detect_t: Optional[float] = None
@@ -237,8 +255,29 @@ class Job:
     slipped: bool = False
 
 
+class _Scan(NamedTuple):
+    """What an observable's last scan read and found: the scene (the item
+    writes so far, and each list with its length), the time, the inputs of
+    the time tests that flip first as t rises, and the result."""
+
+    writes: int
+    vehicles: list
+    n_vehicles: int
+    messages: list
+    n_messages: int
+    t: float
+    firsts: tuple
+    result: object
+
+
 class World:
-    """Scene state plus the operator queue. One tick is one second."""
+    """Scene state plus the operator queue. One tick is one second.
+
+    `messages` and `vehicles` hold the scene's items in creation order. The
+    lists are append-only, and their items are edited in place by attribute
+    assignment: the world's own ticks and a caller both work this way, and
+    the observables rely on it to tell when their last scan still stands.
+    """
 
     def __init__(self, config: ScenarioConfig,
                  rng_spawn: np.random.Generator, rng_operator: np.random.Generator):
@@ -253,10 +292,12 @@ class World:
         self.miss_counts = {task: 0 for task in TASKS}
         self.machine_done = {task: 0 for task in TASKS}
         self._next_id = 0
-        # last inputs and outputs of the two per-tick observables; vehicles
-        # are only ever appended and neutralised, so (vehicles, still active)
-        # changes whenever the active set does
-        self._entropy_key: Optional[tuple] = None
+        # the last scan of each observable (see _Scan), and the last input and
+        # output of each score a scan computes: a rescan recomputes the one
+        # whose input changed
+        self._demand_scan: Optional[_Scan] = None
+        self._perf_scan: Optional[_Scan] = None
+        self._entropy_key: Optional[list] = None
         self._entropy = 0.0
         self._perf_key: Optional[tuple] = None
         self._perf = 0.0
@@ -397,51 +438,100 @@ class World:
 
     # -- observables --------------------------------------------------------
 
+    def _scan_stands(self, scan: Optional[_Scan], t: float) -> bool:
+        """Whether `scan` read the scene as it stands, at a t no later than
+        `t`: no item field written since, and neither list replaced or grown."""
+        vehicles, messages = self.vehicles, self.messages
+        return (scan is not None and scan.t <= t and scan.writes == _item_writes
+                and scan.vehicles is vehicles and scan.n_vehicles == len(vehicles)
+                and scan.messages is messages and scan.n_messages == len(messages))
+
+    def _scanned(self, t: float, firsts: tuple, result) -> _Scan:
+        vehicles, messages = self.vehicles, self.messages
+        return _Scan(_item_writes, vehicles, len(vehicles), messages, len(messages),
+                     t, firsts, result)
+
     def demand(self, t: float) -> ConstraintFrame:
         """Targets and messages awaiting processing, and the target spread.
 
-        The entropy is recomputed only when the active vehicle set changed.
+        An unread message is pending while t <= arrive_t + MESSAGE_BUDGET_S;
+        nothing else depends on t. So the last scan is returned again while
+        the scene stands and t has not gone back, as long as the pending
+        message that arrived first still passes that test; otherwise the
+        lists are rescanned. The entropy is recomputed only when the active
+        vehicles' positions changed.
         """
-        active = [v for v in self.vehicles if v.neutralize_t is None]
-        pending_msgs = sum(
-            1 for m in self.messages
-            if m.read_t is None and t <= m.arrive_t + MESSAGE_BUDGET_S
-        )
-        key = (len(self.vehicles), len(active))
-        if key != self._entropy_key:
-            self._entropy = spatial_entropy([(v.x, v.y) for v in active])
-            self._entropy_key = key
+        scan = self._demand_scan
+        if not (self._scan_stands(scan, t) and t <= scan.firsts[0] + MESSAGE_BUDGET_S):
+            active = [v for v in self.vehicles if v.neutralize_t is None]
+            pending_msgs = 0
+            first_pending = math.inf
+            for m in self.messages:
+                if m.read_t is None and t <= m.arrive_t + MESSAGE_BUDGET_S:
+                    pending_msgs += 1
+                    if m.arrive_t < first_pending:
+                        first_pending = m.arrive_t
+            positions = [(v.x, v.y) for v in active]
+            if positions != self._entropy_key:
+                self._entropy = spatial_entropy(positions)
+                self._entropy_key = positions
+            scan = self._demand_scan = self._scanned(
+                t, (first_pending,), (len(active), pending_msgs, self._entropy))
+        n1, n2, entropy = scan.result
         # two counts and an entropy, finite and >= 0: ConstraintFrame's check holds
-        return ConstraintFrame._make((int(t), len(active), pending_msgs, self._entropy))
+        return ConstraintFrame._make((int(t), n1, n2, entropy))
 
     def windowed_performance(self, t: float) -> float:
         """Blend of recent neutralization speed and message answering.
 
         Vehicles detected but still open past the reference time count as
         zero-score entries so an overload shows up while it is happening.
-        The window is rescanned every call, but scored only when it changed.
+        Three time tests pick the window's entries: an item stays in it
+        while its detect_t or arrive_t is not before t - PERF_WINDOW_S, an
+        open vehicle counts once t - detect_t >= T_REF_S, and an unanswered
+        message once t > arrive_t + MESSAGE_BUDGET_S. So the last scan is
+        returned again while the scene stands and t has not gone back, as
+        long as none of those tests has flipped for the item of each kind
+        that flips first; otherwise the lists are rescanned, and the window
+        is scored only when it changed.
         """
+        scan = self._perf_scan
+        if self._scan_stands(scan, t):
+            first_in, first_open, first_unanswered = scan.firsts
+            if not (first_in < t - PERF_WINDOW_S or t - first_open >= T_REF_S
+                    or t > first_unanswered + MESSAGE_BUDGET_S):
+                return scan.result
         lo = t - PERF_WINDOW_S
+        first_in = first_open = first_unanswered = math.inf
         neutralizations = []
         for v in self.vehicles:
             if v.detect_t is None or v.detect_t < lo:
                 continue
+            if v.detect_t < first_in:
+                first_in = v.detect_t
             if v.neutralize_t is not None:
                 neutralizations.append((v.detect_t, v.neutralize_t))
             elif t - v.detect_t >= T_REF_S:
                 neutralizations.append((v.detect_t, v.detect_t + T_REF_S))
+            elif v.detect_t < first_open:
+                first_open = v.detect_t
         messages = []
         for m in self.messages:
             if m.arrive_t < lo:
                 continue
+            if m.arrive_t < first_in:
+                first_in = m.arrive_t
             if m.zone_t is not None:
                 messages.append((m.arrive_t, m.zone_t))
             elif t > m.arrive_t + MESSAGE_BUDGET_S:
                 messages.append((m.arrive_t, None))
+            elif m.arrive_t < first_unanswered:
+                first_unanswered = m.arrive_t
         key = (neutralizations, messages)
         if key != self._perf_key:
             self._perf = performance_index(neutralizations, messages).overall
             self._perf_key = key
+        self._perf_scan = self._scanned(t, (first_in, first_open, first_unanswered), self._perf)
         return self._perf
 
     def final_performance(self):
@@ -623,10 +713,12 @@ class Session:
     Setting up draws the world and the physiology from the seed: `beats`
     and `pupil` are the generated streams, `frames` their per-second
     features. Each second ticks the world under the engine's directives,
-    steps the monitor, fuses the evidence and, when adaptation is on, steps
-    the engine, counting its commands in `assistance_commands`. A second
-    pass over the same session is refused by the regulation tracker
-    (SequencingError at t=0). `summary()` is the run log's last record.
+    steps the monitor, fuses the evidence (a second whose evidence equals
+    the one before reuses that second's posterior tuple and level) and,
+    when adaptation is on, steps the engine, counting its commands in
+    `assistance_commands`. A second pass over the same session is refused
+    by the regulation tracker (SequencingError at t=0). `summary()` is the
+    run log's last record.
     """
 
     def __init__(self, config: ScenarioConfig, net: Optional[MwlNetwork] = None):
@@ -655,6 +747,7 @@ class Session:
         frames, dfa, period = self.frames, self.config.dfa, ISA_PERIOD_S
         directives: frozenset = frozenset()
         commands: Sequence = ()
+        fused = None  # the evidence the last posterior was fused from
         new = tuple.__new__  # every field is made below as Second declares it: build it unchecked
         for t, load in enumerate(self.loads):
             ft = float(t)
@@ -663,8 +756,14 @@ class Session:
             demand = world.demand(ft)
             frame = frames[t]
             step = monitor.step(tick, perf, frame.pupil_z, demand)
-            post = posterior(net, step.evidence)
-            level = mwl_level(post)
+            evidence = step.evidence
+            # the posterior of the same variables in the same order (the order
+            # posterior multiplies in) with equal weights is the same bits:
+            # posterior reads each weight as a float, labels in table order
+            if not (evidence == fused and list(evidence) == list(fused)):
+                post = posterior(net, evidence)
+                level = mwl_level(post)
+                fused = evidence
             if dfa:
                 commands = engine.step(ft, level)
                 self.assistance_commands += len(commands)
@@ -723,14 +822,17 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
     levels: list[int] = []
     isa: list[tuple] = []
     append = records.append
-    # the world reuses its entropy and perf floats while they stand still: round each once
-    last_entropy = last_perf = None
+    # the world reuses its entropy and perf floats, and the session its posterior
+    # tuple, while they stand still: round each once
+    last_entropy = last_perf = last_post = None
 
     for t, load, _tick, perf, demand, frame, step, post, level, commands, rating in session:
         if demand.entropy is not last_entropy:
             last_entropy, rounded_entropy = demand.entropy, round(demand.entropy, 6)
         if perf is not last_perf:
             last_perf, rounded_perf = perf, round(perf, 6)
+        if post is not last_post:
+            last_post, rounded_post = post, [round(p, 9) for p in post]
         if step.event is not None:
             append({"record": "regulation", "t": t, "kind": step.event.kind.name})
         levels.append(level)
@@ -752,7 +854,7 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
             "n2": demand.n2,
             "nps": snap.nps,
             "perf": rounded_perf,
-            "posterior": [round(p, 9) for p in post],
+            "posterior": rounded_post[:],
             "pupil_z": round(step.pupil_z, 6),
             "record": "tick",
             "t": t,
@@ -769,8 +871,14 @@ def run_scenario(config: ScenarioConfig, net: Optional[MwlNetwork] = None) -> Ru
                      compliance=session.monitor.tracker.compliance_rate(), summary=summary)
 
 
-def compare_compliance(seeds: Sequence[int], base: Optional[ScenarioConfig] = None) -> dict:
-    """Median compliance over seeds, adaptation off vs on, same worlds."""
+def compare_compliance(seeds: Iterable[int], base: Optional[ScenarioConfig] = None) -> dict:
+    """Median compliance over seeds, adaptation off vs on, same worlds.
+
+    `seeds` is read once, so an iterator works; no seeds is a ConfigError.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ConfigError("compare_compliance: need at least one seed")
     if base is None:
         base = ScenarioConfig(operator="degrading-overload")
     off, on = [], []
@@ -778,7 +886,7 @@ def compare_compliance(seeds: Sequence[int], base: Optional[ScenarioConfig] = No
         off.append(run_scenario(replace(base, seed=seed, dfa=False)).compliance)
         on.append(run_scenario(replace(base, seed=seed, dfa=True)).compliance)
     return {
-        "seeds": list(seeds),
+        "seeds": seeds,
         "compliance_off": off,
         "compliance_on": on,
         "median_off": float(np.median(off)),

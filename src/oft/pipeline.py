@@ -27,7 +27,8 @@ from .errors import ConfigError, DataError
 # traced benchmark (bench/spans.py) rebinds them in both modules
 from .fusion import MwlNetwork, MwlState, fuse, fuzzify, write_states_jsonl  # noqa: F401
 from .jsonl import dump_json, dump_jsonl, numeric_array, read_csv
-from .microworld import Monitor, RunResult, ScenarioConfig, run_scenario, scripted_load
+from .microworld import (ISA_PERIOD_S, Monitor, RunResult, ScenarioConfig, run_scenario,
+                         scripted_load)
 from .regulation import write_events_jsonl
 from .taskload import ConstraintFrame, task_difficulty  # noqa: F401
 
@@ -232,21 +233,23 @@ def endtoend_report(config: ScenarioConfig, net: Optional[MwlNetwork] = None) ->
 
     Correlates the per-second level against the scripted latent load, and
     the level at self-rating instants against the 1..5 ratings. Raises
-    DataError when a series is constant and the correlation is undefined;
-    a constant scripted load fails before the session is simulated.
+    DataError when a series is constant and the correlation is undefined,
+    or when the run is too short to hold three self-ratings; a constant
+    scripted load and a short run fail before the session is simulated.
     """
     latent = scripted_load(config)
     # where spearman(levels, latent) would raise it: both are finite
     if len(latent) >= 3 and min(latent) == max(latent):
         raise DataError(_NO_RANK_VARIATION)
+    # a rating falls on every t > 0 divisible by ISA_PERIOD_S, and spearman needs three
+    if (config.duration_s - 1) // ISA_PERIOD_S < 3:
+        raise DataError(f"run too short: need at least three self-rating instants, "
+                        f"so a duration of at least {3 * ISA_PERIOD_S + 1} s")
     result = run_scenario(config, net=net)
     rho_latent = spearman(result.levels, result.latent)
-    if len(result.isa) >= 2:
-        ratings = [r for (_t, r, _lvl) in result.isa]
-        at_isa = [lvl for (_t, _r, lvl) in result.isa]
-        rho_isa = spearman(at_isa, ratings)
-    else:
-        raise DataError("run too short: need at least two self-rating instants")
+    ratings = [r for (_t, r, _lvl) in result.isa]
+    at_isa = [lvl for (_t, _r, lvl) in result.isa]
+    rho_isa = spearman(at_isa, ratings)
     report = {
         "operator": config.operator,
         "seed": config.seed,

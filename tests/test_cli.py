@@ -1177,9 +1177,10 @@ class TestSimulateCommand:
 
 
 class TestEndtoendCommand:
-    def test_report_written(self, tmp_path, capsys):
+    @pytest.mark.parametrize("duration", ["600", "271"])  # 271 s holds three self-ratings
+    def test_report_written(self, tmp_path, capsys, duration):
         report_path = tmp_path / "report.json"
-        code = main(["endtoend", "--duration", "600", "--operator", "degrading-overload",
+        code = main(["endtoend", "--duration", duration, "--operator", "degrading-overload",
                      "--seed", "0", "--report", str(report_path)])
         assert code == 0
         assert "spearman" in capsys.readouterr().out
@@ -1192,13 +1193,21 @@ class TestEndtoendCommand:
         assert code == 3
         assert "rank variation" in capsys.readouterr().err
 
-    def test_flat_operator_exits_3_before_the_first_tick(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("operator,duration,message", [
+        ("flat", "360", "rank variation"),
+        # ratings fall at t = 90 and 180 only: too few for spearman
+        ("degrading-overload", "200", "at least three self-rating instants"),
+        ("degrading-overload", "270", "a duration of at least 271 s"),
+        ("degrading-overload", "100", "run too short"),
+    ])
+    def test_flat_operator_exits_3_before_the_first_tick(self, monkeypatch, capsys,
+                                                          operator, duration, message):
         def no_session(*_args, **_kwargs):
             raise AssertionError("the session was simulated")
 
         monkeypatch.setattr(pipeline, "run_scenario", no_session)
-        assert main(["endtoend", "--duration", "360", "--operator", "flat"]) == 3
-        assert "rank variation" in capsys.readouterr().err
+        assert main(["endtoend", "--duration", duration, "--operator", operator]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestSettings:

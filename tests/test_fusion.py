@@ -851,8 +851,16 @@ class TestFusionOracle:
     def test_every_tick_of_a_session(self, monkeypatch, operator, dfa):
         """Each tick's posterior equals the oracle's on the same evidence and
         on the evidence an every-label fuzzify would give, and the evidence
-        comes in the order constraint, behaviour, performance, effort."""
-        calls = []
+        comes in the order constraint, behaviour, performance, effort. The
+        session fuses only a second whose evidence differs from the one
+        before; every second's logged posterior is the oracle's rounded."""
+        calls, evidences = [], []
+        step = microworld.Monitor.step
+
+        def stepped(self, *args):
+            out = step(self, *args)
+            evidences.append(out.evidence)
+            return out
 
         def checked(net, evidence):
             post = posterior(net, evidence)
@@ -869,12 +877,19 @@ class TestFusionOracle:
             return post
 
         monkeypatch.setattr(microworld, "posterior", checked)
+        monkeypatch.setattr(microworld.Monitor, "step", stepped)
         config = microworld.ScenarioConfig(operator=operator, seed=7, dfa=dfa, duration_s=1200)
         result = microworld.run_scenario(config)
-        assert len(calls) == 1200
+        changed = [i == 0 or list(e.items()) != list(evidences[i - 1].items())
+                   for i, e in enumerate(evidences)]
+        assert len(calls) == sum(changed) < 1200
         ticks = [r for r in result.records if r["record"] == "tick"]
         assert [r["level"] for r in ticks] == [
             _oracle_mwl_level(r["posterior"]) for r in ticks]
+        net = MwlNetwork.default()
+        assert len(ticks) == len(evidences) == 1200
+        for r, evidence in zip(ticks, evidences):
+            assert r["posterior"] == [round(float(p), 9) for p in _oracle_posterior(net, evidence)]
 
 
 class TestFuzzifyNonzero:

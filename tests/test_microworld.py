@@ -256,6 +256,9 @@ class TestWorldMechanics:
         assert frame.n1 == 2
         assert frame.n2 == 1  # the read message no longer needs an answer
         assert frame.entropy == pytest.approx(spatial_entropy(coords))
+        # a caller's edit counts: the same two vehicles, now in one cell
+        world.vehicles[1].x, world.vehicles[1].y = coords[0]
+        assert world.demand(10.0)[1:] == (2, 1, 0.0)
         world.vehicles[0].neutralize_t = 11.0
         assert world.demand(12.0).n1 == 1
         # past its two-minute budget the unread message stops counting
@@ -627,37 +630,129 @@ class TestSession:
             next(iter(session))
 
 
+def scanned_demand(world, t):
+    """The oracle of World.demand: a full scan of the scene at `t`."""
+    active = [(v.x, v.y) for v in world.vehicles if v.neutralize_t is None]
+    pending = sum(1 for m in world.messages
+                  if m.read_t is None and t <= m.arrive_t + MESSAGE_BUDGET_S)
+    return ConstraintFrame(int(t), len(active), pending, spatial_entropy(active))
+
+
+def scanned_performance(world, t):
+    """The oracle of World.windowed_performance: a full scan of the window
+    that ends at `t`, scored."""
+    lo = t - PERF_WINDOW_S
+    neutralizations = [
+        (v.detect_t, v.neutralize_t if v.neutralize_t is not None else v.detect_t + T_REF_S)
+        for v in world.vehicles
+        if v.detect_t is not None and v.detect_t >= lo
+        and (v.neutralize_t is not None or t - v.detect_t >= T_REF_S)
+    ]
+    messages = [
+        (m.arrive_t, m.zone_t) for m in world.messages
+        if m.arrive_t >= lo and (m.zone_t is not None or t > m.arrive_t + MESSAGE_BUDGET_S)
+    ]
+    return performance_index(neutralizations, messages).overall
+
+
+def outcome(observe, world, t):
+    """The repr of what `observe(world, t)` returns, which tells -0.0 from
+    0.0 and 1 from 1.0, or of the DataError it raises."""
+    try:
+        return repr(observe(world, t))
+    except DataError as exc:
+        return repr(exc)
+
+
+def observed_as_scanned(world, t):
+    """Both observables at `t` equal their oracles bit for bit, or raise
+    the same error."""
+    assert outcome(World.demand, world, t) == outcome(scanned_demand, world, t), t
+    assert outcome(World.windowed_performance, world, t) == \
+        outcome(scanned_performance, world, t), t
+
+
 class TestCachedObservables:
-    """demand and windowed_performance reuse their last value while the
-    inputs stand still; every second must still equal a fresh computation."""
+    """demand and windowed_performance return their last scan while the
+    scene stands and no time test flipped; every second must still equal a
+    full scan."""
 
     @pytest.mark.parametrize("dfa", [False, True])
-    def test_every_tick_equals_a_direct_computation(self, dfa):
-        cfg = ScenarioConfig(seed=4, operator="degrading-overload", dfa=dfa)
+    @pytest.mark.parametrize("operator", ["degrading-overload", "diligent", "prioritizer"])
+    def test_every_tick_equals_a_direct_computation(self, operator, dfa):
+        cfg = ScenarioConfig(seed=4, operator=operator, dfa=dfa)
         session = Session(cfg)
         world = session.world
         entropies = set()
         for second in session:  # the world stands as it did when the second was observed
             t = float(second.t)
-            active = [(v.x, v.y) for v in world.vehicles if v.neutralize_t is None]
-            assert second.demand.entropy == spatial_entropy(active)
+            assert repr(second.demand) == repr(scanned_demand(world, t))
+            assert repr(second.perf) == repr(scanned_performance(world, t))
             entropies.add(round(second.demand.entropy, 6))
-            lo = t - PERF_WINDOW_S
-            neutralizations = [
-                (v.detect_t, v.neutralize_t if v.neutralize_t is not None
-                 else v.detect_t + T_REF_S)
-                for v in world.vehicles
-                if v.detect_t is not None and v.detect_t >= lo
-                and (v.neutralize_t is not None or t - v.detect_t >= T_REF_S)
-            ]
-            messages = [
-                (m.arrive_t, m.zone_t) for m in world.messages
-                if m.arrive_t >= lo
-                and (m.zone_t is not None or t > m.arrive_t + MESSAGE_BUDGET_S)
-            ]
-            assert second.perf == performance_index(neutralizations, messages).overall
         assert second.t == cfg.duration_s - 1
-        assert len(entropies) > 10
+        assert len(entropies) > (10 if operator == "degrading-overload" else 3)
+        if operator == "prioritizer":
+            assert sum(world.miss_counts.values()) > 0  # it shed jobs
+
+    # one step of the drawn script: world ticks, each observed at its own t;
+    # a caller's append (of an item built before or after the last
+    # observation) or in-place edit; or observations at t values that
+    # repeat, rise or fall
+    EDIT_FIELDS = {"detect_t": Vehicle, "neutralize_t": Vehicle, "x": Vehicle, "y": Vehicle,
+                   "read_t": Message, "zone_t": Message}
+    instants = st.one_of(st.integers(-10, 700),
+                         st.floats(-10.0, 700.0, allow_nan=False, allow_infinity=False))
+    times = st.one_of(st.none(), instants)
+    steps = st.one_of(
+        st.tuples(st.just("tick"), st.integers(1, 30)),
+        st.tuples(st.just("append message"), st.booleans(), instants, times, times),
+        st.tuples(st.just("append vehicle"), st.booleans(),
+                  st.floats(0.0, 1.0), st.floats(0.0, 1.0), times, times),
+        st.tuples(st.just("edit"), st.sampled_from(sorted(EDIT_FIELDS)), st.integers(0, 10 ** 6),
+                  st.one_of(times, st.floats(0.0, 1.0))),
+        st.tuples(st.just("observe"), st.lists(st.one_of(st.none(), st.integers(0, 1000),
+                                                         st.floats(0.0, 1000.0)),
+                                               min_size=1, max_size=4)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(operator=st.sampled_from(["degrading-overload", "prioritizer"]),
+           seed=st.integers(0, 50), busy=st.booleans(), script=st.lists(steps, max_size=40))
+    def test_drawn_edits_and_times_equal_a_full_scan(self, operator, seed, busy, script):
+        cfg = ScenarioConfig(duration_s=900, phase_split_s=300, operator=operator)
+        world = World(cfg, rng_spawn=np.random.default_rng(seed),
+                      rng_operator=np.random.default_rng(seed + 1))
+        if busy:
+            world.arrival_rate = lambda t: 0.3
+        clock = 0  # the world's next tick
+        last = 0.0
+        for step in script:
+            kind = step[0]
+            if kind == "tick":
+                for _ in range(step[1]):
+                    world.tick(clock)
+                    last = float(clock)
+                    clock += 1
+                    observed_as_scanned(world, last)
+            elif kind.startswith("append"):
+                items, cls = ((world.messages, Message) if kind == "append message"
+                              else (world.vehicles, Vehicle))
+                item = cls(*step[2:])
+                if step[1]:
+                    observed_as_scanned(world, last)
+                items.append(item)
+            elif kind == "edit":
+                name, pick, value = step[1:]
+                items = world.vehicles if self.EDIT_FIELDS[name] is Vehicle else world.messages
+                if not items:
+                    continue
+                if name in ("x", "y"):  # a position, in the unit square
+                    value = 0.5 if value is None else min(max(value, 0.0), 1.0)
+                setattr(items[pick % len(items)], name, value)
+            else:  # the last t again (None), or a later or earlier one
+                for t in step[1]:
+                    last = last if t is None else t
+                    observed_as_scanned(world, last)
 
 
 class ListPickWorld(World):
@@ -747,3 +842,14 @@ class TestCompareCompliance:
         assert len(out["compliance_on"]) == 2
         for key in ("median_off", "median_on"):
             assert 0.0 <= out[key] <= 1.0
+
+    def test_seeds_are_read_once(self):
+        base = ScenarioConfig(duration_s=60, phase_split_s=30, operator="degrading-overload")
+        out = compare_compliance(iter([1, 2]), base=base)
+        assert out["seeds"] == [1, 2]
+        assert out == compare_compliance([1, 2], base=base)
+
+    @pytest.mark.parametrize("seeds", [[], iter([]), ()])
+    def test_no_seeds_is_a_config_error(self, seeds):
+        with pytest.raises(ConfigError, match="at least one seed"):
+            compare_compliance(seeds)
