@@ -288,8 +288,8 @@ class MwlState(NamedTuple):
 
 def fuse(net: MwlNetwork, t: int, evidence: Mapping[str, Mapping[str, float]]) -> MwlState:
     post = posterior(net, evidence)
-    return MwlState(t, post, mwl_level(post))
+    return tuple.__new__(MwlState, (t, post, mwl_level(post)))  # unchecked: no __new__ frame
 
 
 def write_states_jsonl(states: Iterable[MwlState], path: str | Path) -> None:
-    dump_jsonl((s._asdict() for s in states), path)
+    dump_jsonl(({"t": t, "posterior": post, "level": level} for t, post, level in states), path)

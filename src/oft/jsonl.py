@@ -17,8 +17,11 @@ on it.
 
 Inputs: CSV and JSONL data streams are read through read_csv and
 load_jsonl, which raise DataError, naming the file, when it cannot be read,
-lacks a column, or holds a malformed row or line. Config and model files
-are read through load_json, which raises ConfigError when the file cannot
+lacks a column, starts with a UTF-8 byte-order mark, or holds a malformed
+row or line. read_csv reads a file's rows once; with per-column converters
+it converts each column in one pass, and its row loop then runs only to
+name the first bad row, with the message a row parser gives. Config and
+model files are read through load_json, which raises ConfigError when the file cannot
 be opened or is not UTF-8 JSON. The bundled defaults live under DATA.
 
 This module also owns the one rule that turns a malformed document or
@@ -208,41 +211,72 @@ def load_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
 
 
 def read_csv(path: str | Path, stream: str, columns: Sequence[str],
-             parse: Callable[..., Any]) -> list:
-    """`parse(*values)` for each row of a CSV input stream, in file order.
+             parse: Callable[..., Any] | None = None, *,
+             convert: Sequence[Callable[[str], Any]] | None = None) -> list:
+    """The rows of a CSV input stream, in file order: `parse(*values)` for
+    each row, or with `convert` instead, one list per column, `convert[i]`
+    of every value of `columns[i]`.
 
     `values` are the row's fields named by `columns`, as strings, in the
     order of `columns`: a stream with columns ("t_s", "rr_ms") calls
     `parse(t_s, rr_ms)`. The header must hold every name in `columns`; a
-    name repeated in the header reads its last column. Blank lines are
-    skipped and fields past the header are ignored. A row too short to hold
-    every column in `columns`, or one on which `parse` raises KeyError,
-    TypeError, ValueError, AttributeError or OverflowError, is reported as
-    a bad row, shown as csv.DictReader would give it; a DataError raised by
-    `parse` passes through.
+    name repeated in the header reads its last column. A file that starts
+    with a UTF-8 byte-order mark is refused. Blank lines are skipped and
+    fields past the header are ignored. The rows are read once; `convert`
+    then converts each column in one pass. A row too short to hold every
+    column in `columns`, or one on which `parse` or a converter raises
+    KeyError, TypeError, ValueError, AttributeError or OverflowError, is
+    reported as a bad row, shown as csv.DictReader would give it; a
+    DataError raised by `parse` or a converter passes through. When a
+    column fails to convert, the row loop runs over the rows only to name
+    the first bad one, so the refusal is the one `parse` would give.
     """
+    if (parse is None) == (convert is None):
+        raise TypeError("read_csv takes parse or convert")
     where = f"stream {stream!r} ({path})"
+    rows: list = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
+            if header and header[0].startswith("\ufeff"):
+                raise DataError(f"{where}: Unexpected UTF-8 BOM at the start of the file")
             if header is None or not set(columns) <= set(header):
                 raise DataError(f"{where}: expected columns {','.join(columns)}")
             index = {name: i for i, name in enumerate(header)}  # the last one wins
             indices = [index[name] for name in columns]
-            pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
-            parsed = []
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    parsed.append(parse(*pick(row)))
-                except (IndexError, KeyError, TypeError, ValueError, AttributeError,
-                        OverflowError) as exc:
-                    raise DataError(f"{where}: bad row {_as_dict(header, row)!r}") from exc
-            return parsed
+            rows.extend(filter(None, reader))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        if rows:  # a bad row before the unreadable one is reported first
+            _parse_rows(where, header, rows, indices, parse or _row_converter(convert))
         raise DataError(f"{where}: {exc}") from exc
+    if convert is None:
+        return _parse_rows(where, header, rows, indices, parse)
+    try:
+        return [list(map(fn, map(itemgetter(i), rows))) for fn, i in zip(convert, indices)]
+    except Exception:
+        _parse_rows(where, header, rows, indices, _row_converter(convert))
+        raise
+
+
+def _row_converter(convert: Sequence[Callable[[str], Any]]) -> Callable[..., list]:
+    """`convert` applied to one row's values: the row loop's `parse`."""
+    return lambda *values: [fn(value) for fn, value in zip(convert, values)]
+
+
+def _parse_rows(where: str, header: list, rows: list, indices: list,
+                parse: Callable[..., Any]) -> list:
+    """`parse` of each row's values at `indices`; the first row that is too
+    short, or on which `parse` raises, is a bad row."""
+    pick = itemgetter(*indices) if len(indices) > 1 else lambda row: (row[indices[0]],)
+    parsed = []
+    for row in rows:
+        try:
+            parsed.append(parse(*pick(row)))
+        except (IndexError, KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as exc:
+            raise DataError(f"{where}: bad row {_as_dict(header, row)!r}") from exc
+    return parsed
 
 
 def _as_dict(header: list, row: list) -> dict:

@@ -616,9 +616,11 @@ class Monitor:
     (COBR, PRBR), else performance oriented if any raised it. The evidence
     maps constraint (only when the second has a demand frame), behaviour,
     performance and effort, in that order, to their likelihoods; fusing it
-    is left to the caller. The network must take that evidence: a
-    ConfigError says so before the first step, and `require_demand` before
-    the first demand frame. A pupil z that is not a number changes nothing.
+    is left to the caller. A performance reading equal to the one of the
+    second before reuses that second's likelihood; one outside the
+    partition's domain is fuzzified, and warned of, every second. The
+    network must take that evidence: a ConfigError says so before the first
+    step, and `require_demand` before the first demand frame. A pupil z that is not a number changes nothing.
     """
 
     def __init__(self, net: MwlNetwork):
@@ -636,6 +638,10 @@ class Monitor:
         # dcps) decides the label
         self._last_cost_t = float("-inf")
         self._last_perf_t = float("-inf")
+        # the last in-domain performance reading and its likelihood: the
+        # world often hands back the same reading, fuzzified once
+        self._perf_reading = None
+        self._perf_likelihood: dict = {}
 
     def _require(self, variable: str, evidence=()) -> None:
         """ConfigError unless the network has a child `variable` with every
@@ -682,9 +688,14 @@ class Monitor:
             td = task_difficulty(discretize(demand))
             evidence["constraint"] = CONSTRAINT_EVIDENCE[td]
         evidence["behaviour"] = BEHAVIOUR_EVIDENCE[behaviour]
-        evidence["performance"] = fuzzify(perf, self.net.partitions["performance"])
+        if perf != self._perf_reading:
+            partition = self.net.partitions["performance"]
+            self._perf_likelihood = fuzzify(perf, partition)
+            lo, hi = partition.domain
+            self._perf_reading = perf if lo <= perf <= hi else None
+        evidence["performance"] = self._perf_likelihood
         evidence["effort"] = fuzzify(z_smooth, self.net.partitions["effort"])
-        return MonitorStep(snap, event, behaviour, z_smooth, td, evidence)
+        return tuple.__new__(MonitorStep, (snap, event, behaviour, z_smooth, td, evidence))
 
 
 # ---------------------------------------------------------------------------

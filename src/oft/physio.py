@@ -286,8 +286,9 @@ def _sosfilt(sos: list, x: list, states: list, x0: float) -> list:
     return y
 
 
-def _norm_stats(per_sec, method, window, reference):
-    """Resolve the (center, scale) pair used for per-second pupil z-scores."""
+def _norm_stats(seconds, means, method, window, reference):
+    """Resolve the (center, scale) pair used for per-second pupil z-scores,
+    from the mean diameters `means` of the `seconds` that have samples."""
     if method not in NORMALIZATIONS:
         raise ConfigError(f"per_second_frames: unknown normalization method {method!r}; "
                           f"choose one of {NORMALIZATIONS}")
@@ -308,9 +309,9 @@ def _norm_stats(per_sec, method, window, reference):
         lo, hi = window
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ConfigError("per_second_frames: window needs finite bounds with start < end")
-        pool = [v for t, v in per_sec.items() if lo <= t < hi]
+        pool = means[(seconds >= lo) & (seconds < hi)]
     else:  # session
-        pool = list(per_sec.values())
+        pool = means
     baseline = normalize(pool)
     return baseline.center, baseline.scale
 
@@ -332,9 +333,10 @@ def _full_span_sdnn(rr: np.ndarray, counts: np.ndarray, span: int) -> dict:
     return dict(zip(ends.tolist(), np.concatenate(values).tolist()))
 
 
-def _pupil_means(clean: PupilSeries, edges: np.ndarray) -> dict:
+def _pupil_means(clean: PupilSeries, edges: np.ndarray) -> tuple:
     """Mean diameter of every second [edges[t], edges[t+1]) with samples, as
-    {t: mm}, the same bits as np.mean over each second's samples.
+    the arrays (seconds, mm), the same bits as np.mean over each second's
+    samples.
 
     The seconds with fewer than _PAIRWISE_MIN samples are summed together,
     one sample position at a time, so each is summed left to right from 0.0
@@ -353,7 +355,7 @@ def _pupil_means(clean: PupilSeries, edges: np.ndarray) -> dict:
     for t in np.flatnonzero(~short).tolist():
         means[t] = np.mean(mm[starts[t]:bounds[t + 1]])
     seconds = np.flatnonzero(counts)
-    return dict(zip(seconds.tolist(), means[seconds].tolist()))
+    return seconds, means[seconds]
 
 
 def per_second_frames(
@@ -398,16 +400,26 @@ def per_second_frames(
     duration = max(int(math.floor(end)) + 1, 1)
 
     edges = np.arange(duration + 1)
-    pupil_sec = _pupil_means(clean, edges)
+    seconds, means = _pupil_means(clean, edges)
 
-    center, scale = _norm_stats(pupil_sec, normalization, window, reference)
+    center, scale = _norm_stats(seconds, means, normalization, window, reference)
 
     beat_counts = np.searchsorted(beats.timestamps, edges[1:], side="left")
     frames: list[FeatureFrame] = []
-    # huge intervals overflow the SDNN: the check below reports it, so numpy need not warn
+    # huge intervals overflow the SDNN, a tiny scale the z: the checks below
+    # report it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        # (mean - center) / scale, the same IEEE operations on numpy's floats
+        z_values = (means - center) / scale
+        pupil_z = np.full(duration, None, dtype=object)  # None in a second without samples
+        pupil_z[seconds] = z_values
+        pupil_z = pupil_z.tolist()
+        # the frames are made up to the first second whose z is not finite
+        bad_z = np.flatnonzero(~np.isfinite(z_values))
+        bad_t = int(seconds[bad_z[0]]) if len(bad_z) else None
+        stop = duration if bad_t is None else bad_t + 1
         full_sdnn = _full_span_sdnn(beats.intervals_ms, beat_counts, span)
-        for t, n_beats in enumerate(beat_counts.tolist()):
+        for t, n_beats in enumerate(beat_counts[:stop].tolist()):
             if n_beats >= span:
                 hrv = full_sdnn[n_beats]
             elif n_beats >= 2:
@@ -417,12 +429,11 @@ def per_second_frames(
                     hrv = math.inf
             else:
                 hrv = None
-            z = (pupil_sec[t] - center) / scale if t in pupil_sec else None
             if hrv is not None and not math.isfinite(hrv):
                 raise DataError(f"second {t}: SDNN is {hrv!r} ms, not a finite number")
-            if z is not None and not math.isfinite(z):
-                raise DataError(f"second {t}: pupil z is {z!r}, not a finite number")
-            frames.append(FeatureFrame(t=t, hrv_sdnn_ms=hrv, pupil_z=z, warmup=n_beats < span))
+            frames.append(FeatureFrame(t, hrv, pupil_z[t], n_beats < span))
+    if bad_t is not None:
+        raise DataError(f"second {bad_t}: pupil z is {pupil_z[bad_t]!r}, not a finite number")
 
     meta = {
         "normalization": normalization,
@@ -441,24 +452,24 @@ def per_second_frames(
 
 def read_beats_csv(path: str | Path) -> RRSeries:
     """Read a beats CSV with header t_s,rr_ms."""
-    rows = read_csv(path, "beats", ("t_s", "rr_ms"), lambda t_s, rr_ms: (float(t_s), float(rr_ms)))
-    # the copy gives each column its own contiguous array
-    ts, rr = np.array(rows, dtype=float).reshape(-1, 2).T.copy()
-    return RRSeries(ts, rr)
+    ts, rr = read_csv(path, "beats", ("t_s", "rr_ms"), convert=(float, float))
+    return RRSeries(np.array(ts, dtype=float), np.array(rr, dtype=float))
 
 
 # the values of a pupil row's valid flag; any other is a bad row
 _VALID_FLAGS = {"1": True, "true": True, "True": True, "0": False, "false": False, "False": False}
 
 
+def _valid_flag(text: str) -> bool:
+    return _VALID_FLAGS[text.strip()]
+
+
 def read_pupil_csv(path: str | Path) -> PupilSeries:
     """Read a pupil CSV with header t_s,pupil_mm,valid."""
-    rows = read_csv(
-        path, "pupil", ("t_s", "pupil_mm", "valid"),
-        lambda t_s, pupil_mm, valid: (float(t_s), float(pupil_mm), _VALID_FLAGS[valid.strip()]),
-    )
-    ts, mm, ok = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
-    return PupilSeries(ts, mm, ok.astype(bool))
+    ts, mm, ok = read_csv(path, "pupil", ("t_s", "pupil_mm", "valid"),
+                          convert=(float, float, _valid_flag))
+    return PupilSeries(np.array(ts, dtype=float), np.array(mm, dtype=float),
+                       np.array(ok, dtype=bool))
 
 
 def write_frames_csv(result: PhysioFrames, path: str | Path) -> None:

@@ -115,14 +115,17 @@ class ActivityTracker:
         nps = sum(tick.at.values())
         cps = sum(tick.ot.values())
         prev = self.prev
+        # the snapshots and events are NamedTuples without checks: each is
+        # made without its generated __new__ frame
+        new = tuple.__new__
         if prev is None:  # the first second has no deltas, and so no event
-            prev = ActivitySnapshot(t - 1, nps, cps, 0, 0, perf)
+            prev = new(ActivitySnapshot, (t - 1, nps, cps, 0, 0, perf))
         elif t != prev.t + 1:
             raise SequencingError(f"tick t={t} does not follow snapshot t={prev.t}")
         self._sum_nps += nps
         self._sum_cps += cps
         dcps = cps - prev.cps
-        self.prev = snap = ActivitySnapshot(t, nps, cps, dcps, nps - prev.nps, perf)
+        self.prev = snap = new(ActivitySnapshot, (t, nps, cps, dcps, nps - prev.nps, perf))
         if dcps > 0 and perf < PERF_THRESHOLD:
             kind = RegulationKind.PBR
         elif dcps > 0 and prev.dcps < 0:
@@ -135,7 +138,7 @@ class ActivityTracker:
             kind = RegulationKind.PRBR
         else:
             return snap, None
-        event = RegulationEvent(t, kind)
+        event = new(RegulationEvent, (t, kind))
         self.events.append(event)
         return snap, event
 

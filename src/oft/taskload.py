@@ -87,7 +87,7 @@ def discretize(frame: ConstraintFrame) -> DiscretizedConstraints:
         ent = MEDIUM
     else:
         ent = HIGH
-    return DiscretizedConstraints(n1_level=n1, n2_level=n2, entropy_level=ent)
+    return tuple.__new__(DiscretizedConstraints, (n1, n2, ent))  # unchecked: no __new__ frame
 
 
 def spatial_entropy(positions: Sequence[tuple[float, float]]) -> float:

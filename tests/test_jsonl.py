@@ -1,7 +1,8 @@
-"""The shared readers and record writer: the CSV reader against
-csv.DictReader and load_jsonl against json.loads per line, the code they
-replaced; the record writer on every record of the pinned runs. The three
-file writers against open(path, "w"): how they treat an existing path."""
+"""The shared readers and record writer: the CSV reader, row by row and
+column by column, against csv.DictReader and load_jsonl against json.loads
+per line, the code they replaced; the record writer on every record of the
+pinned runs. The three file writers against open(path, "w"): how they treat
+an existing path."""
 
 import ast
 import csv
@@ -67,6 +68,8 @@ PARSERS = {
              lambda name, count: (name.strip(), int(count)),
              lambda row: (row["name"].strip(), int(row["count"]))),
 }
+# the same parsers as read_csv's per-column converters
+CONVERTERS = {"numbers": (float, _checked_level), "text": (str.strip, int)}
 
 FILES = {
     "plain": "t_s,level\n0,1.5\n1,2.5\n",
@@ -87,8 +90,12 @@ FILES = {
     "empty file": "",
     "bad value": "t_s,level\n0,1.5\n1,high\n",
     "bad long row": "t_s,level\n0,1.5\n1,high,extra\n",
+    "two bad rows": "t_s,level\n0,1.5\n1,high\nnow,2.5\n",  # the second column fails first
     "parser DataError": "t_s,level\n0,1.5\n1,-2\n",
     "NUL byte": "t_s,level\n0,1\x005\n",
+    # csv.Error: field larger than field limit (131072)
+    "unreadable row after a row": "t_s,level\n0,1.5\n0," + "9" * 131073 + "\n",
+    "unreadable row after a bad row": "t_s,level\nx,1.5\n0," + "9" * 131073 + "\n",
     "text": "name,count\n a ,1\nb,2\n",
     "text, bad count": "name,count\na,1\nb,2.5\n",
     "text, short": "name,count\na\n",
@@ -102,14 +109,81 @@ def outcome(reader, path, columns, parse):
         return str(exc)
 
 
+def bits(result):
+    """An outcome with every float as its bits (float.hex)."""
+    if isinstance(result, str):
+        return result
+    return [tuple(v.hex() if type(v) is float else v for v in row) for row in result]
+
+
+def read_columns(path, stream, columns, convert):
+    """read_csv's column path, as rows."""
+    return list(zip(*read_csv(path, stream, columns, convert=convert)))
+
+
+def assert_readers_agree(path, kind):
+    """read_csv row by row, read_csv column by column and the reference give
+    the same values, bit for bit, or the same refusal."""
+    columns, positional, by_name = PARSERS[kind]
+    want = bits(outcome(_dictreader_read_csv, path, columns, by_name))
+    assert bits(outcome(read_csv, path, columns, positional)) == want
+    assert bits(outcome(read_columns, path, columns, CONVERTERS[kind])) == want
+
+
 @pytest.mark.parametrize("kind", list(PARSERS))
 @pytest.mark.parametrize("name", list(FILES))
 def test_matches_dictreader(tmp_path, name, kind):
     path = tmp_path / "in.csv"
     path.write_bytes(FILES[name].encode())
-    columns, positional, by_name = PARSERS[kind]
-    assert outcome(read_csv, path, columns, positional) == \
-        outcome(_dictreader_read_csv, path, columns, by_name)
+    assert_readers_agree(path, kind)
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-0.0", "-1e-320", "-inf"]),
+)
+LEVEL_CELLS = st.one_of(  # what _checked_level takes
+    st.floats(min_value=0.0).map(repr), st.integers(0, 10 ** 20).map(str),
+    st.sampled_from(["0", "-0", "1e308", "1e309", " 2.5", "3 ", "+4", "1_0", "nan", "Infinity"]),
+)
+# what one defect makes of the row it is drawn on; None leaves the row out
+DEFECTS = {
+    "bad cell": lambda cells, i, bad: cells[:i] + [bad] + cells[i + 1:],
+    "short row": lambda cells, i, _bad: cells[:i],
+    "blank line": lambda cells, _i, _bad: None,
+    "quoted field": lambda cells, i, _bad:
+        cells[:i] + ['"' + cells[i].replace('"', '""') + '"'] + cells[i + 1:],
+    "extra field": lambda cells, _i, bad: cells + [bad],
+}
+LAYOUTS = {  # header order of the columns; "note" is a column no parser reads
+    "numbers": (("t_s", "level"), ("level", "t_s"), ("t_s", "note", "level")),
+    "text": (("name", "count"), ("count", "note", "name")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(PARSERS)),
+       defect=st.sampled_from([None] + sorted(DEFECTS)), newline=st.sampled_from(["\n", "\r\n"]))
+def test_column_path_matches_the_row_loop_and_dictreader(tmp_path_factory, data, kind, defect,
+                                                         newline):
+    """Files of drawn valid rows with at most one defect at a drawn position:
+    the column path gives the values, or the refusal, of the row loop and of
+    csv.DictReader."""
+    layout = data.draw(st.sampled_from(LAYOUTS[kind]))
+    valid = {"t_s": NUMBER_CELLS | LEVEL_CELLS, "level": LEVEL_CELLS,
+             "note": st.text("ab 1", max_size=3), "name": st.text("ab ", max_size=3),
+             "count": st.integers(-99, 99).map(str)}
+    rows = data.draw(st.lists(st.tuples(*(valid[name] for name in layout)).map(list),
+                              max_size=12))
+    if defect is not None and rows:
+        at = data.draw(st.integers(0, len(rows) - 1))
+        column = data.draw(st.integers(0, len(layout) - 1))
+        bad = data.draw(st.sampled_from(["x", "", "-1", "1..2", "1,5", '"1,5"']))
+        rows[at] = DEFECTS[defect](rows[at], column, bad)
+    lines = [",".join(layout)] + ["" if row is None else ",".join(row) for row in rows]
+    path = tmp_path_factory.mktemp("csv") / "in.csv"
+    path.write_bytes(newline.join(lines).encode() + newline.encode())
+    assert_readers_agree(path, kind)
 
 
 @pytest.mark.parametrize("name,want", [
@@ -143,6 +217,91 @@ def test_unreadable_file(tmp_path):
         got = outcome(read_csv, missing, columns, positional)
         assert got == outcome(_dictreader_read_csv, missing, columns, by_name)
         assert got.startswith(f"stream 's' ({missing}): ")
+
+
+def _row_built_beats(path):
+    """read_beats_csv's arrays as the row loop built them, kept as the reference."""
+    rows = read_csv(path, "beats", ("t_s", "rr_ms"), lambda t_s, rr_ms: (float(t_s), float(rr_ms)))
+    return np.array(rows, dtype=float).reshape(-1, 2).T.copy()
+
+
+def _row_built_pupil(path):
+    """read_pupil_csv's arrays as the row loop built them, kept as the reference."""
+    rows = read_csv(
+        path, "pupil", ("t_s", "pupil_mm", "valid"),
+        lambda t_s, pupil_mm, valid:
+            (float(t_s), float(pupil_mm), physio._VALID_FLAGS[valid.strip()]),
+    )
+    ts, mm, ok = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+    return ts, mm, ok.astype(bool)
+
+
+def _same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def hour_recording(tmp_path_factory):
+    """The benchmark's one-hour recording, seed 1."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        import monitor_replay
+    finally:
+        sys.path.pop(0)
+    paths, _load, _facts = monitor_replay.write_recording(
+        np.random.default_rng(1), tmp_path_factory.mktemp("hour"))
+    return paths
+
+
+def test_stream_readers_build_the_arrays_of_the_row_loop(hour_recording):
+    beats = physio.read_beats_csv(hour_recording["beats.csv"])
+    for got, want in zip((beats.timestamps, beats.intervals_ms),
+                         _row_built_beats(hour_recording["beats.csv"])):
+        _same_array(got, want)
+    pupil = physio.read_pupil_csv(hour_recording["pupil.csv"])
+    for got, want in zip((pupil.timestamps, pupil.diameters_mm, pupil.valid),
+                         _row_built_pupil(hour_recording["pupil.csv"])):
+        _same_array(got, want)
+
+
+@pytest.mark.parametrize("bad", ["3600.0,3.1,maybe", "3600.0,x,1", "3600.0,3.1", "3600.0"])
+def test_a_bad_last_row_of_an_hour_is_named_as_the_row_loop_names_it(tmp_path, hour_recording,
+                                                                     bad):
+    path = tmp_path / "pupil.csv"
+    path.write_bytes(hour_recording["pupil.csv"].read_bytes() + bad.encode() + b"\r\n")
+    with pytest.raises(DataError) as got:
+        physio.read_pupil_csv(path)
+    with pytest.raises(DataError) as want:
+        _row_built_pupil(path)
+    assert str(got.value) == str(want.value)
+    assert "bad row" in str(got.value)
+
+
+@pytest.mark.parametrize("read,text", [
+    (physio.read_beats_csv, "t_s,rr_ms\n0.5,800\n1.3,800\n"),
+    (physio.read_pupil_csv, "t_s,pupil_mm,valid\n0,3.1,1\n"),
+    (pipeline.read_demand_csv, "t_s,n1,n2,entropy\n0,1,0,0.0\n"),
+    (physio.read_beats_csv, "note,t_s,rr_ms\nx,0.5,800\n"),  # the BOM on an unread column
+])
+def test_a_byte_order_mark_is_refused_by_name(tmp_path, read, text):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    with pytest.raises(DataError, match="Unexpected UTF-8 BOM"):
+        read(path)
+    path.write_bytes(text.encode())
+    read(path)
+
+
+def test_a_byte_order_mark_exits_3(tmp_path, capsys):
+    beats = tmp_path / "beats.csv"
+    beats.write_bytes(b"\xef\xbb\xbft_s,rr_ms\n0.5,800\n1.3,800\n")
+    pupil = tmp_path / "pupil.csv"
+    pupil.write_text("t_s,pupil_mm,valid\n0,3.1,1\n")
+    assert main(["physio", "--beats", str(beats), "--pupil", str(pupil),
+                 "--out", str(tmp_path / "frames.csv")]) == 3
+    assert f"stream 'beats' ({beats}): Unexpected UTF-8 BOM" in capsys.readouterr().err
 
 
 def test_single_column(tmp_path):

@@ -1,7 +1,9 @@
 """Surveillance microworld: mechanics, generators, and the closed loop."""
 
+import json
 import re
 import statistics
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from oft import microworld
 from oft.errors import ConfigError, DataError, SequencingError
-from oft.fusion import MwlNetwork
+from oft.fusion import MwlNetwork, fuzzify
+from oft.jsonl import DATA
 from oft.microworld import (
     BASE_SERVICE_S,
     BEHAVIOUR_WINDOW_S,
@@ -475,6 +478,41 @@ def test_monitor_step_reads_pupil_z_as_a_number(pupil_z):
         monitor.step(tick, True, 0.5, None)
     assert monitor.tracker.prev is None
     assert monitor.step(tick, 0.8, np.float64(1.5), None).pupil_z == 1.5
+
+
+def test_monitor_fuzzifies_a_repeated_performance_reading_once(monkeypatch):
+    """An unchanged performance reading reuses its likelihood; every second's
+    evidence is still fuzzify's, and effort is fuzzified every second."""
+    net = MwlNetwork.default()
+    calls = []
+
+    def counted(x, partition):
+        calls.append(partition.variable)
+        return fuzzify(x, partition)
+
+    monkeypatch.setattr(microworld, "fuzzify", counted)
+    monitor = Monitor(net)
+    readings = [0.3, 0.3, 0.3, 0.6, 0.6, 0.3, 1, 1.0, np.float64(1.0), 0.45]
+    for t, perf in enumerate(readings):
+        step = monitor.step(TaskTick(t=t, at={}, ot={}), perf, 0.5, None)
+        assert step.evidence["performance"] == fuzzify(perf, net.partitions["performance"])
+    assert calls.count("performance") == 5  # 0.3, 0.6, 0.3, 1 and 0.45
+    assert calls.count("effort") == len(readings)
+
+
+def test_monitor_warns_of_a_repeated_reading_outside_the_domain_every_second():
+    raw = json.loads((DATA / "mwl_net.json").read_text())
+    raw["partitions"]["performance"]["domain"] = [0.2, 0.9]
+    net = MwlNetwork.from_dict(raw)
+    monitor = Monitor(net)
+    for t, perf in enumerate([0.95, 0.95, 0.95, 0.5, 0.5, 0.1, 0.1]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            step = monitor.step(TaskTick(t=t, at={}, ot={}), perf, 0.5, None)
+            want = fuzzify(min(max(perf, 0.2), 0.9), net.partitions["performance"])
+        clamped = [w for w in caught if "partition performance: " in str(w.message)]
+        assert len(clamped) == (perf != 0.5), (t, perf)
+        assert step.evidence["performance"] == want
 
 
 #: The README's behaviour label: cost oriented if a regulation event of

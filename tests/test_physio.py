@@ -427,6 +427,58 @@ class TestFramesProperty:
                 assert frame.pupil_z == pytest.approx(z, rel=1e-9, abs=1e-9)
 
 
+class TestPupilZ:
+    """Each second's pupil z against (mean - center) / scale in Python floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(streams=physio_streams(), center=st.floats(-10.0, 10.0),
+           scale=st.floats(1e-300, 1e3) | st.sampled_from([5e-324, 1e-310]))
+    def test_pupil_z_is_the_python_float_z_of_the_mean(self, streams, center, scale):
+        """A second's z is (mean - center) / scale in Python floats, bit for
+        bit, or the DataError that names the first second where it is not
+        finite."""
+        beat_ts, rr, pupil_ts, pupil_mm, valid, span = streams
+        if not any(ok and 2.0 <= mm <= 8.0 for mm, ok in zip(pupil_mm, valid)):
+            return
+        beats = RRSeries(np.asarray(beat_ts), np.asarray(rr))
+        pupil = PupilSeries(np.asarray(pupil_ts), np.asarray(pupil_mm), np.asarray(valid))
+        want = {t: (mean - center) / scale for t, mean in pupil_means_oracle(pupil).items()}
+        bad = [t for t, z in want.items() if not math.isfinite(z)]
+        try:
+            frames = per_second_frames(beats, pupil, span=span, normalization="reference",
+                                       reference=(center, scale)).frames
+        except DataError as exc:
+            assert bad and str(exc) == \
+                f"second {bad[0]}: pupil z is {want[bad[0]]!r}, not a finite number"
+            return
+        assert not bad
+        got = {f.t: f.pupil_z for f in frames if f.pupil_z is not None}
+        assert got.keys() == want.keys()
+        assert all(type(z) is float and z.hex() == want[t].hex() for t, z in got.items())
+
+    @pytest.mark.parametrize("last", [True, False])
+    def test_a_z_past_the_floats_names_its_second(self, last):
+        # the z is 0 where the mean is the center, and overflows elsewhere
+        mm = [3.0] * 40
+        mm[-1 if last else 21] = 3.5
+        pupil = make_pupil(mm)
+        beats = make_beats([800.0] * 12)
+        with pytest.raises(DataError, match=rf"^second {9 if last else 5}: pupil z is inf, "):
+            per_second_frames(beats, pupil, normalization="reference", reference=(3.0, 1e-320))
+
+    @pytest.mark.parametrize("pupil_second,want", [(2, "second 2: pupil z"), (9, "second 8: SDNN"),
+                                                   (8, "second 8: SDNN")])
+    def test_the_first_second_that_is_not_finite_is_named(self, pupil_second, want):
+        """An SDNN and a z are checked second by second; in the same second
+        the SDNN first."""
+        beats = RRSeries(np.arange(12) * 0.8, np.array([800.0] * 10 + [1e200, 1e199]))
+        mm = [3.0] * 40
+        mm[4 * pupil_second] = 3.5
+        with pytest.raises(DataError, match=f"^{want}"):
+            per_second_frames(beats, make_pupil(mm), normalization="reference",
+                              reference=(3.0, 1e-320))
+
+
 class TestSeriesValidation:
     def test_beats_shape_mismatch(self):
         with pytest.raises(DataError, match="1-d and equal length"):
